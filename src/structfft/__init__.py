@@ -27,7 +27,6 @@ from .core import (
     fft_radix2,
     idft_direct,
     rel_error,
-    signal_sample,
     submatrix_apply,
 )
 from .counting import CostReport, OpCounter
@@ -44,7 +43,6 @@ from .families import (
     GapSpec,
     doubling,
     draw_coefficients,
-    gap_pivot_bound_check,
     gap_pivot_envelope,
     gen_ap,
     gen_consecutive,

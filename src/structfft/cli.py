@@ -111,10 +111,9 @@ def signal_to_json(J: SupportSet, coeffs) -> dict:
 # analyze -----------------------------------------------------------------------
 
 
-def _tree_ascii(J: SupportSet, depth: int) -> list[str]:
-    tree = build_tree(J, depth)
+def _tree_ascii(tree) -> list[str]:
     lines = []
-    for level in range(depth + 1):
+    for level in range(tree.depth + 1):
         for node in tree.nodes_at_level(level):
             lines.append(
                 "  " * level
@@ -123,10 +122,9 @@ def _tree_ascii(J: SupportSet, depth: int) -> list[str]:
     return lines
 
 
-def _tree_dot(J: SupportSet, depth: int) -> str:
-    tree = build_tree(J, depth)
+def _tree_dot(tree) -> str:
     out = ["digraph congruence_tree {"]
-    for level in range(depth + 1):
+    for level in range(tree.depth + 1):
         for node in tree.nodes_at_level(level):
             nid = f"n{level}_{node.residue}"
             out.append(f'  {nid} [label="{node.residue} mod 2^{level}\\nw={node.weight}"];')
@@ -155,9 +153,9 @@ def cmd_analyze(args) -> int:
         width = J.M
         report["indices_binary"] = [format(j, f"0{width}b") for j in J.indices]
     if args.tree == "ascii":
-        report["tree"] = _tree_ascii(J, depth)
+        report["tree"] = _tree_ascii(tree)
     elif args.tree == "dot":
-        report["tree_dot"] = _tree_dot(J, depth)
+        report["tree_dot"] = _tree_dot(tree)
     text = dump_json(report, args.out)
     if not args.out:
         sys.stdout.write(text)

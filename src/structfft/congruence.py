@@ -1,9 +1,19 @@
 """Congruence trees over Z_N (N = 2^M): pivots, weights, heights, homogeneity.
 
-The tree for a support set J refines J by residue mod 2^l, level by level.
-A level is a pivot when some node at that level splits; equivalently when
-some pair of J differs by an odd multiple of 2^l.  A set is homogeneous when
-it has exactly log2|J| pivots, the fewest possible.
+The tree for a support set J refines J by residue mod 2^l, level by level: a
+node at level l is the set of members of J that share their low l bits.  A
+level is a pivot when some node at that level splits; equivalently when some
+pair of J differs by an odd multiple of 2^l.  A set is homogeneous when it
+has exactly log2|J| pivots, the fewest possible.
+
+The tree is held as J sorted by bit-reversed index (bit 0 most significant).
+Members share their low l bits exactly when their reversed indices share
+their top l bits, so every node at every level is a contiguous run of that
+order.  Neighbours a, b part at level v2(a xor b), their lowest differing
+bit: the runs of level l end where this split level is below l, and the
+level-l weights are the run lengths.  Any pair of J is parted at level
+v2(a - b) = v2(a xor b) by some neighbour pair between them, so the pivots
+are exactly the distinct split levels of neighbours.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ import numpy as np
 
 from .errors import ContractViolationError, InvalidInputError
 
-# pairwise pivot computation is O(k^2); above this size use tree refinement
+# pairwise pivot computation is O(k^2); above this size use pivots()
 PAIRWISE_SIZE_CAP = 1 << 16
 
 
@@ -73,32 +83,23 @@ class SupportSet:
         return np.asarray(self.indices, dtype=np.int64)
 
 
+def _bit_reverse(x: np.ndarray, M: int) -> np.ndarray:
+    """Indices in [0, 2^M) with their M bits reversed."""
+    out = np.zeros_like(x)
+    for b in range(M):
+        out |= ((x >> b) & 1) << (M - 1 - b)
+    return out
+
+
 def pivots(J: SupportSet) -> tuple[int, ...]:
     """All levels l such that some pair of J differs by an odd multiple of 2^l.
 
-    Computed by successive partition refinement (O(k * M) index-bit work),
-    which scales past the O(k^2) pairwise definition; `pivots_pairwise`
-    implements the definition literally and the two must agree.
+    The distinct split levels of neighbours in bit-reversed order (one
+    O(k log k) sort), which scales past the O(k^2) pairwise definition;
+    `pivots_pairwise` implements the definition literally and the two must
+    agree.
     """
-    arr = J.as_array()
-    if len(arr) == 1:
-        return ()
-    out = []
-    labels = np.zeros(len(arr), dtype=np.int64)
-    n_nodes = 1
-    for level in range(J.M):
-        bit = (arr >> level) & 1
-        new_labels = labels * 2 + bit
-        uniq = np.unique(new_labels)
-        if len(uniq) > n_nodes:
-            out.append(level)
-        # compress labels so they stay small
-        labels = np.searchsorted(uniq, new_labels)
-        n_nodes = len(uniq)
-        if n_nodes == len(arr):
-            break
-    # levels >= the first level at which all nodes are singletons cannot split
-    return tuple(out)
+    return CongruenceTree(J, J.M).split_levels()
 
 
 def pivots_pairwise(J: SupportSet, size_cap: int = PAIRWISE_SIZE_CAP) -> tuple[int, ...]:
@@ -134,7 +135,9 @@ class TreeNode:
 class CongruenceTree:
     """The mod-2^l refinement tree of J, truncated at `depth` levels.
 
-    Level l holds one node per residue class mod 2^l that meets J.  Empty
+    Held as J in bit-reversed order (`order`) plus the neighbours' split
+    levels (`splits`).  Level l holds one node per residue class mod 2^l that
+    meets J, listed by ascending residue with members ascending.  Empty
     nodes are not stored; weight queries on them return 0.
     """
 
@@ -145,32 +148,47 @@ class CongruenceTree:
         self.N = J.N
         self.M = J.M
         self.depth = depth
-        self.levels: list[dict[int, TreeNode]] = []
-        members = {0: list(J.indices)}
-        for level in range(depth + 1):
-            nodes = {
-                res: TreeNode(level, res, tuple(ms)) for res, ms in sorted(members.items())
-            }
-            self.levels.append(nodes)
-            if level < depth:
-                nxt: dict[int, list[int]] = {}
-                mod = 1 << (level + 1)
-                for res, ms in members.items():
-                    for j in ms:
-                        nxt.setdefault(j % mod, []).append(j)
-                members = nxt
+        arr = J.as_array()
+        keys = _bit_reverse(arr, J.M)
+        perm = np.argsort(keys)
+        self._keys = keys[perm]
+        self.order = arr[perm]
+        d = self.order[1:] ^ self.order[:-1]
+        self.splits = np.frexp((d & -d).astype(np.float64))[1] - 1  # v2(d); d & -d is exact
 
-    @property
-    def root(self) -> TreeNode:
-        return self.levels[0][0]
+    def run_lengths(self, level: int) -> np.ndarray:
+        """Node weights at `level`, in bit-reversed order of the residues."""
+        self._check_level(level)
+        ends = np.flatnonzero(self.splits < level) + 1
+        return np.diff(np.concatenate(([0], ends, [len(self.order)])))
+
+    def level_arrays(self, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes at `level` by ascending residue: node i has residue residues[i]
+        and members members[bounds[i]:bounds[i+1]], ascending."""
+        self._check_level(level)
+        mask = (1 << level) - 1
+        members = self.order[np.lexsort((self.order, self.order & mask))]
+        res = members & mask
+        first = np.flatnonzero(np.concatenate(([True], res[1:] != res[:-1])))
+        return res[first], np.append(first, len(members)), members
 
     def nodes_at_level(self, level: int) -> list[TreeNode]:
-        self._check_level(level)
-        return list(self.levels[level].values())
+        residues, bounds, members = self.level_arrays(level)
+        m, b = members.tolist(), bounds.tolist()
+        return [
+            TreeNode(level, res, tuple(m[b[i]:b[i + 1]]))
+            for i, res in enumerate(residues.tolist())
+        ]
 
     def node(self, level: int, residue: int) -> TreeNode | None:
         self._check_level(level)
-        return self.levels[level].get(residue)
+        if not 0 <= residue < (1 << level):
+            return None
+        key = int(_bit_reverse(np.int64(residue), self.M))
+        lo, hi = np.searchsorted(self._keys, [key, key + (1 << (self.M - level))])
+        if lo == hi:
+            return None
+        return TreeNode(level, residue, tuple(sorted(self.order[lo:hi].tolist())))
 
     def node_weight(self, level: int, residue: int) -> int:
         n = self.node(level, residue)
@@ -187,27 +205,20 @@ class CongruenceTree:
         """(left, right) children; left carries bit `node.level` set."""
         if node.level >= self.depth:
             raise InvalidInputError("node has no stored children (below tree depth)")
-        lv = self.levels[node.level + 1]
-        right = lv.get(node.residue)
-        left = lv.get(node.residue + (1 << node.level))
-        return left, right
+        left = self.node(node.level + 1, node.residue + (1 << node.level))
+        return left, self.node(node.level + 1, node.residue)
 
     def parent(self, node: TreeNode) -> TreeNode | None:
         if node.level == 0:
             return None
-        return self.levels[node.level - 1][node.residue % (1 << (node.level - 1))]
+        return self.node(node.level - 1, node.residue % (1 << (node.level - 1)))
 
     def max_weight_at_level(self, level: int) -> int:
-        self._check_level(level)
-        return max(n.weight for n in self.levels[level].values())
+        return int(self.run_lengths(level).max())
 
     def split_levels(self) -> tuple[int, ...]:
         """Levels (below depth) at which some stored node has two children."""
-        out = []
-        for level in range(self.depth):
-            if len(self.levels[level + 1]) > len(self.levels[level]):
-                out.append(level)
-        return tuple(out)
+        return tuple(int(l) for l in np.unique(self.splits[self.splits < self.depth]))
 
     def _check_level(self, level: int) -> None:
         if level < 0 or level > self.depth:
@@ -215,7 +226,12 @@ class CongruenceTree:
 
 
 def build_tree(J: SupportSet, depth: int, counter=None) -> CongruenceTree:
-    """Construct T^depth(J); costs O(|J| * depth) index-bit operations."""
+    """Construct T^depth(J) by sorting J by bit-reversed index, O(|J| log |J|).
+
+    The counter is charged the model figure |J| * max(depth, 1) index-bit
+    operations (`tree_build_bitops`), the cost of refining J level by level
+    down to `depth`, whatever the sort costs.
+    """
     tree = CongruenceTree(J, depth)
     if counter is not None:
         counter.count_bit_ops(len(J) * max(depth, 1))
@@ -241,6 +257,16 @@ def classify(J: SupportSet) -> Classification:
     return Classification("generic", p)
 
 
+def check_part_homogeneous(p: Sequence[int], r: Sequence[int]) -> None:
+    """Raise unless every pivot in p at or below max(r) is listed in r."""
+    r = tuple(r)
+    for x in p:
+        if r and x <= max(r) and x not in r:
+            raise ContractViolationError(
+                f"support is not {r}-part-homogeneous: pivot {x} <= {max(r)} missing from r"
+            )
+
+
 def is_part_homogeneous(J: SupportSet, r: Sequence[int]) -> bool:
     """True iff every pivot of J at or below max(r) is listed in r.
 
@@ -248,25 +274,15 @@ def is_part_homogeneous(J: SupportSet, r: Sequence[int]) -> bool:
     above max(r).  Empty r is part-homogeneous only for singletons or sets
     whose pivots all sit above level -1, i.e. always true.
     """
-    r = tuple(r)
-    if not r:
-        return True
-    r_max = max(r)
-    rset = set(r)
-    return all(p in rset for p in pivots(J) if p <= r_max)
+    try:
+        check_part_homogeneous(pivots(J), r)
+    except ContractViolationError:
+        return False
+    return True
 
 
 def assert_part_homogeneous(J: SupportSet, r: Sequence[int]) -> None:
-    r = tuple(r)
-    if not r:
-        return
-    r_max = max(r)
-    rset = set(r)
-    for p in pivots(J):
-        if p <= r_max and p not in rset:
-            raise ContractViolationError(
-                f"support is not {r}-part-homogeneous: pivot {p} <= {r_max} missing from r"
-            )
+    check_part_homogeneous(pivots(J), r)
 
 
 def validate_pivot_vector(r: Sequence[int], M: int) -> tuple[int, ...]:

@@ -177,10 +177,6 @@ class BandlimitedSignal:
         return self.sample_block(np.arange(self.N))
 
 
-def signal_sample(sig: BandlimitedSignal, i: int) -> complex:
-    return sig.sample(i)
-
-
 def _index_array(obj) -> np.ndarray:
     if isinstance(obj, SupportSet):
         return obj.as_array()

@@ -150,10 +150,6 @@ def gap_pivot_envelope(d: int, k: int) -> float:
     return math.log2(k) + math.log2(max(math.log2(k), 1.0)) + b
 
 
-def gap_pivot_bound_check(J: SupportSet, d: int) -> bool:
-    return len(pivots(J)) <= gap_pivot_envelope(d, len(J))
-
-
 def doubling(J: SupportSet) -> int:
     """|J + J| mod N, by direct enumeration (|J| capped at 2^12)."""
     if len(J) > 1 << 12:

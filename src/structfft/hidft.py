@@ -22,13 +22,15 @@ import numpy as np
 from .congruence import (
     SupportSet,
     assert_part_homogeneous,
+    build_tree,
+    check_part_homogeneous,
     classify,
     validate_pivot_vector,
 )
 from .core import BandlimitedSignal, submatrix_apply
 from .counting import OpCounter
 from .errors import ContractViolationError, InvalidInputError
-from .sampling import pivoted_pattern
+from .sampling import pattern_offsets, pivoted_pattern
 
 
 def _fetch(source, locations: np.ndarray, N: int) -> np.ndarray:
@@ -153,10 +155,7 @@ def hidft(
     used = rt[: len(rt) - height]
     plan = _build_plan(J, used)
     A = plan.n_slots
-    offsets = np.zeros(A, dtype=np.int64)
-    for i, rk in enumerate(used):
-        offsets += ((np.arange(A) >> i) & 1) << (J.M - 1 - rk)
-    v = _fetch(source, offsets - shift, J.N)
+    v = _fetch(source, pattern_offsets(used, J.M) - shift, J.N)
     for k in range(1, len(used) + 1):
         half = 1 << (k - 1)
         v = v.reshape(-1, 2, half)
@@ -259,18 +258,17 @@ def block_factorization_check(
     rt = validate_pivot_vector(r, J.M)
     if not rt:
         raise InvalidInputError("block factorization needs at least one pivot")
-    assert_part_homogeneous(J, rt)
     r_max = rt[-1]
     level = r_max + 1
-    # height-0 nodes keyed by residue at level r_max+1
-    nodes = sorted({j % (1 << level) for j in J.indices})
-    rep_of = {}
-    for j in J.indices:
-        rep_of.setdefault(j % (1 << level), j)
+    tree = build_tree(J, level)
+    check_part_homogeneous(tree.split_levels(), rt)
+    # height-0 nodes by ascending residue at level r_max+1, each with its least member
+    residues, bounds, members = tree.level_arrays(level)
+    rep_of = dict(zip(residues.tolist(), members[bounds[:-1]].tolist()))
     pairs = []
     skipped = []
     seen = set()
-    for res in nodes:
+    for res in rep_of:
         if res in seen:
             continue
         sib = res ^ (1 << r_max)

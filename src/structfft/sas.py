@@ -24,9 +24,9 @@ from . import _ddc
 from .congruence import (
     CongruenceTree,
     SupportSet,
-    assert_part_homogeneous,
     build_tree,
-    pivots as support_pivots,
+    check_part_homogeneous,
+    pivots as support_pivots,  # unused here; perfbench/spans.py traces it
     validate_pivot_vector,
 )
 from .core import BandlimitedSignal
@@ -62,28 +62,20 @@ class SasPlan:
     node_weights: tuple[int, ...]
     predicted_cost: float
 
-    @property
-    def shifts(self) -> range:
-        return range(self.mu_star)
-
     @classmethod
     def plan(cls, J: SupportSet, r: Sequence[int], counter: OpCounter | None = None) -> "SasPlan":
-        rt = validate_pivot_vector(r, J.M)
-        assert_part_homogeneous(J, rt)
+        return cls._from_tree(build_tree(J, J.M), r, counter)
+
+    @classmethod
+    def _from_tree(cls, tree: CongruenceTree, r: Sequence[int], counter: OpCounter | None) -> "SasPlan":
+        rt = validate_pivot_vector(r, tree.M)
+        check_part_homogeneous(tree.split_levels(), rt)
         level = rt[-1] + 1 if rt else 0
-        tree = build_tree(J, level, counter)
-        weights = tuple(n.weight for n in tree.nodes_at_level(level))
+        if counter is not None:  # the figure build_tree(J, level, counter) charges
+            counter.count_bit_ops(len(tree.support) * max(level, 1))
+        weights = tuple(np.diff(tree.level_arrays(level)[1]).tolist())
         mu = max(weights)
         return cls(rt, level, mu, weights, predicted_cost(len(rt), mu, weights))
-
-
-def _plan_bound_for_prefix(J: SupportSet, prefix: tuple[int, ...]) -> float:
-    level = prefix[-1] + 1 if prefix else 0
-    mod = 1 << level
-    weights: dict[int, int] = {}
-    for j in J.indices:
-        weights[j % mod] = weights.get(j % mod, 0) + 1
-    return predicted_cost(len(prefix), max(weights.values()), list(weights.values()))
 
 
 def select_pivots(J: SupportSet, policy: str = "auto", family_meta: dict | None = None) -> tuple[int, ...]:
@@ -98,16 +90,25 @@ def select_pivots(J: SupportSet, policy: str = "auto", family_meta: dict | None 
 
     The returned vector is always verified to leave J part-homogeneous.
     """
+    tree = build_tree(J, J.M)
+    rt = _select_pivots(tree, policy, family_meta)
+    check_part_homogeneous(tree.split_levels(), rt)
+    return rt
+
+
+def _select_pivots(tree: CongruenceTree, policy: str, family_meta: dict | None) -> tuple[int, ...]:
+    """The policy's pivot vector, validated but not checked for part-homogeneity."""
     if policy not in POLICIES:
         raise InvalidInputError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     meta = family_meta or {}
-    k = len(J)
+    k = len(tree.support)
     if policy == "auto":
-        p = support_pivots(J)
+        p = tree.split_levels()
         best: tuple[int, ...] | None = None
         best_cost = math.inf
         for t in range(len(p) + 1):
-            cost = _plan_bound_for_prefix(J, p[:t])
+            w = tree.run_lengths(p[t - 1] + 1 if t else 0)
+            cost = predicted_cost(t, int(w.max()), w.tolist())
             if cost < best_cost:  # strict: ties keep the smaller prefix
                 best, best_cost = p[:t], cost
         r = best if best is not None else ()
@@ -116,7 +117,7 @@ def select_pivots(J: SupportSet, policy: str = "auto", family_meta: dict | None 
             raise InvalidInputError("balanced policy needs family_meta['pivots']")
         r = tuple(int(x) for x in meta["pivots"])
     elif policy == "uoe":
-        t = min(_log_pivot_count(k), J.M)
+        t = min(_log_pivot_count(k), tree.M)
         r = tuple(range(t))
     else:  # uoh / random_subset
         if "base_pivots" not in meta:
@@ -124,9 +125,7 @@ def select_pivots(J: SupportSet, policy: str = "auto", family_meta: dict | None 
         base = tuple(int(x) for x in meta["base_pivots"])
         t = min(_log_pivot_count(k), len(base))
         r = base[:t]
-    rt = validate_pivot_vector(r, J.M)
-    assert_part_homogeneous(J, rt)
-    return rt
+    return validate_pivot_vector(r, tree.M)
 
 
 # Vandermonde machinery --------------------------------------------------------
@@ -328,51 +327,53 @@ def sas_transform(
     restores the exact-arithmetic accuracy the operation-count model assumes.
     """
     counter = counter if counter is not None else OpCounter()
-    if r is None:
-        rt = select_pivots(J, policy, family_meta)
-    else:
-        rt = validate_pivot_vector(r, J.M)
-    assert_part_homogeneous(J, rt)
-    plan = SasPlan.plan(J, rt, counter)
+    tree = build_tree(J, J.M)
+    plan = SasPlan._from_tree(
+        tree, _select_pivots(tree, policy, family_meta) if r is None else r, counter
+    )
+    rt = plan.pivots
     mu = plan.mu_star
     N = J.N
     pattern = pivoted_pattern(rt, J.M).as_array() if rt else np.zeros(1, dtype=np.int64)
     scale = N / len(pattern)
 
-    measured: list[dict[int, complex]] = []
-    for j in range(mu):
-        res = hidft(source, J, rt, height=0, shift=j, counter=counter)
-        measured.append(res.values)
+    # row j: every decode-level node's value under shift j, by ascending residue
+    measured = np.stack([
+        hidft(source, J, rt, height=0, shift=j, counter=counter).node_values
+        for j in range(mu)
+    ])
 
     samples_touched = int(np.unique(
         (pattern[None, :] - np.arange(mu)[:, None]) % N
     ).size)
 
-    tree = build_tree(J, plan.decode_level)
+    residues, bounds, members = tree.level_arrays(plan.decode_level)
+    weights = np.diff(bounds)
+    position = np.searchsorted(J.as_array(), members)  # index of each member in J
+    coeffs = np.empty(len(J), dtype=np.complex128)
+    m_list, b = members.tolist(), bounds.tolist()
+    systems = [
+        NodeSystem(res, tuple(m_list[b[i]:b[i + 1]])) for i, res in enumerate(residues.tolist())
+    ]
+
+    single = np.flatnonzero(weights == 1)
+    if scale == 1.0:
+        coeffs[position[bounds[single]]] = measured[0, single]
+    elif single.size:
+        counter.mul(single.size, phase="read")
+        coeffs[position[bounds[single]]] = measured[0, single] * scale
+
     esc_threshold = tolerance / 20.0
     dd_cache: _DDSampleCache | None = None
-    coeff_of: dict[int, complex] = {}
-    systems: list[NodeSystem] = []
     escalated = 0
     fallbacks = 0
-    for nodeobj in tree.nodes_at_level(plan.decode_level):
-        m = nodeobj.weight
-        resid = nodeobj.residue
-        node = NodeSystem(resid, nodeobj.members)
-        raw = np.asarray([measured[j][resid] for j in range(m)], dtype=np.complex128)
-        if m == 1:
-            if scale == 1.0:
-                val = raw[0]
-            else:
-                counter.mul(1, phase="read")
-                val = raw[0] * scale
-            coeff_of[nodeobj.members[0]] = complex(val)
-            systems.append(node)
-            continue
+    for i in np.flatnonzero(weights > 1).tolist():
+        node = systems[i]
+        m = node.size
         if scale != 1.0:
             counter.mul(m, phase="solve")
-        y = raw * scale
-        x = np.exp(-2j * np.pi * np.asarray(nodeobj.members, dtype=np.float64) / N)
+        y = measured[:m, i] * scale
+        x = np.exp(-2j * np.pi * np.asarray(node.members, dtype=np.float64) / N)
         c = vandermonde_solve(x, y, counter=counter, phase="solve")
         est = _error_estimate(x, y, c)
         if est > esc_threshold:
@@ -393,11 +394,8 @@ def sas_transform(
             fallbacks += 1
             counter.mul(m ** 3, phase="solve")
             counter.add(m ** 3, phase="solve")
-        for l, cl in zip(nodeobj.members, c):
-            coeff_of[l] = complex(cl)
-        systems.append(node)
+        coeffs[position[b[i]:b[i + 1]]] = c
 
-    coeffs = np.asarray([coeff_of[j] for j in J.indices], dtype=np.complex128)
     report = CostReport.from_counter(
         counter,
         samples_touched=samples_touched,
@@ -435,7 +433,6 @@ def submatrix_method(
     est = _error_estimate(x, y, c)
     if est > tolerance / 20.0:
         cache = _DDSampleCache(source, J)
-        tab = _ddc.root_table(J.N)
         y_dd = [
             _ddc.cdd_mul_complex(s, complex(J.N)) for s in cache.get(np.arange(k))
         ]
