@@ -1,16 +1,19 @@
 """Double-double complex arithmetic for ill-conditioned node decodes.
 
 Aliased tree-node systems can be Vandermonde systems with clustered
-unit-circle nodes; their condition numbers at bench scale reach 1e12..1e15,
-where plain float64 measurement noise alone destroys the recovered
-coefficients.  The escalation path re-measures and re-solves the affected
-node in ~31-digit double-double arithmetic, which restores the exact-
-arithmetic behaviour the complexity model assumes.  None of this affects
-operation counting; it changes word size, not the algorithm.
+unit-circle nodes; on the benchmark workloads their condition numbers reach
+1e5..1e10, enough for float64 measurement noise to push the recovered
+coefficients past a 1e-8 tolerance.  The escalation path re-measures and
+re-solves the affected nodes in ~31-digit double-double arithmetic, which
+restores the exact-arithmetic behaviour the complexity model assumes.  None
+of this affects operation counting; it changes word size, not the algorithm.
 
-Representation: a real double-double is a pair (hi, lo) of float64 (scalars
-or same-shape ndarrays); a complex double-double is ((re_hi, re_lo),
-(im_hi, im_lo)).
+Representation: a real double-double is a pair (hi, lo) of same-shape
+float64 arrays; a complex double-double (cdd) is ((re_hi, re_lo),
+(im_hi, im_lo)).  Every operation is elementwise, so one call on arrays
+gives, entry for entry, the bits the same call gives on scalars.  Sums over
+many terms are written as loops of elementwise additions in a fixed term
+order, because double-double addition is not associative.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ import mpmath as mp
 import numpy as np
 
 _SPLITTER = 134217729.0  # 2^27 + 1, Dekker splitting constant
+
+BLOCK = 1 << 16  # entries per batched dd temporary (~0.5 MB per float64 part)
 
 
 def _two_sum(a, b):
@@ -46,10 +51,6 @@ def _two_prod(a, b):
     blo = b - bhi
     err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
     return p, err
-
-
-def dd(hi, lo=0.0):
-    return (hi, lo)
 
 
 def dd_add(x, y):
@@ -95,20 +96,20 @@ def dd_to_float(x):
 # complex double-double -------------------------------------------------------
 
 
-def cdd(re, im):
-    return (re, im)
-
-
-def cdd_from_complex(z):
-    z = complex(z)
-    return ((z.real, 0.0), (z.imag, 0.0))
-
-
-def cdd_zero(shape=None):
-    if shape is None:
-        return ((0.0, 0.0), (0.0, 0.0))
+def cdd_zero(shape):
     z = np.zeros(shape)
     return ((z.copy(), z.copy()), (z.copy(), z.copy()))
+
+
+def cdd_take(u, index):
+    """u[index] of every part: a gather, or a view for a slice."""
+    return ((u[0][0][index], u[0][1][index]), (u[1][0][index], u[1][1][index]))
+
+
+def cdd_put(u, index, v):
+    """u[index] = v for every part, in place."""
+    for dst, src in zip((u[0][0], u[0][1], u[1][0], u[1][1]), (v[0][0], v[0][1], v[1][0], v[1][1])):
+        dst[index] = src
 
 
 def cdd_add(u, v):
@@ -126,8 +127,8 @@ def cdd_mul(u, v):
 
 
 def cdd_mul_complex(u, z):
-    """Multiply by an exact float complex scalar."""
-    a, b = float(z.real), float(z.imag)
+    """Multiply by exact float complex factors z (a scalar or an array broadcasting against u)."""
+    a, b = np.real(z), np.imag(z)
     re = dd_sub(dd_mul_f(u[0], a), dd_mul_f(u[1], b))
     im = dd_add(dd_mul_f(u[0], b), dd_mul_f(u[1], a))
     return (re, im)
@@ -141,11 +142,12 @@ def cdd_div(u, v):
 
 
 def cdd_to_complex(u):
+    # parts set one by one: re + 1j * im would turn -0.0 parts into +0.0
     re = dd_to_float(u[0])
-    im = dd_to_float(u[1])
-    if isinstance(re, np.ndarray):
-        return re + 1j * im
-    return complex(re, im)
+    out = np.empty(np.shape(re), dtype=np.complex128)
+    out.real = re
+    out.imag = dd_to_float(u[1])
+    return out
 
 
 class RootTable:
@@ -184,24 +186,7 @@ class RootTable:
     def gather(self, t):
         """cdd arrays of e^{2 pi i t / N} for an int array t (taken mod N)."""
         t = np.asarray(t, dtype=np.int64) % self.N
-        s = t & self._mask
-        q = t >> self._h
-        fine = (
-            (self._fine[0][0][s], self._fine[0][1][s]),
-            (self._fine[1][0][s], self._fine[1][1][s]),
-        )
-        coarse = (
-            (self._coarse[0][0][q], self._coarse[0][1][q]),
-            (self._coarse[1][0][q], self._coarse[1][1][q]),
-        )
-        return cdd_mul(coarse, fine)
-
-    def get(self, t: int):
-        out = self.gather(np.asarray([t]))
-        return (
-            (float(out[0][0][0]), float(out[0][1][0])),
-            (float(out[1][0][0]), float(out[1][1][0])),
-        )
+        return cdd_mul(cdd_take(self._coarse, t >> self._h), cdd_take(self._fine, t & self._mask))
 
 
 @lru_cache(maxsize=8)
@@ -213,42 +198,59 @@ def synthesize_dd(N: int, support: np.ndarray, coeffs: np.ndarray, locations: np
     """Samples f(loc) = (1/N) sum_l c_l e^{2 pi i loc l / N} in dd precision.
 
     Returns cdd arrays shaped like `locations`.  The stored float64
-    coefficients are treated as exact.
+    coefficients are treated as exact.  The terms of a block of support
+    elements (at most about BLOCK entries) are formed at once, then added to
+    the sum one support element at a time, in support order.
     """
     tab = root_table(N)
     loc = np.asarray(locations, dtype=np.int64) % N
+    ls = np.asarray(support, dtype=np.int64).reshape((-1,) + (1,) * loc.ndim)
+    cs = np.asarray(coeffs, dtype=np.complex128).reshape(ls.shape)
     acc = cdd_zero(loc.shape)
-    for l, c in zip(support, coeffs):
-        roots = tab.gather(loc * int(l))
-        acc = cdd_add(acc, cdd_mul_complex(roots, complex(c)))
+    rows = max(1, BLOCK // max(loc.size, 1))
+    for start in range(0, len(ls), rows):
+        terms = cdd_mul_complex(tab.gather(loc * ls[start:start + rows]), cs[start:start + rows])
+        for i in range(len(terms[0][0])):
+            acc = cdd_add(acc, cdd_take(terms, i))
     return cdd_mul_complex(acc, complex(1.0 / N))
 
 
-def cdd_index(u, i: int):
-    """Scalar cdd at position i of vector cdd arrays."""
-    return (
-        (float(u[0][0][i]), float(u[0][1][i])),
-        (float(u[1][0][i]), float(u[1][1][i])),
-    )
+def solve_vandermonde_dd(node_exponents, N: int, rhs) -> np.ndarray:
+    """Solve sum_m c_m x_m^j = y_j in dd, x_m = e^{-2 pi i l_m / N}, for a
+    batch of systems of any sizes.
 
-
-def solve_vandermonde_dd(node_exponents, N: int, rhs_cdd_list):
-    """Solve sum_m c_m x_m^j = y_j in dd, x_m = e^{-2 pi i l_m / N}.
+    `node_exponents` lists each system's l_m; `rhs` is a cdd of 1-D arrays
+    holding the systems' y_0..y_{n-1} one system after another.  Returns the
+    complex128 coefficients laid out the same way.
 
     Same Bjorck-Pereyra sweep as the float64 solver (no Leja needed at this
-    precision for the sizes involved).  Returns complex128 coefficients.
+    precision for the sizes involved).  The systems are zero-padded to the
+    largest size n and swept together, each inner loop over j done as one
+    slice operation: step 1 runs j downwards and step 3 upwards, so every
+    scalar update reads only values of the previous step, which is what a
+    slice reads too.  A system's own entries never read padding, except in
+    step 3 at its last entry, which is masked; padded divisors are 1.
     """
-    ls = [int(l) for l in node_exponents]
-    n = len(ls)
-    tab = root_table(N)
-    x = [tab.get((-l) % N) for l in ls]
-    c = list(rhs_cdd_list)
+    sizes = np.array([len(e) for e in node_exponents], dtype=np.int64)
+    n = int(sizes.max())
+    col = np.arange(n)
+    own = col[None, :] < sizes[:, None]
+    exps = np.zeros(own.shape, dtype=np.int64)
+    exps[own] = np.concatenate([np.asarray(e, dtype=np.int64) for e in node_exponents])
+    x = root_table(N).gather(-exps)
+    c = cdd_zero(own.shape)
+    cdd_put(c, own, rhs)
+    rows = slice(None)
     for k in range(0, n - 1):
-        for j in range(n - 1, k, -1):
-            c[j] = cdd_sub(c[j], cdd_mul(x[k], c[j - 1]))
+        hi, lo = (rows, slice(k + 1, n)), (rows, slice(k, n - 1))
+        xk = cdd_take(x, (rows, slice(k, k + 1)))
+        cdd_put(c, hi, cdd_sub(cdd_take(c, hi), cdd_mul(xk, cdd_take(c, lo))))
     for k in range(n - 2, -1, -1):
-        for j in range(k + 1, n):
-            c[j] = cdd_div(c[j], cdd_sub(x[j], x[j - k - 1]))
-        for j in range(k, n - 1):
-            c[j] = cdd_sub(c[j], c[j + 1])
-    return np.asarray([cdd_to_complex(v) for v in c], dtype=np.complex128)
+        hi, lo = (rows, slice(k + 1, n)), (rows, slice(k, n - 1))
+        div = cdd_sub(cdd_take(x, hi), cdd_take(x, (rows, slice(0, n - k - 1))))
+        cdd_put(div, col[None, k + 1:] >= sizes[:, None], ((1.0, 0.0), (0.0, 0.0)))
+        cdd_put(c, hi, cdd_div(cdd_take(c, hi), div))
+        diff = cdd_sub(cdd_take(c, lo), cdd_take(c, hi))
+        mine = col[None, k:n - 1] < sizes[:, None] - 1  # a system's step 3 ends at its n - 2
+        cdd_put(cdd_take(c, lo), mine, cdd_take(diff, mine))
+    return cdd_to_complex(cdd_take(c, own))

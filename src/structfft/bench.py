@@ -47,6 +47,8 @@ CSV_COLUMNS = (
     "samples",
     "correct",
     "max_rel_err",
+    "escalated_nodes",
+    "dense_fallbacks",
 )
 
 TRIAL_KINDS = (
@@ -90,6 +92,8 @@ class TrialRecord:
     samples: int
     correct: bool
     max_rel_err: float
+    escalated_nodes: int
+    dense_fallbacks: int
 
     def as_row(self) -> list:
         return [getattr(self, c) for c in CSV_COLUMNS]
@@ -215,6 +219,8 @@ def run_trial(kind: str, params: dict, base_seed: int, scenario_idx: int,
         samples=out.report.samples_touched,
         correct=bool(err <= tolerance),
         max_rel_err=err,
+        escalated_nodes=out.report.escalated_nodes,
+        dense_fallbacks=out.report.dense_fallbacks,
     )
 
 
@@ -308,6 +314,8 @@ def summarize_records(records: list[TrialRecord]) -> dict:
         "proof_envelope_ok_frac": env_ok / n,
         "ops_over_klogk_max": max(ratios) if ratios else 0.0,
         "ops_over_klogk_mean": float(np.mean(ratios)) if ratios else 0.0,
+        "escalated_nodes_total": sum(r.escalated_nodes for r in records),
+        "dense_fallbacks_total": sum(r.dense_fallbacks for r in records),
     }
 
 

@@ -32,7 +32,7 @@ from .congruence import (
 from .core import BandlimitedSignal
 from .counting import CostReport, OpCounter
 from .errors import ContractViolationError, InvalidInputError
-from .hidft import hidft
+from .hidft import _fetch, hidft
 from .sampling import pivoted_pattern
 
 C1 = 1.5  # per-stage butterfly constant
@@ -259,54 +259,53 @@ class SasResult:
         return {int(j): complex(c) for j, c in zip(self.support.indices, self.coeffs)}
 
 
-class _DDSampleCache:
-    """Double-double samples at requested locations, lazily materialized."""
+def _dd_samples(source, locations: np.ndarray, N: int):
+    """cdd samples at the given mod-N locations.
 
-    def __init__(self, source, J: SupportSet):
-        self.source = source
-        self.J = J
-        self._cache: dict[int, tuple] = {}
-
-    def get(self, locations: np.ndarray):
-        loc = np.asarray(locations, dtype=np.int64) % self.J.N
-        missing = [int(l) for l in loc if int(l) not in self._cache]
-        if missing:
-            muniq = np.asarray(sorted(set(missing)), dtype=np.int64)
-            if isinstance(self.source, BandlimitedSignal):
-                vals = _ddc.synthesize_dd(
-                    self.J.N, self.source.support.as_array(), self.source.coeffs, muniq
-                )
-                for i, l in enumerate(muniq):
-                    self._cache[int(l)] = _ddc.cdd_index(vals, i)
-            else:
-                from .hidft import _fetch
-
-                f64 = _fetch(self.source, muniq, self.J.N)
-                for l, v in zip(muniq, f64):
-                    self._cache[int(l)] = _ddc.cdd_from_complex(v)
-        return [self._cache[int(l)] for l in loc]
+    A `BandlimitedSignal` is re-synthesized in double-double; any other
+    source only has float64 samples, which are taken as exact (lo = 0).
+    """
+    if isinstance(source, BandlimitedSignal):
+        return _ddc.synthesize_dd(N, source.support.as_array(), source.coeffs, locations)
+    f = _fetch(source, locations, N)
+    zero = np.zeros(f.shape)
+    return ((f.real, zero), (f.imag, zero))
 
 
-def _decode_node_dd(
-    cache: _DDSampleCache,
-    pattern: np.ndarray,
-    node: NodeSystem,
-    N: int,
-    scale: float,
-) -> np.ndarray:
-    """Re-measure and re-solve one aliased node in double-double precision."""
+def _remeasure_dd(table, locations, pattern, residues, sizes, N: int, scale: float):
+    """dd right-hand sides of aliased nodes, one row per (node, shift j < size).
+
+    `table` holds the cdd samples at the sorted mod-N `locations`.  Row
+    (v, j) is scale * sum_i f(pattern_i - j) e^{-2 pi i residue_v pattern_i / N},
+    summed over i in pattern order; the products are formed for blocks of
+    pattern positions at a time.  Rows come node by node, j ascending.
+    """
+    node = np.repeat(np.arange(len(sizes)), sizes)
+    shift = np.arange(len(node)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     tab = _ddc.root_table(N)
-    m = node.size
-    y_dd = []
-    for j in range(m):
-        samples = cache.get(pattern - j)
-        kernel = tab.gather((-node.residue * pattern) % N)
-        acc = _ddc.cdd_zero()
-        for i in range(len(pattern)):
-            term = _ddc.cdd_mul(samples[i], _ddc.cdd_index(kernel, i))
-            acc = _ddc.cdd_add(acc, term)
-        y_dd.append(_ddc.cdd_mul_complex(acc, complex(scale)))
-    return _ddc.solve_vandermonde_dd(node.members, N, y_dd)
+    acc = _ddc.cdd_zero(len(node))
+    width = max(1, _ddc.BLOCK // len(node))
+    for start in range(0, len(pattern), width):
+        p = pattern[start:start + width]
+        samples = _ddc.cdd_take(table, np.searchsorted(locations, (p[None, :] - shift[:, None]) % N))
+        kernel = _ddc.cdd_take(tab.gather(-residues[:, None] * p), node)
+        terms = _ddc.cdd_mul(samples, kernel)
+        for i in range(len(p)):
+            acc = _ddc.cdd_add(acc, _ddc.cdd_take(terms, (slice(None), i)))
+    return _ddc.cdd_mul_complex(acc, complex(scale))
+
+
+def _decode_dd(source, locations, pattern, nodes: list[NodeSystem], N: int, scale: float) -> list[np.ndarray]:
+    """Re-measure and re-solve aliased nodes in double-double precision.
+
+    One dd sample table at `locations` (every shift's sorted mod-N sample
+    locations) serves all nodes, and one batched solve decodes them.
+    """
+    sizes = np.array([v.size for v in nodes])
+    residues = np.array([v.residue for v in nodes], dtype=np.int64)
+    y = _remeasure_dd(_dd_samples(source, locations, N), locations, pattern, residues, sizes, N, scale)
+    c = _ddc.solve_vandermonde_dd([v.members for v in nodes], N, y)
+    return np.split(c, np.cumsum(sizes)[:-1])
 
 
 def sas_transform(
@@ -320,11 +319,18 @@ def sas_transform(
 ) -> SasResult:
     """Recover (F f)_J from mu* shifted butterfly passes plus node decodes.
 
-    Shift j reads samples at (I_r - j) mod N.  Conditioning guard: after the
-    counted float64 decode of a node, an uncounted re-solve estimates the
-    forward error; nodes estimated above tolerance/20 are re-measured and
-    re-solved in double-double precision (flagged, counts unchanged), which
-    restores the exact-arithmetic accuracy the operation-count model assumes.
+    Shift j reads samples at (I_r - j) mod N.  The aliased nodes are then
+    decoded in three passes:
+
+    1. float decode: the counted float64 solve of every node, then an
+       uncounted re-solve that estimates its forward error;
+    2. escalation: all nodes estimated above tolerance/20 are re-measured
+       and re-solved together in double-double precision (flagged, counts
+       unchanged), which restores the exact-arithmetic accuracy the
+       operation-count model assumes;
+    3. residual: in node order, each node's relative residual against its
+       float64 measurements; a node that was not escalated and misses
+       max(tolerance, 1e-9) is re-solved densely, at dense cost.
     """
     counter = counter if counter is not None else OpCounter()
     tree = build_tree(J, J.M)
@@ -343,9 +349,7 @@ def sas_transform(
         for j in range(mu)
     ])
 
-    samples_touched = int(np.unique(
-        (pattern[None, :] - np.arange(mu)[:, None]) % N
-    ).size)
+    touched = np.unique((pattern[None, :] - np.arange(mu)[:, None]) % N)
 
     residues, bounds, members = tree.level_arrays(plan.decode_level)
     weights = np.diff(bounds)
@@ -363,32 +367,32 @@ def sas_transform(
         counter.mul(single.size, phase="read")
         coeffs[position[bounds[single]]] = measured[0, single] * scale
 
-    esc_threshold = tolerance / 20.0
-    dd_cache: _DDSampleCache | None = None
-    escalated = 0
-    fallbacks = 0
+    solved = []  # [node index, x, y, c]
     for i in np.flatnonzero(weights > 1).tolist():
-        node = systems[i]
-        m = node.size
+        m = systems[i].size
         if scale != 1.0:
             counter.mul(m, phase="solve")
         y = measured[:m, i] * scale
-        x = np.exp(-2j * np.pi * np.asarray(node.members, dtype=np.float64) / N)
+        x = np.exp(-2j * np.pi * np.asarray(systems[i].members, dtype=np.float64) / N)
         c = vandermonde_solve(x, y, counter=counter, phase="solve")
-        est = _error_estimate(x, y, c)
-        if est > esc_threshold:
-            if dd_cache is None:
-                dd_cache = _DDSampleCache(source, J)
-                all_locs = (pattern[None, :] - np.arange(mu)[:, None]).ravel() % N
-                dd_cache.get(np.unique(all_locs))
-            c = _decode_node_dd(dd_cache, pattern, node, N, scale)
-            node.escalated = True
-            escalated += 1
+        systems[i].escalated = _error_estimate(x, y, c) > tolerance / 20.0
+        solved.append([i, x, y, c])
+
+    hard = [s for s in solved if systems[s[0]].escalated]
+    if hard:
+        redone = _decode_dd(source, touched, pattern, [systems[s[0]] for s in hard], N, scale)
+        for s, c in zip(hard, redone):
+            s[3] = c
+
+    fallbacks = 0
+    for i, x, y, c in solved:
+        node = systems[i]
         node.residual = float(
             np.linalg.norm(_forward_apply(x, c) - y) / max(np.linalg.norm(y), 1e-300)
         )
         if node.residual > max(tolerance, 1e-9) and not node.escalated:
             # backward-stability failure: dense fallback, dense cost
+            m = node.size
             c = np.linalg.solve(np.vander(x, m, increasing=True).T, y)
             node.dense_fallback = True
             fallbacks += 1
@@ -398,10 +402,10 @@ def sas_transform(
 
     report = CostReport.from_counter(
         counter,
-        samples_touched=samples_touched,
+        samples_touched=int(touched.size),
         bound_alg1bnd=plan.predicted_cost,
         bound_hidft=C1 * len(rt) * (1 << len(rt)),
-        escalated_nodes=escalated,
+        escalated_nodes=len(hard),
         dense_fallbacks=fallbacks,
     )
     return SasResult(J, coeffs, plan, report, systems)
@@ -423,8 +427,6 @@ def submatrix_method(
     if k > SUBMATRIX_SIZE_CAP:
         raise InvalidInputError(f"submatrix baseline capped at k <= {SUBMATRIX_SIZE_CAP}")
     counter = counter if counter is not None else OpCounter()
-    from .hidft import _fetch
-
     f = _fetch(source, np.arange(k), J.N)
     counter.mul(k, phase="solve")
     y = f * J.N
@@ -432,9 +434,6 @@ def submatrix_method(
     c = vandermonde_solve(x, y, counter=counter, phase="solve")
     est = _error_estimate(x, y, c)
     if est > tolerance / 20.0:
-        cache = _DDSampleCache(source, J)
-        y_dd = [
-            _ddc.cdd_mul_complex(s, complex(J.N)) for s in cache.get(np.arange(k))
-        ]
-        c = _ddc.solve_vandermonde_dd([(-l) % J.N for l in J.indices], J.N, y_dd)
+        y_dd = _ddc.cdd_mul_complex(_dd_samples(source, np.arange(k), J.N), complex(J.N))
+        c = _ddc.solve_vandermonde_dd([(-J.as_array()) % J.N], J.N, y_dd)
     return c
