@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _ddc
 from .congruence import SupportSet
 from .counting import OpCounter
 from .errors import InvalidInputError
@@ -131,7 +132,9 @@ class BandlimitedSignal:
 
     Stores the nonzero DFT coefficients (F f)_J and synthesizes any sample
     f(i) = (1/N) sum_{l in J} c_l e^{+2 pi i i l / N} in O(|J|), so signals
-    with huge N never materialize.
+    with huge N never materialize.  `sample_block` is the dense per-sample
+    sum, the oracle; `sample_grid` reads the shifted pivoted-pattern grids
+    of the transforms from group sums at a fraction of its cost.
     """
 
     def __init__(self, support: SupportSet, coeffs: Sequence[complex]):
@@ -171,6 +174,62 @@ class BandlimitedSignal:
             phase = np.exp(2j * np.pi * (np.outer(chunk, self._l) % self.N) / self.N)
             out[start:start + len(chunk)] = phase @ self.coeffs / self.N
         return out
+
+    def _alias_groups(self, offsets: np.ndarray):
+        """The support grouped by l mod 2^q, 2^(M-q) the largest power of
+        two dividing every offset (q = 0 if all are 0 mod N).
+
+        Returns the support and coefficients sorted by group (stably), each
+        group's first position and each group's residue.
+        """
+        nz = offsets[offsets != 0]
+        q = self.N.bit_length() - int(np.min(nz & -nz)).bit_length() if nz.size else 0
+        key = self._l & ((1 << q) - 1)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        return self._l[order], self.coeffs[order], starts, key[starts]
+
+    def sample_grid(self, offsets, shifts) -> np.ndarray:
+        """Samples f(o_i - j): one row per shift j, one column per offset o_i.
+
+        Built from group sums instead of one k-term sum per sample.  Since
+        e^{2 pi i o l / N} depends on l only through its group, l mod 2^q
+        (see `_alias_groups`),
+
+            f(o_i - j) = (1/N) sum_g S[j, g] P[g, i],
+            S[j, g] = sum_{l in g} c_l e^{-2 pi i j l / N},
+            P[g, i] = e^{2 pi i res_g o_i / N}.
+
+        For a pivoted pattern the groups are the decode-level tree nodes, so
+        the cost is len(shifts) * k + G * len(offsets) exponentials for G
+        groups, plus one (shifts x G) @ (G x offsets) product.  S and P are
+        formed in blocks of at most _CHUNK entries.  `sample_block` at the
+        same locations is the oracle.
+        """
+        N = self.N
+        o = np.asarray(offsets, dtype=np.int64) % N
+        j = np.asarray(shifts, dtype=np.int64) % N
+        l, c, starts, res = self._alias_groups(o)
+        S = np.empty((len(j), len(starts)), dtype=np.complex128)
+        rows = max(1, _CHUNK // max(len(l), 1))
+        for start in range(0, len(j), rows):
+            jj = j[start:start + rows]
+            terms = np.exp(-2j * np.pi * (np.outer(jj, l) % N) / N) * c
+            S[start:start + len(jj)] = np.add.reduceat(terms, starts, axis=1)
+        out = np.zeros((len(j), len(o)), dtype=np.complex128)
+        groups = max(1, _CHUNK // max(len(o), 1))
+        for start in range(0, len(res), groups):
+            g = slice(start, start + groups)
+            out += S[:, g] @ np.exp(2j * np.pi * (np.outer(res[g], o) % N) / N)
+        return out / N
+
+    def sample_grid_dd(self, offsets, shifts):
+        """`sample_grid` in double-double (cdd arrays), by the same factoring;
+        `_ddc.synthesize_dd` at the same locations is the oracle."""
+        o = np.asarray(offsets, dtype=np.int64) % self.N
+        l, c, starts, res = self._alias_groups(o)
+        return _ddc.synthesize_grid_dd(self.N, l, c, starts, res, o, shifts)
 
     def synthesize(self) -> np.ndarray:
         """Full time-domain vector; only sensible for small N."""

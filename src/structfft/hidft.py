@@ -9,13 +9,16 @@ butterfly always processes the full 2^(s-n) slot lattice, padding branches
 that are empty in the tree, so the count never depends on the tree shape.
 
 A shift argument a computes the transform of the shifted signal tau^a f,
-i.e. the samples are read at locations I - a (mod N).
+i.e. the samples are read at locations I - a (mod N).  `_sample_grid` and
+`_butterfly_pass` serve any number of shifts at once, one row per shift;
+`hidft` is their batch of one, and `sas_transform` reads all its shifts
+with one plan, one grid and one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -134,6 +137,38 @@ class HiDftResult:
         )
 
 
+def _sample_grid(source, offsets: np.ndarray, shifts: np.ndarray, N: int) -> np.ndarray:
+    """Samples f(o - j) for every shift j (rows) and offset o (columns), in one read.
+
+    A `BandlimitedSignal` builds the grid from its group sums
+    (`BandlimitedSignal.sample_grid`); a dense vector or a callback is read
+    once at all len(shifts) * len(offsets) locations.
+    """
+    if isinstance(source, BandlimitedSignal):
+        if source.N != N:
+            raise InvalidInputError("signal modulus does not match support")
+        return source.sample_grid(offsets, shifts)
+    loc = offsets[None, :] - np.asarray(shifts, dtype=np.int64)[:, None]
+    return _fetch(source, loc.reshape(-1), N).reshape(loc.shape)
+
+
+def _butterfly_pass(plan: ButterflyPlan, v: np.ndarray, counter: OpCounter | None) -> np.ndarray:
+    """The butterfly over every row of a sample grid at once: row b of the
+    result holds the slot values of row b's samples.  Counts exactly what
+    one `hidft` call per row counts.
+    """
+    rows, A = v.shape
+    for k in range(1, len(plan.used) + 1):
+        half = 1 << (k - 1)
+        v = v.reshape(rows, -1, 2, half)
+        t = plan.twiddles[k - 1] * v[:, :, 1, :]
+        v = np.stack([v[:, :, 0, :] - t, v[:, :, 0, :] + t], axis=2).reshape(rows, A)
+        if counter is not None:
+            counter.mul(rows * (A // 2), phase="hidft")
+            counter.add(rows * A, phase="hidft")
+    return v
+
+
 def hidft(
     source,
     J: SupportSet,
@@ -154,18 +189,10 @@ def hidft(
         raise InvalidInputError(f"height must be in [0, {len(rt)}]")
     used = rt[: len(rt) - height]
     plan = _build_plan(J, used)
+    grid = _sample_grid(source, pattern_offsets(used, J.M), np.asarray([shift], dtype=np.int64), J.N)
+    v = _butterfly_pass(plan, grid, counter)[0]
     A = plan.n_slots
-    v = _fetch(source, pattern_offsets(used, J.M) - shift, J.N)
-    for k in range(1, len(used) + 1):
-        half = 1 << (k - 1)
-        v = v.reshape(-1, 2, half)
-        t = plan.twiddles[k - 1][None, :] * v[:, 1, :]
-        v = np.stack([v[:, 0, :] - t, v[:, 0, :] + t], axis=1).reshape(-1)
-        if counter is not None:
-            counter.mul(A // 2, phase="hidft")
-            counter.add(A, phase="hidft")
     node_res = plan.slot_residues[plan.slot_real]
-    node_vals = v[plan.slot_real]
     order = np.argsort(node_res)
     stages = len(used)
     return HiDftResult(
@@ -175,7 +202,7 @@ def hidft(
         shift=shift,
         level=plan.level,
         node_residues=tuple(int(x) for x in node_res[order]),
-        node_values=node_vals[order].copy(),
+        node_values=v[plan.slot_real][order],
         slot_values=v,
         slot_residues=plan.slot_residues,
         slot_real=plan.slot_real,

@@ -15,7 +15,8 @@ Weight-1 nodes skip the solver and read their coefficient directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -32,8 +33,10 @@ from .congruence import (
 from .core import BandlimitedSignal
 from .counting import CostReport, OpCounter
 from .errors import ContractViolationError, InvalidInputError
-from .hidft import _fetch, hidft
-from .sampling import pivoted_pattern
+from .hidft import _build_plan, _butterfly_pass, _sample_grid
+from .hidft import hidft  # unused here; perfbench/spans.py traces it
+from .sampling import pattern_offsets
+from .sampling import pivoted_pattern  # unused here; perfbench/spans.py traces it
 
 C1 = 1.5  # per-stage butterfly constant
 C2 = 6.0  # Vandermonde solve constant
@@ -51,7 +54,8 @@ def _log_pivot_count(k: int) -> int:
 
 
 def predicted_cost(size_r: int, mu_star: int, node_weights: Sequence[int]) -> float:
-    return C1 * size_r * (1 << size_r) * mu_star + C2 * sum(w * w for w in node_weights)
+    w = np.asarray(node_weights, dtype=np.int64)
+    return C1 * size_r * (1 << size_r) * mu_star + C2 * int(w @ w)
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,7 @@ def _select_pivots(tree: CongruenceTree, policy: str, family_meta: dict | None) 
         best_cost = math.inf
         for t in range(len(p) + 1):
             w = tree.run_lengths(p[t - 1] + 1 if t else 0)
-            cost = predicted_cost(t, int(w.max()), w.tolist())
+            cost = predicted_cost(t, int(w.max()), w)
             if cost < best_cost:  # strict: ties keep the smaller prefix
                 best, best_cost = p[:t], cost
         r = best if best is not None else ()
@@ -129,37 +133,103 @@ def _select_pivots(tree: CongruenceTree, policy: str, family_meta: dict | None) 
 
 
 # Vandermonde machinery --------------------------------------------------------
+#
+# The solvers work on batches of systems of any sizes: row b of an (B, n)
+# array holds system b's sizes[b] nodes (or right-hand side entries) first,
+# then zero padding.  Each row gets, byte for byte, what the scalar loops
+# give on its own system (tests/test_batched.py keeps them).
 
 
-def _leja_order(x: np.ndarray) -> np.ndarray:
-    n = len(x)
-    order = np.empty(n, dtype=np.int64)
-    order[0] = int(np.argmax(np.abs(x)))
-    chosen = np.zeros(n, dtype=bool)
-    chosen[order[0]] = True
-    prod = np.abs(x - x[order[0]])
-    for t in range(1, n):
-        prod_masked = np.where(chosen, -1.0, prod)
-        i = int(np.argmax(prod_masked))
-        order[t] = i
-        chosen[i] = True
-        prod = prod * np.abs(x - x[i])
-    return order
+def _leja_orders(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Leja order of each row's own nodes, for systems of size 3 and more.
+
+    Row b is a permutation of 0..n-1: the first node has the largest
+    modulus, each next one the largest product of distances to those
+    already chosen (first index on ties); padding keeps its place.  Rows of
+    size 2 or less keep the identity, as the scalar solver does.
+    """
+    B, n = x.shape
+    col = np.arange(n)
+    own = col[None, :] < sizes[:, None]
+    order = np.broadcast_to(col, (B, n)).copy()
+    rows = np.arange(B)
+    chosen = ~own  # padding never competes
+    i = np.argmax(np.where(own, np.abs(x), -1.0), axis=1)
+    prod = np.ones((B, n))
+    for t in range(n):
+        order[:, t] = i
+        chosen[rows, i] = True
+        prod = prod * np.abs(x - x[rows, i][:, None])
+        i = np.argmax(np.where(chosen, -1.0, prod), axis=1)
+    return np.where(own & (sizes[:, None] >= 3), order, col)
 
 
-def _bp_core(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bjorck-Pereyra sweep for sum_m c_m x_m^j = y_j (power rows)."""
-    n = len(x)
-    c = np.array(y, dtype=np.complex128)
+def _divide(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) by Smith's method, the formula of numpy's
+    complex quotient."""
+    big = np.abs(br) >= np.abs(bi)
+    num, den = np.where(big, bi, br), np.where(big, br, bi)
+    rat = num / den
+    scl = 1.0 / (den + num * rat)
+    return (np.where(big, ar + ai * rat, ar * rat + ai) * scl,
+            np.where(big, ai - ar * rat, ai * rat - ar) * scl)
+
+
+def _bp_sweep(x: np.ndarray, y: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Bjorck-Pereyra sweep for sum_m c_m x_m^j = y_j on every row.
+
+    Each inner loop over j is one slice operation, masked where a row's
+    scalar loop would read its padding, as in `_ddc.solve_vandermonde_dd`.
+    The complex products and quotients are written out in real arithmetic
+    with the formulas of numpy's scalar operations; numpy's array complex
+    multiply rounds differently from its scalar one.
+    """
+    B, n = x.shape
+    col = np.arange(n)
+    xr, xi = x.real, x.imag
+    cr, ci = y.real.copy(), y.imag.copy()
     for k in range(0, n - 1):
-        for j in range(n - 1, k, -1):
-            c[j] = c[j] - x[k] * c[j - 1]
+        ar, ai = xr[:, k:k + 1], xi[:, k:k + 1]
+        br, bi = cr[:, k:n - 1], ci[:, k:n - 1]
+        pr, pi = ar * br - ai * bi, ar * bi + ai * br
+        cr[:, k + 1:] -= pr
+        ci[:, k + 1:] -= pi
+    pad = col[None, :] >= sizes[:, None]
     for k in range(n - 2, -1, -1):
-        for j in range(k + 1, n):
-            c[j] = c[j] / (x[j] - x[j - k - 1])
-        for j in range(k, n - 1):
-            c[j] = c[j] - c[j + 1]
+        dr = np.where(pad[:, k + 1:], 1.0, xr[:, k + 1:] - xr[:, :n - k - 1])
+        di = np.where(pad[:, k + 1:], 0.0, xi[:, k + 1:] - xi[:, :n - k - 1])
+        cr[:, k + 1:], ci[:, k + 1:] = _divide(cr[:, k + 1:], ci[:, k + 1:], dr, di)
+        mine = col[None, k:n - 1] < sizes[:, None] - 1  # a row's step 3 ends at its n - 2
+        cr[:, k:n - 1] = np.where(mine, cr[:, k:n - 1] - cr[:, k + 1:], cr[:, k:n - 1])
+        ci[:, k:n - 1] = np.where(mine, ci[:, k:n - 1] - ci[:, k + 1:], ci[:, k:n - 1])
+    c = np.empty((B, n), dtype=np.complex128)
+    c.real, c.imag = cr, ci
     return c
+
+
+def _solve_batch(x: np.ndarray, y: np.ndarray, sizes: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Solve every row's system with its nodes taken in `perm` order
+    (`_leja_orders`); padding comes back as 0."""
+    own = np.arange(x.shape[1])[None, :] < sizes[:, None]
+    xs = np.sort(np.where(own, x, np.inf), axis=1)
+    if np.any((xs[:, 1:] == xs[:, :-1]) & own[:, 1:]):
+        raise InvalidInputError("duplicate Vandermonde nodes")
+    c = np.empty_like(y)
+    np.put_along_axis(c, perm, _bp_sweep(np.take_along_axis(x, perm, axis=1), y, sizes), axis=1)
+    c[~own] = 0
+    return c
+
+
+def _charge_solve(counter: OpCounter, sizes: np.ndarray, phase: str, leja: bool = True) -> None:
+    """The counted cost of solving systems of these sizes (see vandermonde_solve)."""
+    m = np.asarray(sizes, dtype=np.int64)
+    half = m * (m - 1) // 2
+    counter.mul(int(np.sum(m * (m - 1))), phase=phase)  # phase-1 products + divides
+    counter.add(int(np.sum(3 * half)), phase=phase)     # phase-1/2 subtractions
+    if leja:
+        reordered = int(np.sum(half[m >= 3]))
+        counter.mul(reordered, phase=phase)
+        counter.add(reordered, phase=phase)
 
 
 def vandermonde_solve(
@@ -174,64 +244,90 @@ def vandermonde_solve(
     The progressive elimination costs exactly 2.5*m*(m-1) operations (the
     2x2 case is 5, matching the classic count); Leja reordering of the nodes
     adds m*(m-1) more and buys backward stability on clustered nodes.  Total
-    stays under the 6*m^2 budget.
+    stays under the 6*m^2 budget.  A batch of one of the solver
+    `sas_transform` runs on all its nodes at once.
     """
     x = np.asarray(nodes, dtype=np.complex128)
     y = np.asarray(rhs, dtype=np.complex128)
     if x.ndim != 1 or x.shape != y.shape:
         raise InvalidInputError("nodes and rhs must be 1-D of equal length")
     m = len(x)
-    if len(np.unique(x)) != m:
-        raise InvalidInputError("duplicate Vandermonde nodes")
+    sizes = np.array([m])
     if m == 1:
         return y.copy()
-    use_leja = leja and m >= 3
-    if use_leja:
-        perm = _leja_order(x)
-        c = np.empty(m, dtype=np.complex128)
-        c[perm] = _bp_core(x[perm], y)
-    else:
-        c = _bp_core(x, y)
+    perm = _leja_orders(x[None], sizes) if leja else np.arange(m)[None]
+    c = _solve_batch(x[None], y[None], sizes, perm)[0]
     if counter is not None:
-        half = m * (m - 1) // 2
-        counter.mul(m * (m - 1), phase=phase)      # phase-1 products + divides
-        counter.add(half * 3, phase=phase)         # phase-1/2 subtractions
-        if use_leja:
-            counter.mul(half, phase=phase)
-            counter.add(half, phase=phase)
+        _charge_solve(counter, sizes, phase, leja)
     return c
 
 
-def _forward_apply(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    V = np.vander(x, len(x), increasing=True).T
-    return V @ c
+def _vander_stack(x: np.ndarray) -> np.ndarray:
+    """np.vander(x_b, m, increasing=True).T for every row x_b of x, stacked."""
+    B, m = x.shape
+    V = np.empty((B, m, m), dtype=np.complex128)
+    V[:, :, 0] = 1
+    V[:, :, 1:] = x[:, :, None]
+    np.multiply.accumulate(V[:, :, 1:], axis=2, out=V[:, :, 1:])
+    return V.transpose(0, 2, 1)
+
+
+def _inverse_norms(V: np.ndarray) -> np.ndarray:
+    """Inf-norm of the inverse of each matrix of a stack; inf if singular."""
+    try:
+        return np.abs(np.linalg.inv(V)).sum(axis=2).max(axis=1)
+    except np.linalg.LinAlgError:
+        if len(V) == 1:
+            return np.array([math.inf])
+        return np.concatenate([_inverse_norms(V[b:b + 1]) for b in range(len(V))])
+
+
+def _size_groups(x: np.ndarray, sizes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(rows, Vandermonde stack of those rows) for each distinct size."""
+    out = []
+    for m in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == m)
+        out.append((rows, _vander_stack(x[rows, :m])))
+    return out
+
+
+def _forward_apply(groups, c: np.ndarray) -> np.ndarray:
+    """V_b @ c_b for every row, padding 0."""
+    out = np.zeros_like(c)
+    for rows, V in groups:
+        m = V.shape[1]
+        out[rows, :m] = (V @ c[rows, :m, None])[:, :, 0]
+    return out
 
 
 _MEASUREMENT_NOISE = 100 * np.finfo(np.float64).eps  # rounding already in y
 
 
-def _error_estimate(x: np.ndarray, y: np.ndarray, c: np.ndarray) -> float:
-    """Uncounted forward-error estimate for a decoded node system.
+def _error_estimates(x, y, c, sizes, perm, groups) -> np.ndarray:
+    """Uncounted forward-error estimate of every decoded system.
 
     Two effects matter: the solver's own error (probed by re-solving on the
-    residual) and the system's amplification of the rounding noise carried
-    by the measured right-hand side, gauged by the exact inf-norm of the
-    inverse (cheap at these sizes, and diagnostics are not counted).
+    residual, in the same Leja order) and the system's amplification of the
+    rounding noise carried by the measured right-hand side, gauged by the
+    exact inf-norm of the inverse (cheap at these sizes, taken on stacks of
+    one size, and diagnostics are not counted).  Size-1 systems are exact.
     """
-    m = len(x)
-    if m == 1:
-        return 0.0
-    denom = max(float(np.max(np.abs(c))), 1e-300)
-    resid = _forward_apply(x, c) - y
-    d = vandermonde_solve(x, resid, counter=None)
-    est = float(np.max(np.abs(d))) / denom
-    V = np.vander(x, m, increasing=True).T
-    try:
-        amp = float(np.linalg.norm(np.linalg.inv(V), np.inf))
-    except np.linalg.LinAlgError:
-        return math.inf
-    noise = amp * _MEASUREMENT_NOISE * float(np.max(np.abs(y))) / denom
-    return max(est, noise)
+    amp = np.empty(len(sizes))
+    for rows, V in groups:
+        amp[rows] = _inverse_norms(V)
+    d = _solve_batch(x, _forward_apply(groups, c) - y, sizes, perm)
+    denom = np.maximum(np.abs(c).max(axis=1), 1e-300)
+    est = np.abs(d).max(axis=1) / denom
+    with np.errstate(invalid="ignore"):  # inf * 0 where y is 0; amp = inf wins below
+        noise = amp * _MEASUREMENT_NOISE * np.abs(y).max(axis=1) / denom
+    est = np.where(np.isinf(amp), math.inf, np.maximum(est, noise))
+    return np.where(sizes == 1, 0.0, est)
+
+
+def _residuals(groups, y: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """||V_b c_b - y_b|| / ||y_b|| for every row."""
+    norm_y = np.maximum(np.linalg.norm(y, axis=1), 1e-300)
+    return np.linalg.norm(_forward_apply(groups, c) - y, axis=1) / norm_y
 
 
 @dataclass
@@ -247,36 +343,63 @@ class NodeSystem:
         return len(self.members)
 
 
+@dataclass(frozen=True)
+class NodeArrays:
+    """Every decode-level node's state, by ascending residue: node i has
+    residue residues[i] and members members[bounds[i]:bounds[i+1]]
+    (ascending), and the flags and relative residual of its decode."""
+
+    residues: np.ndarray
+    bounds: np.ndarray
+    members: np.ndarray
+    escalated: np.ndarray
+    dense_fallback: np.ndarray
+    residual: np.ndarray
+
+    def systems(self) -> list[NodeSystem]:
+        m, b = self.members.tolist(), self.bounds.tolist()
+        state = zip(self.residues.tolist(), self.escalated.tolist(),
+                    self.dense_fallback.tolist(), self.residual.tolist())
+        return [NodeSystem(res, tuple(m[b[i]:b[i + 1]]), esc, fb, r)
+                for i, (res, esc, fb, r) in enumerate(state)]
+
+
 @dataclass
 class SasResult:
     support: SupportSet
     coeffs: np.ndarray
     plan: SasPlan
     report: CostReport
-    node_systems: list[NodeSystem]
+    nodes: NodeArrays
+
+    @cached_property
+    def node_systems(self) -> list[NodeSystem]:
+        """One NodeSystem per decode-level node, built on first read."""
+        return self.nodes.systems()
 
     def coeff_map(self) -> dict[int, complex]:
         return {int(j): complex(c) for j, c in zip(self.support.indices, self.coeffs)}
 
 
-def _dd_samples(source, locations: np.ndarray, N: int):
-    """cdd samples at the given mod-N locations.
+def _dd_grid(source, offsets: np.ndarray, rows: int, grid: np.ndarray):
+    """cdd samples f(o - j) for shifts j < rows, columns as in `offsets`.
 
     A `BandlimitedSignal` is re-synthesized in double-double; any other
-    source only has float64 samples, which are taken as exact (lo = 0).
+    source gives the float64 grid already read, taken as exact (lo = 0).
     """
     if isinstance(source, BandlimitedSignal):
-        return _ddc.synthesize_dd(N, source.support.as_array(), source.coeffs, locations)
-    f = _fetch(source, locations, N)
+        return source.sample_grid_dd(offsets, np.arange(rows))
+    f = grid[:rows]
     zero = np.zeros(f.shape)
     return ((f.real, zero), (f.imag, zero))
 
 
-def _remeasure_dd(table, locations, pattern, residues, sizes, N: int, scale: float):
+def _remeasure_dd(grid, cols, pattern, residues, sizes, N: int, scale: float):
     """dd right-hand sides of aliased nodes, one row per (node, shift j < size).
 
-    `table` holds the cdd samples at the sorted mod-N `locations`.  Row
-    (v, j) is scale * sum_i f(pattern_i - j) e^{-2 pi i residue_v pattern_i / N},
+    `grid` holds cdd samples f(o - j), one row per shift j, and column
+    cols[i] holds the offset pattern[i].  Row (v, j) is
+    scale * sum_i f(pattern_i - j) e^{-2 pi i residue_v pattern_i / N},
     summed over i in pattern order; the products are formed for blocks of
     pattern positions at a time.  Rows come node by node, j ascending.
     """
@@ -287,25 +410,12 @@ def _remeasure_dd(table, locations, pattern, residues, sizes, N: int, scale: flo
     width = max(1, _ddc.BLOCK // len(node))
     for start in range(0, len(pattern), width):
         p = pattern[start:start + width]
-        samples = _ddc.cdd_take(table, np.searchsorted(locations, (p[None, :] - shift[:, None]) % N))
+        samples = _ddc.cdd_take(grid, (shift[:, None], cols[None, start:start + width]))
         kernel = _ddc.cdd_take(tab.gather(-residues[:, None] * p), node)
         terms = _ddc.cdd_mul(samples, kernel)
         for i in range(len(p)):
             acc = _ddc.cdd_add(acc, _ddc.cdd_take(terms, (slice(None), i)))
     return _ddc.cdd_mul_complex(acc, complex(scale))
-
-
-def _decode_dd(source, locations, pattern, nodes: list[NodeSystem], N: int, scale: float) -> list[np.ndarray]:
-    """Re-measure and re-solve aliased nodes in double-double precision.
-
-    One dd sample table at `locations` (every shift's sorted mod-N sample
-    locations) serves all nodes, and one batched solve decodes them.
-    """
-    sizes = np.array([v.size for v in nodes])
-    residues = np.array([v.residue for v in nodes], dtype=np.int64)
-    y = _remeasure_dd(_dd_samples(source, locations, N), locations, pattern, residues, sizes, N, scale)
-    c = _ddc.solve_vandermonde_dd([v.members for v in nodes], N, y)
-    return np.split(c, np.cumsum(sizes)[:-1])
 
 
 def sas_transform(
@@ -319,18 +429,25 @@ def sas_transform(
 ) -> SasResult:
     """Recover (F f)_J from mu* shifted butterfly passes plus node decodes.
 
-    Shift j reads samples at (I_r - j) mod N.  The aliased nodes are then
-    decoded in three passes:
+    Shift j reads samples at (I_r - j) mod N.  All mu* x |I_r| samples are
+    read as one grid (for a `BandlimitedSignal`, from its group sums) and
+    one butterfly pass transforms every row.  The aliased nodes are then
+    decoded together, as rows of zero-padded arrays, in three passes:
 
-    1. float decode: the counted float64 solve of every node, then an
-       uncounted re-solve that estimates its forward error;
+    1. float decode: one counted Leja + Bjorck-Pereyra sweep over all
+       nodes, then an uncounted re-solve in the same order that estimates
+       each node's forward error;
     2. escalation: all nodes estimated above tolerance/20 are re-measured
        and re-solved together in double-double precision (flagged, counts
        unchanged), which restores the exact-arithmetic accuracy the
        operation-count model assumes;
-    3. residual: in node order, each node's relative residual against its
-       float64 measurements; a node that was not escalated and misses
+    3. residual: each node's relative residual against its float64
+       measurements; a node that was not escalated and misses
        max(tolerance, 1e-9) is re-solved densely, at dense cost.
+
+    On dense and callable sources every node gets the bytes a node-by-node
+    scalar decode gives.  Node state stays in arrays (`SasResult.nodes`);
+    `SasResult.node_systems` is built from them when first read.
     """
     counter = counter if counter is not None else OpCounter()
     tree = build_tree(J, J.M)
@@ -340,25 +457,26 @@ def sas_transform(
     rt = plan.pivots
     mu = plan.mu_star
     N = J.N
-    pattern = pivoted_pattern(rt, J.M).as_array() if rt else np.zeros(1, dtype=np.int64)
+    offsets = pattern_offsets(rt, J.M)
+    cols = np.argsort(offsets)
+    pattern = offsets[cols]
     scale = N / len(pattern)
 
     # row j: every decode-level node's value under shift j, by ascending residue
-    measured = np.stack([
-        hidft(source, J, rt, height=0, shift=j, counter=counter).node_values
-        for j in range(mu)
-    ])
+    butterfly = _build_plan(J, rt)
+    grid = _sample_grid(source, offsets, np.arange(mu), N)
+    slots = _butterfly_pass(butterfly, grid, counter)[:, butterfly.slot_real]
+    measured = slots[:, np.argsort(butterfly.slot_residues[butterfly.slot_real])]
 
-    touched = np.unique((pattern[None, :] - np.arange(mu)[:, None]) % N)
+    touched = np.unique((pattern[None, :] - np.arange(mu)[:, None]) % N).size
 
     residues, bounds, members = tree.level_arrays(plan.decode_level)
     weights = np.diff(bounds)
     position = np.searchsorted(J.as_array(), members)  # index of each member in J
     coeffs = np.empty(len(J), dtype=np.complex128)
-    m_list, b = members.tolist(), bounds.tolist()
-    systems = [
-        NodeSystem(res, tuple(m_list[b[i]:b[i + 1]])) for i, res in enumerate(residues.tolist())
-    ]
+    escalated = np.zeros(len(weights), dtype=bool)
+    fallback = np.zeros(len(weights), dtype=bool)
+    residual = np.zeros(len(weights))
 
     single = np.flatnonzero(weights == 1)
     if scale == 1.0:
@@ -367,48 +485,56 @@ def sas_transform(
         counter.mul(single.size, phase="read")
         coeffs[position[bounds[single]]] = measured[0, single] * scale
 
-    solved = []  # [node index, x, y, c]
-    for i in np.flatnonzero(weights > 1).tolist():
-        m = systems[i].size
+    multi = np.flatnonzero(weights > 1)
+    if multi.size:
+        sizes = weights[multi]
+        col = np.arange(int(sizes.max()))
+        own = col[None, :] < sizes[:, None]
+        at = (bounds[multi][:, None] + col)[own]  # members' positions, node by node
         if scale != 1.0:
-            counter.mul(m, phase="solve")
-        y = measured[:m, i] * scale
-        x = np.exp(-2j * np.pi * np.asarray(systems[i].members, dtype=np.float64) / N)
-        c = vandermonde_solve(x, y, counter=counter, phase="solve")
-        systems[i].escalated = _error_estimate(x, y, c) > tolerance / 20.0
-        solved.append([i, x, y, c])
+            counter.mul(int(sizes.sum()), phase="solve")
+        y = np.where(own, (measured[:len(col), multi] * scale).T, 0)
+        x = np.zeros(own.shape, dtype=np.complex128)
+        x[own] = np.exp(-2j * np.pi * members[at].astype(np.float64) / N)
 
-    hard = [s for s in solved if systems[s[0]].escalated]
-    if hard:
-        redone = _decode_dd(source, touched, pattern, [systems[s[0]] for s in hard], N, scale)
-        for s, c in zip(hard, redone):
-            s[3] = c
+        perm = _leja_orders(x, sizes)
+        c = _solve_batch(x, y, sizes, perm)
+        _charge_solve(counter, sizes, "solve")
+        groups = _size_groups(x, sizes)
+        hard = _error_estimates(x, y, c, sizes, perm, groups) > tolerance / 20.0
 
-    fallbacks = 0
-    for i, x, y, c in solved:
-        node = systems[i]
-        node.residual = float(
-            np.linalg.norm(_forward_apply(x, c) - y) / max(np.linalg.norm(y), 1e-300)
-        )
-        if node.residual > max(tolerance, 1e-9) and not node.escalated:
+        if hard.any():
+            dd = _dd_grid(source, offsets, int(sizes[hard].max()), grid)
+            esc = multi[hard]
+            y_dd = _remeasure_dd(dd, cols, pattern, residues[esc], sizes[hard], N, scale)
+            redone = np.zeros((len(esc), len(col)), dtype=np.complex128)
+            redone[own[hard]] = _ddc.solve_vandermonde_dd(
+                [members[bounds[i]:bounds[i + 1]] for i in esc.tolist()], N, y_dd
+            )
+            c[hard] = redone
+
+        residual[multi] = _residuals(groups, y, c)
+        redo = (residual[multi] > max(tolerance, 1e-9)) & ~hard
+        for b in np.flatnonzero(redo).tolist():
             # backward-stability failure: dense fallback, dense cost
-            m = node.size
-            c = np.linalg.solve(np.vander(x, m, increasing=True).T, y)
-            node.dense_fallback = True
-            fallbacks += 1
+            m = int(sizes[b])
+            c[b, :m] = np.linalg.solve(np.vander(x[b, :m], m, increasing=True).T, y[b, :m])
             counter.mul(m ** 3, phase="solve")
             counter.add(m ** 3, phase="solve")
-        coeffs[position[b[i]:b[i + 1]]] = c
+        escalated[multi] = hard
+        fallback[multi] = redo
+        coeffs[position[at]] = c[own]
 
     report = CostReport.from_counter(
         counter,
-        samples_touched=int(touched.size),
+        samples_touched=int(touched),
         bound_alg1bnd=plan.predicted_cost,
         bound_hidft=C1 * len(rt) * (1 << len(rt)),
-        escalated_nodes=len(hard),
-        dense_fallbacks=fallbacks,
+        escalated_nodes=int(escalated.sum()),
+        dense_fallbacks=int(fallback.sum()),
     )
-    return SasResult(J, coeffs, plan, report, systems)
+    nodes = NodeArrays(residues, bounds, members, escalated, fallback, residual)
+    return SasResult(J, coeffs, plan, report, nodes)
 
 
 def submatrix_method(
@@ -422,18 +548,32 @@ def submatrix_method(
     N f(i) = sum_l c_l e^{+2 pi i i l / N} for i = 0..k-1; the matrix is
     Vandermonde in the nodes e^{+2 pi i l / N}.  Works for any support, at
     quadratic cost; the same conditioning guard as the node decoder applies.
+    Raises ContractViolationError when even the double-double re-solve
+    returns non-finite coefficients or misses max(tolerance, 1e-9) in
+    float64 relative residual: the system is out of reach.
     """
     k = len(J)
     if k > SUBMATRIX_SIZE_CAP:
         raise InvalidInputError(f"submatrix baseline capped at k <= {SUBMATRIX_SIZE_CAP}")
     counter = counter if counter is not None else OpCounter()
-    f = _fetch(source, np.arange(k), J.N)
+    offsets = np.arange(k)
+    f = _sample_grid(source, offsets, np.zeros(1, dtype=np.int64), J.N)
     counter.mul(k, phase="solve")
+    sizes = np.array([k])
     y = f * J.N
-    x = np.exp(2j * np.pi * J.as_array() / J.N)
-    c = vandermonde_solve(x, y, counter=counter, phase="solve")
-    est = _error_estimate(x, y, c)
-    if est > tolerance / 20.0:
-        y_dd = _ddc.cdd_mul_complex(_dd_samples(source, np.arange(k), J.N), complex(J.N))
-        c = _ddc.solve_vandermonde_dd([(-J.as_array()) % J.N], J.N, y_dd)
-    return c
+    x = np.exp(2j * np.pi * J.as_array() / J.N)[None]
+    perm = _leja_orders(x, sizes)
+    c = _solve_batch(x, y, sizes, perm)
+    _charge_solve(counter, sizes, "solve")
+    groups = _size_groups(x, sizes)
+    if _error_estimates(x, y, c, sizes, perm, groups)[0] > tolerance / 20.0:
+        y_dd = _ddc.cdd_mul_complex(_ddc.cdd_take(_dd_grid(source, offsets, 1, f), 0), complex(J.N))
+        with np.errstate(invalid="ignore", over="ignore"):  # overflow is reported below
+            c = _ddc.solve_vandermonde_dd([(-J.as_array()) % J.N], J.N, y_dd)[None]
+            resid = float(_residuals(groups, y, c)[0])
+        if not (np.all(np.isfinite(c)) and resid <= max(tolerance, 1e-9)):
+            raise ContractViolationError(
+                f"submatrix system out of reach for double-double (k={k}): "
+                f"relative residual {resid:.1e}"
+            )
+    return c[0]

@@ -1,0 +1,396 @@
+"""Byte oracles for the batched float64 layers of sas_transform.
+
+The scalar Leja order, Bjorck-Pereyra sweep and error estimate that the
+batched code replaced are kept here as oracles; on dense sources every
+batched layer must give their bytes.  The group-sum sample grids are
+checked against the dense per-sample synthesis instead, so that the
+butterfly is never validated against its own algebra.
+"""
+
+import numpy as np
+import pytest
+
+from structfft import (
+    BandlimitedSignal,
+    ContractViolationError,
+    FamilySpec,
+    InvalidInputError,
+    OpCounter,
+    SupportSet,
+    _ddc,
+    cli,
+    hidft,
+    sas_transform,
+    select_pivots,
+    submatrix_method,
+    vandermonde_solve,
+)
+from structfft.bench import FIXTURES
+from structfft.hidft import _build_plan, _butterfly_pass, _sample_grid
+from structfft.sampling import pattern_offsets
+from structfft.sas import (
+    C1,
+    C2,
+    _error_estimates,
+    _leja_orders,
+    _size_groups,
+    _solve_batch,
+    predicted_cost,
+)
+
+rng = np.random.default_rng(20260517)
+
+
+# scalar oracles ---------------------------------------------------------------
+
+
+def leja_order(x):
+    n = len(x)
+    order = np.empty(n, dtype=np.int64)
+    order[0] = int(np.argmax(np.abs(x)))
+    chosen = np.zeros(n, dtype=bool)
+    chosen[order[0]] = True
+    prod = np.abs(x - x[order[0]])
+    for t in range(1, n):
+        prod_masked = np.where(chosen, -1.0, prod)
+        i = int(np.argmax(prod_masked))
+        order[t] = i
+        chosen[i] = True
+        prod = prod * np.abs(x - x[i])
+    return order
+
+
+def bp_core(x, y):
+    n = len(x)
+    c = np.array(y, dtype=np.complex128)
+    for k in range(0, n - 1):
+        for j in range(n - 1, k, -1):
+            c[j] = c[j] - x[k] * c[j - 1]
+    for k in range(n - 2, -1, -1):
+        for j in range(k + 1, n):
+            c[j] = c[j] / (x[j] - x[j - k - 1])
+        for j in range(k, n - 1):
+            c[j] = c[j] - c[j + 1]
+    return c
+
+
+def scalar_solve(x, y):
+    m = len(x)
+    if m == 1:
+        return y.copy()
+    if m < 3:
+        return bp_core(x, y)
+    perm = leja_order(x)
+    c = np.empty(m, dtype=np.complex128)
+    c[perm] = bp_core(x[perm], y)
+    return c
+
+
+def scalar_error_estimate(x, y, c):
+    m = len(x)
+    if m == 1:
+        return 0.0
+    denom = max(float(np.max(np.abs(c))), 1e-300)
+    V = np.vander(x, m, increasing=True).T
+    d = scalar_solve(x, V @ c - y)
+    est = float(np.max(np.abs(d))) / denom
+    amp = float(np.linalg.norm(np.linalg.inv(V), np.inf))
+    noise = amp * 100 * np.finfo(np.float64).eps * float(np.max(np.abs(y))) / denom
+    return max(est, noise)
+
+
+# inputs -----------------------------------------------------------------------
+
+
+def clustered_nodes(m, N=1 << 16):
+    """m unit-circle nodes e^{-2 pi i l / N}, l of one residue mod 64 in up
+    to four tight clusters."""
+    r = int(rng.integers(64))
+    starts = 8 * rng.choice(N // 512, size=4, replace=False)
+    pool = sorted(int(s) + t for s in starts for t in range(8))
+    ls = np.asarray([r + 64 * pool[i] for i in sorted(rng.choice(len(pool), size=m, replace=False))])
+    return np.exp(-2j * np.pi * ls.astype(np.float64) / N)
+
+
+def padded_batch(sizes):
+    sizes = np.asarray(sizes)
+    n = int(sizes.max())
+    x = np.zeros((len(sizes), n), dtype=np.complex128)
+    y = np.zeros((len(sizes), n), dtype=np.complex128)
+    for b, m in enumerate(sizes.tolist()):
+        x[b, :m] = clustered_nodes(m)
+        y[b, :m] = rng.normal(size=m) + 1j * rng.normal(size=m)
+    return x, y, sizes
+
+
+MIXED = [
+    [1, 2, 25] + np.random.default_rng(1).integers(1, 26, size=9).tolist(),
+    [25, 3, 1, 2] + np.random.default_rng(2).integers(1, 26, size=9).tolist(),
+    [7] * 6,
+    [25],
+]
+
+
+# the padded solve ---------------------------------------------------------------
+
+
+class TestPaddedSolve:
+    @pytest.mark.parametrize("sizes", MIXED)
+    def test_leja_orders_equal_scalar_loop(self, sizes):
+        x, _, sizes = padded_batch(sizes)
+        perm = _leja_orders(x, sizes)
+        for b, m in enumerate(sizes.tolist()):
+            want = leja_order(x[b, :m]) if m >= 3 else np.arange(m)
+            assert perm[b, :m].tolist() == want.tolist()
+            assert perm[b, m:].tolist() == list(range(m, x.shape[1]))
+
+    @pytest.mark.parametrize("sizes", MIXED)
+    def test_solve_equals_scalar_sweep(self, sizes):
+        x, y, sizes = padded_batch(sizes)
+        c = _solve_batch(x, y, sizes, _leja_orders(x, sizes))
+        for b, m in enumerate(sizes.tolist()):
+            want = scalar_solve(x[b, :m], y[b, :m])
+            assert c[b, :m].tobytes() == want.tobytes()
+            assert vandermonde_solve(x[b, :m], y[b, :m]).tobytes() == want.tobytes()
+            assert not c[b, m:].any()
+
+    def test_without_leja_equals_plain_sweep(self):
+        x, y, sizes = padded_batch([9])
+        got = vandermonde_solve(x[0], y[0], leja=False)
+        assert got.tobytes() == bp_core(x[0], y[0]).tobytes()
+
+    @pytest.mark.parametrize("sizes", MIXED[:2])
+    def test_error_estimate_equals_scalar(self, sizes):
+        x, y, sizes = padded_batch(sizes)
+        perm = _leja_orders(x, sizes)
+        c = _solve_batch(x, y, sizes, perm)
+        est = _error_estimates(x, y, c, sizes, perm, _size_groups(x, sizes))
+        for b, m in enumerate(sizes.tolist()):
+            assert est[b] == scalar_error_estimate(x[b, :m], y[b, :m], c[b, :m])
+
+    def test_counts_equal_per_system_charges(self):
+        sizes = [1, 2, 3, 25, 7]
+        batch, single = OpCounter(), OpCounter()
+        x, y, sizes = padded_batch(sizes)
+        for b, m in enumerate(sizes.tolist()):
+            vandermonde_solve(x[b, :m], y[b, :m], counter=single)
+            half = m * (m - 1) // 2
+            extra = half if m >= 3 else 0
+            batch.mul(m * (m - 1) + extra)
+            batch.add(3 * half + extra)
+        assert (single.complex_mults, single.complex_adds) == (batch.complex_mults, batch.complex_adds)
+
+    def test_duplicate_nodes_rejected(self):
+        x, y, sizes = padded_batch([4, 6, 2])
+        x[1, 5] = x[1, 2]
+        with pytest.raises(InvalidInputError):
+            _solve_batch(x, y, sizes, _leja_orders(x, sizes))
+        with pytest.raises(InvalidInputError):
+            vandermonde_solve(x[1, :6], y[1, :6])
+
+    def test_padding_is_not_a_duplicate(self):
+        x, y, sizes = padded_batch([2, 5])
+        x[0, 0] = 0.0  # equals the padding value of row 0
+        _solve_batch(x, y, sizes, _leja_orders(x, sizes))
+
+
+# the batched butterfly ------------------------------------------------------------
+
+
+def dense_source(J):
+    c = (0.5 + rng.random(len(J))) * np.exp(2j * np.pi * rng.random(len(J)))
+    F = np.zeros(J.N, dtype=np.complex128)
+    F[J.as_array()] = c
+    return np.fft.ifft(F), c
+
+
+def random_support(M_lo=4, M_hi=13, k_hi=60):
+    M = int(rng.integers(M_lo, M_hi))
+    k = int(rng.integers(1, min(1 << M, k_hi) + 1))
+    return SupportSet.make(1 << M, rng.choice(1 << M, size=k, replace=False).tolist())
+
+
+class TestButterflyBatch:
+    def test_rows_equal_single_shift_hidft(self):
+        for _ in range(40):
+            J = random_support()
+            x, _ = dense_source(J)
+            r = select_pivots(J, "auto")
+            shifts = np.concatenate([np.arange(5), rng.integers(-J.N, 2 * J.N, size=4)])
+            plan = _build_plan(J, r)
+            ctr = OpCounter()
+            v = _butterfly_pass(plan, _sample_grid(x, pattern_offsets(r, J.M), shifts, J.N), ctr)
+            node_res = plan.slot_residues[plan.slot_real]
+            nodes = v[:, plan.slot_real][:, np.argsort(node_res)]
+            ref = OpCounter()
+            for b, j in enumerate(shifts.tolist()):
+                one = hidft(x, J, r, shift=j, counter=ref)
+                assert nodes[b].tobytes() == one.node_values.tobytes()
+                assert v[b].tobytes() == one.slot_values.tobytes()
+            assert ctr.phases == ref.phases
+
+    def test_callable_reads_once(self):
+        J = SupportSet.make(1 << 10, [0, 1, 6, 7, 512, 300, 301])
+        x, _ = dense_source(J)
+        calls = []
+
+        def source(loc):
+            calls.append(loc.shape)
+            return x[loc]
+
+        out = sas_transform(source, J)
+        assert len(calls) == 1 and calls[0] == (out.plan.mu_star << len(out.plan.pivots),)
+        assert out.coeffs.tobytes() == sas_transform(x, J).coeffs.tobytes()
+
+
+# lazy node systems against an eager node-by-node decode ----------------------------
+
+
+def eager_decode(source, J, out, tolerance=1e-8):
+    """The node-by-node decode: one NodeSystem list and the coefficients of
+    the nodes that were not escalated, from single-shift `hidft` calls."""
+    plan = out.plan
+    N = J.N
+    scale = N / (1 << len(plan.pivots))
+    rows = [hidft(source, J, plan.pivots, shift=j) for j in range(plan.mu_star)]
+    level = plan.decode_level
+    groups = {}
+    for l in J.indices:
+        groups.setdefault(l % (1 << level), []).append(l)
+    nodes, coeffs = [], {}
+    for i, res in enumerate(sorted(groups)):
+        members = tuple(sorted(groups[res]))
+        y = np.asarray([row.node_values[i] for row in rows[:len(members)]]) * scale
+        if len(members) == 1:
+            nodes.append((res, members, False, False, 0.0))
+            coeffs[members[0]] = y[0] if scale != 1.0 else rows[0].node_values[i]
+            continue
+        x = np.exp(-2j * np.pi * np.asarray(members, dtype=np.float64) / N)
+        c = scalar_solve(x, y)
+        escalated = scalar_error_estimate(x, y, c) > tolerance / 20.0
+        if escalated:
+            c = np.asarray([out.coeff_map()[l] for l in members])
+        V = np.vander(x, len(x), increasing=True).T
+        residual = float(np.linalg.norm(V @ c - y) / max(np.linalg.norm(y), 1e-300))
+        fallback = residual > max(tolerance, 1e-9) and not escalated
+        nodes.append((res, members, escalated, fallback, residual))
+        if not (escalated or fallback):
+            coeffs.update(zip(members, c))
+    return nodes, coeffs
+
+
+SAS_CASES = [
+    (FIXTURES["paper_sas"], None),
+    (FIXTURES["uoe_union"], "uoe"),
+    (FIXTURES["uoe_adversarial"], "uoe"),
+    ((1 << 16, [5 + t * 64 for t in (0, 1, 2, 3, 700, 701, 702, 703)]), (0, 1, 2, 3, 4, 5)),
+]
+
+
+class TestLazyNodeSystems:
+    @pytest.mark.parametrize("case", range(len(SAS_CASES) + 6))
+    def test_equal_eager_list(self, case):
+        if case < len(SAS_CASES):
+            (N, idx), r = SAS_CASES[case]
+            J = SupportSet.make(N, idx)
+            r = select_pivots(J, r) if isinstance(r, str) else r
+        else:
+            J, r = random_support(M_lo=6, k_hi=40), None
+        x, _ = dense_source(J)
+        out = sas_transform(x, J, r=r)
+        nodes, coeffs = eager_decode(x, J, out)
+        got = out.node_systems
+        assert got is out.node_systems  # built once
+        assert [(v.residue, v.members, v.escalated, v.dense_fallback) for v in got] == \
+            [n[:4] for n in nodes]
+        assert all(abs(v.residual - n[4]) <= 1e-15 for v, n in zip(got, nodes))
+        assert all(isinstance(v.residue, int) and isinstance(v.escalated, bool) for v in got)
+        have = out.coeff_map()
+        for l, c in coeffs.items():
+            assert np.complex128(have[l]).tobytes() == np.complex128(c).tobytes()
+
+
+# synthesis against independent oracles -------------------------------------------
+
+
+def random_offsets(M):
+    """Offsets sharing a random power-of-two factor, one of them odd multiple."""
+    t = int(rng.integers(0, M))
+    A = int(rng.integers(1, 40))
+    o = (rng.integers(0, 1 << (M - t), size=A) << t) % (1 << M)
+    o[0] = (1 << t) % (1 << M)
+    return o
+
+
+class TestSampleGrid:
+    def test_float_grid_equals_dense_synthesis(self):
+        for _ in range(60):
+            J = random_support(M_lo=2, M_hi=13, k_hi=300)
+            sig = BandlimitedSignal(J, rng.normal(size=len(J)) + 1j * rng.normal(size=len(J)))
+            o = random_offsets(J.M)
+            shifts = rng.integers(-J.N, 2 * J.N, size=int(rng.integers(1, 9)))
+            got = sig.sample_grid(o, shifts)
+            want = sig.sample_block((o[None, :] - shifts[:, None]).reshape(-1)).reshape(got.shape)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_pivot_pattern_grid(self):
+        J = SupportSet.make(1 << 12, rng.choice(1 << 12, size=200, replace=False).tolist())
+        r = select_pivots(J, "auto")
+        sig = BandlimitedSignal(J, rng.normal(size=200) + 1j * rng.normal(size=200))
+        o = pattern_offsets(r, J.M)
+        got = sig.sample_grid(o, np.arange(6))
+        want = np.stack([sig.sample_block(o - j) for j in range(6)])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("M", [8, 14])
+    def test_dd_grid_equals_synthesize_dd(self, M):
+        N = 1 << M
+        for _ in range(4):
+            J = random_support(M_lo=M, M_hi=M + 1, k_hi=120)
+            sig = BandlimitedSignal(J, rng.normal(size=len(J)) + 1j * rng.normal(size=len(J)))
+            o = random_offsets(M)
+            shifts = rng.integers(0, N, size=5)
+            got = sig.sample_grid_dd(o, shifts)
+            loc = (o[None, :] - shifts[:, None]) % N
+            want = _ddc.synthesize_dd(N, J.as_array(), sig.coeffs, loc)
+            scale = max(np.max(np.abs(want[0][0])), np.max(np.abs(want[1][0])))
+            for g, w in zip(got, want):
+                diff = (g[0] - w[0]) + (g[1] - w[1])
+                assert np.max(np.abs(diff)) <= 1e-28 * scale
+
+
+# predicted cost ---------------------------------------------------------------------
+
+
+def test_predicted_cost_equals_python_sum():
+    for _ in range(200):
+        w = rng.integers(1, 1 << 26, size=int(rng.integers(1, 300)))  # sums past 2^53
+        s, mu = int(rng.integers(0, 20)), int(w.max())
+        want = C1 * s * (1 << s) * mu + C2 * sum(int(v) * int(v) for v in w)
+        assert predicted_cost(s, mu, w) == want
+        assert predicted_cost(s, mu, tuple(w.tolist())) == want
+
+
+# submatrix method out of reach --------------------------------------------------
+
+
+def out_of_reach(seed):
+    J = FamilySpec("random_subset", {"k": 200, "M": 16}, seed).build().support
+    g = np.random.default_rng(seed)
+    c = (0.5 + g.random(len(J))) * np.exp(2j * np.pi * g.random(len(J)))
+    return J, c
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_submatrix_out_of_reach_raises(seed):
+    J, c = out_of_reach(seed)
+    with pytest.raises(ContractViolationError):
+        submatrix_method(J, BandlimitedSignal(J, c))
+
+
+def test_cli_submatrix_out_of_reach_exits_3(tmp_path, capsys):
+    J, c = out_of_reach(0)
+    path = tmp_path / "signal.json"
+    cli.dump_json(cli.signal_to_json(J, c), str(path))
+    assert cli.main(["transform", "--signal", str(path), "--algo", "submatrix"]) == 3
+    assert "out of reach" in capsys.readouterr().err

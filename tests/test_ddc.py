@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from structfft import BandlimitedSignal, FamilySpec, SupportSet, _ddc, sas_transform
-from structfft.sampling import pivoted_pattern
-from structfft.sas import _dd_samples, _remeasure_dd
+from structfft.hidft import _sample_grid
+from structfft.sampling import pattern_offsets
+from structfft.sas import _dd_grid, _remeasure_dd
 from structfft._ddc import (
     cdd_add,
     cdd_div,
@@ -182,19 +183,24 @@ class TestRemeasureDD:
         out = sas_transform(source, J, r=self.r)
         nodes = [v for v in out.node_systems if v.escalated]
         assert nodes
-        pattern = pivoted_pattern(self.r, J.M).as_array()
+        offsets = pattern_offsets(self.r, J.M)
+        cols = np.argsort(offsets)
+        pattern = offsets[cols]
         scale = self.N / len(pattern)
-        locations = np.unique((pattern[None, :] - np.arange(out.plan.mu_star)[:, None]) % self.N)
-        if dense:
-            sample_at = {int(l): ((v.real, 0.0), (v.imag, 0.0)) for l, v in zip(locations, source[locations])}
-        else:
-            table = scalar_synthesize(self.N, J.as_array(), source.coeffs, locations)
-            sample_at = {int(l): scalar_at(table, i) for i, l in enumerate(locations)}
-
         sizes = np.array([v.size for v in nodes])
         residues = np.array([v.residue for v in nodes], dtype=np.int64)
-        got = _remeasure_dd(_dd_samples(source, locations, self.N), locations, pattern,
-                            residues, sizes, self.N, scale)
+        shifts = np.arange(sizes.max())
+        grid = _dd_grid(source, offsets, len(shifts), _sample_grid(source, offsets, shifts, self.N))
+        locations = (offsets[None, :] - shifts[:, None]) % self.N
+        assert len(np.unique(locations)) == locations.size
+        if dense:
+            sample_at = {int(l): ((v.real, 0.0), (v.imag, 0.0))
+                         for l, v in zip(locations.ravel(), source[locations.ravel()])}
+        else:  # the dd grid's own samples; test_batched.py checks them against synthesize_dd
+            sample_at = {int(locations[j, i]): scalar_at(grid, (j, i))
+                         for j in range(len(shifts)) for i in range(len(offsets))}
+
+        got = _remeasure_dd(grid, cols, pattern, residues, sizes, self.N, scale)
         coeffs = out.coeff_map()
         at = 0
         for v in nodes:
@@ -209,7 +215,7 @@ class TestRemeasureDD:
 @pytest.mark.xfail(
     strict=True,
     reason="dd escalation on a dense source re-solves the same float64 samples, so its "
-           "ill-conditioned nodes keep errors near 1e-6 (sas._dd_samples, dense branch)",
+           "ill-conditioned nodes keep errors near 1e-6 (sas._dd_grid, dense branch)",
 )
 @pytest.mark.parametrize("seed", range(4))
 def test_dense_source_escalation_meets_tolerance(seed):
