@@ -1,17 +1,14 @@
-"""Double-double complex arithmetic for ill-conditioned node decodes.
+"""Double-double complex arithmetic for the submatrix baseline's rescue.
 
-Aliased tree-node systems can be Vandermonde systems with clustered
-unit-circle nodes; on the benchmark workloads their condition numbers reach
-1e5..1e10, enough for float64 measurement noise to push the recovered
-coefficients past a 1e-8 tolerance.  The escalation path re-measures and
-re-solves the affected nodes in ~31-digit double-double arithmetic, which
-restores the exact-arithmetic behaviour the complexity model assumes.  None
-of this affects operation counting; it changes word size, not the algorithm.
-
-The samples of a `BandlimitedSignal` are re-synthesized in dd on the whole
-shifted-pattern grid at once (`synthesize_grid_dd`, the group-sum factoring
-of `BandlimitedSignal.sample_grid`); `synthesize_dd`, the per-sample sum,
-is kept as its oracle.
+`submatrix_method` solves one k x k Vandermonde system in the nodes
+e^{2 pi i l / N}, l in J, from the first k samples.  Once those nodes
+cluster, float64 misses a 1e-8 tolerance, and the baseline re-solves the
+system in ~31-digit double-double arithmetic: `synthesize_dd` gives the
+samples of a `BandlimitedSignal` in dd, and `solve_vandermonde_dd` runs the
+Bjorck-Pereyra sweep in dd.  This changes word size, not the algorithm,
+and no operation is counted here.  `sas_transform` does not use this
+module: its planned shift stride (`sas.choose_stride`) keeps its node
+systems within float64 reach.
 
 Representation: a real double-double is a pair (hi, lo) of same-shape
 float64 arrays; a complex double-double (cdd) is ((re_hi, re_lo),
@@ -217,47 +214,6 @@ def synthesize_dd(N: int, support: np.ndarray, coeffs: np.ndarray, locations: np
         terms = cdd_mul_complex(tab.gather(loc * ls[start:start + rows]), cs[start:start + rows])
         for i in range(len(terms[0][0])):
             acc = cdd_add(acc, cdd_take(terms, i))
-    return cdd_mul_complex(acc, complex(1.0 / N))
-
-
-def synthesize_grid_dd(N: int, support, coeffs, starts, residues, offsets, shifts):
-    """Samples f(o_i - j) in dd precision: rows follow `shifts`, columns `offsets`.
-
-    The group-sum factoring of `BandlimitedSignal.sample_grid`: the support
-    comes sorted by group, group g starting at starts[g] with residue
-    residues[g], and every offset o makes e^{2 pi i o l / N} depend on l only
-    through its group.  Then f(o_i - j) = (1/N) sum_g S[j, g] P[g, i] with
-    S[j, g] = sum_{l in g} c_l e^{-2 pi i j l / N} and
-    P[g, i] = e^{2 pi i res_g o_i / N}.  S forms the terms of blocks of
-    shifts at once and adds each group's terms in support order; the grid
-    forms the products of blocks of groups at once and adds them one group
-    at a time.  Blocks hold at most about BLOCK entries.  The
-    stored float64 coefficients are treated as exact.
-    """
-    tab = root_table(N)
-    l = np.asarray(support, dtype=np.int64)
-    c = np.asarray(coeffs, dtype=np.complex128)
-    j = np.asarray(shifts, dtype=np.int64) % N
-    o = np.asarray(offsets, dtype=np.int64) % N
-    starts = np.asarray(starts, dtype=np.int64)
-    sizes = np.diff(np.append(starts, len(l)))
-    every = slice(None)
-    S = cdd_zero((len(j), len(starts)))
-    rows = max(1, BLOCK // max(len(l), 1))
-    for start in range(0, len(j), rows):
-        r = slice(start, start + rows)
-        terms = cdd_mul_complex(tab.gather(-np.outer(j[r], l)), c)
-        for t in range(int(sizes.max())):
-            g = np.flatnonzero(sizes > t)
-            cdd_put(S, (r, g), cdd_add(cdd_take(S, (r, g)), cdd_take(terms, (every, starts[g] + t))))
-    acc = cdd_zero((len(j), len(o)))
-    width = max(1, BLOCK // max(len(j) * len(o), 1))
-    for start in range(0, len(starts), width):
-        g = slice(start, start + width)
-        P = tab.gather(np.outer(residues[g], o))
-        terms = cdd_mul(cdd_take(S, (every, g, None)), cdd_take(P, (None, every, every)))
-        for i in range(len(P[0][0])):
-            acc = cdd_add(acc, cdd_take(terms, (every, i)))
     return cdd_mul_complex(acc, complex(1.0 / N))
 
 

@@ -179,6 +179,7 @@ def cmd_transform(args) -> int:
     J = sig.support
     counter = OpCounter()
     explicit_r = _parse_pivots(args.pivots)
+    plan = None  # the sas plan, reported beside its cost
     if args.algo == "oracle":
         if J.N > ORACLE_SIZE_CAP:
             raise BudgetExceededError(f"oracle transform capped at N <= {ORACLE_SIZE_CAP}")
@@ -233,12 +234,16 @@ def cmd_transform(args) -> int:
         )
         coeffs = out.coeffs
         cost = out.report
+        plan = {f: getattr(out.plan, f)
+                for f in ("pivots", "decode_level", "mu_star", "stride", "cond_bound")}
     else:
         raise InvalidInputError(f"unknown algo {args.algo!r}")
     spectrum = signal_to_json(J, coeffs)
     if args.out:
         dump_json(spectrum, args.out)
     payload = {"algo": args.algo, "cost": cost.as_dict()}
+    if plan is not None:
+        payload["plan"] = plan
     if not args.out:
         payload["spectrum"] = spectrum
     sys.stdout.write(dump_json(payload, None))

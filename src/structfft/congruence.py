@@ -19,6 +19,7 @@ are exactly the distinct split levels of neighbours.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -80,7 +81,14 @@ class SupportSet:
         return j in set(self.indices)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=np.int64)
+        """The indices as an int64 array, built once and read-only."""
+        return self._array
+
+    @cached_property
+    def _array(self) -> np.ndarray:
+        arr = np.asarray(self.indices, dtype=np.int64)
+        arr.flags.writeable = False
+        return arr
 
 
 def _bit_reverse(x: np.ndarray, M: int) -> np.ndarray:

@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _ddc
 from .congruence import SupportSet
 from .counting import OpCounter
 from .errors import InvalidInputError
@@ -37,6 +36,17 @@ def require_power_of_two(n: int) -> int:
     if n <= 0 or (n & (n - 1)) != 0:
         raise InvalidInputError(f"length {n} is not a power of two")
     return n.bit_length() - 1
+
+
+def mod_product(a, b, N: int) -> np.ndarray:
+    """a * b mod N for broadcasting int arrays, N a power of two up to 2^63.
+
+    The uint64 products wrap modulo 2^64, a multiple of N, so no product
+    overflows on the way.
+    """
+    a = np.asarray(a, dtype=np.int64).astype(np.uint64)
+    b = np.asarray(b, dtype=np.int64).astype(np.uint64)
+    return ((a * b) & np.uint64(N - 1)).astype(np.int64)
 
 
 def dft_direct(f, counter: OpCounter | None = None) -> np.ndarray:
@@ -175,27 +185,13 @@ class BandlimitedSignal:
             out[start:start + len(chunk)] = phase @ self.coeffs / self.N
         return out
 
-    def _alias_groups(self, offsets: np.ndarray):
-        """The support grouped by l mod 2^q, 2^(M-q) the largest power of
-        two dividing every offset (q = 0 if all are 0 mod N).
-
-        Returns the support and coefficients sorted by group (stably), each
-        group's first position and each group's residue.
-        """
-        nz = offsets[offsets != 0]
-        q = self.N.bit_length() - int(np.min(nz & -nz)).bit_length() if nz.size else 0
-        key = self._l & ((1 << q) - 1)
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        return self._l[order], self.coeffs[order], starts, key[starts]
-
     def sample_grid(self, offsets, shifts) -> np.ndarray:
         """Samples f(o_i - j): one row per shift j, one column per offset o_i.
 
-        Built from group sums instead of one k-term sum per sample.  Since
-        e^{2 pi i o l / N} depends on l only through its group, l mod 2^q
-        (see `_alias_groups`),
+        Built from group sums instead of one k-term sum per sample.  With
+        2^(M-q) the largest power of two dividing every offset (q = 0 if all
+        are 0 mod N), e^{2 pi i o l / N} depends on l only through its group,
+        l mod 2^q, so
 
             f(o_i - j) = (1/N) sum_g S[j, g] P[g, i],
             S[j, g] = sum_{l in g} c_l e^{-2 pi i j l / N},
@@ -210,26 +206,25 @@ class BandlimitedSignal:
         N = self.N
         o = np.asarray(offsets, dtype=np.int64) % N
         j = np.asarray(shifts, dtype=np.int64) % N
-        l, c, starts, res = self._alias_groups(o)
+        nz = o[o != 0]
+        q = N.bit_length() - int(np.min(nz & -nz)).bit_length() if nz.size else 0
+        key = self._l & ((1 << q) - 1)
+        order = np.argsort(key, kind="stable")  # the support by group
+        l, c, key = self._l[order], self.coeffs[order], key[order]
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        res = key[starts]
         S = np.empty((len(j), len(starts)), dtype=np.complex128)
         rows = max(1, _CHUNK // max(len(l), 1))
         for start in range(0, len(j), rows):
             jj = j[start:start + rows]
-            terms = np.exp(-2j * np.pi * (np.outer(jj, l) % N) / N) * c
+            terms = np.exp(-2j * np.pi * mod_product(jj[:, None], l, N) / N) * c
             S[start:start + len(jj)] = np.add.reduceat(terms, starts, axis=1)
         out = np.zeros((len(j), len(o)), dtype=np.complex128)
         groups = max(1, _CHUNK // max(len(o), 1))
         for start in range(0, len(res), groups):
             g = slice(start, start + groups)
-            out += S[:, g] @ np.exp(2j * np.pi * (np.outer(res[g], o) % N) / N)
+            out += S[:, g] @ np.exp(2j * np.pi * mod_product(res[g, None], o, N) / N)
         return out / N
-
-    def sample_grid_dd(self, offsets, shifts):
-        """`sample_grid` in double-double (cdd arrays), by the same factoring;
-        `_ddc.synthesize_dd` at the same locations is the oracle."""
-        o = np.asarray(offsets, dtype=np.int64) % self.N
-        l, c, starts, res = self._alias_groups(o)
-        return _ddc.synthesize_grid_dd(self.N, l, c, starts, res, o, shifts)
 
     def synthesize(self) -> np.ndarray:
         """Full time-domain vector; only sensible for small N."""

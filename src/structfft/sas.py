@@ -2,12 +2,12 @@
 Vandermonde systems.
 
 The transform picks a pivot vector r with the support r-part-homogeneous,
-computes the generalized butterfly of tau^j f for j = 0..mu*-1 (mu* = the
-largest node weight at the decoding level r_max+1), and solves one
-Vandermonde system per aliased node:
+computes the generalized butterfly of tau^{j d} f for j = 0..mu*-1 (mu* = the
+largest node weight at the decoding level r_max+1, d the planned shift
+stride), and solves one Vandermonde system per aliased node:
 
-    (N/|I|) * Hidft(tau^j f)(v) = sum_{l in v} Ff(l) * x_l^j,
-    x_l = e^{-2 pi i l / N}.
+    (N/|I|) * Hidft(tau^{j d} f)(v) = sum_{l in v} Ff(l) * x_l^j,
+    x_l = e^{-2 pi i d l / N}.
 
 Weight-1 nodes skip the solver and read their coefficient directly.
 """
@@ -30,7 +30,7 @@ from .congruence import (
     pivots as support_pivots,  # unused here; perfbench/spans.py traces it
     validate_pivot_vector,
 )
-from .core import BandlimitedSignal
+from .core import _CHUNK, BandlimitedSignal, mod_product
 from .counting import CostReport, OpCounter
 from .errors import ContractViolationError, InvalidInputError
 from .hidft import _build_plan, _butterfly_pass, _sample_grid
@@ -60,11 +60,18 @@ def predicted_cost(size_r: int, mu_star: int, node_weights: Sequence[int]) -> fl
 
 @dataclass(frozen=True)
 class SasPlan:
+    """Pivots, decode level, mu*, node weights and predicted cost, plus the
+    shift stride d (`choose_stride`) and its score `cond_bound`: the largest
+    -sum_{j != i} log|x_i - x_j| over the rows of every aliased node, so a
+    node of weight m has ||V^-1||_inf <= 2^(m-1) e^cond_bound (Gautschi)."""
+
     pivots: tuple[int, ...]
     decode_level: int
     mu_star: int
     node_weights: tuple[int, ...]
     predicted_cost: float
+    stride: int = 1
+    cond_bound: float = 0.0
 
     @classmethod
     def plan(cls, J: SupportSet, r: Sequence[int], counter: OpCounter | None = None) -> "SasPlan":
@@ -77,9 +84,90 @@ class SasPlan:
         level = rt[-1] + 1 if rt else 0
         if counter is not None:  # the figure build_tree(J, level, counter) charges
             counter.count_bit_ops(len(tree.support) * max(level, 1))
-        weights = tuple(np.diff(tree.level_arrays(level)[1]).tolist())
+        _, bounds, members = tree.level_arrays(level)
+        weights = tuple(np.diff(bounds).tolist())
         mu = max(weights)
-        return cls(rt, level, mu, weights, predicted_cost(len(rt), mu, weights))
+        stride, score = choose_stride(members, bounds, tree.N) if mu > 1 else (1, 0.0)
+        return cls(rt, level, mu, weights, predicted_cost(len(rt), mu, weights), stride, score)
+
+
+_STRIDE_BATCH = 8    # candidates scored in full first
+_STRIDE_PIECE = 512  # pair terms per piece of rows
+
+
+def stride_candidates(N: int) -> np.ndarray:
+    """The strides `choose_stride` tries, ascending: the odd d < 256 and the
+    powers of two below N."""
+    return np.union1d(np.arange(1, min(N, 256), 2), 1 << np.arange(1, N.bit_length() - 1))
+
+
+def _log_gaps(x: np.ndarray, n: int) -> np.ndarray:
+    """-log|2 sin(pi x / n)| = -log|e^{2 pi i x / n} - 1|, taken at
+    min(x, n - x) so that x and -x give the same bits; +inf at x = 0."""
+    with np.errstate(divide="ignore"):
+        return -np.log(np.abs(2.0 * np.sin(np.pi / n * np.minimum(x, n - x))))
+
+
+def choose_stride(members: np.ndarray, bounds: np.ndarray, N: int) -> tuple[int, float]:
+    """The shift stride d that best separates every aliased node's
+    Vandermonde nodes x_l = e^{-2 pi i d l / N}, and its score.
+
+    score(d) is the largest sum_{j != i} -log|x_i - x_j| over the rows i of
+    every node of weight > 1 (members[bounds[v]:bounds[v+1]]): the log of
+    the largest inverse Lagrange denominator.  A d that makes two nodes
+    coincide scores +inf, and d = 1 never does.  The smallest score wins,
+    the smaller d on ties.  The score depends only on the differences
+    (l_j - l_i) mod N = g e (g their common power of two), through
+    |x_i - x_j| = |2 sin(pi (d e mod n) / n)| with n = N / g.  Row i sums
+    its terms over j = i+1, ..., i-1 cyclically, which is ascending e, in
+    one contiguous reduction, so J and J + a get the same bits, and d and
+    n - d tie exactly.
+
+    The rows come in pieces, heaviest nodes first.  The first piece is
+    scored for every candidate, a lower bound on each score; the
+    _STRIDE_BATCH lowest are scored in full, and the best of them bounds
+    the winner's score.  The other pieces are scored only for candidates
+    still at or below that bound.  Plan-time work, not counted.
+    """
+    sizes = np.diff(bounds)
+    spread = int(np.bitwise_or.reduce(members - np.repeat(members[bounds[:-1]], sizes)))
+    g = spread & -spread  # v2 of every within-node difference is at least log2 g
+    n = N // g
+    word = np.uint32 if n <= 1 << 32 else np.uint64  # products wrap modulo 2^32 or 2^64
+    pieces = []  # e = differences / g, (rows, m - 1), heaviest nodes first
+    for m in np.unique(sizes[sizes > 1])[::-1].tolist():
+        ls = members[bounds[:-1][sizes == m][:, None] + np.arange(m)]
+        partner = (np.arange(m)[:, None] + np.arange(1, m)) % m
+        e = ((ls[:, partner] - ls[:, :, None]) % N // g).astype(word).reshape(-1, m - 1)
+        rows = max(1, _STRIDE_PIECE // (m - 1))
+        pieces.extend(e[s:s + rows] for s in range(0, len(e), rows))
+    d = stride_candidates(N)
+    table = _log_gaps(np.arange(n), n) if n <= len(d) * sum(p.size for p in pieces) else None
+
+    def worst_row(e: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        out = np.empty(len(cand))
+        step = max(1, _CHUNK // e.size)
+        for s0 in range(0, len(cand), step):
+            c = (cand[s0:s0 + step] % n).astype(word)
+            x = ((c[:, None, None] * e) & word(n - 1)).astype(np.intp)
+            gaps = table.take(x) if table is not None else _log_gaps(x, n)
+            out[s0:s0 + step] = gaps.sum(axis=2).max(axis=1)
+        return out
+
+    score = worst_row(pieces[0], d)
+    top = np.lexsort((d, score))[:_STRIDE_BATCH]
+    for e in pieces[1:]:
+        score[top] = np.maximum(score[top], worst_row(e, d[top]))
+    bound = score[top].min()
+    pending = score <= bound
+    pending[top] = False
+    for e in pieces[1:]:
+        todo = np.flatnonzero(pending)
+        score[todo] = np.maximum(score[todo], worst_row(e, d[todo]))
+        pending[todo] = score[todo] <= bound
+    done = np.union1d(top, np.flatnonzero(pending))
+    best = int(done[np.lexsort((d[done], score[done]))[0]])
+    return int(d[best]), float(score[best])
 
 
 def select_pivots(J: SupportSet, policy: str = "auto", family_meta: dict | None = None) -> tuple[int, ...]:
@@ -334,7 +422,6 @@ def _residuals(groups, y: np.ndarray, c: np.ndarray) -> np.ndarray:
 class NodeSystem:
     residue: int
     members: tuple[int, ...]
-    escalated: bool = False
     dense_fallback: bool = False
     residual: float = 0.0
 
@@ -347,21 +434,20 @@ class NodeSystem:
 class NodeArrays:
     """Every decode-level node's state, by ascending residue: node i has
     residue residues[i] and members members[bounds[i]:bounds[i+1]]
-    (ascending), and the flags and relative residual of its decode."""
+    (ascending), its dense-fallback flag and the relative residual of its
+    decode."""
 
     residues: np.ndarray
     bounds: np.ndarray
     members: np.ndarray
-    escalated: np.ndarray
     dense_fallback: np.ndarray
     residual: np.ndarray
 
     def systems(self) -> list[NodeSystem]:
         m, b = self.members.tolist(), self.bounds.tolist()
-        state = zip(self.residues.tolist(), self.escalated.tolist(),
-                    self.dense_fallback.tolist(), self.residual.tolist())
-        return [NodeSystem(res, tuple(m[b[i]:b[i + 1]]), esc, fb, r)
-                for i, (res, esc, fb, r) in enumerate(state)]
+        state = zip(self.residues.tolist(), self.dense_fallback.tolist(), self.residual.tolist())
+        return [NodeSystem(res, tuple(m[b[i]:b[i + 1]]), fb, r)
+                for i, (res, fb, r) in enumerate(state)]
 
 
 @dataclass
@@ -381,43 +467,6 @@ class SasResult:
         return {int(j): complex(c) for j, c in zip(self.support.indices, self.coeffs)}
 
 
-def _dd_grid(source, offsets: np.ndarray, rows: int, grid: np.ndarray):
-    """cdd samples f(o - j) for shifts j < rows, columns as in `offsets`.
-
-    A `BandlimitedSignal` is re-synthesized in double-double; any other
-    source gives the float64 grid already read, taken as exact (lo = 0).
-    """
-    if isinstance(source, BandlimitedSignal):
-        return source.sample_grid_dd(offsets, np.arange(rows))
-    f = grid[:rows]
-    zero = np.zeros(f.shape)
-    return ((f.real, zero), (f.imag, zero))
-
-
-def _remeasure_dd(grid, cols, pattern, residues, sizes, N: int, scale: float):
-    """dd right-hand sides of aliased nodes, one row per (node, shift j < size).
-
-    `grid` holds cdd samples f(o - j), one row per shift j, and column
-    cols[i] holds the offset pattern[i].  Row (v, j) is
-    scale * sum_i f(pattern_i - j) e^{-2 pi i residue_v pattern_i / N},
-    summed over i in pattern order; the products are formed for blocks of
-    pattern positions at a time.  Rows come node by node, j ascending.
-    """
-    node = np.repeat(np.arange(len(sizes)), sizes)
-    shift = np.arange(len(node)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    tab = _ddc.root_table(N)
-    acc = _ddc.cdd_zero(len(node))
-    width = max(1, _ddc.BLOCK // len(node))
-    for start in range(0, len(pattern), width):
-        p = pattern[start:start + width]
-        samples = _ddc.cdd_take(grid, (shift[:, None], cols[None, start:start + width]))
-        kernel = _ddc.cdd_take(tab.gather(-residues[:, None] * p), node)
-        terms = _ddc.cdd_mul(samples, kernel)
-        for i in range(len(p)):
-            acc = _ddc.cdd_add(acc, _ddc.cdd_take(terms, (slice(None), i)))
-    return _ddc.cdd_mul_complex(acc, complex(scale))
-
-
 def sas_transform(
     source,
     J: SupportSet,
@@ -429,25 +478,20 @@ def sas_transform(
 ) -> SasResult:
     """Recover (F f)_J from mu* shifted butterfly passes plus node decodes.
 
-    Shift j reads samples at (I_r - j) mod N.  All mu* x |I_r| samples are
-    read as one grid (for a `BandlimitedSignal`, from its group sums) and
-    one butterfly pass transforms every row.  The aliased nodes are then
-    decoded together, as rows of zero-padded arrays, in three passes:
+    The plan fixes the pivots, mu* and the shift stride d (`choose_stride`,
+    from J alone; d = 1 when mu* = 1).  Shift j reads samples at
+    (I_r - j d) mod N.  All mu* x |I_r| samples are read as one grid (for a
+    `BandlimitedSignal`, from its group sums) and one butterfly pass
+    transforms every row.  The aliased nodes are then decoded together, as
+    rows of zero-padded arrays, in float64 only: one counted Leja +
+    Bjorck-Pereyra sweep over all nodes, with Vandermonde nodes
+    e^{-2 pi i d l / N} that the stride keeps apart.  There is no
+    escalation.  Each node's relative residual against its measurements is
+    recorded; a node that misses max(tolerance, 1e-9) is re-solved
+    densely, at dense cost.
 
-    1. float decode: one counted Leja + Bjorck-Pereyra sweep over all
-       nodes, then an uncounted re-solve in the same order that estimates
-       each node's forward error;
-    2. escalation: all nodes estimated above tolerance/20 are re-measured
-       and re-solved together in double-double precision (flagged, counts
-       unchanged), which restores the exact-arithmetic accuracy the
-       operation-count model assumes;
-    3. residual: each node's relative residual against its float64
-       measurements; a node that was not escalated and misses
-       max(tolerance, 1e-9) is re-solved densely, at dense cost.
-
-    On dense and callable sources every node gets the bytes a node-by-node
-    scalar decode gives.  Node state stays in arrays (`SasResult.nodes`);
-    `SasResult.node_systems` is built from them when first read.
+    Node state stays in arrays (`SasResult.nodes`); `SasResult.node_systems`
+    is built from them when first read.
     """
     counter = counter if counter is not None else OpCounter()
     tree = build_tree(J, J.M)
@@ -458,23 +502,21 @@ def sas_transform(
     mu = plan.mu_star
     N = J.N
     offsets = pattern_offsets(rt, J.M)
-    cols = np.argsort(offsets)
-    pattern = offsets[cols]
-    scale = N / len(pattern)
+    shifts = mod_product(np.arange(mu), plan.stride, N)
+    scale = N / len(offsets)
 
-    # row j: every decode-level node's value under shift j, by ascending residue
+    # row j: every decode-level node's value under shift j d, by ascending residue
     butterfly = _build_plan(J, rt)
-    grid = _sample_grid(source, offsets, np.arange(mu), N)
+    grid = _sample_grid(source, offsets, shifts, N)
     slots = _butterfly_pass(butterfly, grid, counter)[:, butterfly.slot_real]
     measured = slots[:, np.argsort(butterfly.slot_residues[butterfly.slot_real])]
 
-    touched = np.unique((pattern[None, :] - np.arange(mu)[:, None]) % N).size
+    touched = np.unique((offsets[None, :] - shifts[:, None]) % N).size
 
     residues, bounds, members = tree.level_arrays(plan.decode_level)
     weights = np.diff(bounds)
     position = np.searchsorted(J.as_array(), members)  # index of each member in J
     coeffs = np.empty(len(J), dtype=np.complex128)
-    escalated = np.zeros(len(weights), dtype=bool)
     fallback = np.zeros(len(weights), dtype=bool)
     residual = np.zeros(len(weights))
 
@@ -495,33 +537,20 @@ def sas_transform(
             counter.mul(int(sizes.sum()), phase="solve")
         y = np.where(own, (measured[:len(col), multi] * scale).T, 0)
         x = np.zeros(own.shape, dtype=np.complex128)
-        x[own] = np.exp(-2j * np.pi * members[at].astype(np.float64) / N)
+        exponents = mod_product(members[at], plan.stride, N).astype(np.float64)
+        x[own] = np.exp(-2j * np.pi * exponents / N)
 
-        perm = _leja_orders(x, sizes)
-        c = _solve_batch(x, y, sizes, perm)
+        c = _solve_batch(x, y, sizes, _leja_orders(x, sizes))
         _charge_solve(counter, sizes, "solve")
         groups = _size_groups(x, sizes)
-        hard = _error_estimates(x, y, c, sizes, perm, groups) > tolerance / 20.0
-
-        if hard.any():
-            dd = _dd_grid(source, offsets, int(sizes[hard].max()), grid)
-            esc = multi[hard]
-            y_dd = _remeasure_dd(dd, cols, pattern, residues[esc], sizes[hard], N, scale)
-            redone = np.zeros((len(esc), len(col)), dtype=np.complex128)
-            redone[own[hard]] = _ddc.solve_vandermonde_dd(
-                [members[bounds[i]:bounds[i + 1]] for i in esc.tolist()], N, y_dd
-            )
-            c[hard] = redone
-
         residual[multi] = _residuals(groups, y, c)
-        redo = (residual[multi] > max(tolerance, 1e-9)) & ~hard
+        redo = residual[multi] > max(tolerance, 1e-9)
         for b in np.flatnonzero(redo).tolist():
             # backward-stability failure: dense fallback, dense cost
             m = int(sizes[b])
             c[b, :m] = np.linalg.solve(np.vander(x[b, :m], m, increasing=True).T, y[b, :m])
             counter.mul(m ** 3, phase="solve")
             counter.add(m ** 3, phase="solve")
-        escalated[multi] = hard
         fallback[multi] = redo
         coeffs[position[at]] = c[own]
 
@@ -530,10 +559,9 @@ def sas_transform(
         samples_touched=int(touched),
         bound_alg1bnd=plan.predicted_cost,
         bound_hidft=C1 * len(rt) * (1 << len(rt)),
-        escalated_nodes=int(escalated.sum()),
         dense_fallbacks=int(fallback.sum()),
     )
-    nodes = NodeArrays(residues, bounds, members, escalated, fallback, residual)
+    nodes = NodeArrays(residues, bounds, members, fallback, residual)
     return SasResult(J, coeffs, plan, report, nodes)
 
 
@@ -547,7 +575,10 @@ def submatrix_method(
 
     N f(i) = sum_l c_l e^{+2 pi i i l / N} for i = 0..k-1; the matrix is
     Vandermonde in the nodes e^{+2 pi i l / N}.  Works for any support, at
-    quadratic cost; the same conditioning guard as the node decoder applies.
+    quadratic cost.  A system whose uncounted forward-error estimate misses
+    tolerance/20 is re-solved in double-double (`_ddc`), from samples
+    synthesized in double-double for a `BandlimitedSignal` and from the
+    float64 samples, taken as exact, otherwise.
     Raises ContractViolationError when even the double-double re-solve
     returns non-finite coefficients or misses max(tolerance, 1e-9) in
     float64 relative residual: the system is out of reach.
@@ -567,7 +598,11 @@ def submatrix_method(
     _charge_solve(counter, sizes, "solve")
     groups = _size_groups(x, sizes)
     if _error_estimates(x, y, c, sizes, perm, groups)[0] > tolerance / 20.0:
-        y_dd = _ddc.cdd_mul_complex(_ddc.cdd_take(_dd_grid(source, offsets, 1, f), 0), complex(J.N))
+        if isinstance(source, BandlimitedSignal):
+            f_dd = _ddc.synthesize_dd(J.N, J.as_array(), source.coeffs, offsets)
+        else:  # the float64 samples, taken as exact
+            f_dd = ((f[0].real, np.zeros(k)), (f[0].imag, np.zeros(k)))
+        y_dd = _ddc.cdd_mul_complex(f_dd, complex(J.N))
         with np.errstate(invalid="ignore", over="ignore"):  # overflow is reported below
             c = _ddc.solve_vandermonde_dd([(-J.as_array()) % J.N], J.N, y_dd)[None]
             resid = float(_residuals(groups, y, c)[0])

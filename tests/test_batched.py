@@ -17,7 +17,6 @@ from structfft import (
     InvalidInputError,
     OpCounter,
     SupportSet,
-    _ddc,
     cli,
     hidft,
     sas_transform,
@@ -247,12 +246,13 @@ class TestButterflyBatch:
 
 
 def eager_decode(source, J, out, tolerance=1e-8):
-    """The node-by-node decode: one NodeSystem list and the coefficients of
-    the nodes that were not escalated, from single-shift `hidft` calls."""
+    """The node-by-node decode: one NodeSystem tuple per node and the
+    coefficients of the nodes without a dense fallback, from single-shift
+    `hidft` calls at the planned shifts j * stride."""
     plan = out.plan
-    N = J.N
+    N, d = J.N, plan.stride
     scale = N / (1 << len(plan.pivots))
-    rows = [hidft(source, J, plan.pivots, shift=j) for j in range(plan.mu_star)]
+    rows = [hidft(source, J, plan.pivots, shift=j * d) for j in range(plan.mu_star)]
     level = plan.decode_level
     groups = {}
     for l in J.indices:
@@ -262,19 +262,16 @@ def eager_decode(source, J, out, tolerance=1e-8):
         members = tuple(sorted(groups[res]))
         y = np.asarray([row.node_values[i] for row in rows[:len(members)]]) * scale
         if len(members) == 1:
-            nodes.append((res, members, False, False, 0.0))
+            nodes.append((res, members, False, 0.0))
             coeffs[members[0]] = y[0] if scale != 1.0 else rows[0].node_values[i]
             continue
-        x = np.exp(-2j * np.pi * np.asarray(members, dtype=np.float64) / N)
+        x = np.exp(-2j * np.pi * np.asarray([d * l % N for l in members], dtype=np.float64) / N)
         c = scalar_solve(x, y)
-        escalated = scalar_error_estimate(x, y, c) > tolerance / 20.0
-        if escalated:
-            c = np.asarray([out.coeff_map()[l] for l in members])
         V = np.vander(x, len(x), increasing=True).T
         residual = float(np.linalg.norm(V @ c - y) / max(np.linalg.norm(y), 1e-300))
-        fallback = residual > max(tolerance, 1e-9) and not escalated
-        nodes.append((res, members, escalated, fallback, residual))
-        if not (escalated or fallback):
+        fallback = residual > max(tolerance, 1e-9)
+        nodes.append((res, members, fallback, residual))
+        if not fallback:
             coeffs.update(zip(members, c))
     return nodes, coeffs
 
@@ -301,10 +298,9 @@ class TestLazyNodeSystems:
         nodes, coeffs = eager_decode(x, J, out)
         got = out.node_systems
         assert got is out.node_systems  # built once
-        assert [(v.residue, v.members, v.escalated, v.dense_fallback) for v in got] == \
-            [n[:4] for n in nodes]
-        assert all(abs(v.residual - n[4]) <= 1e-15 for v, n in zip(got, nodes))
-        assert all(isinstance(v.residue, int) and isinstance(v.escalated, bool) for v in got)
+        assert [(v.residue, v.members, v.dense_fallback) for v in got] == [n[:3] for n in nodes]
+        assert all(abs(v.residual - n[3]) <= 1e-15 for v, n in zip(got, nodes))
+        assert all(isinstance(v.residue, int) and isinstance(v.dense_fallback, bool) for v in got)
         have = out.coeff_map()
         for l, c in coeffs.items():
             assert np.complex128(have[l]).tobytes() == np.complex128(c).tobytes()
@@ -341,22 +337,6 @@ class TestSampleGrid:
         got = sig.sample_grid(o, np.arange(6))
         want = np.stack([sig.sample_block(o - j) for j in range(6)])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("M", [8, 14])
-    def test_dd_grid_equals_synthesize_dd(self, M):
-        N = 1 << M
-        for _ in range(4):
-            J = random_support(M_lo=M, M_hi=M + 1, k_hi=120)
-            sig = BandlimitedSignal(J, rng.normal(size=len(J)) + 1j * rng.normal(size=len(J)))
-            o = random_offsets(M)
-            shifts = rng.integers(0, N, size=5)
-            got = sig.sample_grid_dd(o, shifts)
-            loc = (o[None, :] - shifts[:, None]) % N
-            want = _ddc.synthesize_dd(N, J.as_array(), sig.coeffs, loc)
-            scale = max(np.max(np.abs(want[0][0])), np.max(np.abs(want[1][0])))
-            for g, w in zip(got, want):
-                diff = (g[0] - w[0]) + (g[1] - w[1])
-                assert np.max(np.abs(diff)) <= 1e-28 * scale
 
 
 # predicted cost ---------------------------------------------------------------------

@@ -1,18 +1,15 @@
-"""Tests for the double-double escalation path.
+"""Tests for the double-double arithmetic behind the submatrix baseline.
 
-The batched solver, the blocked synthesis and the batched re-measure are
-checked byte for byte against the scalar loops they replaced, kept here as
-oracles; the solver is also checked against a 50-digit mpmath solve.
+The batched solver and the blocked synthesis are checked byte for byte
+against the scalar loops they replaced, kept here as oracles; the solver is
+also checked against a 50-digit mpmath solve.
 """
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from structfft import BandlimitedSignal, FamilySpec, SupportSet, _ddc, sas_transform
-from structfft.hidft import _sample_grid
-from structfft.sampling import pattern_offsets
-from structfft.sas import _dd_grid, _remeasure_dd
+from structfft import _ddc
 from structfft._ddc import (
     cdd_add,
     cdd_div,
@@ -64,20 +61,6 @@ def scalar_synthesize(N, support, coeffs, locations):
     for l, c in zip(support, coeffs):
         acc = cdd_add(acc, cdd_mul_complex(tab.gather(loc * int(l)), complex(c)))
     return cdd_mul_complex(acc, complex(1.0 / N))
-
-
-def scalar_remeasure(sample_at, pattern, residue, m, N, scale):
-    """dd right-hand side of one node, one product and one sum at a time."""
-    tab = _ddc.root_table(N)
-    rows = []
-    for j in range(m):
-        samples = [sample_at[int(l)] for l in (pattern - j) % N]
-        kernel = tab.gather((-residue * pattern) % N)
-        acc = ((0.0, 0.0), (0.0, 0.0))
-        for i in range(len(pattern)):
-            acc = cdd_add(acc, cdd_mul(samples[i], scalar_at(kernel, i)))
-        rows.append(cdd_mul_complex(acc, complex(scale)))
-    return rows
 
 
 def random_cdd(n):
@@ -158,72 +141,3 @@ class TestSynthesizeDD:
             got = _ddc.synthesize_dd(N, support, coeffs, locations)
             want = scalar_synthesize(N, support, coeffs, locations)
             assert parts(got) == parts(want)
-
-
-class TestRemeasureDD:
-    """The escalated nodes of test_sas.py's clustered-node case."""
-
-    N = 1 << 16
-    members = [5 + t * 64 for t in (0, 1, 2, 3, 700, 701, 702, 703)]
-    r = (0, 1, 2, 3, 4, 5)
-
-    def _source(self, dense):
-        J = SupportSet.make(self.N, self.members)
-        g = np.random.default_rng(9)
-        c = (0.5 + g.random(len(J))) * np.exp(1j * g.random(len(J)) * 2 * np.pi)
-        if not dense:
-            return J, BandlimitedSignal(J, c)
-        F = np.zeros(self.N, dtype=np.complex128)
-        F[J.as_array()] = c
-        return J, np.fft.ifft(F)
-
-    @pytest.mark.parametrize("dense", [False, True])
-    def test_batched_equals_per_node_loop(self, dense):
-        J, source = self._source(dense)
-        out = sas_transform(source, J, r=self.r)
-        nodes = [v for v in out.node_systems if v.escalated]
-        assert nodes
-        offsets = pattern_offsets(self.r, J.M)
-        cols = np.argsort(offsets)
-        pattern = offsets[cols]
-        scale = self.N / len(pattern)
-        sizes = np.array([v.size for v in nodes])
-        residues = np.array([v.residue for v in nodes], dtype=np.int64)
-        shifts = np.arange(sizes.max())
-        grid = _dd_grid(source, offsets, len(shifts), _sample_grid(source, offsets, shifts, self.N))
-        locations = (offsets[None, :] - shifts[:, None]) % self.N
-        assert len(np.unique(locations)) == locations.size
-        if dense:
-            sample_at = {int(l): ((v.real, 0.0), (v.imag, 0.0))
-                         for l, v in zip(locations.ravel(), source[locations.ravel()])}
-        else:  # the dd grid's own samples; test_batched.py checks them against synthesize_dd
-            sample_at = {int(locations[j, i]): scalar_at(grid, (j, i))
-                         for j in range(len(shifts)) for i in range(len(offsets))}
-
-        got = _remeasure_dd(grid, cols, pattern, residues, sizes, self.N, scale)
-        coeffs = out.coeff_map()
-        at = 0
-        for v in nodes:
-            rows = scalar_remeasure(sample_at, pattern, v.residue, v.size, self.N, scale)
-            for j, row in enumerate(rows):
-                assert parts(_ddc.cdd_take(got, at + j)) == parts(row)
-            want = scalar_solve(v.members, self.N, rows)
-            assert np.asarray([coeffs[l] for l in v.members]).tobytes() == want.tobytes()
-            at += v.size
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="dd escalation on a dense source re-solves the same float64 samples, so its "
-           "ill-conditioned nodes keep errors near 1e-6 (sas._dd_grid, dense branch)",
-)
-@pytest.mark.parametrize("seed", range(4))
-def test_dense_source_escalation_meets_tolerance(seed):
-    fam = FamilySpec("uoe", {"a_n": 7, "etas": [0, 0, 0, 0, 0, 1, 1, 1], "M": 18}, 3).build()
-    J = fam.support
-    g = np.random.default_rng(seed)
-    c = (0.5 + g.random(len(J))) * np.exp(2j * np.pi * g.random(len(J)))
-    F = np.zeros(J.N, dtype=np.complex128)
-    F[J.as_array()] = c
-    out = sas_transform(np.fft.ifft(F), J, policy="uoe", family_meta=fam.meta)
-    assert np.max(np.abs(out.coeffs - c) / np.abs(c)) <= 1e-8
