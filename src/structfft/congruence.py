@@ -90,6 +90,19 @@ class SupportSet:
         arr.flags.writeable = False
         return arr
 
+    @cached_property
+    def _memo(self) -> dict:
+        """What other modules derive from J alone, under their own keys
+        (`sas_transform` keeps its tree, pivot choices and prepared plans
+        here).  It lives exactly as long as this instance; nothing in it
+        may refer back to the instance."""
+        return {}
+
+    def __reduce__(self):
+        # the two fields only: the caches above are rebuilt on demand, and
+        # a pickled array would come back writeable
+        return (type(self), (self.N, self.indices))
+
 
 def _bit_reverse(x: np.ndarray, M: int) -> np.ndarray:
     """Indices in [0, 2^M) with their M bits reversed."""
@@ -146,13 +159,13 @@ class CongruenceTree:
     Held as J in bit-reversed order (`order`) plus the neighbours' split
     levels (`splits`).  Level l holds one node per residue class mod 2^l that
     meets J, listed by ascending residue with members ascending.  Empty
-    nodes are not stored; weight queries on them return 0.
+    nodes are not stored; weight queries on them return 0.  The tree keeps
+    no reference to J, so J can cache its own tree (`SupportSet._memo`).
     """
 
     def __init__(self, J: SupportSet, depth: int):
         if depth < 0 or depth > J.M:
             raise InvalidInputError(f"depth must be in [0, {J.M}]")
-        self.support = J
         self.N = J.N
         self.M = J.M
         self.depth = depth

@@ -54,17 +54,18 @@ def _fetch(source, locations: np.ndarray, N: int) -> np.ndarray:
     return arr[loc]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ButterflyPlan:
-    """Precomputed slot structure for one (J, used-pivots) combination."""
+    """Precomputed slot structure for one (J, used-pivots) combination.
 
-    support: SupportSet
-    used: tuple[int, ...]          # pivots merged by the butterfly, ascending
-    level: int                     # output nodes live at this tree level
-    element_slots: np.ndarray      # slot index of each support element
-    slot_residues: np.ndarray      # output residue per slot (virtual slots padded)
-    slot_real: np.ndarray          # which slots correspond to actual tree nodes
-    twiddles: list[np.ndarray]     # stage k merges used[k]; array of size 2^k
+    Its arrays are read-only: `sas_transform` caches the plan on J."""
+
+    used: tuple[int, ...]           # pivots merged by the butterfly, ascending
+    level: int                      # output nodes live at this tree level
+    element_slots: np.ndarray       # slot index of each support element
+    slot_residues: np.ndarray       # output residue per slot (virtual slots padded)
+    slot_real: np.ndarray           # which slots correspond to actual tree nodes
+    twiddles: tuple[np.ndarray, ...]  # stage k merges used[k]; array of size 2^k
 
     @property
     def n_slots(self) -> int:
@@ -97,7 +98,9 @@ def _build_plan(J: SupportSet, used: tuple[int, ...]) -> ButterflyPlan:
     slot_residues = reps % (1 << level)
     slot_real = np.zeros(1 << s, dtype=bool)
     slot_real[pats] = True
-    return ButterflyPlan(J, used, level, pats, slot_residues, slot_real, twiddles)
+    for a in (pats, slot_residues, slot_real, *twiddles):
+        a.flags.writeable = False
+    return ButterflyPlan(used, level, pats, slot_residues, slot_real, tuple(twiddles))
 
 
 @dataclass

@@ -33,7 +33,7 @@ from .congruence import (
 from .core import _CHUNK, BandlimitedSignal, mod_product
 from .counting import CostReport, OpCounter
 from .errors import ContractViolationError, InvalidInputError
-from .hidft import _build_plan, _butterfly_pass, _sample_grid
+from .hidft import ButterflyPlan, _build_plan, _butterfly_pass, _sample_grid
 from .hidft import hidft  # unused here; perfbench/spans.py traces it
 from .sampling import pattern_offsets
 from .sampling import pivoted_pattern  # unused here; perfbench/spans.py traces it
@@ -75,20 +75,11 @@ class SasPlan:
 
     @classmethod
     def plan(cls, J: SupportSet, r: Sequence[int], counter: OpCounter | None = None) -> "SasPlan":
-        return cls._from_tree(build_tree(J, J.M), r, counter)
-
-    @classmethod
-    def _from_tree(cls, tree: CongruenceTree, r: Sequence[int], counter: OpCounter | None) -> "SasPlan":
-        rt = validate_pivot_vector(r, tree.M)
-        check_part_homogeneous(tree.split_levels(), rt)
-        level = rt[-1] + 1 if rt else 0
-        if counter is not None:  # the figure build_tree(J, level, counter) charges
-            counter.count_bit_ops(len(tree.support) * max(level, 1))
-        _, bounds, members = tree.level_arrays(level)
-        weights = tuple(np.diff(bounds).tolist())
-        mu = max(weights)
-        stride, score = choose_stride(members, bounds, tree.N) if mu > 1 else (1, 0.0)
-        return cls(rt, level, mu, weights, predicted_cost(len(rt), mu, weights), stride, score)
+        """The plan `sas_transform(source, J, r=r)` runs, from J's cache."""
+        prepared, _ = _prepared(J, r)
+        if counter is not None:
+            counter.count_bit_ops(prepared.bit_ops)
+        return prepared.plan
 
 
 _STRIDE_BATCH = 8    # candidates scored in full first
@@ -181,19 +172,26 @@ def select_pivots(J: SupportSet, policy: str = "auto", family_meta: dict | None 
     random_subset same prefix rule as uoh
 
     The returned vector is always verified to leave J part-homogeneous.
+    The choice is cached on J (see `sas_transform`).
     """
-    tree = build_tree(J, J.M)
-    rt = _select_pivots(tree, policy, family_meta)
-    check_part_homogeneous(tree.split_levels(), rt)
-    return rt
+    entry = _META_ENTRY.get(policy)
+    meta = family_meta or {}
+    read = tuple(int(x) for x in meta[entry]) if entry in meta else None
+    return _memoized(J, ("pivots", policy, read), lambda tree: _select_pivots(tree, policy, read))[0]
 
 
-def _select_pivots(tree: CongruenceTree, policy: str, family_meta: dict | None) -> tuple[int, ...]:
-    """The policy's pivot vector, validated but not checked for part-homogeneity."""
+# the one family_meta entry each policy reads
+_META_ENTRY = {"balanced": "pivots", "uoh": "base_pivots", "random_subset": "base_pivots"}
+
+
+def _select_pivots(tree: CongruenceTree, policy: str, read: tuple[int, ...] | None) -> tuple[int, ...]:
+    """The policy's pivot vector, validated and checked for part-homogeneity;
+    `read` is the family_meta entry the policy reads, None if absent."""
     if policy not in POLICIES:
         raise InvalidInputError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    meta = family_meta or {}
-    k = len(tree.support)
+    if policy in _META_ENTRY and read is None:
+        raise InvalidInputError(f"{policy} policy needs family_meta[{_META_ENTRY[policy]!r}]")
+    k = len(tree.order)
     if policy == "auto":
         p = tree.split_levels()
         best: tuple[int, ...] | None = None
@@ -205,19 +203,30 @@ def _select_pivots(tree: CongruenceTree, policy: str, family_meta: dict | None) 
                 best, best_cost = p[:t], cost
         r = best if best is not None else ()
     elif policy == "balanced":
-        if "pivots" not in meta:
-            raise InvalidInputError("balanced policy needs family_meta['pivots']")
-        r = tuple(int(x) for x in meta["pivots"])
+        r = read
     elif policy == "uoe":
         t = min(_log_pivot_count(k), tree.M)
         r = tuple(range(t))
-    else:  # uoh / random_subset
-        if "base_pivots" not in meta:
-            raise InvalidInputError(f"{policy} policy needs family_meta['base_pivots']")
-        base = tuple(int(x) for x in meta["base_pivots"])
-        t = min(_log_pivot_count(k), len(base))
-        r = base[:t]
-    return validate_pivot_vector(r, tree.M)
+    else:  # uoh / random_subset: a prefix of the base set's pivots
+        r = read[:_log_pivot_count(k)]
+    rt = validate_pivot_vector(r, tree.M)
+    check_part_homogeneous(tree.split_levels(), rt)
+    return rt
+
+
+def _memoized(J: SupportSet, key: tuple, make):
+    """(J's cached value under key, whether it was cached), else make(tree)
+    stored under key.  A make that raises stores nothing, not even the
+    tree it was given.  Two threads that miss at once each make the value;
+    both are equal and the later store wins."""
+    memo = J._memo
+    if key in memo:
+        return memo[key], True
+    tree = memo["tree"] if "tree" in memo else build_tree(J, J.M)
+    value = make(tree)
+    memo["tree"] = tree
+    memo[key] = value
+    return value, False
 
 
 # Vandermonde machinery --------------------------------------------------------
@@ -252,19 +261,61 @@ def _leja_orders(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.where(own & (sizes[:, None] >= 3), order, col)
 
 
-def _divide(ar, ai, br, bi):
-    """(ar + i ai) / (br + i bi) by Smith's method, the formula of numpy's
-    complex quotient."""
-    big = np.abs(br) >= np.abs(bi)
-    num, den = np.where(big, bi, br), np.where(big, br, bi)
-    rat = num / den
-    scl = 1.0 / (den + num * rat)
-    return (np.where(big, ar + ai * rat, ar * rat + ai) * scl,
-            np.where(big, ai - ar * rat, ai * rat - ar) * scl)
+@dataclass(frozen=True)
+class _Factors:
+    """The right-hand-side-free half of a Bjorck-Pereyra sweep over a batch
+    of padded systems (`_bp_factors`), read-only.
+
+    perm is each row's node order (`_leja_orders`) and xr, xi the nodes in
+    that order.  steps[t] serves backward step k = n - 2 - t: Smith's
+    quotient factors (big, rat, scl) of the divisors x_{j} - x_{j-k-1},
+    j > k (1 on padding), and the mask of the columns its step 3 updates.
+    """
+
+    perm: np.ndarray
+    sizes: np.ndarray
+    xr: np.ndarray
+    xi: np.ndarray
+    steps: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
 
 
-def _bp_sweep(x: np.ndarray, y: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Bjorck-Pereyra sweep for sum_m c_m x_m^j = y_j on every row.
+def _bp_factors(x: np.ndarray, sizes: np.ndarray, perm: np.ndarray) -> _Factors:
+    """Factor every row's system sum_m c_m x_m^j = y_j, its nodes taken in
+    `perm` order, for any number of right-hand sides (`_bp_apply`).
+
+    Raises InvalidInputError on a row with two equal nodes.  The divisors
+    are split as numpy's complex quotient splits them (Smith's method):
+    big = |re| >= |im|, rat = the smaller part over the larger, scl =
+    1 / (larger + smaller * rat).
+    """
+    B, n = x.shape
+    col = np.arange(n)
+    own = col[None, :] < sizes[:, None]
+    xs = np.sort(np.where(own, x, np.inf), axis=1)
+    if np.any((xs[:, 1:] == xs[:, :-1]) & own[:, 1:]):
+        raise InvalidInputError("duplicate Vandermonde nodes")
+    xp = np.take_along_axis(x, perm, axis=1)
+    xr, xi = xp.real.copy(), xp.imag.copy()
+    pad = ~own
+    steps = []
+    for k in range(n - 2, -1, -1):
+        br = np.where(pad[:, k + 1:], 1.0, xr[:, k + 1:] - xr[:, :n - k - 1])
+        bi = np.where(pad[:, k + 1:], 0.0, xi[:, k + 1:] - xi[:, :n - k - 1])
+        big = np.abs(br) >= np.abs(bi)
+        num, den = np.where(big, bi, br), np.where(big, br, bi)
+        rat = num / den
+        scl = 1.0 / (den + num * rat)
+        mine = col[None, k:n - 1] < sizes[:, None] - 1  # a row's step 3 ends at its n - 2
+        steps.append((big, rat, scl, mine))
+    f = _Factors(perm, sizes, xr, xi, tuple(steps))
+    for a in (perm, sizes, xr, xi, *(a for step in steps for a in step)):
+        a.flags.writeable = False
+    return f
+
+
+def _bp_apply(f: _Factors, y: np.ndarray) -> np.ndarray:
+    """Solve every row of `_bp_factors` for right-hand side y; padding comes
+    back as 0.
 
     Each inner loop over j is one slice operation, masked where a row's
     scalar loop would read its padding, as in `_ddc.solve_vandermonde_dd`.
@@ -272,9 +323,8 @@ def _bp_sweep(x: np.ndarray, y: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     with the formulas of numpy's scalar operations; numpy's array complex
     multiply rounds differently from its scalar one.
     """
-    B, n = x.shape
-    col = np.arange(n)
-    xr, xi = x.real, x.imag
+    B, n = y.shape
+    xr, xi = f.xr, f.xi
     cr, ci = y.real.copy(), y.imag.copy()
     for k in range(0, n - 1):
         ar, ai = xr[:, k:k + 1], xi[:, k:k + 1]
@@ -282,30 +332,18 @@ def _bp_sweep(x: np.ndarray, y: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         pr, pi = ar * br - ai * bi, ar * bi + ai * br
         cr[:, k + 1:] -= pr
         ci[:, k + 1:] -= pi
-    pad = col[None, :] >= sizes[:, None]
-    for k in range(n - 2, -1, -1):
-        dr = np.where(pad[:, k + 1:], 1.0, xr[:, k + 1:] - xr[:, :n - k - 1])
-        di = np.where(pad[:, k + 1:], 0.0, xi[:, k + 1:] - xi[:, :n - k - 1])
-        cr[:, k + 1:], ci[:, k + 1:] = _divide(cr[:, k + 1:], ci[:, k + 1:], dr, di)
-        mine = col[None, k:n - 1] < sizes[:, None] - 1  # a row's step 3 ends at its n - 2
+    for k, (big, rat, scl, mine) in zip(range(n - 2, -1, -1), f.steps):
+        ar, ai = cr[:, k + 1:], ci[:, k + 1:]
+        cr[:, k + 1:], ci[:, k + 1:] = (np.where(big, ar + ai * rat, ar * rat + ai) * scl,
+                                        np.where(big, ai - ar * rat, ai * rat - ar) * scl)
         cr[:, k:n - 1] = np.where(mine, cr[:, k:n - 1] - cr[:, k + 1:], cr[:, k:n - 1])
         ci[:, k:n - 1] = np.where(mine, ci[:, k:n - 1] - ci[:, k + 1:], ci[:, k:n - 1])
     c = np.empty((B, n), dtype=np.complex128)
     c.real, c.imag = cr, ci
-    return c
-
-
-def _solve_batch(x: np.ndarray, y: np.ndarray, sizes: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Solve every row's system with its nodes taken in `perm` order
-    (`_leja_orders`); padding comes back as 0."""
-    own = np.arange(x.shape[1])[None, :] < sizes[:, None]
-    xs = np.sort(np.where(own, x, np.inf), axis=1)
-    if np.any((xs[:, 1:] == xs[:, :-1]) & own[:, 1:]):
-        raise InvalidInputError("duplicate Vandermonde nodes")
-    c = np.empty_like(y)
-    np.put_along_axis(c, perm, _bp_sweep(np.take_along_axis(x, perm, axis=1), y, sizes), axis=1)
-    c[~own] = 0
-    return c
+    out = np.empty_like(c)
+    np.put_along_axis(out, f.perm, c, axis=1)
+    out[np.arange(n)[None, :] >= f.sizes[:, None]] = 0
+    return out
 
 
 def _charge_solve(counter: OpCounter, sizes: np.ndarray, phase: str, leja: bool = True) -> None:
@@ -344,7 +382,7 @@ def vandermonde_solve(
     if m == 1:
         return y.copy()
     perm = _leja_orders(x[None], sizes) if leja else np.arange(m)[None]
-    c = _solve_batch(x[None], y[None], sizes, perm)[0]
+    c = _bp_apply(_bp_factors(x[None], sizes, perm), y[None])[0]
     if counter is not None:
         _charge_solve(counter, sizes, phase, leja)
     return c
@@ -391,7 +429,7 @@ def _forward_apply(groups, c: np.ndarray) -> np.ndarray:
 _MEASUREMENT_NOISE = 100 * np.finfo(np.float64).eps  # rounding already in y
 
 
-def _error_estimates(x, y, c, sizes, perm, groups) -> np.ndarray:
+def _error_estimates(factors: _Factors, groups, y: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Uncounted forward-error estimate of every decoded system.
 
     Two effects matter: the solver's own error (probed by re-solving on the
@@ -400,10 +438,11 @@ def _error_estimates(x, y, c, sizes, perm, groups) -> np.ndarray:
     exact inf-norm of the inverse (cheap at these sizes, taken on stacks of
     one size, and diagnostics are not counted).  Size-1 systems are exact.
     """
+    sizes = factors.sizes
     amp = np.empty(len(sizes))
     for rows, V in groups:
         amp[rows] = _inverse_norms(V)
-    d = _solve_batch(x, _forward_apply(groups, c) - y, sizes, perm)
+    d = _bp_apply(factors, _forward_apply(groups, c) - y)
     denom = np.maximum(np.abs(c).max(axis=1), 1e-300)
     est = np.abs(d).max(axis=1) / denom
     with np.errstate(invalid="ignore"):  # inf * 0 where y is 0; amp = inf wins below
@@ -452,11 +491,17 @@ class NodeArrays:
 
 @dataclass
 class SasResult:
+    """One transform's coefficients (support order), plan, counted costs and
+    node state.  plan_reused tells whether the call found its prepared plan
+    cached on the support (see `sas_transform`); it is not a cost and stays
+    out of `report`."""
+
     support: SupportSet
     coeffs: np.ndarray
     plan: SasPlan
     report: CostReport
     nodes: NodeArrays
+    plan_reused: bool = False
 
     @cached_property
     def node_systems(self) -> list[NodeSystem]:
@@ -465,6 +510,130 @@ class SasResult:
 
     def coeff_map(self) -> dict[int, complex]:
         return {int(j): complex(c) for j, c in zip(self.support.indices, self.coeffs)}
+
+
+@dataclass(frozen=True)
+class _Prepared:
+    """Everything `sas_transform` derives from J and the pivots alone,
+    read-only; `_execute` does the rest.  Nodes are the decode-level nodes
+    by ascending residue; "multi" are those of weight > 1, padded to mu*
+    columns.  Holds no reference to J, so J can cache it."""
+
+    plan: SasPlan
+    bit_ops: int            # tree_build_bitops charged to every call
+    offsets: np.ndarray     # the pivoted pattern I_r
+    shifts: np.ndarray      # j d mod N for j < mu*
+    scale: float            # N / |I_r|
+    butterfly: ButterflyPlan
+    take: np.ndarray        # the nodes' butterfly slots
+    touched: int            # distinct samples read
+    residues: np.ndarray    # NodeArrays.residues, .bounds, .members
+    bounds: np.ndarray
+    members: np.ndarray
+    single: np.ndarray      # weight-1 nodes
+    single_at: np.ndarray   # their members' positions in J
+    multi: np.ndarray       # nodes of weight > 1
+    own: np.ndarray         # (len(multi), mu*): column < the node's weight
+    multi_at: np.ndarray    # positions in J of own's entries, row by row
+    x: np.ndarray           # Vandermonde nodes e^{-2 pi i d l / N}, padded
+    factors: _Factors | None
+    groups: tuple           # _size_groups(x, sizes)
+
+
+def _prepared(J: SupportSet, r: Sequence[int]) -> tuple[_Prepared, bool]:
+    """J's prepared plan for pivots r, and whether it was cached."""
+    rt = validate_pivot_vector(r, J.M)
+    return _memoized(J, ("plan", rt), lambda tree: _prepare(J, tree, rt))
+
+
+def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepared:
+    """The plan-time half of `sas_transform`; counts nothing."""
+    check_part_homogeneous(tree.split_levels(), rt)
+    level = rt[-1] + 1 if rt else 0
+    residues, bounds, members = tree.level_arrays(level)
+    weights = np.diff(bounds)
+    node_weights = tuple(weights.tolist())
+    mu = max(node_weights)
+    N = J.N
+    stride, score = choose_stride(members, bounds, N) if mu > 1 else (1, 0.0)
+    plan = SasPlan(rt, level, mu, node_weights, predicted_cost(len(rt), mu, node_weights), stride, score)
+    offsets = pattern_offsets(rt, J.M)
+    shifts = mod_product(np.arange(mu), stride, N)
+    butterfly = _build_plan(J, rt)
+    real = np.flatnonzero(butterfly.slot_real)
+    take = real[np.argsort(butterfly.slot_residues[real])]  # by ascending residue
+    touched = np.unique((offsets[None, :] - shifts[:, None]) % N).size
+
+    position = np.searchsorted(J.as_array(), members)  # index of each member in J
+    single = np.flatnonzero(weights == 1)
+    multi = np.flatnonzero(weights > 1)
+    sizes = weights[multi]
+    col = np.arange(mu if multi.size else 0)
+    own = col[None, :] < sizes[:, None]
+    at = (bounds[multi][:, None] + col)[own]  # members' positions, node by node
+    x = np.zeros(own.shape, dtype=np.complex128)
+    exponents = mod_product(members[at], stride, N).astype(np.float64)
+    x[own] = np.exp(-2j * np.pi * exponents / N)
+    factors = _bp_factors(x, sizes, _leja_orders(x, sizes)) if multi.size else None
+    groups = tuple(_size_groups(x, sizes))
+
+    prepared = _Prepared(
+        plan, len(J) * max(level, 1), offsets, shifts, N / len(offsets),
+        butterfly, take, int(touched), residues, bounds, members,
+        single, position[bounds[single]], multi, own, position[at], x, factors, groups,
+    )
+    for a in (offsets, shifts, take, residues, bounds, members, single, multi, own, x,
+              prepared.single_at, prepared.multi_at, *(a for group in groups for a in group)):
+        a.flags.writeable = False
+    return prepared
+
+
+def _execute(p: _Prepared, source, J: SupportSet, counter: OpCounter, tolerance: float):
+    """The sample-dependent half of `sas_transform`: the coefficients, the
+    node state and the counted costs of one call."""
+    counter.count_bit_ops(p.bit_ops)  # the figure build_tree(J, level, counter) charges
+    scale = p.scale
+
+    # row j: every decode-level node's value under shift j d, by ascending residue
+    grid = _sample_grid(source, p.offsets, p.shifts, J.N)
+    measured = _butterfly_pass(p.butterfly, grid, counter)[:, p.take]
+
+    coeffs = np.empty(len(J), dtype=np.complex128)
+    fallback = np.zeros(len(p.residues), dtype=bool)
+    residual = np.zeros(len(p.residues))
+
+    if scale == 1.0:
+        coeffs[p.single_at] = measured[0, p.single]
+    elif p.single.size:
+        counter.mul(p.single.size, phase="read")
+        coeffs[p.single_at] = measured[0, p.single] * scale
+
+    if p.multi.size:
+        sizes = p.factors.sizes
+        if scale != 1.0:
+            counter.mul(int(sizes.sum()), phase="solve")
+        y = np.where(p.own, (measured[:p.own.shape[1], p.multi] * scale).T, 0)
+        c = _bp_apply(p.factors, y)
+        _charge_solve(counter, sizes, "solve")
+        residual[p.multi] = _residuals(p.groups, y, c)
+        redo = residual[p.multi] > max(tolerance, 1e-9)
+        for b in np.flatnonzero(redo).tolist():
+            # backward-stability failure: dense fallback, dense cost
+            m = int(sizes[b])
+            c[b, :m] = np.linalg.solve(np.vander(p.x[b, :m], m, increasing=True).T, y[b, :m])
+            counter.mul(m ** 3, phase="solve")
+            counter.add(m ** 3, phase="solve")
+        fallback[p.multi] = redo
+        coeffs[p.multi_at] = c[p.own]
+
+    report = CostReport.from_counter(
+        counter,
+        samples_touched=p.touched,
+        bound_alg1bnd=p.plan.predicted_cost,
+        bound_hidft=C1 * len(p.plan.pivots) * (1 << len(p.plan.pivots)),
+        dense_fallbacks=int(fallback.sum()),
+    )
+    return coeffs, NodeArrays(p.residues, p.bounds, p.members, fallback, residual), report
 
 
 def sas_transform(
@@ -490,79 +659,30 @@ def sas_transform(
     recorded; a node that misses max(tolerance, 1e-9) is re-solved
     densely, at dense cost.
 
+    Plan once, execute per call.  Everything that depends on J alone is
+    prepared once and cached on the `SupportSet` instance itself: the
+    congruence tree, the policy's pivot choice, the plan and stride, the
+    butterfly slots, the node layout, the Vandermonde nodes, their Leja
+    orders and the Bjorck-Pereyra divisor factors.  A call then reads the
+    grid, runs the butterfly and solves the node right-hand sides against
+    the stored factors.  The cache is keyed by exactly what the plan reads:
+    the explicit r, or the policy plus the one `family_meta` entry it reads
+    ("pivots" for balanced, "base_pivots" for uoh and random_subset);
+    `tolerance` and `counter` act per call.  A request that raises stores
+    nothing.  Cached arrays are read-only, and `SasResult.nodes` shares
+    them.  The cache is never pickled and lives exactly as long as the
+    `SupportSet` instance; an equal but distinct instance prepares its own.
+    Every call, cold or warm, returns the same bytes and is charged the same
+    ops, in the same order, including the plan's `tree_build_bitops`;
+    `SasResult.plan_reused` tells the two apart.
+
     Node state stays in arrays (`SasResult.nodes`); `SasResult.node_systems`
     is built from them when first read.
     """
     counter = counter if counter is not None else OpCounter()
-    tree = build_tree(J, J.M)
-    plan = SasPlan._from_tree(
-        tree, _select_pivots(tree, policy, family_meta) if r is None else r, counter
-    )
-    rt = plan.pivots
-    mu = plan.mu_star
-    N = J.N
-    offsets = pattern_offsets(rt, J.M)
-    shifts = mod_product(np.arange(mu), plan.stride, N)
-    scale = N / len(offsets)
-
-    # row j: every decode-level node's value under shift j d, by ascending residue
-    butterfly = _build_plan(J, rt)
-    grid = _sample_grid(source, offsets, shifts, N)
-    slots = _butterfly_pass(butterfly, grid, counter)[:, butterfly.slot_real]
-    measured = slots[:, np.argsort(butterfly.slot_residues[butterfly.slot_real])]
-
-    touched = np.unique((offsets[None, :] - shifts[:, None]) % N).size
-
-    residues, bounds, members = tree.level_arrays(plan.decode_level)
-    weights = np.diff(bounds)
-    position = np.searchsorted(J.as_array(), members)  # index of each member in J
-    coeffs = np.empty(len(J), dtype=np.complex128)
-    fallback = np.zeros(len(weights), dtype=bool)
-    residual = np.zeros(len(weights))
-
-    single = np.flatnonzero(weights == 1)
-    if scale == 1.0:
-        coeffs[position[bounds[single]]] = measured[0, single]
-    elif single.size:
-        counter.mul(single.size, phase="read")
-        coeffs[position[bounds[single]]] = measured[0, single] * scale
-
-    multi = np.flatnonzero(weights > 1)
-    if multi.size:
-        sizes = weights[multi]
-        col = np.arange(int(sizes.max()))
-        own = col[None, :] < sizes[:, None]
-        at = (bounds[multi][:, None] + col)[own]  # members' positions, node by node
-        if scale != 1.0:
-            counter.mul(int(sizes.sum()), phase="solve")
-        y = np.where(own, (measured[:len(col), multi] * scale).T, 0)
-        x = np.zeros(own.shape, dtype=np.complex128)
-        exponents = mod_product(members[at], plan.stride, N).astype(np.float64)
-        x[own] = np.exp(-2j * np.pi * exponents / N)
-
-        c = _solve_batch(x, y, sizes, _leja_orders(x, sizes))
-        _charge_solve(counter, sizes, "solve")
-        groups = _size_groups(x, sizes)
-        residual[multi] = _residuals(groups, y, c)
-        redo = residual[multi] > max(tolerance, 1e-9)
-        for b in np.flatnonzero(redo).tolist():
-            # backward-stability failure: dense fallback, dense cost
-            m = int(sizes[b])
-            c[b, :m] = np.linalg.solve(np.vander(x[b, :m], m, increasing=True).T, y[b, :m])
-            counter.mul(m ** 3, phase="solve")
-            counter.add(m ** 3, phase="solve")
-        fallback[multi] = redo
-        coeffs[position[at]] = c[own]
-
-    report = CostReport.from_counter(
-        counter,
-        samples_touched=int(touched),
-        bound_alg1bnd=plan.predicted_cost,
-        bound_hidft=C1 * len(rt) * (1 << len(rt)),
-        dense_fallbacks=int(fallback.sum()),
-    )
-    nodes = NodeArrays(residues, bounds, members, fallback, residual)
-    return SasResult(J, coeffs, plan, report, nodes)
+    prepared, reused = _prepared(J, select_pivots(J, policy, family_meta) if r is None else r)
+    coeffs, nodes, report = _execute(prepared, source, J, counter, tolerance)
+    return SasResult(J, coeffs, prepared.plan, report, nodes, reused)
 
 
 def submatrix_method(
@@ -593,11 +713,11 @@ def submatrix_method(
     sizes = np.array([k])
     y = f * J.N
     x = np.exp(2j * np.pi * J.as_array() / J.N)[None]
-    perm = _leja_orders(x, sizes)
-    c = _solve_batch(x, y, sizes, perm)
+    factors = _bp_factors(x, sizes, _leja_orders(x, sizes))
+    c = _bp_apply(factors, y)
     _charge_solve(counter, sizes, "solve")
     groups = _size_groups(x, sizes)
-    if _error_estimates(x, y, c, sizes, perm, groups)[0] > tolerance / 20.0:
+    if _error_estimates(factors, groups, y, c)[0] > tolerance / 20.0:
         if isinstance(source, BandlimitedSignal):
             f_dd = _ddc.synthesize_dd(J.N, J.as_array(), source.coeffs, offsets)
         else:  # the float64 samples, taken as exact

@@ -2,7 +2,8 @@
 
 The scalar Leja order, Bjorck-Pereyra sweep and error estimate that the
 batched code replaced are kept here as oracles; on dense sources every
-batched layer must give their bytes.  The group-sum sample grids are
+batched layer must give their bytes, the solver also when one set of
+factors (`_bp_factors`) serves several right-hand sides (`_bp_apply`).  The group-sum sample grids are
 checked against the dense per-sample synthesis instead, so that the
 butterfly is never validated against its own algebra.
 """
@@ -30,10 +31,11 @@ from structfft.sampling import pattern_offsets
 from structfft.sas import (
     C1,
     C2,
+    _bp_apply,
+    _bp_factors,
     _error_estimates,
     _leja_orders,
     _size_groups,
-    _solve_batch,
     predicted_cost,
 )
 
@@ -146,12 +148,23 @@ class TestPaddedSolve:
     @pytest.mark.parametrize("sizes", MIXED)
     def test_solve_equals_scalar_sweep(self, sizes):
         x, y, sizes = padded_batch(sizes)
-        c = _solve_batch(x, y, sizes, _leja_orders(x, sizes))
-        for b, m in enumerate(sizes.tolist()):
-            want = scalar_solve(x[b, :m], y[b, :m])
-            assert c[b, :m].tobytes() == want.tobytes()
-            assert vandermonde_solve(x[b, :m], y[b, :m]).tobytes() == want.tobytes()
-            assert not c[b, m:].any()
+        y2 = np.where(y != 0, 1j * y[:, ::-1] - 0.5, 0)
+        factors = _bp_factors(x, sizes, _leja_orders(x, sizes))
+        for rhs in (y, y2):  # one set of factors, two right-hand sides
+            c = _bp_apply(factors, rhs)
+            for b, m in enumerate(sizes.tolist()):
+                want = scalar_solve(x[b, :m], rhs[b, :m])
+                assert c[b, :m].tobytes() == want.tobytes()
+                assert vandermonde_solve(x[b, :m], rhs[b, :m]).tobytes() == want.tobytes()
+                assert not c[b, m:].any()
+
+    def test_factors_are_read_only(self):
+        sizes = np.array([3, 5])
+        x = np.exp(-2j * np.pi * np.array([[1, 5, 9, 0, 0], [2, 3, 7, 11, 13]]) / 16)
+        factors = _bp_factors(x, sizes, _leja_orders(x, sizes))
+        for a in (factors.perm, factors.xr, factors.steps[0][1]):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1
 
     def test_without_leja_equals_plain_sweep(self):
         x, y, sizes = padded_batch([9])
@@ -161,9 +174,9 @@ class TestPaddedSolve:
     @pytest.mark.parametrize("sizes", MIXED[:2])
     def test_error_estimate_equals_scalar(self, sizes):
         x, y, sizes = padded_batch(sizes)
-        perm = _leja_orders(x, sizes)
-        c = _solve_batch(x, y, sizes, perm)
-        est = _error_estimates(x, y, c, sizes, perm, _size_groups(x, sizes))
+        factors = _bp_factors(x, sizes, _leja_orders(x, sizes))
+        c = _bp_apply(factors, y)
+        est = _error_estimates(factors, _size_groups(x, sizes), y, c)
         for b, m in enumerate(sizes.tolist()):
             assert est[b] == scalar_error_estimate(x[b, :m], y[b, :m], c[b, :m])
 
@@ -183,14 +196,14 @@ class TestPaddedSolve:
         x, y, sizes = padded_batch([4, 6, 2])
         x[1, 5] = x[1, 2]
         with pytest.raises(InvalidInputError):
-            _solve_batch(x, y, sizes, _leja_orders(x, sizes))
+            _bp_factors(x, sizes, _leja_orders(x, sizes))
         with pytest.raises(InvalidInputError):
             vandermonde_solve(x[1, :6], y[1, :6])
 
     def test_padding_is_not_a_duplicate(self):
         x, y, sizes = padded_batch([2, 5])
         x[0, 0] = 0.0  # equals the padding value of row 0
-        _solve_batch(x, y, sizes, _leja_orders(x, sizes))
+        _bp_apply(_bp_factors(x, sizes, _leja_orders(x, sizes)), y)
 
 
 # the batched butterfly ------------------------------------------------------------
