@@ -78,7 +78,6 @@ from .sampling import (
     pivoted_pattern,
 )
 from .sas import (
-    NodeSystem,
     SasPlan,
     SasResult,
     sas_transform,

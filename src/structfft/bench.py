@@ -28,7 +28,7 @@ from .families import (
     gen_jstar,
     rng_from_seed,
 )
-from .sas import C1, C2, sas_transform, select_pivots
+from .sas import C1, C2, sas_transform
 
 # threshold constant for the aliasing-tail statistic
 C_MU_STAR = 4.0 + 3.0 * math.log(2.0)
@@ -193,7 +193,10 @@ def run_trial(kind: str, params: dict, base_seed: int, scenario_idx: int,
         meta = {"policy": "auto"}
         family_label = f"fixture:{name}"
     else:
-        spec = _family_spec_for_trial(kind, params, rng, trial_seed)
+        try:
+            spec = _family_spec_for_trial(kind, params, rng, trial_seed)
+        except KeyError as e:
+            raise InvalidInputError(f"{kind} scenario params missing key {e}") from None
         inst = spec.build()
         J = inst.support
         meta = inst.meta
@@ -201,9 +204,8 @@ def run_trial(kind: str, params: dict, base_seed: int, scenario_idx: int,
     coeffs = draw_coefficients(len(J), rng, nonzero=True)
     sig = BandlimitedSignal(J, coeffs)
     policy = params.get("policy", meta.get("policy", "auto"))
-    r = select_pivots(J, policy, meta)
     counter = OpCounter()
-    out = sas_transform(sig, J, r=r, counter=counter, tolerance=tolerance)
+    out = sas_transform(sig, J, policy=policy, family_meta=meta, counter=counter, tolerance=tolerance)
     err = rel_error(out.coeffs, coeffs)
     return TrialRecord(
         trial=trial,
@@ -255,8 +257,11 @@ def _pool_worker(args):
 
 def run_scenario(scenario: dict, base_seed: int, scenario_idx: int,
                  tolerance: float, threads: int = 1) -> tuple[list[TrialRecord], dict]:
-    kind = scenario["kind"]
-    trials = int(scenario["trials"])
+    try:
+        kind = scenario["kind"]
+        trials = int(scenario["trials"])
+    except (KeyError, TypeError, ValueError):
+        raise InvalidInputError(f"scenario {scenario_idx} needs a 'kind' and an integer 'trials'") from None
     params = dict(scenario.get("params", {}))
     sid = scenario.get("id", f"{kind}-{scenario_idx}")
     if kind == "antipodal":
@@ -325,7 +330,10 @@ def run_bench(config: dict, threads: int | None = None) -> tuple[list[TrialRecor
     base_seed = int(config.get("seed", 0))
     tolerance = float(config.get("tolerance", 1e-8))
     if threads is None:
-        threads = int(os.environ.get("THREADS", "1"))
+        try:
+            threads = int(os.environ.get("THREADS", "1"))
+        except ValueError:
+            raise InvalidInputError(f"THREADS must be an integer, not {os.environ['THREADS']!r}") from None
     all_records: list[TrialRecord] = []
     summaries = []
     for idx, sc in enumerate(config["scenarios"]):

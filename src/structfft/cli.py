@@ -33,7 +33,7 @@ from .errors import (
 )
 from .families import FamilySpec, doubling, draw_coefficients, rng_from_seed
 from .hidft import hidft, hidft_to_dft
-from .sas import sas_transform, select_pivots, submatrix_method
+from .sas import sas_transform, submatrix_method
 
 ORACLE_SIZE_CAP = 1 << 12
 FFT_SIZE_CAP = 1 << 22
@@ -225,11 +225,8 @@ def cmd_transform(args) -> int:
         if args.base_pivots:
             meta["base_pivots"] = _parse_pivots(args.base_pivots)
             meta["pivots"] = meta["base_pivots"]
-        r = explicit_r
-        if r is None and args.policy != "auto":
-            r = select_pivots(J, args.policy, meta)
         out = sas_transform(
-            sig, J, r=r, policy=args.policy, family_meta=meta,
+            sig, J, r=explicit_r, policy=args.policy, family_meta=meta,
             counter=counter, tolerance=args.tolerance,
         )
         coeffs = out.coeffs

@@ -305,6 +305,16 @@ class FamilySpec:
             raise InvalidInputError(f"family spec missing key {e}") from None
 
     def build(self) -> FamilyInstance:
+        """The family draw; InvalidInputError if params is not a dict or
+        lacks a key the kind reads."""
+        if not isinstance(self.params, dict):
+            raise InvalidInputError(f"{self.kind} params must be a JSON object")
+        try:
+            return self._build()
+        except KeyError as e:
+            raise InvalidInputError(f"{self.kind} params missing key {e}") from None
+
+    def _build(self) -> FamilyInstance:
         p = dict(self.params)
         kind = self.kind
         if kind == "elementary":

@@ -8,6 +8,10 @@ radix-2.  Counted cost is exactly 1.5 * A * log2(A) with A = |I|; the
 butterfly always processes the full 2^(s-n) slot lattice, padding branches
 that are empty in the tree, so the count never depends on the tree shape.
 
+The slot plan is read off the output nodes alone: the ascending node
+residues of `CongruenceTree.level_arrays` give each node its slot (its
+residue's bits at the used pivots) and every stage its twiddles.
+
 A shift argument a computes the transform of the shifted signal tau^a f,
 i.e. the samples are read at locations I - a (mod N).  `_sample_grid` and
 `_butterfly_pass` serve any number of shifts at once, one row per shift;
@@ -56,15 +60,15 @@ def _fetch(source, locations: np.ndarray, N: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ButterflyPlan:
-    """Precomputed slot structure for one (J, used-pivots) combination.
+    """Precomputed slot structure for the nodes at level used[-1] + 1, built
+    from their residues alone (`_build_plan`).
 
     Its arrays are read-only: `sas_transform` caches the plan on J."""
 
     used: tuple[int, ...]           # pivots merged by the butterfly, ascending
     level: int                      # output nodes live at this tree level
-    element_slots: np.ndarray       # slot index of each support element
-    slot_residues: np.ndarray       # output residue per slot (virtual slots padded)
-    slot_real: np.ndarray           # which slots correspond to actual tree nodes
+    slot_residues: np.ndarray       # node residue per slot; virtual slots inherit one
+    slot_real: np.ndarray           # which slots hold a node
     twiddles: tuple[np.ndarray, ...]  # stage k merges used[k]; array of size 2^k
 
     @property
@@ -72,35 +76,37 @@ class ButterflyPlan:
         return 1 << len(self.used)
 
 
-def _build_plan(J: SupportSet, used: tuple[int, ...]) -> ButterflyPlan:
-    arr = J.as_array()
+def _build_plan(residues: np.ndarray, used: tuple[int, ...]) -> tuple[ButterflyPlan, np.ndarray]:
+    """The butterfly plan for the nodes at level used[-1] + 1 (ascending
+    `residues`, from `CongruenceTree.level_arrays`), and each node's slot.
+
+    A node's slot is its residue's bits at the used pivots.  Stage k reads
+    each k-bit slot prefix's residue mod 2^used[k] only, and the nodes under
+    one prefix agree there: their lowest differing bit is a pivot, hence a
+    used one at or above used[k] (part-homogeneity).  So any of their
+    residues serves, and the last stage's slots are distinct.  A prefix with
+    no node (a virtual slot) inherits its parent's shared residue with the
+    branch bit patched in.
+    """
     s = len(used)
-    M = J.M
-    pats = np.zeros(len(arr), dtype=np.int64)
+    slots = np.zeros(len(residues), dtype=np.int64)
     for i, rk in enumerate(used):
-        pats |= ((arr >> rk) & 1) << i
-    # least member per slot prefix, stage by stage; virtual slots inherit the
-    # parent's shared residue with the branch bit patched in
-    reps = np.asarray([int(arr.min())], dtype=np.int64)
+        slots |= ((residues >> rk) & 1) << i
+    reps = residues[:1]
     twiddles: list[np.ndarray] = []
-    big = np.int64(np.iinfo(np.int64).max)
     for k, rk in enumerate(used, start=1):
         shared = reps % (1 << rk)
         twiddles.append(np.exp(-2j * np.pi * (shared + (1 << rk)) / float(1 << (rk + 1))))
-        minm = np.full(1 << k, big, dtype=np.int64)
-        prefix = pats & ((1 << k) - 1)
-        np.minimum.at(minm, prefix, arr)
-        virtual = minm == big
         branch = (np.arange(1 << k) >> (k - 1)) & 1
-        inherited = shared[np.arange(1 << k) & ((1 << (k - 1)) - 1)] + (branch << rk)
-        reps = np.where(virtual, inherited, minm)
+        reps = shared[np.arange(1 << k) & ((1 << (k - 1)) - 1)] + (branch << rk)
+        reps[slots & ((1 << k) - 1)] = residues  # duplicate writes agree below used[k]
     level = used[-1] + 1 if s else 0
     slot_residues = reps % (1 << level)
     slot_real = np.zeros(1 << s, dtype=bool)
-    slot_real[pats] = True
-    for a in (pats, slot_residues, slot_real, *twiddles):
+    slot_real[slots] = True
+    for a in (slots, slot_residues, slot_real, *twiddles):
         a.flags.writeable = False
-    return ButterflyPlan(used, level, pats, slot_residues, slot_real, tuple(twiddles))
+    return ButterflyPlan(used, level, slot_residues, slot_real, tuple(twiddles)), slots
 
 
 @dataclass
@@ -187,16 +193,16 @@ def hidft(
     1.5 * A * log2(A) complex operations are counted, A = 2^(size(r)-height).
     """
     rt = validate_pivot_vector(r, J.M)
-    assert_part_homogeneous(J, rt)
+    tree = build_tree(J, rt[-1] + 1 if rt else 0)
+    check_part_homogeneous(tree.split_levels(), rt)
     if height < 0 or height > len(rt):
         raise InvalidInputError(f"height must be in [0, {len(rt)}]")
     used = rt[: len(rt) - height]
-    plan = _build_plan(J, used)
+    residues = tree.level_arrays(used[-1] + 1 if used else 0)[0]
+    plan, slots = _build_plan(residues, used)
     grid = _sample_grid(source, pattern_offsets(used, J.M), np.asarray([shift], dtype=np.int64), J.N)
     v = _butterfly_pass(plan, grid, counter)[0]
     A = plan.n_slots
-    node_res = plan.slot_residues[plan.slot_real]
-    order = np.argsort(node_res)
     stages = len(used)
     return HiDftResult(
         support=J,
@@ -204,8 +210,8 @@ def hidft(
         height=height,
         shift=shift,
         level=plan.level,
-        node_residues=tuple(int(x) for x in node_res[order]),
-        node_values=v[plan.slot_real][order],
+        node_residues=tuple(residues.tolist()),
+        node_values=v[slots],
         slot_values=v,
         slot_residues=plan.slot_residues,
         slot_real=plan.slot_real,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -392,81 +391,43 @@ def _vander_stack(x: np.ndarray) -> np.ndarray:
     """np.vander(x_b, m, increasing=True).T for every row x_b of x, stacked."""
     B, m = x.shape
     V = np.empty((B, m, m), dtype=np.complex128)
-    V[:, :, 0] = 1
+    V[:, :, :1] = 1
     V[:, :, 1:] = x[:, :, None]
     np.multiply.accumulate(V[:, :, 1:], axis=2, out=V[:, :, 1:])
     return V.transpose(0, 2, 1)
 
 
-def _inverse_norms(V: np.ndarray) -> np.ndarray:
-    """Inf-norm of the inverse of each matrix of a stack; inf if singular."""
-    try:
-        return np.abs(np.linalg.inv(V)).sum(axis=2).max(axis=1)
-    except np.linalg.LinAlgError:
-        if len(V) == 1:
-            return np.array([math.inf])
-        return np.concatenate([_inverse_norms(V[b:b + 1]) for b in range(len(V))])
-
-
-def _size_groups(x: np.ndarray, sizes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(rows, Vandermonde stack of those rows) for each distinct size."""
-    out = []
-    for m in np.unique(sizes).tolist():
-        rows = np.flatnonzero(sizes == m)
-        out.append((rows, _vander_stack(x[rows, :m])))
-    return out
-
-
-def _forward_apply(groups, c: np.ndarray) -> np.ndarray:
-    """V_b @ c_b for every row, padding 0."""
-    out = np.zeros_like(c)
-    for rows, V in groups:
-        m = V.shape[1]
-        out[rows, :m] = (V @ c[rows, :m, None])[:, :, 0]
-    return out
-
-
 _MEASUREMENT_NOISE = 100 * np.finfo(np.float64).eps  # rounding already in y
 
 
-def _error_estimates(factors: _Factors, groups, y: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Uncounted forward-error estimate of every decoded system.
+def _error_estimate(factors: _Factors, V: np.ndarray, y: np.ndarray, c: np.ndarray) -> float:
+    """Uncounted forward-error estimate of one decoded system (a batch of
+    one: V is its (1, m, m) Vandermonde stack, y and c its (1, m) rows).
 
     Two effects matter: the solver's own error (probed by re-solving on the
     residual, in the same Leja order) and the system's amplification of the
     rounding noise carried by the measured right-hand side, gauged by the
-    exact inf-norm of the inverse (cheap at these sizes, taken on stacks of
-    one size, and diagnostics are not counted).  Size-1 systems are exact.
+    exact inf-norm of the inverse (inf if singular; diagnostics are not
+    counted).  A size-1 system is exact.
     """
-    sizes = factors.sizes
-    amp = np.empty(len(sizes))
-    for rows, V in groups:
-        amp[rows] = _inverse_norms(V)
-    d = _bp_apply(factors, _forward_apply(groups, c) - y)
-    denom = np.maximum(np.abs(c).max(axis=1), 1e-300)
-    est = np.abs(d).max(axis=1) / denom
-    with np.errstate(invalid="ignore"):  # inf * 0 where y is 0; amp = inf wins below
-        noise = amp * _MEASUREMENT_NOISE * np.abs(y).max(axis=1) / denom
-    est = np.where(np.isinf(amp), math.inf, np.maximum(est, noise))
-    return np.where(sizes == 1, 0.0, est)
+    if V.shape[1] == 1:
+        return 0.0
+    try:
+        amp = float(np.abs(np.linalg.inv(V[0])).sum(axis=1).max())
+    except np.linalg.LinAlgError:
+        amp = math.inf
+    if math.isinf(amp):
+        return math.inf
+    d = _bp_apply(factors, (V @ c[:, :, None])[:, :, 0] - y)
+    denom = max(float(np.abs(c).max()), 1e-300)
+    est = float(np.abs(d).max()) / denom
+    return float(np.maximum(est, amp * _MEASUREMENT_NOISE * float(np.abs(y).max()) / denom))
 
 
-def _residuals(groups, y: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _residuals(V: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
     """||V_b c_b - y_b|| / ||y_b|| for every row."""
     norm_y = np.maximum(np.linalg.norm(y, axis=1), 1e-300)
-    return np.linalg.norm(_forward_apply(groups, c) - y, axis=1) / norm_y
-
-
-@dataclass
-class NodeSystem:
-    residue: int
-    members: tuple[int, ...]
-    dense_fallback: bool = False
-    residual: float = 0.0
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
+    return np.linalg.norm((V @ c[:, :, None])[:, :, 0] - y, axis=1) / norm_y
 
 
 @dataclass(frozen=True)
@@ -482,12 +443,6 @@ class NodeArrays:
     dense_fallback: np.ndarray
     residual: np.ndarray
 
-    def systems(self) -> list[NodeSystem]:
-        m, b = self.members.tolist(), self.bounds.tolist()
-        state = zip(self.residues.tolist(), self.dense_fallback.tolist(), self.residual.tolist())
-        return [NodeSystem(res, tuple(m[b[i]:b[i + 1]]), fb, r)
-                for i, (res, fb, r) in enumerate(state)]
-
 
 @dataclass
 class SasResult:
@@ -502,11 +457,6 @@ class SasResult:
     report: CostReport
     nodes: NodeArrays
     plan_reused: bool = False
-
-    @cached_property
-    def node_systems(self) -> list[NodeSystem]:
-        """One NodeSystem per decode-level node, built on first read."""
-        return self.nodes.systems()
 
     def coeff_map(self) -> dict[int, complex]:
         return {int(j): complex(c) for j, c in zip(self.support.indices, self.coeffs)}
@@ -537,7 +487,7 @@ class _Prepared:
     multi_at: np.ndarray    # positions in J of own's entries, row by row
     x: np.ndarray           # Vandermonde nodes e^{-2 pi i d l / N}, padded
     factors: _Factors | None
-    groups: tuple           # _size_groups(x, sizes)
+    V: np.ndarray           # x[b, m]^j at [b, j, m]; 0 in rows j >= node b's weight
 
 
 def _prepared(J: SupportSet, r: Sequence[int]) -> tuple[_Prepared, bool]:
@@ -559,9 +509,7 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
     plan = SasPlan(rt, level, mu, node_weights, predicted_cost(len(rt), mu, node_weights), stride, score)
     offsets = pattern_offsets(rt, J.M)
     shifts = mod_product(np.arange(mu), stride, N)
-    butterfly = _build_plan(J, rt)
-    real = np.flatnonzero(butterfly.slot_real)
-    take = real[np.argsort(butterfly.slot_residues[real])]  # by ascending residue
+    butterfly, take = _build_plan(residues, rt)
     touched = np.unique((offsets[None, :] - shifts[:, None]) % N).size
 
     position = np.searchsorted(J.as_array(), members)  # index of each member in J
@@ -575,15 +523,15 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
     exponents = mod_product(members[at], stride, N).astype(np.float64)
     x[own] = np.exp(-2j * np.pi * exponents / N)
     factors = _bp_factors(x, sizes, _leja_orders(x, sizes)) if multi.size else None
-    groups = tuple(_size_groups(x, sizes))
+    V = np.ascontiguousarray(_vander_stack(x) * own[:, :, None])
 
     prepared = _Prepared(
         plan, len(J) * max(level, 1), offsets, shifts, N / len(offsets),
         butterfly, take, int(touched), residues, bounds, members,
-        single, position[bounds[single]], multi, own, position[at], x, factors, groups,
+        single, position[bounds[single]], multi, own, position[at], x, factors, V,
     )
     for a in (offsets, shifts, take, residues, bounds, members, single, multi, own, x,
-              prepared.single_at, prepared.multi_at, *(a for group in groups for a in group)):
+              prepared.single_at, prepared.multi_at, V):
         a.flags.writeable = False
     return prepared
 
@@ -615,7 +563,7 @@ def _execute(p: _Prepared, source, J: SupportSet, counter: OpCounter, tolerance:
         y = np.where(p.own, (measured[:p.own.shape[1], p.multi] * scale).T, 0)
         c = _bp_apply(p.factors, y)
         _charge_solve(counter, sizes, "solve")
-        residual[p.multi] = _residuals(p.groups, y, c)
+        residual[p.multi] = _residuals(p.V, y, c)
         redo = residual[p.multi] > max(tolerance, 1e-9)
         for b in np.flatnonzero(redo).tolist():
             # backward-stability failure: dense fallback, dense cost
@@ -675,9 +623,6 @@ def sas_transform(
     Every call, cold or warm, returns the same bytes and is charged the same
     ops, in the same order, including the plan's `tree_build_bitops`;
     `SasResult.plan_reused` tells the two apart.
-
-    Node state stays in arrays (`SasResult.nodes`); `SasResult.node_systems`
-    is built from them when first read.
     """
     counter = counter if counter is not None else OpCounter()
     prepared, reused = _prepared(J, select_pivots(J, policy, family_meta) if r is None else r)
@@ -716,8 +661,8 @@ def submatrix_method(
     factors = _bp_factors(x, sizes, _leja_orders(x, sizes))
     c = _bp_apply(factors, y)
     _charge_solve(counter, sizes, "solve")
-    groups = _size_groups(x, sizes)
-    if _error_estimates(factors, groups, y, c)[0] > tolerance / 20.0:
+    V = _vander_stack(x)
+    if _error_estimate(factors, V, y, c) > tolerance / 20.0:
         if isinstance(source, BandlimitedSignal):
             f_dd = _ddc.synthesize_dd(J.N, J.as_array(), source.coeffs, offsets)
         else:  # the float64 samples, taken as exact
@@ -725,7 +670,7 @@ def submatrix_method(
         y_dd = _ddc.cdd_mul_complex(f_dd, complex(J.N))
         with np.errstate(invalid="ignore", over="ignore"):  # overflow is reported below
             c = _ddc.solve_vandermonde_dd([(-J.as_array()) % J.N], J.N, y_dd)[None]
-            resid = float(_residuals(groups, y, c)[0])
+            resid = float(_residuals(V, y, c)[0])
         if not (np.all(np.isfinite(c)) and resid <= max(tolerance, 1e-9)):
             raise ContractViolationError(
                 f"submatrix system out of reach for double-double (k={k}): "

@@ -18,6 +18,7 @@ from structfft import (
     InvalidInputError,
     OpCounter,
     SupportSet,
+    build_tree,
     cli,
     hidft,
     sas_transform,
@@ -33,9 +34,9 @@ from structfft.sas import (
     C2,
     _bp_apply,
     _bp_factors,
-    _error_estimates,
+    _error_estimate,
     _leja_orders,
-    _size_groups,
+    _vander_stack,
     predicted_cost,
 )
 
@@ -176,9 +177,12 @@ class TestPaddedSolve:
         x, y, sizes = padded_batch(sizes)
         factors = _bp_factors(x, sizes, _leja_orders(x, sizes))
         c = _bp_apply(factors, y)
-        est = _error_estimates(factors, _size_groups(x, sizes), y, c)
         for b, m in enumerate(sizes.tolist()):
-            assert est[b] == scalar_error_estimate(x[b, :m], y[b, :m], c[b, :m])
+            xb, yb = x[b:b + 1, :m], y[b:b + 1, :m]
+            one = _bp_factors(xb, sizes[b:b + 1], _leja_orders(xb, sizes[b:b + 1]))
+            assert c[b, :m].tobytes() == _bp_apply(one, yb)[0].tobytes()
+            est = _error_estimate(one, _vander_stack(xb), yb, c[b:b + 1, :m])
+            assert est == scalar_error_estimate(x[b, :m], y[b, :m], c[b, :m])
 
     def test_counts_equal_per_system_charges(self):
         sizes = [1, 2, 3, 25, 7]
@@ -229,11 +233,10 @@ class TestButterflyBatch:
             x, _ = dense_source(J)
             r = select_pivots(J, "auto")
             shifts = np.concatenate([np.arange(5), rng.integers(-J.N, 2 * J.N, size=4)])
-            plan = _build_plan(J, r)
+            plan, slots = _build_plan(build_tree(J, J.M).level_arrays(r[-1] + 1 if r else 0)[0], r)
             ctr = OpCounter()
             v = _butterfly_pass(plan, _sample_grid(x, pattern_offsets(r, J.M), shifts, J.N), ctr)
-            node_res = plan.slot_residues[plan.slot_real]
-            nodes = v[:, plan.slot_real][:, np.argsort(node_res)]
+            nodes = v[:, slots]
             ref = OpCounter()
             for b, j in enumerate(shifts.tolist()):
                 one = hidft(x, J, r, shift=j, counter=ref)
@@ -255,13 +258,14 @@ class TestButterflyBatch:
         assert out.coeffs.tobytes() == sas_transform(x, J).coeffs.tobytes()
 
 
-# lazy node systems against an eager node-by-node decode ----------------------------
+# node arrays against an eager node-by-node decode -----------------------------------
 
 
 def eager_decode(source, J, out, tolerance=1e-8):
-    """The node-by-node decode: one NodeSystem tuple per node and the
-    coefficients of the nodes without a dense fallback, from single-shift
-    `hidft` calls at the planned shifts j * stride."""
+    """The node-by-node decode: one (residue, members, dense_fallback,
+    residual) tuple per node and the coefficients of the nodes without a
+    dense fallback, from single-shift `hidft` calls at the planned shifts
+    j * stride."""
     plan = out.plan
     N, d = J.N, plan.stride
     scale = N / (1 << len(plan.pivots))
@@ -298,6 +302,8 @@ SAS_CASES = [
 
 
 class TestLazyNodeSystems:
+    """`SasResult.nodes`, read node by node, against the eager decode."""
+
     @pytest.mark.parametrize("case", range(len(SAS_CASES) + 6))
     def test_equal_eager_list(self, case):
         if case < len(SAS_CASES):
@@ -309,11 +315,13 @@ class TestLazyNodeSystems:
         x, _ = dense_source(J)
         out = sas_transform(x, J, r=r)
         nodes, coeffs = eager_decode(x, J, out)
-        got = out.node_systems
-        assert got is out.node_systems  # built once
-        assert [(v.residue, v.members, v.dense_fallback) for v in got] == [n[:3] for n in nodes]
-        assert all(abs(v.residual - n[3]) <= 1e-15 for v, n in zip(got, nodes))
-        assert all(isinstance(v.residue, int) and isinstance(v.dense_fallback, bool) for v in got)
+        v = out.nodes
+        m, b = v.members.tolist(), v.bounds.tolist()
+        got = [(res, tuple(m[b[i]:b[i + 1]]), fb)
+               for i, (res, fb) in enumerate(zip(v.residues.tolist(), v.dense_fallback.tolist()))]
+        assert got == [n[:3] for n in nodes]
+        assert all(abs(r - n[3]) <= 1e-15 for r, n in zip(v.residual.tolist(), nodes))
+        assert v.dense_fallback.dtype == bool
         have = out.coeff_map()
         for l, c in coeffs.items():
             assert np.complex128(have[l]).tobytes() == np.complex128(c).tobytes()

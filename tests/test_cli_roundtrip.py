@@ -1,0 +1,123 @@
+"""`structfft gen` then `structfft transform`, for every --algo, against the
+planted spectrum; the size caps (exit 4) and malformed input (exit 2)."""
+
+import json
+
+import numpy as np
+import pytest
+
+from structfft import cli
+
+UOE = '{"a_n": 5, "etas": [0, 0, 0, 1, 1, 1], "M": 10}'
+HOMOG = '{"pivots": [0, 2, 3, 6, 8], "M": 10}'
+
+
+def gen(tmp_path, capsys, kind, params, seed=3):
+    support, signal = tmp_path / "support.json", tmp_path / "signal.json"
+    code = cli.main(["gen", "--kind", kind, "--params", params, "--seed", str(seed),
+                     "--out", str(support), "--signal", str(signal), "--nonzero"])
+    capsys.readouterr()
+    assert code == 0
+    obj = json.loads(signal.read_text())
+    planted = np.asarray([complex(re, im) for re, im in obj["coeffs"]])
+    return signal, obj["N"], np.asarray(obj["support"]), planted
+
+
+def transform(capsys, signal, *flags):
+    code = cli.main(["transform", "--signal", str(signal), *flags])
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    return json.loads(out.out)
+
+
+def recovered(payload):
+    return np.asarray([complex(re, im) for re, im in payload["spectrum"]["coeffs"]])
+
+
+@pytest.mark.parametrize("algo, kind, params", [
+    ("oracle", "uoe", UOE),
+    ("fft", "uoe", UOE),
+    ("submatrix", "uoe", UOE),
+    ("sas", "uoe", UOE),
+    ("hidft", "homogeneous", HOMOG),
+])
+def test_transform_recovers_planted_spectrum(tmp_path, capsys, algo, kind, params):
+    signal, _, support, planted = gen(tmp_path, capsys, kind, params)
+    payload = transform(capsys, signal, "--algo", algo)
+    assert payload["algo"] == algo
+    assert payload["spectrum"]["support"] == support.tolist()
+    got = recovered(payload)
+    assert np.max(np.abs(got - planted)) <= 1e-8 * np.max(np.abs(planted))
+
+
+@pytest.mark.parametrize("height", [0, 1, 3, 5])
+def test_hidft_height_node_values(tmp_path, capsys, height):
+    # (N / |I|) * node value = the sum of the planted coefficients on the node
+    signal, N, support, planted = gen(tmp_path, capsys, "homogeneous", HOMOG)
+    payload = transform(capsys, signal, "--algo", "hidft", "--height", str(height))
+    pivots = json.loads(HOMOG)["pivots"]
+    used = pivots[:len(pivots) - height]
+    level = used[-1] + 1 if used else 0
+    assert (payload["level"], payload["height"]) == (level, height)
+    want = {}
+    for l, c in zip(support.tolist(), planted):
+        want[l % (1 << level)] = want.get(l % (1 << level), 0) + c
+    nodes = payload["nodes"]
+    assert sorted(int(r) for r in nodes) == sorted(want)
+    scale = N / (1 << len(used))
+    for r, (re, im) in nodes.items():
+        assert abs(scale * complex(re, im) - want[int(r)]) <= 1e-8 * np.max(np.abs(planted))
+
+
+@pytest.mark.parametrize("algo, M", [("oracle", 13), ("fft", 23)])
+def test_size_caps_exit_4(tmp_path, capsys, algo, M):
+    # the caps are checked before any sample is synthesized
+    path = tmp_path / "signal.json"
+    path.write_text(json.dumps({"N": 1 << M, "support": [1, 5, 9],
+                                "coeffs": [[1, 0], [0, 1], [2, -1]]}))
+    assert cli.main(["transform", "--signal", str(path), "--algo", algo]) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and "capped at N" in out.err
+
+
+# malformed input exits 2 -----------------------------------------------------------
+
+
+def bench_exit(tmp_path, capsys, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code = cli.main(["bench", str(path)])
+    out = capsys.readouterr()
+    assert out.out == ""
+    return code, out.err
+
+
+def test_bench_scenario_without_kind_exits_2(tmp_path, capsys):
+    code, err = bench_exit(tmp_path, capsys, {"scenarios": [{"trials": 2}]})
+    assert code == 2 and "'kind'" in err
+
+
+def test_bench_non_integer_trials_exits_2(tmp_path, capsys):
+    code, err = bench_exit(tmp_path, capsys, {"scenarios": [{"kind": "elementary", "trials": "x"}]})
+    assert code == 2 and "'trials'" in err
+
+
+def test_bench_params_without_M_exits_2(tmp_path, capsys):
+    code, err = bench_exit(tmp_path, capsys, {"scenarios": [{"kind": "elementary", "trials": 2}]})
+    assert code == 2 and "'M'" in err
+
+
+def test_bench_bad_threads_env_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("THREADS", "abc")
+    code, err = bench_exit(tmp_path, capsys, {"scenarios": [
+        {"kind": "elementary", "trials": 2, "params": {"M": 6}}]})
+    assert code == 2 and "THREADS" in err
+
+
+@pytest.mark.parametrize("params, needle", [("{}", "'r'"), ("[1]", "JSON object")])
+def test_gen_bad_params_exits_2(tmp_path, capsys, params, needle):
+    code = cli.main(["gen", "--kind", "elementary", "--params", params,
+                     "--out", str(tmp_path / "support.json")])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == "" and needle in out.err
+    assert not (tmp_path / "support.json").exists()

@@ -23,6 +23,7 @@ from structfft import (
     spectrality_check,
     submatrix_unitarity,
 )
+from structfft.hidft import _build_plan
 
 rng = np.random.default_rng(99)
 
@@ -215,6 +216,63 @@ class TestExactOpCount:
         b = hidft(sig, J, pivots(J))
         assert np.array_equal(a.node_values, b.node_values)
         assert a.node_residues == b.node_residues
+
+
+def raw_bit_plan(J, used):
+    """The slot plan read off J's own bits: each element's slot is its bit
+    pattern at the used pivots, a slot prefix's residue is the least element
+    under it, stage by stage, and a prefix with no element inherits its
+    parent's shared residue with the branch bit patched in."""
+    arr = J.as_array()
+    pats = np.zeros(len(arr), dtype=np.int64)
+    for i, rk in enumerate(used):
+        pats |= ((arr >> rk) & 1) << i
+    reps = np.asarray([int(arr.min())], dtype=np.int64)
+    twiddles = []
+    big = np.iinfo(np.int64).max
+    for k, rk in enumerate(used, start=1):
+        shared = reps % (1 << rk)
+        twiddles.append(np.exp(-2j * np.pi * (shared + (1 << rk)) / float(1 << (rk + 1))))
+        least = np.full(1 << k, big, dtype=np.int64)
+        np.minimum.at(least, pats & ((1 << k) - 1), arr)
+        branch = (np.arange(1 << k) >> (k - 1)) & 1
+        inherited = shared[np.arange(1 << k) & ((1 << (k - 1)) - 1)] + (branch << rk)
+        reps = np.where(least == big, inherited, least)
+    level = used[-1] + 1 if used else 0
+    real = np.zeros(1 << len(used), dtype=bool)
+    real[pats] = True
+    return reps % (1 << level), real, twiddles
+
+
+class TestSlotPlanOracle:
+    def test_node_residues_give_the_raw_bit_plan(self):
+        virtual = 0
+        for t in range(150):
+            if t % 2:
+                J = random_homogeneous(M_hi=12, s_hi=7)
+                keep = rng.random(len(J)) < 0.7  # thinned: empty branches
+                keep[0] = True
+                J = SupportSet.make(J.N, np.asarray(J.indices)[keep].tolist())
+            else:
+                M = int(rng.integers(1, 13))
+                k = int(rng.integers(1, min(1 << M, 80) + 1))
+                J = SupportSet.make(1 << M, rng.choice(1 << M, size=k, replace=False).tolist())
+            p = pivots(J)
+            r = p[:int(rng.integers(0, len(p) + 1))]  # J is r-part-homogeneous
+            tree = build_tree(J, J.M)
+            for n in range(len(r) + 1):
+                used = r[:len(r) - n]
+                residues = tree.level_arrays(used[-1] + 1 if used else 0)[0]
+                plan, slots = _build_plan(residues, used)
+                want_res, want_real, want_tw = raw_bit_plan(J, used)
+                assert plan.slot_residues.tobytes() == want_res.tobytes()
+                assert plan.slot_real.tobytes() == want_real.tobytes()
+                assert len(plan.twiddles) == len(want_tw)
+                for got, want in zip(plan.twiddles, want_tw):
+                    assert got.tobytes() == want.tobytes()
+                assert plan.slot_residues[slots].tolist() == residues.tolist()
+                virtual += int((~want_real).sum())
+        assert virtual > 0
 
 
 class TestBlockFactorization:

@@ -169,7 +169,7 @@ def test_cached_and_returned_arrays_are_read_only():
     returned = [out.nodes.residues, out.nodes.bounds, out.nodes.members, J.as_array()]
     [prepared] = [v for k, v in J._memo.items() if k[0] == "plan"]
     cached = [v for v in vars(prepared).values() if isinstance(v, np.ndarray)]
-    assert len(cached) == 12
+    assert len(cached) == 13
     cached += [*prepared.butterfly.twiddles, prepared.factors.xr, *prepared.factors.steps[0]]
     for a in returned + cached:
         assert not a.flags.writeable

@@ -124,7 +124,7 @@ class TestSasTransform:
         out = sas_transform(sig, J)
         assert rel_error(out.coeffs, c) < 1e-8
         assert out.plan.pivots == (0, 1) and out.plan.mu_star == 2
-        sizes = sorted(s.size for s in out.node_systems)
+        sizes = sorted(np.diff(out.nodes.bounds).tolist())
         assert sizes == [1, 1, 1, 2]  # 1,6,7 isolated; {0,512} solved 2x2
         assert out.report.total <= out.report.bound_alg1bnd
         assert out.report.samples_touched == 2 * 4
@@ -169,11 +169,13 @@ class TestSasTransform:
         scale = (1 << len(r)) / J.N
         for j in range(out.plan.mu_star):
             res = hidft(sig, J, r, height=0, shift=j)
-            for node in out.node_systems:
+            nodes = out.nodes
+            for i, residue in enumerate(nodes.residues.tolist()):
+                members = nodes.members[nodes.bounds[i]:nodes.bounds[i + 1]].tolist()
                 want = scale * sum(
-                    coeffs[l] * np.exp(-2j * np.pi * j * l / J.N) for l in node.members
+                    coeffs[l] * np.exp(-2j * np.pi * j * l / J.N) for l in members
                 )
-                got = res.values[node.residue]
+                got = res.values[residue]
                 assert abs(got - want) <= 1e-8 * max(abs(got), 1e-9)
 
     def test_sample_complexity(self):
