@@ -41,21 +41,26 @@ from .sampling import pattern_offsets, pivoted_pattern
 
 
 def _fetch(source, locations: np.ndarray, N: int) -> np.ndarray:
-    """Read signal samples at mod-N locations from any supported source."""
-    loc = np.asarray(locations, dtype=np.int64) % N
+    """Read signal samples at int64 locations in [0, N) from any supported
+    source.  A callback gets `locations` itself, which may be read-only.
+
+    A dense vector is indexed as given and only the samples read are
+    converted to complex128: a float64 or complex64 vector is never copied
+    whole, and the exact conversion gives the bytes of its complex128 copy.
+    """
     if isinstance(source, BandlimitedSignal):
         if source.N != N:
             raise InvalidInputError("signal modulus does not match support")
-        return source.sample_block(loc)
+        return source.sample_block(locations)
     if callable(source):
-        vals = np.asarray(source(loc), dtype=np.complex128)
-        if vals.shape != loc.shape:
+        vals = np.asarray(source(locations), dtype=np.complex128)
+        if vals.shape != locations.shape:
             raise InvalidInputError("sample callback returned wrong shape")
         return vals
-    arr = np.asarray(source, dtype=np.complex128)
+    arr = np.asarray(source)
     if arr.ndim != 1 or arr.size != N:
         raise InvalidInputError("dense signal must be a length-N vector")
-    return arr[loc]
+    return arr[locations].astype(np.complex128, copy=False)
 
 
 @dataclass(frozen=True)
@@ -146,8 +151,19 @@ class HiDftResult:
         )
 
 
+def _grid_locations(offsets: np.ndarray, shifts: np.ndarray, N: int) -> np.ndarray:
+    """The read locations (o - j) mod N of every shift j and offset o, row
+    by row, flat."""
+    return ((offsets[None, :] - np.asarray(shifts, dtype=np.int64)[:, None]) % N).reshape(-1)
+
+
 def _sample_grid(source, offsets: np.ndarray, shifts: np.ndarray, N: int) -> np.ndarray:
-    """Samples f(o - j) for every shift j (rows) and offset o (columns), in one read.
+    """Samples f(o - j) for every shift j (rows) and offset o (columns), in one read."""
+    return _read_grid(source, offsets, shifts, _grid_locations(offsets, shifts, N), N)
+
+
+def _read_grid(source, offsets: np.ndarray, shifts: np.ndarray, locations: np.ndarray, N: int) -> np.ndarray:
+    """`_sample_grid` from its `_grid_locations`, which a plan computes once.
 
     A `BandlimitedSignal` builds the grid from its group sums
     (`BandlimitedSignal.sample_grid`); a dense vector or a callback is read
@@ -157,25 +173,35 @@ def _sample_grid(source, offsets: np.ndarray, shifts: np.ndarray, N: int) -> np.
         if source.N != N:
             raise InvalidInputError("signal modulus does not match support")
         return source.sample_grid(offsets, shifts)
-    loc = offsets[None, :] - np.asarray(shifts, dtype=np.int64)[:, None]
-    return _fetch(source, loc.reshape(-1), N).reshape(loc.shape)
+    return _fetch(source, locations, N).reshape(len(shifts), len(offsets))
 
 
 def _butterfly_pass(plan: ButterflyPlan, v: np.ndarray, counter: OpCounter | None) -> np.ndarray:
     """The butterfly over every row of a sample grid at once: row b of the
     result holds the slot values of row b's samples.  Counts exactly what
-    one `hidft` call per row counts.
+    one `hidft` call per row counts, in one charge per kind.
+
+    Each stage writes into one of two buffers allocated per call, so the
+    grid v is only read and the result is always a fresh array.  The
+    twiddle product is taken on the stage input viewed as
+    (rows, A / 2^k, 2, 2^(k-1)), as the one-row pass takes it: numpy's
+    complex multiply can round differently on other layouts.
     """
     rows, A = v.shape
-    for k in range(1, len(plan.used) + 1):
+    stages = len(plan.used)
+    buffers = [np.empty((rows, A), dtype=np.complex128) for _ in range(min(stages, 2))]
+    for k in range(1, stages + 1):
         half = 1 << (k - 1)
-        v = v.reshape(rows, -1, 2, half)
-        t = plan.twiddles[k - 1] * v[:, :, 1, :]
-        v = np.stack([v[:, :, 0, :] - t, v[:, :, 0, :] + t], axis=2).reshape(rows, A)
-        if counter is not None:
-            counter.mul(rows * (A // 2), phase="hidft")
-            counter.add(rows * A, phase="hidft")
-    return v
+        a = v.reshape(rows, -1, 2, half)
+        t = plan.twiddles[k - 1] * a[:, :, 1, :]
+        v = buffers[k % len(buffers)]
+        b = v.reshape(rows, -1, 2, half)
+        np.subtract(a[:, :, 0, :], t, out=b[:, :, 0, :])
+        np.add(a[:, :, 0, :], t, out=b[:, :, 1, :])
+    if counter is not None and stages:
+        counter.mul(stages * rows * (A // 2), phase="hidft")
+        counter.add(stages * rows * A, phase="hidft")
+    return v if stages else v.copy()
 
 
 def hidft(
@@ -252,7 +278,7 @@ def hidft_oracle(
     level = used[-1] + 1 if used else 0
     pattern = pivoted_pattern(used, J.M)
     cols = pattern.as_array()
-    samples = _fetch(source, cols - shift, J.N)
+    samples = _fetch(source, (cols - shift) % J.N, J.N)
     residues = sorted({j % (1 << level) for j in J.indices})
     reps = np.asarray(residues, dtype=np.int64)
     vals = submatrix_apply(reps, cols, samples, J.N)

@@ -32,7 +32,7 @@ from .congruence import (
 from .core import _CHUNK, BandlimitedSignal, mod_product
 from .counting import CostReport, OpCounter
 from .errors import ContractViolationError, InvalidInputError
-from .hidft import ButterflyPlan, _build_plan, _butterfly_pass, _sample_grid
+from .hidft import ButterflyPlan, _build_plan, _butterfly_pass, _grid_locations, _read_grid, _sample_grid
 from .hidft import hidft  # unused here; perfbench/spans.py traces it
 from .sampling import pattern_offsets
 from .sampling import pivoted_pattern  # unused here; perfbench/spans.py traces it
@@ -265,10 +265,16 @@ class _Factors:
     """The right-hand-side-free half of a Bjorck-Pereyra sweep over a batch
     of padded systems (`_bp_factors`), read-only.
 
-    perm is each row's node order (`_leja_orders`) and xr, xi the nodes in
-    that order.  steps[t] serves backward step k = n - 2 - t: Smith's
-    quotient factors (big, rat, scl) of the divisors x_{j} - x_{j-k-1},
-    j > k (1 on padding), and the mask of the columns its step 3 updates.
+    perm is each row's node order (`_leja_orders`).  The arrays the sweep
+    reads are laid out column first, system last, so that every step reads
+    and writes contiguous blocks: xr (n, B) holds the real parts of the
+    nodes in perm order and xi (2, n, B) their imaginary parts and
+    negations.  steps[t] serves backward step k = n - 2 - t, one (n-k-1, B)
+    array each: the coefficients P and Q and the scale scl of Smith's
+    quotient by the divisors x_j - x_{j-k-1}, j > k (1 on padding), and the
+    mask of the columns its step 3 updates.  gather maps the flat (n, B)
+    solution to (B, n) in each row's own node order, and pad marks the
+    padding there.
     """
 
     perm: np.ndarray
@@ -276,6 +282,8 @@ class _Factors:
     xr: np.ndarray
     xi: np.ndarray
     steps: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+    gather: np.ndarray
+    pad: np.ndarray
 
 
 def _bp_factors(x: np.ndarray, sizes: np.ndarray, perm: np.ndarray) -> _Factors:
@@ -285,7 +293,9 @@ def _bp_factors(x: np.ndarray, sizes: np.ndarray, perm: np.ndarray) -> _Factors:
     Raises InvalidInputError on a row with two equal nodes.  The divisors
     are split as numpy's complex quotient splits them (Smith's method):
     big = |re| >= |im|, rat = the smaller part over the larger, scl =
-    1 / (larger + smaller * rat).
+    1 / (larger + smaller * rat).  Both of its branches then read
+    a / b = ((P a_re + Q a_im) scl, (P a_im - Q a_re) scl) with
+    P = where(big, 1, rat) and Q = where(big, rat, 1).
     """
     B, n = x.shape
     col = np.arange(n)
@@ -294,7 +304,7 @@ def _bp_factors(x: np.ndarray, sizes: np.ndarray, perm: np.ndarray) -> _Factors:
     if np.any((xs[:, 1:] == xs[:, :-1]) & own[:, 1:]):
         raise InvalidInputError("duplicate Vandermonde nodes")
     xp = np.take_along_axis(x, perm, axis=1)
-    xr, xi = xp.real.copy(), xp.imag.copy()
+    xr, xi = xp.real, xp.imag
     pad = ~own
     steps = []
     for k in range(n - 2, -1, -1):
@@ -305,9 +315,12 @@ def _bp_factors(x: np.ndarray, sizes: np.ndarray, perm: np.ndarray) -> _Factors:
         rat = num / den
         scl = 1.0 / (den + num * rat)
         mine = col[None, k:n - 1] < sizes[:, None] - 1  # a row's step 3 ends at its n - 2
-        steps.append((big, rat, scl, mine))
-    f = _Factors(perm, sizes, xr, xi, tuple(steps))
-    for a in (perm, sizes, xr, xi, *(a for step in steps for a in step)):
+        steps.append(tuple(np.ascontiguousarray(a.T) for a in (
+            np.where(big, 1.0, rat), np.where(big, rat, 1.0), scl, mine)))
+    gather = np.argsort(perm, axis=1) * B + np.arange(B)[:, None]
+    f = _Factors(perm, sizes, np.ascontiguousarray(xr.T), np.array((xi.T, -xi.T)),
+                 tuple(steps), gather, pad)
+    for a in (perm, sizes, f.xr, f.xi, gather, pad, *(a for step in steps for a in step)):
         a.flags.writeable = False
     return f
 
@@ -316,45 +329,59 @@ def _bp_apply(f: _Factors, y: np.ndarray) -> np.ndarray:
     """Solve every row of `_bp_factors` for right-hand side y; padding comes
     back as 0.
 
-    Each inner loop over j is one slice operation, masked where a row's
-    scalar loop would read its padding, as in `_ddc.solve_vandermonde_dd`.
-    The complex products and quotients are written out in real arithmetic
-    with the formulas of numpy's scalar operations; numpy's array complex
-    multiply rounds differently from its scalar one.
+    The real and imaginary parts of all right-hand sides are held in one
+    (2, n, B) array, and each inner loop over j of the scalar sweep is one
+    slice operation on it, masked where a row's scalar loop would read its
+    padding, as in `_ddc.solve_vandermonde_dd`.  The complex products and
+    quotients are written out in real arithmetic with the formulas of
+    numpy's scalar operations (numpy's array complex multiply rounds
+    differently from its scalar one): a forward product is
+    x_re b - (x_im, -x_im) (b_im, b_re), a quotient the P, Q form of
+    `_bp_factors`.  Both give the scalar formulas' bytes, because 1 * a = a
+    and a + (-b) = a - b exactly.
     """
     B, n = y.shape
     xr, xi = f.xr, f.xi
-    cr, ci = y.real.copy(), y.imag.copy()
+    c = np.array((y.real.T, y.imag.T))
     for k in range(0, n - 1):
-        ar, ai = xr[:, k:k + 1], xi[:, k:k + 1]
-        br, bi = cr[:, k:n - 1], ci[:, k:n - 1]
-        pr, pi = ar * br - ai * bi, ar * bi + ai * br
-        cr[:, k + 1:] -= pr
-        ci[:, k + 1:] -= pi
-    for k, (big, rat, scl, mine) in zip(range(n - 2, -1, -1), f.steps):
-        ar, ai = cr[:, k + 1:], ci[:, k + 1:]
-        cr[:, k + 1:], ci[:, k + 1:] = (np.where(big, ar + ai * rat, ar * rat + ai) * scl,
-                                        np.where(big, ai - ar * rat, ai * rat - ar) * scl)
-        cr[:, k:n - 1] = np.where(mine, cr[:, k:n - 1] - cr[:, k + 1:], cr[:, k:n - 1])
-        ci[:, k:n - 1] = np.where(mine, ci[:, k:n - 1] - ci[:, k + 1:], ci[:, k:n - 1])
-    c = np.empty((B, n), dtype=np.complex128)
-    c.real, c.imag = cr, ci
-    out = np.empty_like(c)
-    np.put_along_axis(out, f.perm, c, axis=1)
-    out[np.arange(n)[None, :] >= f.sizes[:, None]] = 0
+        b = c[:, k:n - 1]
+        t = xr[k] * b
+        t -= xi[:, k:k + 1] * b[::-1]
+        c[:, k + 1:] -= t
+    for k, (P, Q, scl, mine) in zip(range(n - 2, -1, -1), f.steps):
+        a = c[:, k + 1:]
+        t = P * a
+        u = Q * a[::-1]
+        np.negative(u[1], out=u[1])
+        t += u
+        np.multiply(t, scl, out=a)
+        np.subtract(c[:, k:n - 1], a, out=c[:, k:n - 1], where=mine)
+    out = np.empty((n, B), dtype=np.complex128)
+    out.real, out.imag = c
+    out = out.reshape(-1).take(f.gather)
+    out[f.pad] = 0
     return out
 
 
-def _charge_solve(counter: OpCounter, sizes: np.ndarray, phase: str, leja: bool = True) -> None:
-    """The counted cost of solving systems of these sizes (see vandermonde_solve)."""
+def _solve_ops(sizes: np.ndarray, leja: bool = True) -> tuple[int, int]:
+    """The counted (mults, adds) of solving systems of these sizes (see
+    vandermonde_solve)."""
     m = np.asarray(sizes, dtype=np.int64)
     half = m * (m - 1) // 2
-    counter.mul(int(np.sum(m * (m - 1))), phase=phase)  # phase-1 products + divides
-    counter.add(int(np.sum(3 * half)), phase=phase)     # phase-1/2 subtractions
+    mults = int(np.sum(m * (m - 1)))  # phase-1 products + divides
+    adds = int(np.sum(3 * half))      # phase-1/2 subtractions
     if leja:
         reordered = int(np.sum(half[m >= 3]))
-        counter.mul(reordered, phase=phase)
-        counter.add(reordered, phase=phase)
+        mults += reordered
+        adds += reordered
+    return mults, adds
+
+
+def _charge_solve(counter: OpCounter, sizes: np.ndarray, phase: str, leja: bool = True) -> None:
+    """Charge the counted cost of solving systems of these sizes."""
+    mults, adds = _solve_ops(sizes, leja)
+    counter.mul(mults, phase=phase)
+    counter.add(adds, phase=phase)
 
 
 def vandermonde_solve(
@@ -467,12 +494,16 @@ class _Prepared:
     """Everything `sas_transform` derives from J and the pivots alone,
     read-only; `_execute` does the rest.  Nodes are the decode-level nodes
     by ascending residue; "multi" are those of weight > 1, padded to mu*
-    columns.  Holds no reference to J, so J can cache it."""
+    columns.  Holds no reference to J, so J can cache it.  The counted ops
+    of a call depend on J alone too: solve_mults and solve_adds are the
+    "solve" phase's totals (the read scale of the multi nodes, the
+    Bjorck-Pereyra sweep and its Leja term) before any dense fallback."""
 
     plan: SasPlan
     bit_ops: int            # tree_build_bitops charged to every call
     offsets: np.ndarray     # the pivoted pattern I_r
     shifts: np.ndarray      # j d mod N for j < mu*
+    locations: np.ndarray   # (offsets - shifts) mod N, row by row, flat
     scale: float            # N / |I_r|
     butterfly: ButterflyPlan
     take: np.ndarray        # the nodes' butterfly slots
@@ -488,6 +519,8 @@ class _Prepared:
     x: np.ndarray           # Vandermonde nodes e^{-2 pi i d l / N}, padded
     factors: _Factors | None
     V: np.ndarray           # x[b, m]^j at [b, j, m]; 0 in rows j >= node b's weight
+    solve_mults: int
+    solve_adds: int
 
 
 def _prepared(J: SupportSet, r: Sequence[int]) -> tuple[_Prepared, bool]:
@@ -509,8 +542,9 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
     plan = SasPlan(rt, level, mu, node_weights, predicted_cost(len(rt), mu, node_weights), stride, score)
     offsets = pattern_offsets(rt, J.M)
     shifts = mod_product(np.arange(mu), stride, N)
+    locations = _grid_locations(offsets, shifts, N)
     butterfly, take = _build_plan(residues, rt)
-    touched = np.unique((offsets[None, :] - shifts[:, None]) % N).size
+    scale = N / len(offsets)
 
     position = np.searchsorted(J.as_array(), members)  # index of each member in J
     single = np.flatnonzero(weights == 1)
@@ -524,13 +558,17 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
     x[own] = np.exp(-2j * np.pi * exponents / N)
     factors = _bp_factors(x, sizes, _leja_orders(x, sizes)) if multi.size else None
     V = np.ascontiguousarray(_vander_stack(x) * own[:, :, None])
+    solve_mults, solve_adds = _solve_ops(sizes)
+    if scale != 1.0:
+        solve_mults += int(sizes.sum())
 
     prepared = _Prepared(
-        plan, len(J) * max(level, 1), offsets, shifts, N / len(offsets),
-        butterfly, take, int(touched), residues, bounds, members,
+        plan, len(J) * max(level, 1), offsets, shifts, locations, scale,
+        butterfly, take, int(np.unique(locations).size), residues, bounds, members,
         single, position[bounds[single]], multi, own, position[at], x, factors, V,
+        solve_mults, solve_adds,
     )
-    for a in (offsets, shifts, take, residues, bounds, members, single, multi, own, x,
+    for a in (offsets, shifts, locations, take, residues, bounds, members, single, multi, own, x,
               prepared.single_at, prepared.multi_at, V):
         a.flags.writeable = False
     return prepared
@@ -543,7 +581,7 @@ def _execute(p: _Prepared, source, J: SupportSet, counter: OpCounter, tolerance:
     scale = p.scale
 
     # row j: every decode-level node's value under shift j d, by ascending residue
-    grid = _sample_grid(source, p.offsets, p.shifts, J.N)
+    grid = _read_grid(source, p.offsets, p.shifts, p.locations, J.N)
     measured = _butterfly_pass(p.butterfly, grid, counter)[:, p.take]
 
     coeffs = np.empty(len(J), dtype=np.complex128)
@@ -557,17 +595,15 @@ def _execute(p: _Prepared, source, J: SupportSet, counter: OpCounter, tolerance:
         coeffs[p.single_at] = measured[0, p.single] * scale
 
     if p.multi.size:
-        sizes = p.factors.sizes
-        if scale != 1.0:
-            counter.mul(int(sizes.sum()), phase="solve")
         y = np.where(p.own, (measured[:p.own.shape[1], p.multi] * scale).T, 0)
         c = _bp_apply(p.factors, y)
-        _charge_solve(counter, sizes, "solve")
+        counter.mul(p.solve_mults, phase="solve")
+        counter.add(p.solve_adds, phase="solve")
         residual[p.multi] = _residuals(p.V, y, c)
         redo = residual[p.multi] > max(tolerance, 1e-9)
         for b in np.flatnonzero(redo).tolist():
             # backward-stability failure: dense fallback, dense cost
-            m = int(sizes[b])
+            m = int(p.factors.sizes[b])
             c[b, :m] = np.linalg.solve(np.vander(p.x[b, :m], m, increasing=True).T, y[b, :m])
             counter.mul(m ** 3, phase="solve")
             counter.add(m ** 3, phase="solve")
@@ -610,16 +646,20 @@ def sas_transform(
     Plan once, execute per call.  Everything that depends on J alone is
     prepared once and cached on the `SupportSet` instance itself: the
     congruence tree, the policy's pivot choice, the plan and stride, the
-    butterfly slots, the node layout, the Vandermonde nodes, their Leja
-    orders and the Bjorck-Pereyra divisor factors.  A call then reads the
-    grid, runs the butterfly and solves the node right-hand sides against
-    the stored factors.  The cache is keyed by exactly what the plan reads:
-    the explicit r, or the policy plus the one `family_meta` entry it reads
-    ("pivots" for balanced, "base_pivots" for uoh and random_subset);
-    `tolerance` and `counter` act per call.  A request that raises stores
-    nothing.  Cached arrays are read-only, and `SasResult.nodes` shares
-    them.  The cache is never pickled and lives exactly as long as the
-    `SupportSet` instance; an equal but distinct instance prepares its own.
+    sample locations, the butterfly slots, the node layout, the Vandermonde
+    nodes, their Leja orders, the Bjorck-Pereyra divisor factors and the
+    counted ops of the solve.  A call then reads the grid (a sample
+    callback receives the cached, read-only locations), runs the butterfly
+    and solves the node right-hand sides against the stored factors.  The
+    cache is keyed by exactly what the plan reads: the explicit r, or the
+    policy plus the one `family_meta` entry it reads ("pivots" for
+    balanced, "base_pivots" for uoh and random_subset); `tolerance` and
+    `counter` act per call.  A request that raises stores nothing.  Cached
+    arrays are read-only, and `SasResult.nodes` shares them.  The cache is
+    never pickled and lives exactly as long as the `SupportSet` instance;
+    an equal but distinct instance prepares its own.  No call writes into
+    its source: a dense vector, the array a callback returns or a
+    `BandlimitedSignal`'s coefficients.
     Every call, cold or warm, returns the same bytes and is charged the same
     ops, in the same order, including the plan's `tree_build_bitops`;
     `SasResult.plan_reused` tells the two apart.

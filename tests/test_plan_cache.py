@@ -169,8 +169,10 @@ def test_cached_and_returned_arrays_are_read_only():
     returned = [out.nodes.residues, out.nodes.bounds, out.nodes.members, J.as_array()]
     [prepared] = [v for k, v in J._memo.items() if k[0] == "plan"]
     cached = [v for v in vars(prepared).values() if isinstance(v, np.ndarray)]
-    assert len(cached) == 13
-    cached += [*prepared.butterfly.twiddles, prepared.factors.xr, *prepared.factors.steps[0]]
+    assert len(cached) == 14
+    f = prepared.factors
+    cached += [*prepared.butterfly.twiddles, f.perm, f.sizes, f.xr, f.xi, f.gather, f.pad]
+    cached += [a for step in f.steps for a in step]
     for a in returned + cached:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
