@@ -77,8 +77,16 @@ class SupportSet:
     def __iter__(self):
         return iter(self.indices)
 
-    def __contains__(self, j: int) -> bool:
-        return j in set(self.indices)
+    def __contains__(self, j) -> bool:
+        """Membership by binary search on `as_array()`: O(log k)."""
+        try:
+            if not 0 <= j < self.N:
+                return False
+        except TypeError:  # not a number
+            return False
+        arr = self._array
+        pos = int(np.searchsorted(arr, j))
+        return pos < len(arr) and bool(arr[pos] == j)
 
     def as_array(self) -> np.ndarray:
         """The indices as an int64 array, built once and read-only."""
@@ -94,8 +102,10 @@ class SupportSet:
     def _memo(self) -> dict:
         """What other modules derive from J alone, under their own keys
         (`sas_transform` keeps its tree, pivot choices and prepared plans
-        here).  It lives exactly as long as this instance; nothing in it
-        may refer back to the instance."""
+        here; `BandlimitedSignal.sample_grid` keeps its phase tables for
+        the last offsets and shifts it was asked for under "grid").  It
+        lives exactly as long as this instance; nothing in it may refer
+        back to the instance."""
         return {}
 
     def __reduce__(self):

@@ -144,7 +144,11 @@ class BandlimitedSignal:
     f(i) = (1/N) sum_{l in J} c_l e^{+2 pi i i l / N} in O(|J|), so signals
     with huge N never materialize.  `sample_block` is the dense per-sample
     sum, the oracle; `sample_grid` reads the shifted pivoted-pattern grids
-    of the transforms from group sums at a fraction of its cost.
+    of the transforms from group sums at a fraction of its cost.  The phase
+    tables those sums use depend on J alone, so `sample_grid` keeps the last
+    request's tables (up to _CHUNK entries each) in `support._memo`, where
+    every signal on the same `SupportSet` instance finds them; the signal
+    itself holds only its coefficients.
     """
 
     def __init__(self, support: SupportSet, coeffs: Sequence[complex]):
@@ -194,27 +198,57 @@ class BandlimitedSignal:
         l mod 2^q, so
 
             f(o_i - j) = (1/N) sum_g S[j, g] P[g, i],
-            S[j, g] = sum_{l in g} c_l e^{-2 pi i j l / N},
-            P[g, i] = e^{2 pi i res_g o_i / N}.
+            S[j, g] = sum_{l in g} c_l E[j, l],
+            E[j, l] = e^{-2 pi i j l / N},  P[g, i] = e^{2 pi i res_g o_i / N}.
 
         For a pivoted pattern the groups are the decode-level tree nodes, so
         the cost is len(shifts) * k + G * len(offsets) exponentials for G
-        groups, plus one (shifts x G) @ (G x offsets) product.  S and P are
-        formed in blocks of at most _CHUNK entries.  `sample_block` at the
-        same locations is the oracle.
+        groups, plus one (shifts x G) @ (G x offsets) product.  `sample_block`
+        at the same locations is the oracle.
+
+        Everything but the coefficients depends on J, the offsets and the
+        shifts alone.  When E and P each fit in _CHUNK entries, the support
+        order by group, the group starts, E and P are kept, read-only, as
+        the one "grid" entry of `support._memo`, keyed by the offsets and
+        shifts mod N; a request with other offsets or shifts replaces it.  A
+        call that finds them (any signal on the same `SupportSet` instance)
+        forms only S and the product.  Larger requests store nothing and
+        form S and P in blocks of at most _CHUNK entries.  Cold, warm and
+        blocked calls return the same bytes.
         """
         N = self.N
         o = np.asarray(offsets, dtype=np.int64) % N
         j = np.asarray(shifts, dtype=np.int64) % N
-        nz = o[o != 0]
-        q = N.bit_length() - int(np.min(nz & -nz)).bit_length() if nz.size else 0
-        key = self._l & ((1 << q) - 1)
-        order = np.argsort(key, kind="stable")  # the support by group
-        l, c, key = self._l[order], self.coeffs[order], key[order]
-        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        res = key[starts]
+        memo = self.support._memo
+        key = (o.tobytes(), j.tobytes())
+        entry = memo.get("grid")
+        if entry is not None and entry[0] == key:
+            order, starts, E, P = entry[1]
+        else:
+            nz = o[o != 0]
+            q = N.bit_length() - int(np.min(nz & -nz)).bit_length() if nz.size else 0
+            group = self._l & ((1 << q) - 1)
+            order = np.argsort(group, kind="stable")  # the support by group
+            group = group[order]
+            starts = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
+            res = group[starts]
+            if len(j) * len(order) > _CHUNK or len(res) * len(o) > _CHUNK:
+                return self._grid_in_blocks(o, j, order, starts, res)
+            E = np.exp(-2j * np.pi * mod_product(j[:, None], self._l[order], N) / N)
+            P = np.exp(2j * np.pi * mod_product(res[:, None], o, N) / N)
+            for a in (order, starts, E, P):
+                a.flags.writeable = False
+            memo["grid"] = (key, (order, starts, E, P))
+        out = np.zeros((len(j), len(o)), dtype=np.complex128)  # + turns -0.0 into 0.0, as blocks do
+        out += np.add.reduceat(E * self.coeffs[order], starts, axis=1) @ P
+        return out / N
+
+    def _grid_in_blocks(self, o, j, order, starts, res) -> np.ndarray:
+        """`sample_grid` with S and P formed in blocks of at most _CHUNK entries."""
+        N = self.N
+        l, c = self._l[order], self.coeffs[order]
         S = np.empty((len(j), len(starts)), dtype=np.complex128)
-        rows = max(1, _CHUNK // max(len(l), 1))
+        rows = max(1, _CHUNK // len(l))
         for start in range(0, len(j), rows):
             jj = j[start:start + rows]
             terms = np.exp(-2j * np.pi * mod_product(jj[:, None], l, N) / N) * c

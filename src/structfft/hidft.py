@@ -166,8 +166,10 @@ def _read_grid(source, offsets: np.ndarray, shifts: np.ndarray, locations: np.nd
     """`_sample_grid` from its `_grid_locations`, which a plan computes once.
 
     A `BandlimitedSignal` builds the grid from its group sums
-    (`BandlimitedSignal.sample_grid`); a dense vector or a callback is read
-    once at all len(shifts) * len(offsets) locations.
+    (`BandlimitedSignal.sample_grid`), whose phase tables for these offsets
+    and shifts it keeps on the support, so a plan's repeated reads reuse
+    them; a dense vector or a callback is read once at all
+    len(shifts) * len(offsets) locations.
     """
     if isinstance(source, BandlimitedSignal):
         if source.N != N:

@@ -648,18 +648,21 @@ def sas_transform(
     congruence tree, the policy's pivot choice, the plan and stride, the
     sample locations, the butterfly slots, the node layout, the Vandermonde
     nodes, their Leja orders, the Bjorck-Pereyra divisor factors and the
-    counted ops of the solve.  A call then reads the grid (a sample
-    callback receives the cached, read-only locations), runs the butterfly
-    and solves the node right-hand sides against the stored factors.  The
-    cache is keyed by exactly what the plan reads: the explicit r, or the
-    policy plus the one `family_meta` entry it reads ("pivots" for
-    balanced, "base_pivots" for uoh and random_subset); `tolerance` and
-    `counter` act per call.  A request that raises stores nothing.  Cached
-    arrays are read-only, and `SasResult.nodes` shares them.  The cache is
-    never pickled and lives exactly as long as the `SupportSet` instance;
-    an equal but distinct instance prepares its own.  No call writes into
-    its source: a dense vector, the array a callback returns or a
-    `BandlimitedSignal`'s coefficients.
+    counted ops of the solve.  A call then reads the grid, runs the
+    butterfly and solves the node right-hand sides against the stored
+    factors.  A sample callback receives the cached, read-only locations; a
+    `BandlimitedSignal` on the same instance finds the phase tables of its
+    group sums cached there too (`BandlimitedSignal.sample_grid`) and forms
+    only their product with its coefficients.  The cache is keyed by
+    exactly what the plan reads: the explicit r, or the policy plus the one
+    `family_meta` entry it reads ("pivots" for balanced, "base_pivots" for
+    uoh and random_subset); `tolerance` and `counter` act per call.  A
+    request that raises stores nothing.  Cached arrays are read-only, and
+    `SasResult.nodes` shares them.  The cache is never pickled and lives
+    exactly as long as the `SupportSet` instance; an equal but distinct
+    instance prepares its own.  No call writes into its source: a dense
+    vector, the array a callback returns or a `BandlimitedSignal`'s
+    coefficients.
     Every call, cold or warm, returns the same bytes and is charged the same
     ops, in the same order, including the plan's `tree_build_bitops`;
     `SasResult.plan_reused` tells the two apart.

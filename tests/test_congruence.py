@@ -55,6 +55,16 @@ class TestSupportSet:
         assert J.indices == (3, 17, 25, 27)
         assert J.M == 5 and len(J) == 4 and 17 in J
 
+    def test_contains(self):
+        J = SupportSet.make(32, [27, 3, 17, 25, 31, 0])
+        members = set(J.indices)
+        for j in range(-40, 72):
+            assert (j in J) == (j in members), j
+        for cast in (np.int64, np.int32, np.uint8, np.uint64):
+            assert cast(17) in J and cast(18) not in J
+        assert np.int64(-32) not in J and np.int64(32) not in J and 2**70 not in J
+        assert -(2**70) not in J and "17" not in J and None not in J
+
 
 class TestBuildTree:
     def test_paper_example_z8(self):

@@ -1,6 +1,8 @@
 """Property: on every family generator at small N, `sas_transform` agrees
-with numpy.fft.fft(x)[J] on a dense source, on the cold call and on the
-warm one.
+with numpy.fft.fft(x)[J] on a dense source, and with the planted spectrum
+on a `BandlimitedSignal` source, on the cold call and on the warm one.  The
+bandlimited source runs on an equal, fresh support, so its warm call is the
+one that reads both the cached plan and the cached grid tables.
 
 The parameters span each generator's own domain at M <= 11; a draw the
 generator itself refuses (an overlap condition it cannot realize) is
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from structfft import ContractViolationError, FamilySpec, sas_transform
+from structfft import BandlimitedSignal, ContractViolationError, FamilySpec, SupportSet, sas_transform
 from structfft.families import FAMILY_KINDS
 
 TOLERANCE = 1e-8
@@ -82,12 +84,15 @@ def test_sas_transform_matches_numpy_fft_on_every_family(kind, data):
         reject()  # the generator could not realize its own overlap condition
     J = fam.support
     rng = np.random.default_rng(spec.seed)
+    c = (0.5 + rng.random(len(J))) * np.exp(2j * np.pi * rng.random(len(J)))
     F = np.zeros(J.N, dtype=np.complex128)
-    F[J.as_array()] = (0.5 + rng.random(len(J))) * np.exp(2j * np.pi * rng.random(len(J)))
+    F[J.as_array()] = c
     x = np.fft.ifft(F)
-    want = np.fft.fft(x)[J.as_array()]
-    for call in ("cold", "warm"):
-        out = sas_transform(x, J, policy=fam.meta["policy"], family_meta=fam.meta)
-        assert out.plan_reused == (call == "warm")
-        err = float(np.max(np.abs(out.coeffs - want) / np.abs(want)))
-        assert err <= TOLERANCE, f"{call} call on {spec.to_json()}: relative error {err:.2e}"
+    K = SupportSet(J.N, J.indices)
+    runs = [("dense", x, J, np.fft.fft(x)[J.as_array()]), ("bandlimited", BandlimitedSignal(K, c), K, c)]
+    for name, source, support, want in runs:
+        for call in ("cold", "warm"):
+            out = sas_transform(source, support, policy=fam.meta["policy"], family_meta=fam.meta)
+            assert out.plan_reused == (call == "warm")
+            err = float(np.max(np.abs(out.coeffs - want) / np.abs(want)))
+            assert err <= TOLERANCE, f"{call} call, {name} source, on {spec.to_json()}: relative error {err:.2e}"

@@ -1,7 +1,8 @@
 """The per-support plan cache of sas_transform: a warm call (the plan found
 on the SupportSet) returns the bytes of a cold one, requests are keyed by
 what the plan reads, failures store nothing, and cached arrays are
-read-only and never pickled."""
+read-only and never pickled.  The same holds for the phase tables that
+BandlimitedSignal.sample_grid keeps on its support."""
 
 import pickle
 
@@ -19,10 +20,13 @@ from structfft import (
     SasPlan,
     SupportSet,
     draw_coefficients,
+    hidft,
     sas,
     sas_transform,
     select_pivots,
 )
+from structfft.core import _CHUNK
+from structfft.sampling import pattern_offsets
 
 TOLERANCE = 1e-8
 
@@ -250,6 +254,119 @@ def test_warm_and_cold_agree_with_numpy_fft(M, data):
     assert warm.plan_reused and not cold.plan_reused
     assert warm.coeffs.tobytes() == cold.coeffs.tobytes()
     assert np.max(np.abs(cold.coeffs - want) / np.abs(want)) <= TOLERANCE
+
+
+# grid tables of BandlimitedSignal -------------------------------------------------------
+
+
+def grid_request(spec):
+    """A workload support, coefficients, and the offsets and shifts its plan reads."""
+    fam = spec.build()
+    J, meta = fam.support, fam.meta
+    c = draw_coefficients(len(J), np.random.default_rng(spec.seed), nonzero=True)
+    plan = SasPlan.plan(fresh(J), select_pivots(fresh(J), meta["policy"], meta))
+    shifts = np.arange(plan.mu_star) * plan.stride
+    return J, meta, c, pattern_offsets(plan.pivots, J.M), shifts
+
+
+def grid_entry(J):
+    return [value for key, value in J._memo.items() if key == "grid"]
+
+
+class TestGridTables:
+    @pytest.mark.parametrize("spec", STRUCT, ids=lambda s: f"{s.kind}-{s.seed}")
+    def test_cold_warm_and_fresh_support_grids_are_byte_equal(self, spec):
+        J, meta, c, o, shifts = grid_request(spec)
+        sig = BandlimitedSignal(J, c)
+        cold = sig.sample_grid(o, shifts)
+        [entry] = grid_entry(J)
+        warm = sig.sample_grid(o, shifts)
+        assert grid_entry(J) == [entry] and J._memo["grid"] is entry  # found, not rebuilt
+        other = BandlimitedSignal(fresh(J), c).sample_grid(o, shifts)
+        for got in (warm, other):
+            assert got.tobytes() == cold.tobytes()
+        want = sig.sample_block((o[None, :] - shifts[:, None]).reshape(-1)).reshape(cold.shape)
+        assert np.max(np.abs(cold - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("spec", STRUCT, ids=lambda s: f"{s.kind}-{s.seed}")
+    def test_sas_transform_is_byte_equal_with_grid_cold_or_warm(self, spec):
+        J, meta, c, _, _ = grid_request(spec)
+        request = {"policy": meta["policy"], "family_meta": meta}
+        want = fingerprint(*run(BandlimitedSignal(J, c), J, **request))
+        for drop_grid in (False, True, False):  # warm, plan warm and grid cold, warm
+            if drop_grid:
+                del J._memo["grid"]
+            assert fingerprint(*run(BandlimitedSignal(J, c), J, **request)) == want
+        K = fresh(J)
+        assert fingerprint(*run(BandlimitedSignal(K, c), K, **request))[:2] == want[:2]
+
+    def test_signals_on_one_support_share_one_entry(self):
+        J, _, c, o, shifts = grid_request(STRUCT[2])
+        one, two = BandlimitedSignal(J, c), BandlimitedSignal(J, c[::-1] * 1j)
+        a = one.sample_grid(o, shifts)
+        [entry] = grid_entry(J)
+        b = two.sample_grid(o, shifts)
+        assert J._memo["grid"] is entry
+        assert np.max(np.abs(a - b)) > 0.1 * np.max(np.abs(a))  # two distinct grids
+        for sig, got in ((one, a), (two, b)):
+            want = sig.sample_block((o[None, :] - shifts[:, None]).reshape(-1)).reshape(got.shape)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert fresh_grid(two, o, shifts).tobytes() == b.tobytes()
+
+    def test_coefficients_edited_in_place_show_in_the_next_grid(self):
+        J, meta, c, o, shifts = grid_request(STRUCT[0])
+        sig = BandlimitedSignal(J, c)
+        sig.sample_grid(o, shifts)
+        sig.coeffs[::3] *= -2.5j
+        assert sig.sample_grid(o, shifts).tobytes() == fresh_grid(sig, o, shifts).tobytes()
+        out = sas_transform(sig, J, policy=meta["policy"], family_meta=meta)
+        assert np.max(np.abs(out.coeffs - sig.coeffs) / np.abs(sig.coeffs)) <= TOLERANCE
+
+    def test_hidft_at_many_shifts_keeps_one_entry(self):
+        J, _, c, _, _ = grid_request(STRUCT[2])
+        sig = BandlimitedSignal(J, c)
+        r = select_pivots(J, "auto")
+        sizes = set()
+        for shift in range(0, 20 * 7, 7):
+            out = hidft(sig, J, r, shift=shift)
+            assert out.node_values.tobytes() == hidft(BandlimitedSignal(fresh(J), c), J, r,
+                                                     shift=shift).node_values.tobytes()
+            sizes.add(len(J._memo))
+        assert len(grid_entry(J)) == 1 and len(sizes) == 1
+
+    def test_tables_are_read_only_and_inputs_untouched(self):
+        J, _, c, o, shifts = grid_request(STRUCT[4])
+        sig = BandlimitedSignal(J, c)
+        before = (sig.coeffs.tobytes(), o.tobytes(), shifts.tobytes())
+        sig.sample_grid(o, shifts)
+        sig.sample_grid(o, shifts)
+        assert (sig.coeffs.tobytes(), o.tobytes(), shifts.tobytes()) == before
+        assert sig.coeffs.flags.writeable and o.flags.writeable
+        [(key, tables)] = grid_entry(J)
+        assert len(tables) == 4
+        for a in tables:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.reshape(-1)[:1] = 0
+
+    def test_request_over_chunk_stores_nothing(self):
+        N, k = 1 << 12, 2048
+        J = SupportSet.make(N, np.random.default_rng(1).choice(N, size=k, replace=False).tolist())
+        c = draw_coefficients(k, np.random.default_rng(2), nonzero=True)
+        sig = BandlimitedSignal(J, c)
+        o, shifts = np.arange(2048), np.arange(3)
+        assert k * len(o) > _CHUNK  # singleton groups: P would be k x 2048
+        got = sig.sample_grid(o, shifts)
+        assert "grid" not in J._memo
+        want = sig.sample_block((o[None, :] - shifts[:, None]).reshape(-1)).reshape(got.shape)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert sig.sample_grid(o, shifts).tobytes() == got.tobytes()
+        assert "grid" not in J._memo
+
+
+def fresh_grid(sig, o, shifts):
+    """sig's grid from tables built on an equal support with nothing cached."""
+    return BandlimitedSignal(fresh(sig.support), sig.coeffs).sample_grid(o, shifts)
 
 
 # open fault, pinned ------------------------------------------------------------------
