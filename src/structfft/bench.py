@@ -190,22 +190,18 @@ def run_trial(kind: str, params: dict, base_seed: int, scenario_idx: int,
         name = params["name"]
         N, idx = FIXTURES[name]
         J = SupportSet.make(N, idx)
-        meta = {"policy": "auto"}
         family_label = f"fixture:{name}"
     else:
         try:
             spec = _family_spec_for_trial(kind, params, rng, trial_seed)
         except KeyError as e:
             raise InvalidInputError(f"{kind} scenario params missing key {e}") from None
-        inst = spec.build()
-        J = inst.support
-        meta = inst.meta
+        J = spec.build().support
         family_label = kind
     coeffs = draw_coefficients(len(J), rng, nonzero=True)
     sig = BandlimitedSignal(J, coeffs)
-    policy = params.get("policy", meta.get("policy", "auto"))
     counter = OpCounter()
-    out = sas_transform(sig, J, policy=policy, family_meta=meta, counter=counter, tolerance=tolerance)
+    out = sas_transform(sig, J, counter=counter, tolerance=tolerance)
     err = rel_error(out.coeffs, coeffs)
     return TrialRecord(
         trial=trial,

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .families import FamilySpec, doubling, draw_coefficients, rng_from_seed
 from .hidft import hidft, hidft_to_dft
-from .sas import sas_transform, submatrix_method
+from .sas import POLICIES, sas_transform, submatrix_method
 
 ORACLE_SIZE_CAP = 1 << 12
 FFT_SIZE_CAP = 1 << 22
@@ -221,13 +221,8 @@ def cmd_transform(args) -> int:
         coeffs = hidft_to_dft(res, counter)
         cost = CostReport.from_counter(counter, samples_touched=len(res.slot_values))
     elif args.algo == "sas":
-        meta = {}
-        if args.base_pivots:
-            meta["base_pivots"] = _parse_pivots(args.base_pivots)
-            meta["pivots"] = meta["base_pivots"]
         out = sas_transform(
-            sig, J, r=explicit_r, policy=args.policy, family_meta=meta,
-            counter=counter, tolerance=args.tolerance,
+            sig, J, r=explicit_r, policy=args.policy, counter=counter, tolerance=args.tolerance,
         )
         coeffs = out.coeffs
         cost = out.report
@@ -331,10 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--signal", required=True, help="signal JSON file")
     t.add_argument("--algo", required=True,
                    choices=["oracle", "fft", "submatrix", "hidft", "sas"])
-    t.add_argument("--policy", default="auto",
-                   choices=["auto", "balanced", "uoe", "uoh", "random_subset"])
+    t.add_argument("--policy", default="auto", choices=POLICIES,
+                   help="accepted for compatibility: every policy plans by least predicted cost")
     t.add_argument("--pivots", default=None, help="explicit pivot vector, e.g. 0,1,9")
-    t.add_argument("--base-pivots", default=None, help="family metadata pivots")
     t.add_argument("--height", type=int, default=None,
                    help="emit node values at this height instead of coefficients")
     t.add_argument("--tolerance", type=float, default=1e-8)

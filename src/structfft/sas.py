@@ -45,13 +45,6 @@ SUBMATRIX_SIZE_CAP = 1 << 12
 POLICIES = ("balanced", "uoe", "uoh", "random_subset", "auto")
 
 
-def _log_pivot_count(k: int) -> int:
-    """floor(log2 k - log2 log2 k), the stock pivot-count choice; 0 for k < 3."""
-    if k < 3:
-        return max(k - 1, 0)  # k=2 -> 1 pivot, k=1 -> none
-    return max(int(math.floor(math.log2(k) - math.log2(math.log2(k)))), 0)
-
-
 def predicted_cost(size_r: int, mu_star: int, node_weights: Sequence[int]) -> float:
     w = np.asarray(node_weights, dtype=np.int64)
     return C1 * size_r * (1 << size_r) * mu_star + C2 * int(w @ w)
@@ -160,60 +153,28 @@ def choose_stride(members: np.ndarray, bounds: np.ndarray, N: int) -> tuple[int,
     return int(d[best]), float(score[best])
 
 
-def select_pivots(J: SupportSet, policy: str = "auto", family_meta: dict | None = None) -> tuple[int, ...]:
-    """Choose the pivot vector for a shift-and-sample run.
-
-    auto          minimize the predicted-cost bound over all prefixes of
-                  pivots(J), smallest prefix winning ties
-    balanced      pivots supplied by family metadata ("pivots")
-    uoe           consecutive prefix (0..t-1), t = floor(log2 k - log2 log2 k)
-    uoh           t-prefix of the base set's pivots ("base_pivots")
-    random_subset same prefix rule as uoh
-
-    The returned vector is always verified to leave J part-homogeneous.
-    The choice is cached on J (see `sas_transform`).
+def select_pivots(J: SupportSet) -> tuple[int, ...]:
+    """The pivot vector `sas_transform` runs when given no explicit r: the
+    prefix of J's split levels (`pivots(J)`) of least predicted cost
+    (`bound_alg1bnd`), the smaller prefix on ties.  A prefix of the split
+    levels leaves J part-homogeneous by construction.  Cached on J under
+    "pivots" (see `sas_transform`).
     """
-    entry = _META_ENTRY.get(policy)
-    meta = family_meta or {}
-    read = tuple(int(x) for x in meta[entry]) if entry in meta else None
-    return _memoized(J, ("pivots", policy, read), lambda tree: _select_pivots(tree, policy, read))[0]
+    return _memoized(J, "pivots", _least_cost_prefix)[0]
 
 
-# the one family_meta entry each policy reads
-_META_ENTRY = {"balanced": "pivots", "uoh": "base_pivots", "random_subset": "base_pivots"}
+def _least_cost_prefix(tree: CongruenceTree) -> tuple[int, ...]:
+    p = tree.split_levels()
+    best, best_cost = (), math.inf
+    for t in range(len(p) + 1):
+        w = tree.run_lengths(p[t - 1] + 1 if t else 0)
+        cost = predicted_cost(t, int(w.max()), w)
+        if cost < best_cost:  # strict: ties keep the smaller prefix
+            best, best_cost = p[:t], cost
+    return best
 
 
-def _select_pivots(tree: CongruenceTree, policy: str, read: tuple[int, ...] | None) -> tuple[int, ...]:
-    """The policy's pivot vector, validated and checked for part-homogeneity;
-    `read` is the family_meta entry the policy reads, None if absent."""
-    if policy not in POLICIES:
-        raise InvalidInputError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    if policy in _META_ENTRY and read is None:
-        raise InvalidInputError(f"{policy} policy needs family_meta[{_META_ENTRY[policy]!r}]")
-    k = len(tree.order)
-    if policy == "auto":
-        p = tree.split_levels()
-        best: tuple[int, ...] | None = None
-        best_cost = math.inf
-        for t in range(len(p) + 1):
-            w = tree.run_lengths(p[t - 1] + 1 if t else 0)
-            cost = predicted_cost(t, int(w.max()), w)
-            if cost < best_cost:  # strict: ties keep the smaller prefix
-                best, best_cost = p[:t], cost
-        r = best if best is not None else ()
-    elif policy == "balanced":
-        r = read
-    elif policy == "uoe":
-        t = min(_log_pivot_count(k), tree.M)
-        r = tuple(range(t))
-    else:  # uoh / random_subset: a prefix of the base set's pivots
-        r = read[:_log_pivot_count(k)]
-    rt = validate_pivot_vector(r, tree.M)
-    check_part_homogeneous(tree.split_levels(), rt)
-    return rt
-
-
-def _memoized(J: SupportSet, key: tuple, make):
+def _memoized(J: SupportSet, key: tuple | str, make):
     """(J's cached value under key, whether it was cached), else make(tree)
     stored under key.  A make that raises stores nothing, not even the
     tree it was given.  Two threads that miss at once each make the value;
@@ -631,6 +592,13 @@ def sas_transform(
 ) -> SasResult:
     """Recover (F f)_J from mu* shifted butterfly passes plus node decodes.
 
+    The pivots are r when given, else `select_pivots(J)`: the least
+    predicted cost over the prefixes of pivots(J).  The paper's fixed
+    pivot counts are reachable only as an explicit r.  `policy` must name
+    one of POLICIES (InvalidInputError otherwise) but does not change the
+    plan, and `family_meta` is accepted and not read; both keywords stay
+    until the benchmark that passes them stops doing so.
+
     The plan fixes the pivots, mu* and the shift stride d (`choose_stride`,
     from J alone; d = 1 when mu* = 1).  Shift j reads samples at
     (I_r - j d) mod N.  All mu* x |I_r| samples are read as one grid (for a
@@ -645,8 +613,8 @@ def sas_transform(
 
     Plan once, execute per call.  Everything that depends on J alone is
     prepared once and cached on the `SupportSet` instance itself: the
-    congruence tree, the policy's pivot choice, the plan and stride, the
-    sample locations, the butterfly slots, the node layout, the Vandermonde
+    congruence tree, the pivot choice, the plan and stride, the sample
+    locations, the butterfly slots, the node layout, the Vandermonde
     nodes, their Leja orders, the Bjorck-Pereyra divisor factors and the
     counted ops of the solve.  A call then reads the grid, runs the
     butterfly and solves the node right-hand sides against the stored
@@ -654,21 +622,22 @@ def sas_transform(
     `BandlimitedSignal` on the same instance finds the phase tables of its
     group sums cached there too (`BandlimitedSignal.sample_grid`) and forms
     only their product with its coefficients.  The cache is keyed by
-    exactly what the plan reads: the explicit r, or the policy plus the one
-    `family_meta` entry it reads ("pivots" for balanced, "base_pivots" for
-    uoh and random_subset); `tolerance` and `counter` act per call.  A
-    request that raises stores nothing.  Cached arrays are read-only, and
-    `SasResult.nodes` shares them.  The cache is never pickled and lives
-    exactly as long as the `SupportSet` instance; an equal but distinct
-    instance prepares its own.  No call writes into its source: a dense
-    vector, the array a callback returns or a `BandlimitedSignal`'s
-    coefficients.
+    exactly what the plan reads: the pivot vector, which is the explicit r
+    or the one "pivots" entry of `select_pivots`; `tolerance` and `counter`
+    act per call.  A request that raises stores nothing.  Cached arrays are
+    read-only, and `SasResult.nodes` shares them.  The cache is never
+    pickled and lives exactly as long as the `SupportSet` instance; an
+    equal but distinct instance prepares its own.  No call writes into its
+    source: a dense vector, the array a callback returns or a
+    `BandlimitedSignal`'s coefficients.
     Every call, cold or warm, returns the same bytes and is charged the same
     ops, in the same order, including the plan's `tree_build_bitops`;
     `SasResult.plan_reused` tells the two apart.
     """
+    if policy not in POLICIES:
+        raise InvalidInputError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     counter = counter if counter is not None else OpCounter()
-    prepared, reused = _prepared(J, select_pivots(J, policy, family_meta) if r is None else r)
+    prepared, reused = _prepared(J, select_pivots(J) if r is None else r)
     coeffs, nodes, report = _execute(prepared, source, J, counter, tolerance)
     return SasResult(J, coeffs, prepared.plan, report, nodes, reused)
 

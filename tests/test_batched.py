@@ -231,7 +231,7 @@ class TestButterflyBatch:
         for _ in range(40):
             J = random_support()
             x, _ = dense_source(J)
-            r = select_pivots(J, "auto")
+            r = select_pivots(J)
             shifts = np.concatenate([np.arange(5), rng.integers(-J.N, 2 * J.N, size=4)])
             plan, slots = _build_plan(build_tree(J, J.M).level_arrays(r[-1] + 1 if r else 0)[0], r)
             ctr = OpCounter()
@@ -295,8 +295,8 @@ def eager_decode(source, J, out, tolerance=1e-8):
 
 SAS_CASES = [
     (FIXTURES["paper_sas"], None),
-    (FIXTURES["uoe_union"], "uoe"),
-    (FIXTURES["uoe_adversarial"], "uoe"),
+    (FIXTURES["uoe_union"], (0,)),
+    (FIXTURES["uoe_adversarial"], (0, 1)),
     ((1 << 16, [5 + t * 64 for t in (0, 1, 2, 3, 700, 701, 702, 703)]), (0, 1, 2, 3, 4, 5)),
 ]
 
@@ -309,7 +309,6 @@ class TestLazyNodeSystems:
         if case < len(SAS_CASES):
             (N, idx), r = SAS_CASES[case]
             J = SupportSet.make(N, idx)
-            r = select_pivots(J, r) if isinstance(r, str) else r
         else:
             J, r = random_support(M_lo=6, k_hi=40), None
         x, _ = dense_source(J)
@@ -352,7 +351,7 @@ class TestSampleGrid:
 
     def test_pivot_pattern_grid(self):
         J = SupportSet.make(1 << 12, rng.choice(1 << 12, size=200, replace=False).tolist())
-        r = select_pivots(J, "auto")
+        r = select_pivots(J)
         sig = BandlimitedSignal(J, rng.normal(size=200) + 1j * rng.normal(size=200))
         o = pattern_offsets(r, J.M)
         got = sig.sample_grid(o, np.arange(6))

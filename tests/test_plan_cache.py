@@ -5,6 +5,7 @@ read-only and never pickled.  The same holds for the phase tables that
 BandlimitedSignal.sample_grid keeps on its support."""
 
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -107,7 +108,11 @@ def test_requests_on_one_support_each_match_a_cold_call():
     J, meta = fam.support, fam.meta
     c = draw_coefficients(len(J), np.random.default_rng(0), nonzero=True)
     x = dense(J, c)
-    auto = select_pivots(fresh(J), "auto")
+    auto = select_pivots(fresh(J))
+    plan = SasPlan.plan(fresh(J), auto)
+    for policy in sas.POLICIES:  # no policy, with or without family_meta, changes the plan
+        for q in ({"policy": policy}, {"policy": policy, "family_meta": meta}):
+            assert run(x, fresh(J), **q)[0].plan == plan, q
     requests = [
         {"policy": "uoh", "family_meta": meta},
         {"policy": "random_subset", "family_meta": meta},
@@ -135,13 +140,10 @@ def memo_snapshot(J):
 
 @pytest.mark.parametrize("request_, error", [
     ({"policy": "nope"}, InvalidInputError),
-    ({"policy": "balanced", "family_meta": {}}, InvalidInputError),
-    ({"policy": "uoh", "family_meta": {"pivots": [0, 1]}}, InvalidInputError),
-    ({"policy": "balanced", "family_meta": {"pivots": [1]}}, ContractViolationError),
     ({"r": (1,)}, ContractViolationError),
     ({"r": (2, 1)}, InvalidInputError),
     ({"r": (0, 99)}, InvalidInputError),
-], ids=range(7))
+], ids=[0, 4, 5, 6])
 def test_invalid_requests_raise_every_time_and_store_nothing(request_, error):
     J = SupportSet.make(1 << 8, [0, 1, 2, 3, 64, 65, 130])  # pivots 0, 1, 6, 7
     x = dense(J, np.ones(len(J)))
@@ -156,9 +158,6 @@ def test_invalid_requests_raise_every_time_and_store_nothing(request_, error):
     if "r" in request_:
         with pytest.raises(error):
             SasPlan.plan(J, request_["r"])
-    else:
-        with pytest.raises(error):
-            select_pivots(J, request_["policy"], request_.get("family_meta"))
     assert memo_snapshot(J) == before
 
 
@@ -213,12 +212,12 @@ def test_pivot_choice_and_plan_reuse_one_tree(monkeypatch):
     fam = STRUCT[4].build()
     J, meta = fam.support, fam.meta
     x = dense(J, np.ones(len(J)))
-    r = select_pivots(J, meta["policy"], meta)
+    r = select_pivots(J)
     plan = SasPlan.plan(J, r)
     out = sas_transform(x, J, r=r)
     assert out.plan_reused and out.plan is plan
     assert sas_transform(x, J, policy=meta["policy"], family_meta=meta).plan_reused
-    assert select_pivots(J, "auto") == sas_transform(x, J).plan.pivots
+    assert select_pivots(J) == sas_transform(x, J).plan.pivots
     assert len(built) == 1
 
 
@@ -229,7 +228,7 @@ def test_plan_charges_tree_bitops_every_call():
     counts = []
     for _ in range(2):  # cold, then warm
         ctr = OpCounter()
-        SasPlan.plan(J, select_pivots(J, meta["policy"], meta), ctr)
+        SasPlan.plan(J, select_pivots(J), ctr)
         counts.append(ctr.bit_ops)
     ctr = OpCounter()
     sas_transform(dense(J, np.ones(len(J))), J, counter=ctr, **request)
@@ -264,7 +263,7 @@ def grid_request(spec):
     fam = spec.build()
     J, meta = fam.support, fam.meta
     c = draw_coefficients(len(J), np.random.default_rng(spec.seed), nonzero=True)
-    plan = SasPlan.plan(fresh(J), select_pivots(fresh(J), meta["policy"], meta))
+    plan = SasPlan.plan(fresh(J), select_pivots(fresh(J)))
     shifts = np.arange(plan.mu_star) * plan.stride
     return J, meta, c, pattern_offsets(plan.pivots, J.M), shifts
 
@@ -325,7 +324,7 @@ class TestGridTables:
     def test_hidft_at_many_shifts_keeps_one_entry(self):
         J, _, c, _, _ = grid_request(STRUCT[2])
         sig = BandlimitedSignal(J, c)
-        r = select_pivots(J, "auto")
+        r = select_pivots(J)
         sizes = set()
         for shift in range(0, 20 * 7, 7):
             out = hidft(sig, J, r, shift=shift)
@@ -376,10 +375,29 @@ def fresh_grid(sig, o, shifts):
                    "stride (d = 115) with nothing flagged; see FOUND in CHANGES.md")
 @pytest.mark.parametrize("kind", ["bandlimited", "dense"])
 def test_large_random_subset_within_tolerance(kind):
+    # the paper's pivot count, t = floor(log2 k - log2 log2 k) = 6, as an explicit r:
+    # the least-cost plan decodes this case (see the test below)
     fam = FamilySpec("random_subset", {"k": 1024, "M": 18}, 5).build()
     J = fam.support
     c = draw_coefficients(len(J), np.random.default_rng(5), nonzero=True)
     source = BandlimitedSignal(J, c) if kind == "bandlimited" else dense(J, c)
-    out = sas_transform(source, J, policy=fam.meta["policy"], family_meta=fam.meta)
+    out = sas_transform(source, J, r=tuple(range(6)))
     assert out.report.dense_fallbacks == 0 and out.plan.stride == 115
     assert np.max(np.abs(out.coeffs - c) / np.abs(c)) <= TOLERANCE
+
+
+@pytest.mark.parametrize("kind", ["bandlimited", "dense"])
+@pytest.mark.parametrize("k, M, seed", [(1024, 18, 5)] + [(2048, 20, s) for s in range(6)])
+def test_least_cost_plan_decodes_large_random_subsets(k, M, seed, kind):
+    J = FamilySpec("random_subset", {"k": k, "M": M}, seed).build().support
+    c = draw_coefficients(len(J), np.random.default_rng(seed), nonzero=True)
+    cold = []
+    for _ in range(3):  # the best of three cold calls, each on an unplanned support
+        K = fresh(J)
+        source = BandlimitedSignal(K, c) if kind == "bandlimited" else dense(K, c)
+        start = time.perf_counter()
+        out = sas_transform(source, K)
+        cold.append(time.perf_counter() - start)
+        assert not out.plan_reused
+        assert np.max(np.abs(out.coeffs - c) / np.abs(c)) <= TOLERANCE
+    assert min(cold) < 0.05

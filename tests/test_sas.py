@@ -85,36 +85,25 @@ class TestVandermondeSolve:
 class TestSelectPivots:
     def test_homogeneous_auto_full_isolation(self):
         J = gen_homogeneous((1, 3), 5, seed=3)
-        r = select_pivots(J, "auto")
+        r = select_pivots(J)
         assert r == pivots(J)
 
     def test_worked_example_tie_break(self):
         # bounds over prefixes of (0,1,9): 150, 87, 66, 66 -> the tie at 66
         # goes to the smaller prefix (0,1)
         J = SupportSet.make(1024, [0, 1, 6, 7, 512])
-        assert select_pivots(J, "auto") == (0, 1)
+        assert select_pivots(J) == (0, 1)
 
     def test_jstar_auto_is_prefix(self):
         J = gen_jstar(10)
-        r = select_pivots(J, "auto")
+        r = select_pivots(J)
         assert r == tuple(range(len(r)))
 
     def test_policy_metadata_required(self):
         J = gen_jstar(5)
+        sig, _ = planted(J, seed=0)
         with pytest.raises(InvalidInputError):
-            select_pivots(J, "uoh")
-        with pytest.raises(InvalidInputError):
-            select_pivots(J, "balanced")
-        with pytest.raises(InvalidInputError):
-            select_pivots(J, "nope")
-
-    def test_random_subset_prefix(self):
-        base = (0, 2, 5, 7, 9)
-        K = gen_homogeneous(base, 12, seed=1)
-        sub = SupportSet.make(K.N, list(K.indices)[:9])
-        r = select_pivots(sub, "random_subset", {"base_pivots": base})
-        t = int(math.floor(math.log2(9) - math.log2(math.log2(9))))
-        assert r == base[:t]
+            sas_transform(sig, J, policy="nope")
 
 
 class TestSasTransform:
@@ -146,7 +135,7 @@ class TestSasTransform:
         N, idx = FIXTURES["uoe_union"]
         J = SupportSet.make(N, idx)
         sig, c = planted(J, seed=1)
-        out = sas_transform(sig, J, r=select_pivots(J, "uoe"))
+        out = sas_transform(sig, J, r=(0,))  # the paper's uoe count: mu* = 6
         full = dft_direct(sig.synthesize())
         assert rel_error(out.coeffs, full[list(J.indices)], floor=1e-9) < 1e-8
         assert out.report.total <= out.report.bound_alg1bnd
@@ -155,7 +144,7 @@ class TestSasTransform:
         N, idx = FIXTURES["uoe_adversarial"]
         J = SupportSet.make(N, idx)
         sig, c = planted(J, seed=2)
-        out = sas_transform(sig, J, r=select_pivots(J, "uoe"))
+        out = sas_transform(sig, J, r=(0, 1))  # the paper's uoe count: mu* = 9
         assert rel_error(out.coeffs, c) < 1e-8
         assert out.report.total <= out.report.bound_alg1bnd
 

@@ -73,7 +73,7 @@ def auto_by_dict(J: SupportSet) -> tuple[int, ...]:
 
 def test_auto_policy_is_brute_force_minimum():
     for J in SUPPORTS:
-        r = select_pivots(J, "auto")
+        r = select_pivots(J)
         assert r == auto_by_dict(J)
         plan = SasPlan.plan(J, r)
         classes = residue_classes(J, plan.decode_level)
