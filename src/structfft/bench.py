@@ -14,20 +14,15 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .congruence import SupportSet, pivots
+from .congruence import SupportSet
 from .core import BandlimitedSignal, rel_error
 from .counting import OpCounter
 from .errors import InvalidInputError
-from .families import (
-    FamilySpec,
-    draw_coefficients,
-    gen_jstar,
-    rng_from_seed,
-)
+from .families import FamilySpec, draw_coefficients, rng_from_seed
 from .sas import C1, C2, sas_transform
 
 # threshold constant for the aliasing-tail statistic
@@ -47,8 +42,7 @@ CSV_COLUMNS = (
     "samples",
     "correct",
     "max_rel_err",
-    "escalated_nodes",
-    "dense_fallbacks",
+    "mismatch_nodes",
 )
 
 TRIAL_KINDS = (
@@ -92,8 +86,7 @@ class TrialRecord:
     samples: int
     correct: bool
     max_rel_err: float
-    escalated_nodes: int
-    dense_fallbacks: int
+    mismatch_nodes: int
 
     def as_row(self) -> list:
         return [getattr(self, c) for c in CSV_COLUMNS]
@@ -217,8 +210,7 @@ def run_trial(kind: str, params: dict, base_seed: int, scenario_idx: int,
         samples=out.report.samples_touched,
         correct=bool(err <= tolerance),
         max_rel_err=err,
-        escalated_nodes=out.report.escalated_nodes,
-        dense_fallbacks=out.report.dense_fallbacks,
+        mismatch_nodes=int(out.nodes.mismatch.sum()),
     )
 
 
@@ -315,8 +307,7 @@ def summarize_records(records: list[TrialRecord]) -> dict:
         "proof_envelope_ok_frac": env_ok / n,
         "ops_over_klogk_max": max(ratios) if ratios else 0.0,
         "ops_over_klogk_mean": float(np.mean(ratios)) if ratios else 0.0,
-        "escalated_nodes_total": sum(r.escalated_nodes for r in records),
-        "dense_fallbacks_total": sum(r.dense_fallbacks for r in records),
+        "mismatch_nodes_total": sum(r.mismatch_nodes for r in records),
     }
 
 

@@ -16,24 +16,18 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 import numpy as np
 
 from .bench import CSV_COLUMNS, run_bench
 from .congruence import SupportSet, build_tree, classify, pivots
-from .core import BandlimitedSignal, dft_direct, fft_radix2, rel_error
+from .core import BandlimitedSignal, dft_direct, fft_radix2
 from .counting import CostReport, OpCounter
-from .errors import (
-    BudgetExceededError,
-    ContractViolationError,
-    InvalidInputError,
-    StructFFTError,
-)
+from .errors import BudgetExceededError, ContractViolationError, InvalidInputError
 from .families import FamilySpec, doubling, draw_coefficients, rng_from_seed
 from .hidft import hidft, hidft_to_dft
-from .sas import POLICIES, sas_transform, submatrix_method
+from .sas import sas_transform, submatrix_method
 
 ORACLE_SIZE_CAP = 1 << 12
 FFT_SIZE_CAP = 1 << 22
@@ -179,7 +173,7 @@ def cmd_transform(args) -> int:
     J = sig.support
     counter = OpCounter()
     explicit_r = _parse_pivots(args.pivots)
-    plan = None  # the sas plan, reported beside its cost
+    extra = {}  # the sas plan and flagged nodes, reported beside the cost
     if args.algo == "oracle":
         if J.N > ORACLE_SIZE_CAP:
             raise BudgetExceededError(f"oracle transform capped at N <= {ORACLE_SIZE_CAP}")
@@ -221,21 +215,18 @@ def cmd_transform(args) -> int:
         coeffs = hidft_to_dft(res, counter)
         cost = CostReport.from_counter(counter, samples_touched=len(res.slot_values))
     elif args.algo == "sas":
-        out = sas_transform(
-            sig, J, r=explicit_r, policy=args.policy, counter=counter, tolerance=args.tolerance,
-        )
+        out = sas_transform(sig, J, r=explicit_r, counter=counter, tolerance=args.tolerance)
         coeffs = out.coeffs
         cost = out.report
-        plan = {f: getattr(out.plan, f)
-                for f in ("pivots", "decode_level", "mu_star", "stride", "cond_bound")}
+        extra["plan"] = {f: getattr(out.plan, f)
+                         for f in ("pivots", "decode_level", "mu_star", "stride", "cond_bound")}
+        extra["mismatch_nodes"] = int(out.nodes.mismatch.sum())
     else:
         raise InvalidInputError(f"unknown algo {args.algo!r}")
     spectrum = signal_to_json(J, coeffs)
     if args.out:
         dump_json(spectrum, args.out)
-    payload = {"algo": args.algo, "cost": cost.as_dict()}
-    if plan is not None:
-        payload["plan"] = plan
+    payload = {"algo": args.algo, "cost": cost.as_dict(), **extra}
     if not args.out:
         payload["spectrum"] = spectrum
     sys.stdout.write(dump_json(payload, None))
@@ -326,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--signal", required=True, help="signal JSON file")
     t.add_argument("--algo", required=True,
                    choices=["oracle", "fft", "submatrix", "hidft", "sas"])
-    t.add_argument("--policy", default="auto", choices=POLICIES,
-                   help="accepted for compatibility: every policy plans by least predicted cost")
     t.add_argument("--pivots", default=None, help="explicit pivot vector, e.g. 0,1,9")
     t.add_argument("--height", type=int, default=None,
                    help="emit node values at this height instead of coefficients")

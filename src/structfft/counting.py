@@ -9,7 +9,7 @@ stage).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class OpCounter:
@@ -96,6 +96,8 @@ class CostReport:
     samples_touched: int = 0
     bound_alg1bnd: float = 0.0
     bound_hidft: float = 0.0
+    # always 0: nothing escalates or falls back any more; kept while
+    # perfbench/run.py reads them
     escalated_nodes: int = 0
     dense_fallbacks: int = 0
 
@@ -119,8 +121,6 @@ class CostReport:
         samples_touched: int = 0,
         bound_alg1bnd: float = 0.0,
         bound_hidft: float = 0.0,
-        escalated_nodes: int = 0,
-        dense_fallbacks: int = 0,
     ) -> "CostReport":
         ha, hm = counter.phase("hidft")
         sa, sm = counter.phase("solve")
@@ -135,8 +135,6 @@ class CostReport:
             samples_touched=samples_touched,
             bound_alg1bnd=bound_alg1bnd,
             bound_hidft=bound_hidft,
-            escalated_nodes=escalated_nodes,
-            dense_fallbacks=dense_fallbacks,
         )
 
     def as_dict(self) -> dict:

@@ -193,8 +193,9 @@ def _memoized(J: SupportSet, key: tuple | str, make):
 #
 # The solvers work on batches of systems of any sizes: row b of an (B, n)
 # array holds system b's sizes[b] nodes (or right-hand side entries) first,
-# then zero padding.  Each row gets, byte for byte, what the scalar loops
-# give on its own system (tests/test_batched.py keeps them).
+# then padding: zeros for the nodes, anything for a right-hand side, whose
+# padding no solution entry reads.  Each row gets, byte for byte, what the
+# scalar loops give on its own system (tests/test_batched.py keeps them).
 
 
 def _leja_orders(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -324,34 +325,25 @@ def _bp_apply(f: _Factors, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_ops(sizes: np.ndarray, leja: bool = True) -> tuple[int, int]:
+def _solve_ops(sizes: np.ndarray) -> tuple[int, int]:
     """The counted (mults, adds) of solving systems of these sizes (see
     vandermonde_solve)."""
     m = np.asarray(sizes, dtype=np.int64)
     half = m * (m - 1) // 2
-    mults = int(np.sum(m * (m - 1)))  # phase-1 products + divides
-    adds = int(np.sum(3 * half))      # phase-1/2 subtractions
-    if leja:
-        reordered = int(np.sum(half[m >= 3]))
-        mults += reordered
-        adds += reordered
+    reordered = int(np.sum(half[m >= 3]))  # the Leja term
+    mults = int(np.sum(m * (m - 1))) + reordered  # phase-1 products + divides
+    adds = int(np.sum(3 * half)) + reordered      # phase-1/2 subtractions
     return mults, adds
 
 
-def _charge_solve(counter: OpCounter, sizes: np.ndarray, phase: str, leja: bool = True) -> None:
+def _charge_solve(counter: OpCounter, sizes: np.ndarray) -> None:
     """Charge the counted cost of solving systems of these sizes."""
-    mults, adds = _solve_ops(sizes, leja)
-    counter.mul(mults, phase=phase)
-    counter.add(adds, phase=phase)
+    mults, adds = _solve_ops(sizes)
+    counter.mul(mults, phase="solve")
+    counter.add(adds, phase="solve")
 
 
-def vandermonde_solve(
-    nodes,
-    rhs,
-    counter: OpCounter | None = None,
-    phase: str = "solve",
-    leja: bool = True,
-) -> np.ndarray:
+def vandermonde_solve(nodes, rhs, counter: OpCounter | None = None) -> np.ndarray:
     """Solve sum_m c_m x_m^j = y_j for distinct nodes x_m in O(m^2) counted ops.
 
     The progressive elimination costs exactly 2.5*m*(m-1) operations (the
@@ -368,10 +360,9 @@ def vandermonde_solve(
     sizes = np.array([m])
     if m == 1:
         return y.copy()
-    perm = _leja_orders(x[None], sizes) if leja else np.arange(m)[None]
-    c = _bp_apply(_bp_factors(x[None], sizes, perm), y[None])[0]
+    c = _bp_apply(_bp_factors(x[None], sizes, _leja_orders(x[None], sizes)), y[None])[0]
     if counter is not None:
-        _charge_solve(counter, sizes, phase, leja)
+        _charge_solve(counter, sizes)
     return c
 
 
@@ -422,13 +413,14 @@ def _residuals(V: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
 class NodeArrays:
     """Every decode-level node's state, by ascending residue: node i has
     residue residues[i] and members members[bounds[i]:bounds[i+1]]
-    (ascending), its dense-fallback flag and the relative residual of its
-    decode."""
+    (ascending), the relative residual of its decode against all mu* rows
+    it was measured under (0 for weight 1), and its mismatch flag,
+    residual > max(tolerance, 1e-9)."""
 
     residues: np.ndarray
     bounds: np.ndarray
     members: np.ndarray
-    dense_fallback: np.ndarray
+    mismatch: np.ndarray
     residual: np.ndarray
 
 
@@ -458,7 +450,7 @@ class _Prepared:
     columns.  Holds no reference to J, so J can cache it.  The counted ops
     of a call depend on J alone too: solve_mults and solve_adds are the
     "solve" phase's totals (the read scale of the multi nodes, the
-    Bjorck-Pereyra sweep and its Leja term) before any dense fallback."""
+    Bjorck-Pereyra sweep and its Leja term)."""
 
     plan: SasPlan
     bit_ops: int            # tree_build_bitops charged to every call
@@ -477,9 +469,8 @@ class _Prepared:
     multi: np.ndarray       # nodes of weight > 1
     own: np.ndarray         # (len(multi), mu*): column < the node's weight
     multi_at: np.ndarray    # positions in J of own's entries, row by row
-    x: np.ndarray           # Vandermonde nodes e^{-2 pi i d l / N}, padded
-    factors: _Factors | None
-    V: np.ndarray           # x[b, m]^j at [b, j, m]; 0 in rows j >= node b's weight
+    factors: _Factors | None  # of the Vandermonde nodes e^{-2 pi i d l / N}, padded
+    V: np.ndarray           # x[b, m]^j at [b, j, m] for all j < mu*
     solve_mults: int
     solve_adds: int
 
@@ -518,7 +509,7 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
     exponents = mod_product(members[at], stride, N).astype(np.float64)
     x[own] = np.exp(-2j * np.pi * exponents / N)
     factors = _bp_factors(x, sizes, _leja_orders(x, sizes)) if multi.size else None
-    V = np.ascontiguousarray(_vander_stack(x) * own[:, :, None])
+    V = np.ascontiguousarray(_vander_stack(x))
     solve_mults, solve_adds = _solve_ops(sizes)
     if scale != 1.0:
         solve_mults += int(sizes.sum())
@@ -526,10 +517,10 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
     prepared = _Prepared(
         plan, len(J) * max(level, 1), offsets, shifts, locations, scale,
         butterfly, take, int(np.unique(locations).size), residues, bounds, members,
-        single, position[bounds[single]], multi, own, position[at], x, factors, V,
+        single, position[bounds[single]], multi, own, position[at], factors, V,
         solve_mults, solve_adds,
     )
-    for a in (offsets, shifts, locations, take, residues, bounds, members, single, multi, own, x,
+    for a in (offsets, shifts, locations, take, residues, bounds, members, single, multi, own,
               prepared.single_at, prepared.multi_at, V):
         a.flags.writeable = False
     return prepared
@@ -546,7 +537,6 @@ def _execute(p: _Prepared, source, J: SupportSet, counter: OpCounter, tolerance:
     measured = _butterfly_pass(p.butterfly, grid, counter)[:, p.take]
 
     coeffs = np.empty(len(J), dtype=np.complex128)
-    fallback = np.zeros(len(p.residues), dtype=bool)
     residual = np.zeros(len(p.residues))
 
     if scale == 1.0:
@@ -556,19 +546,13 @@ def _execute(p: _Prepared, source, J: SupportSet, counter: OpCounter, tolerance:
         coeffs[p.single_at] = measured[0, p.single] * scale
 
     if p.multi.size:
-        y = np.where(p.own, (measured[:p.own.shape[1], p.multi] * scale).T, 0)
+        # all mu* rows: a node of weight m is solved from rows 0..m-1, and
+        # rows m..mu*-1 check it
+        y = (measured[:, p.multi] * scale).T
         c = _bp_apply(p.factors, y)
         counter.mul(p.solve_mults, phase="solve")
         counter.add(p.solve_adds, phase="solve")
         residual[p.multi] = _residuals(p.V, y, c)
-        redo = residual[p.multi] > max(tolerance, 1e-9)
-        for b in np.flatnonzero(redo).tolist():
-            # backward-stability failure: dense fallback, dense cost
-            m = int(p.factors.sizes[b])
-            c[b, :m] = np.linalg.solve(np.vander(p.x[b, :m], m, increasing=True).T, y[b, :m])
-            counter.mul(m ** 3, phase="solve")
-            counter.add(m ** 3, phase="solve")
-        fallback[p.multi] = redo
         coeffs[p.multi_at] = c[p.own]
 
     report = CostReport.from_counter(
@@ -576,9 +560,9 @@ def _execute(p: _Prepared, source, J: SupportSet, counter: OpCounter, tolerance:
         samples_touched=p.touched,
         bound_alg1bnd=p.plan.predicted_cost,
         bound_hidft=C1 * len(p.plan.pivots) * (1 << len(p.plan.pivots)),
-        dense_fallbacks=int(fallback.sum()),
     )
-    return coeffs, NodeArrays(p.residues, p.bounds, p.members, fallback, residual), report
+    mismatch = residual > max(tolerance, 1e-9)
+    return coeffs, NodeArrays(p.residues, p.bounds, p.members, mismatch, residual), report
 
 
 def sas_transform(
@@ -607,9 +591,14 @@ def sas_transform(
     rows of zero-padded arrays, in float64 only: one counted Leja +
     Bjorck-Pereyra sweep over all nodes, with Vandermonde nodes
     e^{-2 pi i d l / N} that the stride keeps apart.  There is no
-    escalation.  Each node's relative residual against its measurements is
-    recorded; a node that misses max(tolerance, 1e-9) is re-solved
-    densely, at dense cost.
+    escalation and no second decode.  A node of weight m is solved from
+    its first m rows, but it was measured under all mu* shifts; its
+    relative residual is taken against all mu* rows, so rows m..mu*-1
+    check the answer (a consistency test, uncounted).  A node whose
+    residual exceeds max(tolerance, 1e-9) is flagged in
+    `NodeArrays.mismatch`, as when the signal has energy off J; nothing
+    raises.  Nodes of weight mu*, weight-1 nodes and every node when
+    mu* = 1 have no spare row, so a wrong answer there goes unflagged.
 
     Plan once, execute per call.  Everything that depends on J alone is
     prepared once and cached on the `SupportSet` instance itself: the
@@ -672,7 +661,7 @@ def submatrix_method(
     x = np.exp(2j * np.pi * J.as_array() / J.N)[None]
     factors = _bp_factors(x, sizes, _leja_orders(x, sizes))
     c = _bp_apply(factors, y)
-    _charge_solve(counter, sizes, "solve")
+    _charge_solve(counter, sizes)
     V = _vander_stack(x)
     if _error_estimate(factors, V, y, c) > tolerance / 20.0:
         if isinstance(source, BandlimitedSignal):

@@ -150,8 +150,10 @@ class TestPaddedSolve:
     def test_solve_equals_scalar_sweep(self, sizes):
         x, y, sizes = padded_batch(sizes)
         y2 = np.where(y != 0, 1j * y[:, ::-1] - 0.5, 0)
+        own = np.arange(x.shape[1]) < sizes[:, None]
+        y3 = np.where(own, y, 1e3 * (1 + 1j) * rng.standard_normal(y.shape))  # padding never read
         factors = _bp_factors(x, sizes, _leja_orders(x, sizes))
-        for rhs in (y, y2):  # one set of factors, two right-hand sides
+        for rhs in (y, y2, y3):  # one set of factors, three right-hand sides
             c = _bp_apply(factors, rhs)
             for b, m in enumerate(sizes.tolist()):
                 want = scalar_solve(x[b, :m], rhs[b, :m])
@@ -166,11 +168,6 @@ class TestPaddedSolve:
         for a in (factors.perm, factors.xr, factors.steps[0][1]):
             with pytest.raises(ValueError):
                 a[0, 0] = 1
-
-    def test_without_leja_equals_plain_sweep(self):
-        x, y, sizes = padded_batch([9])
-        got = vandermonde_solve(x[0], y[0], leja=False)
-        assert got.tobytes() == bp_core(x[0], y[0]).tobytes()
 
     @pytest.mark.parametrize("sizes", MIXED[:2])
     def test_error_estimate_equals_scalar(self, sizes):
@@ -262,10 +259,10 @@ class TestButterflyBatch:
 
 
 def eager_decode(source, J, out, tolerance=1e-8):
-    """The node-by-node decode: one (residue, members, dense_fallback,
-    residual) tuple per node and the coefficients of the nodes without a
-    dense fallback, from single-shift `hidft` calls at the planned shifts
-    j * stride."""
+    """The node-by-node decode: one (residue, members, mismatch, residual)
+    tuple per node and every coefficient, from single-shift `hidft` calls at
+    the planned shifts j * stride.  A node of weight m is solved from the
+    first m shifts; its residual is taken over all mu* of them."""
     plan = out.plan
     N, d = J.N, plan.stride
     scale = N / (1 << len(plan.pivots))
@@ -277,19 +274,17 @@ def eager_decode(source, J, out, tolerance=1e-8):
     nodes, coeffs = [], {}
     for i, res in enumerate(sorted(groups)):
         members = tuple(sorted(groups[res]))
-        y = np.asarray([row.node_values[i] for row in rows[:len(members)]]) * scale
+        y = np.asarray([row.node_values[i] for row in rows]) * scale
         if len(members) == 1:
             nodes.append((res, members, False, 0.0))
             coeffs[members[0]] = y[0] if scale != 1.0 else rows[0].node_values[i]
             continue
         x = np.exp(-2j * np.pi * np.asarray([d * l % N for l in members], dtype=np.float64) / N)
-        c = scalar_solve(x, y)
-        V = np.vander(x, len(x), increasing=True).T
+        c = scalar_solve(x, y[:len(members)])
+        V = np.vander(x, plan.mu_star, increasing=True).T
         residual = float(np.linalg.norm(V @ c - y) / max(np.linalg.norm(y), 1e-300))
-        fallback = residual > max(tolerance, 1e-9)
-        nodes.append((res, members, fallback, residual))
-        if not fallback:
-            coeffs.update(zip(members, c))
+        nodes.append((res, members, residual > max(tolerance, 1e-9), residual))
+        coeffs.update(zip(members, c))
     return nodes, coeffs
 
 
@@ -316,12 +311,13 @@ class TestLazyNodeSystems:
         nodes, coeffs = eager_decode(x, J, out)
         v = out.nodes
         m, b = v.members.tolist(), v.bounds.tolist()
-        got = [(res, tuple(m[b[i]:b[i + 1]]), fb)
-               for i, (res, fb) in enumerate(zip(v.residues.tolist(), v.dense_fallback.tolist()))]
+        got = [(res, tuple(m[b[i]:b[i + 1]]), flag)
+               for i, (res, flag) in enumerate(zip(v.residues.tolist(), v.mismatch.tolist()))]
         assert got == [n[:3] for n in nodes]
         assert all(abs(r - n[3]) <= 1e-15 for r, n in zip(v.residual.tolist(), nodes))
-        assert v.dense_fallback.dtype == bool
+        assert v.mismatch.dtype == bool
         have = out.coeff_map()
+        assert len(coeffs) == len(J)
         for l, c in coeffs.items():
             assert np.complex128(have[l]).tobytes() == np.complex128(c).tobytes()
 

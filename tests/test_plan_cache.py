@@ -72,7 +72,7 @@ def run(source, J, **request):
 def fingerprint(out, counter):
     """Every byte a caller can read off one call."""
     n = out.nodes
-    arrays = (out.coeffs, n.residues, n.bounds, n.members, n.dense_fallback, n.residual)
+    arrays = (out.coeffs, n.residues, n.bounds, n.members, n.mismatch, n.residual)
     return (
         [(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
         list(out.report.as_dict().items()),
@@ -172,7 +172,7 @@ def test_cached_and_returned_arrays_are_read_only():
     returned = [out.nodes.residues, out.nodes.bounds, out.nodes.members, J.as_array()]
     [prepared] = [v for k, v in J._memo.items() if k[0] == "plan"]
     cached = [v for v in vars(prepared).values() if isinstance(v, np.ndarray)]
-    assert len(cached) == 14
+    assert len(cached) == 13
     f = prepared.factors
     cached += [*prepared.butterfly.twiddles, f.perm, f.sizes, f.xr, f.xi, f.gather, f.pad]
     cached += [a for step in f.steps for a in step]
@@ -376,13 +376,14 @@ def fresh_grid(sig, o, shifts):
 @pytest.mark.parametrize("kind", ["bandlimited", "dense"])
 def test_large_random_subset_within_tolerance(kind):
     # the paper's pivot count, t = floor(log2 k - log2 log2 k) = 6, as an explicit r:
-    # the least-cost plan decodes this case (see the test below)
+    # the least-cost plan decodes this case (see the test below).  The spare-row
+    # check does not see this miss: its largest residual is 7.9e-12
     fam = FamilySpec("random_subset", {"k": 1024, "M": 18}, 5).build()
     J = fam.support
     c = draw_coefficients(len(J), np.random.default_rng(5), nonzero=True)
     source = BandlimitedSignal(J, c) if kind == "bandlimited" else dense(J, c)
     out = sas_transform(source, J, r=tuple(range(6)))
-    assert out.report.dense_fallbacks == 0 and out.plan.stride == 115
+    assert not out.nodes.mismatch.any() and out.plan.stride == 115
     assert np.max(np.abs(out.coeffs - c) / np.abs(c)) <= TOLERANCE
 
 

@@ -7,10 +7,12 @@ import pytest
 
 from structfft import (
     BandlimitedSignal,
+    FamilySpec,
     InvalidInputError,
     OpCounter,
     SupportSet,
     dft_direct,
+    draw_coefficients,
     gen_homogeneous,
     gen_jstar,
     hidft,
@@ -206,6 +208,33 @@ class TestSasTransform:
         sig, c = planted(J, seed=9)
         out = sas_transform(sig, J, r=(0, 1, 2, 3, 4, 5))
         assert rel_error(out.coeffs, c) < 1e-8
+
+
+class TestMismatch:
+    """A node of weight m < mu* is measured under mu* shifts but solved from
+    m of them; the spare rows flag a signal with energy off J."""
+
+    @staticmethod
+    def leaky(seed, leak):
+        J = FamilySpec("random_subset", {"k": 256, "M": 14}, seed).build().support
+        c = draw_coefficients(len(J), np.random.default_rng(seed), nonzero=True)
+        F = np.zeros(J.N, dtype=np.complex128)
+        F[J.as_array()] = c
+        off = np.setdiff1d(np.arange(J.N), J.as_array())
+        F[np.random.default_rng(100 + seed).choice(off, size=3, replace=False)] = leak
+        return sas_transform(np.fft.ifft(F), J), c
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_off_support_bins_are_flagged(self, seed):
+        out, c = self.leaky(seed, 0.3)
+        assert np.max(np.abs(out.coeffs - c) / np.abs(c)) > 1e-8
+        assert out.nodes.mismatch.sum() >= 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_clean_twin_flags_nothing(self, seed):
+        out, c = self.leaky(seed, 0.0)
+        assert np.max(np.abs(out.coeffs - c) / np.abs(c)) <= 1e-8
+        assert not out.nodes.mismatch.any()
 
 
 class TestSubmatrixMethod:

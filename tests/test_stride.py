@@ -194,7 +194,7 @@ def test_struct_supports_decode_without_dd(spec, monkeypatch):
     for source in (dense(J, c), BandlimitedSignal(J, c)):
         out = decode(spec, source, PAPER_R.get(f"{spec.kind}-{spec.seed}"))
         assert out.plan.mu_star > 1 and out.plan.stride > 1
-        assert out.report.escalated_nodes == 0 and out.report.dense_fallbacks == 0
+        assert not out.nodes.mismatch.any()
         assert worst_error(out.coeffs, c) <= TOLERANCE
 
 
@@ -248,9 +248,11 @@ def test_cli_transform_reports_plan(tmp_path, capsys):
     J = spec.build().support
     path = tmp_path / "signal.json"
     cli.dump_json(cli.signal_to_json(J, spectrum(len(J), 0)), str(path))
-    assert cli.main(["transform", "--signal", str(path), "--algo", "sas", "--policy", "uoe",
+    assert cli.main(["transform", "--signal", str(path), "--algo", "sas",
                      "--pivots", "0,1,2,3"]) == 0  # the paper's uoe count
-    plan = json.loads(capsys.readouterr().out)["plan"]
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["mismatch_nodes"] == 0
+    plan = payload["plan"]
     want = SasPlan.plan(J, (0, 1, 2, 3))
     assert plan == {
         "pivots": list(want.pivots),
