@@ -45,19 +45,6 @@ CSV_COLUMNS = (
     "mismatch_nodes",
 )
 
-TRIAL_KINDS = (
-    "homogeneous",
-    "elementary",
-    "consecutive",
-    "ap",
-    "gap",
-    "uoe",
-    "uoh",
-    "random_subset",
-    "jstar",
-    "fixture",
-)
-
 FIXTURES = {
     # worked shift-and-sample example: one 2x2 node system
     "paper_sas": (1024, (0, 1, 6, 7, 512)),
@@ -180,7 +167,9 @@ def run_trial(kind: str, params: dict, base_seed: int, scenario_idx: int,
     rng = rng_from_seed(base_seed, scenario_idx, trial)
     trial_seed = int(rng.integers(0, 2**63 - 1))
     if kind == "fixture":
-        name = params["name"]
+        name = params.get("name")
+        if not isinstance(name, str) or name not in FIXTURES:
+            raise InvalidInputError(f"fixture scenario needs a 'name' among {sorted(FIXTURES)}")
         N, idx = FIXTURES[name]
         J = SupportSet.make(N, idx)
         family_label = f"fixture:{name}"
@@ -189,6 +178,8 @@ def run_trial(kind: str, params: dict, base_seed: int, scenario_idx: int,
             spec = _family_spec_for_trial(kind, params, rng, trial_seed)
         except KeyError as e:
             raise InvalidInputError(f"{kind} scenario params missing key {e}") from None
+        except (TypeError, ValueError) as e:  # e.g. "M": "abc", [3] or [5, 3]
+            raise InvalidInputError(f"bad {kind} scenario params: {e}") from None
         J = spec.build().support
         family_label = kind
     coeffs = draw_coefficients(len(J), rng, nonzero=True)
@@ -250,10 +241,15 @@ def run_scenario(scenario: dict, base_seed: int, scenario_idx: int,
         trials = int(scenario["trials"])
     except (KeyError, TypeError, ValueError):
         raise InvalidInputError(f"scenario {scenario_idx} needs a 'kind' and an integer 'trials'") from None
-    params = dict(scenario.get("params", {}))
+    params = scenario.get("params", {})
+    if not isinstance(params, dict):
+        raise InvalidInputError(f"scenario {scenario_idx} 'params' must be an object")
     sid = scenario.get("id", f"{kind}-{scenario_idx}")
     if kind == "antipodal":
-        summary = run_antipodal_scenario(params, base_seed, scenario_idx, trials)
+        try:
+            summary = run_antipodal_scenario(params, base_seed, scenario_idx, trials)
+        except (KeyError, TypeError, ValueError) as e:
+            raise InvalidInputError(f"bad antipodal scenario params: {e!r}") from None
         summary["id"] = sid
         return [], summary
     args = [(kind, params, base_seed, scenario_idx, t, tolerance) for t in range(trials)]
@@ -312,10 +308,15 @@ def summarize_records(records: list[TrialRecord]) -> dict:
 
 
 def run_bench(config: dict, threads: int | None = None) -> tuple[list[TrialRecord], dict]:
-    if "scenarios" not in config:
+    if not isinstance(config.get("scenarios"), list):
         raise InvalidInputError("scenario file needs a 'scenarios' list")
-    base_seed = int(config.get("seed", 0))
-    tolerance = float(config.get("tolerance", 1e-8))
+    try:
+        base_seed = int(config.get("seed", 0))
+        tolerance = float(config.get("tolerance", 1e-8))
+    except (TypeError, ValueError):
+        raise InvalidInputError("scenario file 'seed' must be an integer and 'tolerance' a number") from None
+    if base_seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, not {base_seed}")
     if threads is None:
         try:
             threads = int(os.environ.get("THREADS", "1"))

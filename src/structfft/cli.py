@@ -252,6 +252,8 @@ def records_to_csv(records) -> str:
 
 def cmd_bench(args) -> int:
     config = _load_json(args.scenario)
+    if not isinstance(config, dict):
+        raise InvalidInputError(f"scenario file {args.scenario} must hold a JSON object")
     if args.seed is not None:
         config["seed"] = args.seed
     if args.tolerance is not None:

@@ -207,14 +207,15 @@ class BandlimitedSignal:
         at the same locations is the oracle.
 
         Everything but the coefficients depends on J, the offsets and the
-        shifts alone.  When E and P each fit in _CHUNK entries, the support
-        order by group, the group starts, E and P are kept, read-only, as
-        the one "grid" entry of `support._memo`, keyed by the offsets and
-        shifts mod N; a request with other offsets or shifts replaces it.  A
-        call that finds them (any signal on the same `SupportSet` instance)
-        forms only S and the product.  Larger requests store nothing and
-        form S and P in blocks of at most _CHUNK entries.  Cold, warm and
-        blocked calls return the same bytes.
+        shifts alone.  E is formed in blocks of rows and P in blocks of
+        groups, each of at most _CHUNK entries (at least one row or group).
+        When each is one block, the support order by group, the group
+        starts, E and P are kept, read-only, as the one "grid" entry of
+        `support._memo`, keyed by the offsets and shifts mod N; a request
+        with other offsets or shifts replaces it.  A call that finds them
+        (any signal on the same `SupportSet` instance) forms only S and the
+        product.  Cold, warm and larger requests go through the same loops,
+        so a warm call returns a cold call's bytes.
         """
         N = self.N
         o = np.asarray(offsets, dtype=np.int64) % N
@@ -224,6 +225,7 @@ class BandlimitedSignal:
         entry = memo.get("grid")
         if entry is not None and entry[0] == key:
             order, starts, E, P = entry[1]
+            E, P = (E,), (P,)
         else:
             nz = o[o != 0]
             q = N.bit_length() - int(np.min(nz & -nz)).bit_length() if nz.size else 0
@@ -231,33 +233,25 @@ class BandlimitedSignal:
             order = np.argsort(group, kind="stable")  # the support by group
             group = group[order]
             starts = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
-            res = group[starts]
-            if len(j) * len(order) > _CHUNK or len(res) * len(o) > _CHUNK:
-                return self._grid_in_blocks(o, j, order, starts, res)
-            E = np.exp(-2j * np.pi * mod_product(j[:, None], self._l[order], N) / N)
-            P = np.exp(2j * np.pi * mod_product(res[:, None], o, N) / N)
-            for a in (order, starts, E, P):
-                a.flags.writeable = False
-            memo["grid"] = (key, (order, starts, E, P))
-        out = np.zeros((len(j), len(o)), dtype=np.complex128)  # + turns -0.0 into 0.0, as blocks do
-        out += np.add.reduceat(E * self.coeffs[order], starts, axis=1) @ P
-        return out / N
-
-    def _grid_in_blocks(self, o, j, order, starts, res) -> np.ndarray:
-        """`sample_grid` with S and P formed in blocks of at most _CHUNK entries."""
-        N = self.N
-        l, c = self._l[order], self.coeffs[order]
-        S = np.empty((len(j), len(starts)), dtype=np.complex128)
-        rows = max(1, _CHUNK // len(l))
-        for start in range(0, len(j), rows):
-            jj = j[start:start + rows]
-            terms = np.exp(-2j * np.pi * mod_product(jj[:, None], l, N) / N) * c
-            S[start:start + len(jj)] = np.add.reduceat(terms, starts, axis=1)
-        out = np.zeros((len(j), len(o)), dtype=np.complex128)
-        groups = max(1, _CHUNK // max(len(o), 1))
-        for start in range(0, len(res), groups):
-            g = slice(start, start + groups)
-            out += S[:, g] @ np.exp(2j * np.pi * mod_product(res[g, None], o, N) / N)
+            l, res = self._l[order], group[starts]
+            rows = max(1, _CHUNK // len(l))
+            groups = max(1, _CHUNK // max(len(o), 1))
+            E = (np.exp(-2j * np.pi * mod_product(j[s:s + rows, None], l, N) / N)
+                 for s in range(0, max(len(j), 1), rows))  # no shifts: one empty block
+            P = (np.exp(2j * np.pi * mod_product(res[g:g + groups, None], o, N) / N)
+                 for g in range(0, len(res), groups))
+            if len(j) * len(l) <= _CHUNK and len(res) * len(o) <= _CHUNK:  # one block each
+                E, P = tuple(E), tuple(P)
+                for a in (order, starts, *E, *P):
+                    a.flags.writeable = False
+                memo["grid"] = (key, (order, starts, *E, *P))
+        c = self.coeffs[order]
+        S = np.concatenate([np.add.reduceat(e * c, starts, axis=1) for e in E])
+        out = np.zeros((len(j), len(o)), dtype=np.complex128)  # + turns -0.0 into 0.0
+        g = 0
+        for p in P:
+            out += S[:, g:g + len(p)] @ p
+            g += len(p)
         return out / N
 
     def synthesize(self) -> np.ndarray:

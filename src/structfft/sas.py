@@ -9,7 +9,7 @@ stride), and solves one Vandermonde system per aliased node:
     (N/|I|) * Hidft(tau^{j d} f)(v) = sum_{l in v} Ff(l) * x_l^j,
     x_l = e^{-2 pi i d l / N}.
 
-Weight-1 nodes skip the solver and read their coefficient directly.
+Weight-1 nodes are 1 x 1 rows of the same sweep, read directly when mu* = 1.
 """
 
 from __future__ import annotations
@@ -414,7 +414,7 @@ class NodeArrays:
     """Every decode-level node's state, by ascending residue: node i has
     residue residues[i] and members members[bounds[i]:bounds[i+1]]
     (ascending), the relative residual of its decode against all mu* rows
-    it was measured under (0 for weight 1), and its mismatch flag,
+    it was measured under (0 when mu* = 1), and its mismatch flag,
     residual > max(tolerance, 1e-9)."""
 
     residues: np.ndarray
@@ -446,11 +446,11 @@ class SasResult:
 class _Prepared:
     """Everything `sas_transform` derives from J and the pivots alone,
     read-only; `_execute` does the rest.  Nodes are the decode-level nodes
-    by ascending residue; "multi" are those of weight > 1, padded to mu*
-    columns.  Holds no reference to J, so J can cache it.  The counted ops
-    of a call depend on J alone too: solve_mults and solve_adds are the
-    "solve" phase's totals (the read scale of the multi nodes, the
-    Bjorck-Pereyra sweep and its Leja term)."""
+    by ascending residue, padded to mu* columns.  Holds no reference to J,
+    so J can cache it.  The counted ops of a call depend on J alone too:
+    read_mults is the "read" phase's (the read scale of the weight-1 nodes),
+    solve_mults and solve_adds the "solve" phase's (the read scale of the
+    heavier nodes, the Bjorck-Pereyra sweep and its Leja term)."""
 
     plan: SasPlan
     bit_ops: int            # tree_build_bitops charged to every call
@@ -464,13 +464,11 @@ class _Prepared:
     residues: np.ndarray    # NodeArrays.residues, .bounds, .members
     bounds: np.ndarray
     members: np.ndarray
-    single: np.ndarray      # weight-1 nodes
-    single_at: np.ndarray   # their members' positions in J
-    multi: np.ndarray       # nodes of weight > 1
-    own: np.ndarray         # (len(multi), mu*): column < the node's weight
-    multi_at: np.ndarray    # positions in J of own's entries, row by row
+    own: np.ndarray         # (nodes, mu*): column < the node's weight
+    at: np.ndarray          # positions in J of own's entries, row by row
     factors: _Factors | None  # of the Vandermonde nodes e^{-2 pi i d l / N}, padded
-    V: np.ndarray           # x[b, m]^j at [b, j, m] for all j < mu*
+    V: np.ndarray | None    # x[b, m]^j at [b, j, m] for all j < mu*; both None if mu* = 1
+    read_mults: int
     solve_mults: int
     solve_adds: int
 
@@ -498,31 +496,26 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
     butterfly, take = _build_plan(residues, rt)
     scale = N / len(offsets)
 
-    position = np.searchsorted(J.as_array(), members)  # index of each member in J
-    single = np.flatnonzero(weights == 1)
-    multi = np.flatnonzero(weights > 1)
-    sizes = weights[multi]
-    col = np.arange(mu if multi.size else 0)
-    own = col[None, :] < sizes[:, None]
-    at = (bounds[multi][:, None] + col)[own]  # members' positions, node by node
+    own = np.arange(mu) < weights[:, None]
     x = np.zeros(own.shape, dtype=np.complex128)
-    exponents = mod_product(members[at], stride, N).astype(np.float64)
-    x[own] = np.exp(-2j * np.pi * exponents / N)
-    factors = _bp_factors(x, sizes, _leja_orders(x, sizes)) if multi.size else None
-    V = np.ascontiguousarray(_vander_stack(x))
-    solve_mults, solve_adds = _solve_ops(sizes)
-    if scale != 1.0:
-        solve_mults += int(sizes.sum())
+    x[own] = np.exp(-2j * np.pi * mod_product(members, stride, N).astype(np.float64) / N)
+    factors = _bp_factors(x, weights, _leja_orders(x, weights)) if mu > 1 else None
+    V = np.ascontiguousarray(_vander_stack(x)) if mu > 1 else None
+    solve_mults, solve_adds = _solve_ops(weights)
+    read_mults = 0
+    if scale != 1.0:  # one product per measured value a node is solved from
+        read_mults = int(np.count_nonzero(weights == 1))
+        solve_mults += int(weights.sum()) - read_mults
 
     prepared = _Prepared(
         plan, len(J) * max(level, 1), offsets, shifts, locations, scale,
         butterfly, take, int(np.unique(locations).size), residues, bounds, members,
-        single, position[bounds[single]], multi, own, position[at], factors, V,
-        solve_mults, solve_adds,
+        own, np.searchsorted(J.as_array(), members), factors, V,
+        read_mults, solve_mults, solve_adds,
     )
-    for a in (offsets, shifts, locations, take, residues, bounds, members, single, multi, own,
-              prepared.single_at, prepared.multi_at, V):
-        a.flags.writeable = False
+    for a in vars(prepared).values():
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
     return prepared
 
 
@@ -530,30 +523,27 @@ def _execute(p: _Prepared, source, J: SupportSet, counter: OpCounter, tolerance:
     """The sample-dependent half of `sas_transform`: the coefficients, the
     node state and the counted costs of one call."""
     counter.count_bit_ops(p.bit_ops)  # the figure build_tree(J, level, counter) charges
-    scale = p.scale
 
     # row j: every decode-level node's value under shift j d, by ascending residue
     grid = _read_grid(source, p.offsets, p.shifts, p.locations, J.N)
     measured = _butterfly_pass(p.butterfly, grid, counter)[:, p.take]
 
     coeffs = np.empty(len(J), dtype=np.complex128)
-    residual = np.zeros(len(p.residues))
-
-    if scale == 1.0:
-        coeffs[p.single_at] = measured[0, p.single]
-    elif p.single.size:
-        counter.mul(p.single.size, phase="read")
-        coeffs[p.single_at] = measured[0, p.single] * scale
-
-    if p.multi.size:
+    if p.factors is None:  # mu* = 1: every node has weight 1 and no spare row
+        coeffs[p.at] = measured[0] * p.scale
+        residual = np.zeros(len(p.residues))
+    else:
         # all mu* rows: a node of weight m is solved from rows 0..m-1, and
         # rows m..mu*-1 check it
-        y = (measured[:, p.multi] * scale).T
+        y = (measured * p.scale).T
         c = _bp_apply(p.factors, y)
+        residual = _residuals(p.V, y, c)
+        coeffs[p.at] = c[p.own]
+    if p.read_mults:  # a phase charged nothing gets no entry in counter.phases
+        counter.mul(p.read_mults, phase="read")
+    if p.solve_mults:
         counter.mul(p.solve_mults, phase="solve")
         counter.add(p.solve_adds, phase="solve")
-        residual[p.multi] = _residuals(p.V, y, c)
-        coeffs[p.multi_at] = c[p.own]
 
     report = CostReport.from_counter(
         counter,
@@ -587,18 +577,19 @@ def sas_transform(
     from J alone; d = 1 when mu* = 1).  Shift j reads samples at
     (I_r - j d) mod N.  All mu* x |I_r| samples are read as one grid (for a
     `BandlimitedSignal`, from its group sums) and one butterfly pass
-    transforms every row.  The aliased nodes are then decoded together, as
-    rows of zero-padded arrays, in float64 only: one counted Leja +
-    Bjorck-Pereyra sweep over all nodes, with Vandermonde nodes
-    e^{-2 pi i d l / N} that the stride keeps apart.  There is no
-    escalation and no second decode.  A node of weight m is solved from
-    its first m rows, but it was measured under all mu* shifts; its
-    relative residual is taken against all mu* rows, so rows m..mu*-1
-    check the answer (a consistency test, uncounted).  A node whose
-    residual exceeds max(tolerance, 1e-9) is flagged in
-    `NodeArrays.mismatch`, as when the signal has energy off J; nothing
-    raises.  Nodes of weight mu*, weight-1 nodes and every node when
-    mu* = 1 have no spare row, so a wrong answer there goes unflagged.
+    transforms every row.  The nodes are then decoded together, as rows of
+    zero-padded arrays, in float64 only: one counted Leja + Bjorck-Pereyra
+    sweep over all nodes, weight 1 included, with Vandermonde nodes
+    e^{-2 pi i d l / N} that the stride keeps apart; when mu* = 1 every
+    node has weight 1 and is read directly.  There is no escalation and no
+    second decode.  A node of weight m is solved from its first m rows,
+    but it was measured under all mu* shifts; its relative residual is
+    taken against all mu* rows, so rows m..mu*-1 check the answer (a
+    consistency test, uncounted).  A node whose residual exceeds
+    max(tolerance, 1e-9) is flagged in `NodeArrays.mismatch`, as when the
+    signal has energy off J; nothing raises (but a tolerance that is not
+    finite and positive does).  Nodes of weight mu*, and every node when
+    mu* = 1, have no spare row, so a wrong answer there goes unflagged.
 
     Plan once, execute per call.  Everything that depends on J alone is
     prepared once and cached on the `SupportSet` instance itself: the
@@ -625,6 +616,8 @@ def sas_transform(
     """
     if policy not in POLICIES:
         raise InvalidInputError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+    if not 0 < tolerance < math.inf:  # NaN too: it would switch the mismatch flag off
+        raise InvalidInputError(f"tolerance must be finite and positive, not {tolerance!r}")
     counter = counter if counter is not None else OpCounter()
     prepared, reused = _prepared(J, select_pivots(J) if r is None else r)
     coeffs, nodes, report = _execute(prepared, source, J, counter, tolerance)
@@ -647,8 +640,11 @@ def submatrix_method(
     float64 samples, taken as exact, otherwise.
     Raises ContractViolationError when even the double-double re-solve
     returns non-finite coefficients or misses max(tolerance, 1e-9) in
-    float64 relative residual: the system is out of reach.
+    float64 relative residual: the system is out of reach, and
+    InvalidInputError when tolerance is not finite and positive.
     """
+    if not 0 < tolerance < math.inf:
+        raise InvalidInputError(f"tolerance must be finite and positive, not {tolerance!r}")
     k = len(J)
     if k > SUBMATRIX_SIZE_CAP:
         raise InvalidInputError(f"submatrix baseline capped at k <= {SUBMATRIX_SIZE_CAP}")

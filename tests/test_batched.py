@@ -261,8 +261,9 @@ class TestButterflyBatch:
 def eager_decode(source, J, out, tolerance=1e-8):
     """The node-by-node decode: one (residue, members, mismatch, residual)
     tuple per node and every coefficient, from single-shift `hidft` calls at
-    the planned shifts j * stride.  A node of weight m is solved from the
-    first m shifts; its residual is taken over all mu* of them."""
+    the planned shifts j * stride.  A node of weight m, weight 1 included,
+    is solved from the first m shifts; its residual is taken over all mu*
+    of them, so it is 0 for every node when mu* = 1."""
     plan = out.plan
     N, d = J.N, plan.stride
     scale = N / (1 << len(plan.pivots))
@@ -275,10 +276,6 @@ def eager_decode(source, J, out, tolerance=1e-8):
     for i, res in enumerate(sorted(groups)):
         members = tuple(sorted(groups[res]))
         y = np.asarray([row.node_values[i] for row in rows]) * scale
-        if len(members) == 1:
-            nodes.append((res, members, False, 0.0))
-            coeffs[members[0]] = y[0] if scale != 1.0 else rows[0].node_values[i]
-            continue
         x = np.exp(-2j * np.pi * np.asarray([d * l % N for l in members], dtype=np.float64) / N)
         c = scalar_solve(x, y[:len(members)])
         V = np.vander(x, plan.mu_star, increasing=True).T

@@ -114,6 +114,45 @@ def test_bench_bad_threads_env_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2 and "THREADS" in err
 
 
+ELEMENTARY = {"kind": "elementary", "trials": 2}
+
+
+@pytest.mark.parametrize("scenario, needle", [
+    ({"scenarios": [{**ELEMENTARY, "params": [1, 2]}]}, "'params'"),
+    ({"scenarios": [{**ELEMENTARY, "params": {"M": "abc"}}]}, "'abc'"),
+    ({"scenarios": [{**ELEMENTARY, "params": {"M": [3]}}]}, "unpack"),
+    ({"scenarios": [{**ELEMENTARY, "params": {"M": [9, 3]}}]}, "elementary"),
+    ({"scenarios": [{"kind": "fixture", "trials": 1, "params": {"name": "nope"}}]}, "'name'"),
+    ({"scenarios": [{"kind": "fixture", "trials": 1}]}, "'name'"),
+    ({"scenarios": [{"kind": "antipodal", "trials": 1}]}, "'M'"),
+    ({"seed": "abc", "scenarios": [{**ELEMENTARY, "params": {"M": 6}}]}, "'seed'"),
+    ({"seed": -1, "scenarios": [{**ELEMENTARY, "params": {"M": 6}}]}, "seed"),
+    ({"scenarios": 5}, "'scenarios'"),
+    ([], "JSON object"),
+])
+def test_bench_malformed_scenario_exits_2(tmp_path, capsys, scenario, needle):
+    code, err = bench_exit(tmp_path, capsys, scenario)
+    assert code == 2 and needle in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-8"])
+def test_bench_bad_tolerance_exits_2(tmp_path, capsys, tolerance):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"scenarios": [{**ELEMENTARY, "params": {"M": 6}}]}))
+    assert cli.main(["bench", str(path), f"--tolerance={tolerance}"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "tolerance" in out.err
+
+
+@pytest.mark.parametrize("algo", ["sas", "submatrix"])
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-8"])
+def test_transform_bad_tolerance_exits_2(tmp_path, capsys, algo, tolerance):
+    signal, *_ = gen(tmp_path, capsys, "uoe", UOE)
+    assert cli.main(["transform", "--signal", str(signal), "--algo", algo, f"--tolerance={tolerance}"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "tolerance" in out.err
+
+
 @pytest.mark.parametrize("params, needle", [("{}", "'r'"), ("[1]", "JSON object")])
 def test_gen_bad_params_exits_2(tmp_path, capsys, params, needle):
     code = cli.main(["gen", "--kind", "elementary", "--params", params,

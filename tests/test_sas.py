@@ -230,11 +230,48 @@ class TestMismatch:
         assert np.max(np.abs(out.coeffs - c) / np.abs(c)) > 1e-8
         assert out.nodes.mismatch.sum() >= 1
 
+    @staticmethod
+    def wrong_nodes(out, c):
+        """Whether each node has a coefficient off by more than 1e-8."""
+        v = out.nodes
+        err = np.abs(out.coeffs - c) / np.abs(c)
+        at = np.searchsorted(out.support.as_array(), v.members)
+        return np.maximum.reduceat(err[at], v.bounds[:-1]) > 1e-8
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_wrong_node_is_flagged(self, seed):
+        # seeds 1 and 2 each have a wrong weight-1 node, checked by its
+        # mu* - 1 spare rows
+        out, c = self.leaky(seed, 0.3)
+        wrong = self.wrong_nodes(out, c)
+        assert wrong.any()
+        assert not (wrong & ~out.nodes.mismatch).any()
+
+    def test_weight_mu_star_node_has_no_spare_row(self):
+        # the blind spot that remains: seed 3's wrong node of weight mu* = 8
+        # is solved from all its rows and goes unflagged
+        out, c = self.leaky(3, 0.3)
+        missed = np.flatnonzero(self.wrong_nodes(out, c) & ~out.nodes.mismatch)
+        assert missed.size == 1
+        assert np.diff(out.nodes.bounds)[missed[0]] == out.plan.mu_star == 8
+        assert out.nodes.residual[missed[0]] <= 1e-14
+
     @pytest.mark.parametrize("seed", range(4))
     def test_clean_twin_flags_nothing(self, seed):
         out, c = self.leaky(seed, 0.0)
         assert np.max(np.abs(out.coeffs - c) / np.abs(c)) <= 1e-8
         assert not out.nodes.mismatch.any()
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1e-8])
+def test_tolerance_must_be_finite_and_positive(tolerance):
+    # a NaN tolerance would make every mismatch comparison false
+    J = SupportSet.make(64, [1, 5, 9, 33])
+    sig, _ = planted(J)
+    with pytest.raises(InvalidInputError, match="tolerance"):
+        sas_transform(sig, J, tolerance=tolerance)
+    with pytest.raises(InvalidInputError, match="tolerance"):
+        submatrix_method(J, sig, tolerance=tolerance)
 
 
 class TestSubmatrixMethod:
