@@ -1,14 +1,13 @@
-"""Double-double complex arithmetic for the submatrix baseline's rescue.
+"""Double-double complex arithmetic: ~31-digit samples and Vandermonde solves.
 
-`submatrix_method` solves one k x k Vandermonde system in the nodes
-e^{2 pi i l / N}, l in J, from the first k samples.  Once those nodes
-cluster, float64 misses a 1e-8 tolerance, and the baseline re-solves the
-system in ~31-digit double-double arithmetic: `synthesize_dd` gives the
-samples of a `BandlimitedSignal` in dd, and `solve_vandermonde_dd` runs the
-Bjorck-Pereyra sweep in dd.  This changes word size, not the algorithm,
-and no operation is counted here.  `sas_transform` does not use this
-module: its planned shift stride (`sas.choose_stride`) keeps its node
-systems within float64 reach.
+`synthesize_dd` gives the samples of a `BandlimitedSignal` in double-double
+(dd), and `solve_vandermonde_dd` runs the Bjorck-Pereyra sweep in dd.  This
+changes word size, not the algorithm, and no operation is counted here.
+The library no longer calls this module: `sas_transform` and
+`submatrix_method` decode in float64 only, on the nodes their planned
+shift stride (`sas.choose_stride`) keeps apart.  It is kept only while
+perfbench/spans.py imports it, and goes with `mpmath` and
+tests/test_ddc.py when that benchmark change lands.
 
 Representation: a real double-double is a pair (hi, lo) of same-shape
 float64 arrays; a complex double-double (cdd) is ((re_hi, re_lo),

@@ -13,7 +13,7 @@ residues of `CongruenceTree.level_arrays` give each node its slot (its
 residue's bits at the used pivots) and every stage its twiddles.
 
 A shift argument a computes the transform of the shifted signal tau^a f,
-i.e. the samples are read at locations I - a (mod N).  `_sample_grid` and
+i.e. the samples are read at locations I - a (mod N).  `_read_grid` and
 `_butterfly_pass` serve any number of shifts at once, one row per shift;
 `hidft` is their batch of one, and `sas_transform` reads all its shifts
 with one plan, one grid and one pass.
@@ -157,13 +157,9 @@ def _grid_locations(offsets: np.ndarray, shifts: np.ndarray, N: int) -> np.ndarr
     return ((offsets[None, :] - np.asarray(shifts, dtype=np.int64)[:, None]) % N).reshape(-1)
 
 
-def _sample_grid(source, offsets: np.ndarray, shifts: np.ndarray, N: int) -> np.ndarray:
-    """Samples f(o - j) for every shift j (rows) and offset o (columns), in one read."""
-    return _read_grid(source, offsets, shifts, _grid_locations(offsets, shifts, N), N)
-
-
 def _read_grid(source, offsets: np.ndarray, shifts: np.ndarray, locations: np.ndarray, N: int) -> np.ndarray:
-    """`_sample_grid` from its `_grid_locations`, which a plan computes once.
+    """Samples f(o - j) for every shift j (rows) and offset o (columns), in
+    one read, at their `_grid_locations`, which a plan computes once.
 
     A `BandlimitedSignal` builds the grid from its group sums
     (`BandlimitedSignal.sample_grid`), whose phase tables for these offsets
@@ -228,7 +224,8 @@ def hidft(
     used = rt[: len(rt) - height]
     residues = tree.level_arrays(used[-1] + 1 if used else 0)[0]
     plan, slots = _build_plan(residues, used)
-    grid = _sample_grid(source, pattern_offsets(used, J.M), np.asarray([shift], dtype=np.int64), J.N)
+    offsets, shifts = pattern_offsets(used, J.M), np.asarray([shift], dtype=np.int64)
+    grid = _read_grid(source, offsets, shifts, _grid_locations(offsets, shifts, J.N), J.N)
     v = _butterfly_pass(plan, grid, counter)[0]
     A = plan.n_slots
     stages = len(used)

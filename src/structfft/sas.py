@@ -20,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _ddc
 from .congruence import (
     CongruenceTree,
     SupportSet,
@@ -29,10 +28,10 @@ from .congruence import (
     pivots as support_pivots,  # unused here; perfbench/spans.py traces it
     validate_pivot_vector,
 )
-from .core import _CHUNK, BandlimitedSignal, mod_product
+from .core import _CHUNK, mod_product
 from .counting import CostReport, OpCounter
 from .errors import ContractViolationError, InvalidInputError
-from .hidft import ButterflyPlan, _build_plan, _butterfly_pass, _grid_locations, _read_grid, _sample_grid
+from .hidft import ButterflyPlan, _build_plan, _butterfly_pass, _grid_locations, _read_grid
 from .hidft import hidft  # unused here; perfbench/spans.py traces it
 from .sampling import pattern_offsets
 from .sampling import pivoted_pattern  # unused here; perfbench/spans.py traces it
@@ -40,7 +39,7 @@ from .sampling import pivoted_pattern  # unused here; perfbench/spans.py traces 
 C1 = 1.5  # per-stage butterfly constant
 C2 = 6.0  # Vandermonde solve constant
 
-SUBMATRIX_SIZE_CAP = 1 << 12
+SUBMATRIX_SIZE_CAP = 1 << 11  # one node of weight k caches 32 k^2 bytes of V and factors
 
 POLICIES = ("balanced", "uoe", "uoh", "random_subset", "auto")
 
@@ -294,13 +293,12 @@ def _bp_apply(f: _Factors, y: np.ndarray) -> np.ndarray:
     The real and imaginary parts of all right-hand sides are held in one
     (2, n, B) array, and each inner loop over j of the scalar sweep is one
     slice operation on it, masked where a row's scalar loop would read its
-    padding, as in `_ddc.solve_vandermonde_dd`.  The complex products and
-    quotients are written out in real arithmetic with the formulas of
-    numpy's scalar operations (numpy's array complex multiply rounds
-    differently from its scalar one): a forward product is
-    x_re b - (x_im, -x_im) (b_im, b_re), a quotient the P, Q form of
-    `_bp_factors`.  Both give the scalar formulas' bytes, because 1 * a = a
-    and a + (-b) = a - b exactly.
+    padding.  The complex products and quotients are written out in real
+    arithmetic with the formulas of numpy's scalar operations (numpy's
+    array complex multiply rounds differently from its scalar one): a
+    forward product is x_re b - (x_im, -x_im) (b_im, b_re), a quotient the
+    P, Q form of `_bp_factors`.  Both give the scalar formulas' bytes,
+    because 1 * a = a and a + (-b) = a - b exactly.
     """
     B, n = y.shape
     xr, xi = f.xr, f.xi
@@ -521,7 +519,8 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
 
 def _execute(p: _Prepared, source, J: SupportSet, counter: OpCounter, tolerance: float):
     """The sample-dependent half of `sas_transform`: the coefficients, the
-    node state and the counted costs of one call."""
+    node state and the counted costs of one call, and the scaled rows y the
+    nodes were solved from (None when mu* = 1)."""
     counter.count_bit_ops(p.bit_ops)  # the figure build_tree(J, level, counter) charges
 
     # row j: every decode-level node's value under shift j d, by ascending residue
@@ -532,6 +531,7 @@ def _execute(p: _Prepared, source, J: SupportSet, counter: OpCounter, tolerance:
     if p.factors is None:  # mu* = 1: every node has weight 1 and no spare row
         coeffs[p.at] = measured[0] * p.scale
         residual = np.zeros(len(p.residues))
+        y = None
     else:
         # all mu* rows: a node of weight m is solved from rows 0..m-1, and
         # rows m..mu*-1 check it
@@ -552,7 +552,7 @@ def _execute(p: _Prepared, source, J: SupportSet, counter: OpCounter, tolerance:
         bound_hidft=C1 * len(p.plan.pivots) * (1 << len(p.plan.pivots)),
     )
     mismatch = residual > max(tolerance, 1e-9)
-    return coeffs, NodeArrays(p.residues, p.bounds, p.members, mismatch, residual), report
+    return coeffs, NodeArrays(p.residues, p.bounds, p.members, mismatch, residual), report, y
 
 
 def sas_transform(
@@ -620,7 +620,7 @@ def sas_transform(
         raise InvalidInputError(f"tolerance must be finite and positive, not {tolerance!r}")
     counter = counter if counter is not None else OpCounter()
     prepared, reused = _prepared(J, select_pivots(J) if r is None else r)
-    coeffs, nodes, report = _execute(prepared, source, J, counter, tolerance)
+    coeffs, nodes, report, _ = _execute(prepared, source, J, counter, tolerance)
     return SasResult(J, coeffs, prepared.plan, report, nodes, reused)
 
 
@@ -630,18 +630,21 @@ def submatrix_method(
     counter: OpCounter | None = None,
     tolerance: float = 1e-8,
 ) -> np.ndarray:
-    """O(k^2) baseline: solve the k x k system from the first k samples.
+    """O(k^2) baseline: the shift-and-sample decode with no pivots.
 
-    N f(i) = sum_l c_l e^{+2 pi i i l / N} for i = 0..k-1; the matrix is
-    Vandermonde in the nodes e^{+2 pi i l / N}.  Works for any support, at
-    quadratic cost.  A system whose uncounted forward-error estimate misses
-    tolerance/20 is re-solved in double-double (`_ddc`), from samples
-    synthesized in double-double for a `BandlimitedSignal` and from the
-    float64 samples, taken as exact, otherwise.
-    Raises ContractViolationError when even the double-double re-solve
-    returns non-finite coefficients or misses max(tolerance, 1e-9) in
-    float64 relative residual: the system is out of reach, and
-    InvalidInputError when tolerance is not finite and positive.
+    With r = () all of J is one node of weight k at level 0, so this runs
+    the plan and execute of `sas_transform(source, J, r=())`: samples at
+    -j d mod N for j = 0..k-1, d from `choose_stride` (J as one node), and
+    N f(-j d) = sum_l c_l x_l^j with x_l = e^{-2 pi i d l / N}, solved by
+    one counted float64 Leja + Bjorck-Pereyra sweep.  Works for any
+    support, at quadratic cost.  The plan is cached on J as
+    `sas_transform`'s is; it holds 32 k^2 bytes of V and factors, hence
+    the cap k <= SUBMATRIX_SIZE_CAP (2048).
+    Raises ContractViolationError when the uncounted forward-error
+    estimate of the solve (`_error_estimate`, on the measured rows)
+    exceeds tolerance: the system is out of reach in float64.  Raises
+    InvalidInputError when tolerance is not finite and positive or k is
+    over the cap.
     """
     if not 0 < tolerance < math.inf:
         raise InvalidInputError(f"tolerance must be finite and positive, not {tolerance!r}")
@@ -649,28 +652,13 @@ def submatrix_method(
     if k > SUBMATRIX_SIZE_CAP:
         raise InvalidInputError(f"submatrix baseline capped at k <= {SUBMATRIX_SIZE_CAP}")
     counter = counter if counter is not None else OpCounter()
-    offsets = np.arange(k)
-    f = _sample_grid(source, offsets, np.zeros(1, dtype=np.int64), J.N)
-    counter.mul(k, phase="solve")
-    sizes = np.array([k])
-    y = f * J.N
-    x = np.exp(2j * np.pi * J.as_array() / J.N)[None]
-    factors = _bp_factors(x, sizes, _leja_orders(x, sizes))
-    c = _bp_apply(factors, y)
-    _charge_solve(counter, sizes)
-    V = _vander_stack(x)
-    if _error_estimate(factors, V, y, c) > tolerance / 20.0:
-        if isinstance(source, BandlimitedSignal):
-            f_dd = _ddc.synthesize_dd(J.N, J.as_array(), source.coeffs, offsets)
-        else:  # the float64 samples, taken as exact
-            f_dd = ((f[0].real, np.zeros(k)), (f[0].imag, np.zeros(k)))
-        y_dd = _ddc.cdd_mul_complex(f_dd, complex(J.N))
-        with np.errstate(invalid="ignore", over="ignore"):  # overflow is reported below
-            c = _ddc.solve_vandermonde_dd([(-J.as_array()) % J.N], J.N, y_dd)[None]
-            resid = float(_residuals(V, y, c)[0])
-        if not (np.all(np.isfinite(c)) and resid <= max(tolerance, 1e-9)):
+    prepared, _ = _prepared(J, ())
+    coeffs, _, _, y = _execute(prepared, source, J, counter, tolerance)
+    if y is not None:  # k = 1 is read directly, exactly
+        est = _error_estimate(prepared.factors, prepared.V, y, coeffs[None])
+        if est > tolerance:
             raise ContractViolationError(
-                f"submatrix system out of reach for double-double (k={k}): "
-                f"relative residual {resid:.1e}"
+                f"submatrix system out of reach in float64 (k={k}): "
+                f"forward-error estimate {est:.1e}"
             )
-    return c[0]
+    return coeffs

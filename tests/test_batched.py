@@ -27,7 +27,7 @@ from structfft import (
     vandermonde_solve,
 )
 from structfft.bench import FIXTURES
-from structfft.hidft import _build_plan, _butterfly_pass, _sample_grid
+from structfft.hidft import _build_plan, _butterfly_pass, _grid_locations, _read_grid
 from structfft.sampling import pattern_offsets
 from structfft.sas import (
     C1,
@@ -232,7 +232,9 @@ class TestButterflyBatch:
             shifts = np.concatenate([np.arange(5), rng.integers(-J.N, 2 * J.N, size=4)])
             plan, slots = _build_plan(build_tree(J, J.M).level_arrays(r[-1] + 1 if r else 0)[0], r)
             ctr = OpCounter()
-            v = _butterfly_pass(plan, _sample_grid(x, pattern_offsets(r, J.M), shifts, J.N), ctr)
+            offsets = pattern_offsets(r, J.M)
+            grid = _read_grid(x, offsets, shifts, _grid_locations(offsets, shifts, J.N), J.N)
+            v = _butterfly_pass(plan, grid, ctr)
             nodes = v[:, slots]
             ref = OpCounter()
             for b, j in enumerate(shifts.tolist()):

@@ -129,6 +129,10 @@ ELEMENTARY = {"kind": "elementary", "trials": 2}
     ({"seed": -1, "scenarios": [{**ELEMENTARY, "params": {"M": 6}}]}, "seed"),
     ({"scenarios": 5}, "'scenarios'"),
     ([], "JSON object"),
+    # a number int() would truncate is not the experiment the file names
+    ({"seed": 1.5, "scenarios": [{**ELEMENTARY, "params": {"M": 6}}]}, "'seed'"),
+    ({"scenarios": [{**ELEMENTARY, "trials": 2.7, "params": {"M": 6}}]}, "'trials'"),
+    ({"scenarios": [{**ELEMENTARY, "params": {"M": [6.9, 8]}}]}, "6.9 is not an integer"),
 ])
 def test_bench_malformed_scenario_exits_2(tmp_path, capsys, scenario, needle):
     code, err = bench_exit(tmp_path, capsys, scenario)

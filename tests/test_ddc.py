@@ -1,4 +1,4 @@
-"""Tests for the double-double arithmetic behind the submatrix baseline.
+"""Tests for the double-double arithmetic of `_ddc`, which perfbench still imports.
 
 The batched solver and the blocked synthesis are checked byte for byte
 against the scalar loops they replaced, kept here as oracles; the solver is

@@ -7,6 +7,7 @@ import pytest
 
 from structfft import (
     BandlimitedSignal,
+    ContractViolationError,
     FamilySpec,
     InvalidInputError,
     OpCounter,
@@ -25,7 +26,7 @@ from structfft import (
     vandermonde_solve,
 )
 from structfft.bench import FIXTURES
-from structfft.sas import C1, C2
+from structfft.sas import C1, C2, _solve_ops
 
 rng = np.random.default_rng(4242)
 
@@ -302,3 +303,60 @@ class TestSubmatrixMethod:
         J = SupportSet.make(1 << 13, range(1 << 13))
         with pytest.raises(InvalidInputError):
             submatrix_method(J, np.zeros(1 << 13, dtype=complex))
+
+    @staticmethod
+    def sources(J, c):
+        sig = BandlimitedSignal(J, c)
+        return sig, sig.synthesize()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_jstar_m10_dense(self, seed):
+        # the powers of two cluster as unstrided nodes e^{2 pi i l / N}
+        J = gen_jstar(10)
+        sig, c = planted(J, seed)
+        assert rel_error(submatrix_method(J, sig.synthesize()), c) < 1e-8
+
+    def test_elementary_k256(self):
+        J = FamilySpec("elementary", {"r": 8, "M": 16}, 6).build().support
+        _, c = planted(J, 0)
+        for source in self.sources(J, c):
+            assert rel_error(submatrix_method(J, source), c) < 1e-8
+
+    def test_uoe_k221_out_of_reach(self):
+        # the CI signal: float64 misses it by about 5e-7, and the estimate sees it
+        J = FamilySpec("uoe", {"a_n": 7, "etas": [0, 0, 0, 0, 0, 1, 1, 1], "M": 12}, 3).build().support
+        assert len(J) == 221
+        _, c = planted(J, 0)
+        for source in self.sources(J, c):
+            with pytest.raises(ContractViolationError, match="out of reach"):
+                submatrix_method(J, source)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 17, 64])
+    def test_counted_ops(self, k):
+        J = SupportSet.make(1 << 12, rng.choice(1 << 12, size=k, replace=False).tolist())
+        sig, _ = planted(J)
+        ctr = OpCounter()
+        submatrix_method(J, sig, ctr)
+        if k == 1:  # the one scaling product is a read, as in sas_transform
+            assert ctr.phases == {"read": (0, 1)}
+        else:  # k scaling products, then the Leja + Bjorck-Pereyra sweep
+            mults, adds = _solve_ops([k])
+            assert ctr.phases == {"solve": (adds, k + mults)}
+
+    def test_seeded_sweep_never_wrong(self):
+        # a call may raise, but no answer it returns misses the tolerance
+        g = np.random.default_rng(14)
+        returned = 0
+        for _ in range(32):
+            M = int(g.integers(6, 15))
+            k = int(g.integers(1, min(1 << M, 128) + 1))
+            J = SupportSet.make(1 << M, g.choice(1 << M, size=k, replace=False).tolist())
+            _, c = planted(J, int(g.integers(1 << 31)))
+            for source in self.sources(J, c):
+                try:
+                    out = submatrix_method(J, source)
+                except ContractViolationError:
+                    continue
+                returned += 1
+                assert rel_error(out, c) <= 1e-8
+        assert returned >= 32

@@ -14,7 +14,6 @@ from structfft import (
     BandlimitedSignal,
     FamilySpec,
     SupportSet,
-    _ddc,
     cli,
     gen_homogeneous,
     sas_transform,
@@ -175,10 +174,6 @@ def test_choose_stride_single_pair():
 # float64-only decodes -----------------------------------------------------------------
 
 
-def fail_dd(*args, **kwargs):
-    raise AssertionError("sas_transform reached the double-double path")
-
-
 # the paper's pivot counts, t = floor(log2 k - log2 log2 k), where the least-cost
 # plan has mu* = 1 or stride 1
 PAPER_R = {"elementary-6": (0, 1, 2, 3, 4), "elementary-0": (0, 1, 2, 3, 4),
@@ -186,9 +181,7 @@ PAPER_R = {"elementary-6": (0, 1, 2, 3, 4), "elementary-0": (0, 1, 2, 3, 4),
 
 
 @pytest.mark.parametrize("spec", STRUCT, ids=lambda s: f"{s.kind}-{s.seed}")
-def test_struct_supports_decode_without_dd(spec, monkeypatch):
-    monkeypatch.setattr(_ddc, "solve_vandermonde_dd", fail_dd)
-    monkeypatch.setattr(_ddc, "synthesize_dd", fail_dd)
+def test_struct_supports_decode_without_dd(spec):
     J = spec.build().support
     c = spectrum(len(J), 1)
     for source in (dense(J, c), BandlimitedSignal(J, c)):
@@ -196,6 +189,10 @@ def test_struct_supports_decode_without_dd(spec, monkeypatch):
         assert out.plan.mu_star > 1 and out.plan.stride > 1
         assert not out.nodes.mismatch.any()
         assert worst_error(out.coeffs, c) <= TOLERANCE
+
+
+def test_sas_does_not_reach_double_double():
+    assert not hasattr(sas, "_ddc")
 
 
 @pytest.mark.parametrize("seed", range(4))
