@@ -185,10 +185,8 @@ def cmd_transform(args) -> int:
             raise BudgetExceededError(f"fft transform capped at N <= {FFT_SIZE_CAP}")
         full = fft_radix2(sig.synthesize(), counter)
         coeffs = full[list(J.indices)]
-        counter_hidft = OpCounter()
-        counter_hidft.add(counter.complex_adds, "hidft")
-        counter_hidft.mul(counter.complex_mults, "hidft")
-        cost = CostReport.from_counter(counter_hidft, samples_touched=J.N)
+        cost = CostReport(hidft_adds=counter.complex_adds, hidft_mults=counter.complex_mults,
+                          samples_touched=J.N)
     elif args.algo == "submatrix":
         coeffs = submatrix_method(J, sig, counter, tolerance=args.tolerance)
         cost = CostReport.from_counter(counter, samples_touched=len(J))

@@ -256,16 +256,18 @@ class CongruenceTree:
             raise InvalidInputError(f"level {level} outside stored depth {self.depth}")
 
 
-def build_tree(J: SupportSet, depth: int, counter=None) -> CongruenceTree:
-    """Construct T^depth(J) by sorting J by bit-reversed index, O(|J| log |J|).
+def tree_bitops(J: SupportSet, depth: int) -> int:
+    """`tree_build_bitops`: the index-bit operations of refining J level by
+    level down to `depth`, whatever the sort costs."""
+    return len(J) * max(depth, 1)
 
-    The counter is charged the model figure |J| * max(depth, 1) index-bit
-    operations (`tree_build_bitops`), the cost of refining J level by level
-    down to `depth`, whatever the sort costs.
-    """
+
+def build_tree(J: SupportSet, depth: int, counter=None) -> CongruenceTree:
+    """Construct T^depth(J) by sorting J by bit-reversed index, O(|J| log |J|);
+    the counter is charged `tree_bitops(J, depth)`."""
     tree = CongruenceTree(J, depth)
     if counter is not None:
-        counter.count_bit_ops(len(J) * max(depth, 1))
+        counter.count_bit_ops(tree_bitops(J, depth))
     return tree
 
 

@@ -9,14 +9,15 @@ stage).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 class OpCounter:
     """Monotone counter of complex additions and multiplications, by phase.
 
-    Each counted run owns a private counter; nothing here is global.  Counts
-    only ever grow; `reset()` is the one explicit way back to zero.
+    Nothing here is global: a caller passes its own counter, and one counter
+    may span many calls, each adding its charge to what is already there.
+    Counts only ever grow; `reset()` is the one explicit way back to zero.
     """
 
     __slots__ = ("_adds", "_mults", "_phases", "bit_ops")
@@ -79,13 +80,12 @@ class OpCounter:
         return f"OpCounter(adds={self._adds}, mults={self._mults}, phases={self.phases})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostReport:
-    """Measured per-phase costs of one transform run, plus the analytic bounds.
-
-    Bounds are computed from the plan (pivot count, node weights), never from
-    the measurements themselves.
-    """
+    """The counted per-phase costs of one transform run and the analytic
+    bounds, read-only.  `sas_transform` takes every figure from the plan (J
+    and the pivots), never from a counter, so a report is its own call's;
+    `charge` passes it on to a counter."""
 
     tree_build_bitops: int = 0
     hidft_adds: int = 0
@@ -113,35 +113,26 @@ class CostReport:
     def total(self) -> int:
         return self.ops_hidft + self.ops_solve
 
+    def charge(self, counter: OpCounter) -> None:
+        """Add the bit ops, then the "hidft", "read" and "solve" phases, to
+        counter; a phase with no ops gets no entry."""
+        counter.count_bit_ops(self.tree_build_bitops)
+        for phase, adds, mults in (("hidft", self.hidft_adds, self.hidft_mults),
+                                   ("read", 0, self.read_ops),
+                                   ("solve", self.solve_adds, self.solve_mults)):
+            if adds or mults:
+                counter.mul(mults, phase=phase)
+                counter.add(adds, phase=phase)
+
     @classmethod
-    def from_counter(
-        cls,
-        counter: OpCounter,
-        *,
-        samples_touched: int = 0,
-        bound_alg1bnd: float = 0.0,
-        bound_hidft: float = 0.0,
-    ) -> "CostReport":
-        ha, hm = counter.phase("hidft")
-        sa, sm = counter.phase("solve")
-        ra, rm = counter.phase("read")
-        return cls(
-            tree_build_bitops=counter.bit_ops,
-            hidft_adds=ha,
-            hidft_mults=hm,
-            solve_adds=sa,
-            solve_mults=sm,
-            read_ops=ra + rm,
-            samples_touched=samples_touched,
-            bound_alg1bnd=bound_alg1bnd,
-            bound_hidft=bound_hidft,
-        )
+    def from_counter(cls, counter: OpCounter, *, samples_touched: int = 0) -> "CostReport":
+        """The bit ops and the "hidft", "solve" and "read" phases a counter
+        holds, read back: the report of the one run it counted."""
+        (ha, hm), (sa, sm) = counter.phase("hidft"), counter.phase("solve")
+        return cls(counter.bit_ops, ha, hm, sa, sm, sum(counter.phase("read")), samples_touched)
 
     def as_dict(self) -> dict:
-        d = {f: getattr(self, f) for f in (
-            "tree_build_bitops", "hidft_adds", "hidft_mults", "solve_adds",
-            "solve_mults", "read_ops", "samples_touched", "bound_alg1bnd",
-            "bound_hidft", "escalated_nodes", "dense_fallbacks")}
+        d = asdict(self)
         d["ops_hidft"] = self.ops_hidft
         d["ops_solve"] = self.ops_solve
         d["ops_total"] = self.total

@@ -6,7 +6,8 @@ F(J, I) @ f_I over the pivoted sample set I = I_{r^{n-}} (unscaled, forward
 kernel), evaluated with the same butterfly structure as decimation-in-time
 radix-2.  Counted cost is exactly 1.5 * A * log2(A) with A = |I|; the
 butterfly always processes the full 2^(s-n) slot lattice, padding branches
-that are empty in the tree, so the count never depends on the tree shape.
+that are empty in the tree, so the count (`butterfly_ops`) never depends on
+the tree shape.
 
 The slot plan is read off the output nodes alone: the ascending node
 residues of `CongruenceTree.level_arrays` give each node its slot (its
@@ -16,11 +17,13 @@ A shift argument a computes the transform of the shifted signal tau^a f,
 i.e. the samples are read at locations I - a (mod N).  `_read_grid` and
 `_butterfly_pass` serve any number of shifts at once, one row per shift;
 `hidft` is their batch of one, and `sas_transform` reads all its shifts
-with one plan, one grid and one pass.
+with one plan, one grid and one pass.  The pass counts nothing: `hidft`
+charges `butterfly_ops`, and `sas_transform`'s plan holds it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -138,17 +141,16 @@ class HiDftResult:
     def value_at_index(self, j: int) -> complex:
         """Transform value of the node containing frequency index j."""
         res = j % (1 << self.level)
-        vals = self.values
-        if res not in vals:
+        i = bisect_left(self.node_residues, res)  # node residues ascend
+        if i == len(self.node_residues) or self.node_residues[i] != res:
             raise InvalidInputError(f"index {j} belongs to no stored node")
-        return vals[res]
+        return complex(self.node_values[i])
 
     def values_by_index(self) -> np.ndarray:
         """One value per support element, in support order."""
-        vals = self.values
-        return np.asarray(
-            [vals[j % (1 << self.level)] for j in self.support.indices], dtype=np.complex128
-        )
+        residues = np.fromiter(self.node_residues, dtype=np.int64, count=len(self.node_residues))
+        at = np.searchsorted(residues, self.support.as_array() % (1 << self.level))  # they ascend
+        return np.asarray(self.node_values, dtype=np.complex128)[at]
 
 
 def _grid_locations(offsets: np.ndarray, shifts: np.ndarray, N: int) -> np.ndarray:
@@ -174,10 +176,16 @@ def _read_grid(source, offsets: np.ndarray, shifts: np.ndarray, locations: np.nd
     return _fetch(source, locations, N).reshape(len(shifts), len(offsets))
 
 
-def _butterfly_pass(plan: ButterflyPlan, v: np.ndarray, counter: OpCounter | None) -> np.ndarray:
+def butterfly_ops(stages: int, rows: int, A: int) -> tuple[int, int]:
+    """The counted (adds, mults) of a pass over `rows` rows of A slots: A adds
+    and A / 2 twiddle products per row and stage."""
+    return stages * rows * A, stages * rows * (A // 2)
+
+
+def _butterfly_pass(plan: ButterflyPlan, v: np.ndarray) -> np.ndarray:
     """The butterfly over every row of a sample grid at once: row b of the
-    result holds the slot values of row b's samples.  Counts exactly what
-    one `hidft` call per row counts, in one charge per kind.
+    result holds the slot values of row b's samples.  Counts nothing; its
+    cost is `butterfly_ops(len(plan.used), rows, A)`.
 
     Each stage writes into one of two buffers allocated per call, so the
     grid v is only read and the result is always a fresh array.  The
@@ -196,9 +204,6 @@ def _butterfly_pass(plan: ButterflyPlan, v: np.ndarray, counter: OpCounter | Non
         b = v.reshape(rows, -1, 2, half)
         np.subtract(a[:, :, 0, :], t, out=b[:, :, 0, :])
         np.add(a[:, :, 0, :], t, out=b[:, :, 1, :])
-    if counter is not None and stages:
-        counter.mul(stages * rows * (A // 2), phase="hidft")
-        counter.add(stages * rows * A, phase="hidft")
     return v if stages else v.copy()
 
 
@@ -226,9 +231,11 @@ def hidft(
     plan, slots = _build_plan(residues, used)
     offsets, shifts = pattern_offsets(used, J.M), np.asarray([shift], dtype=np.int64)
     grid = _read_grid(source, offsets, shifts, _grid_locations(offsets, shifts, J.N), J.N)
-    v = _butterfly_pass(plan, grid, counter)[0]
-    A = plan.n_slots
-    stages = len(used)
+    v = _butterfly_pass(plan, grid)[0]
+    adds, mults = butterfly_ops(len(used), 1, plan.n_slots)
+    if counter is not None and adds:
+        counter.mul(mults, phase="hidft")
+        counter.add(adds, phase="hidft")
     return HiDftResult(
         support=J,
         pivots=rt,
@@ -240,8 +247,8 @@ def hidft(
         slot_values=v,
         slot_residues=plan.slot_residues,
         slot_real=plan.slot_real,
-        ops_adds=A * stages,
-        ops_mults=(A // 2) * stages,
+        ops_adds=adds,
+        ops_mults=mults,
     )
 
 

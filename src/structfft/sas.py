@@ -26,12 +26,13 @@ from .congruence import (
     build_tree,
     check_part_homogeneous,
     pivots as support_pivots,  # unused here; perfbench/spans.py traces it
+    tree_bitops,
     validate_pivot_vector,
 )
 from .core import _CHUNK, mod_product
 from .counting import CostReport, OpCounter
 from .errors import ContractViolationError, InvalidInputError
-from .hidft import ButterflyPlan, _build_plan, _butterfly_pass, _grid_locations, _read_grid
+from .hidft import ButterflyPlan, _build_plan, _butterfly_pass, _grid_locations, _read_grid, butterfly_ops
 from .hidft import hidft  # unused here; perfbench/spans.py traces it
 from .sampling import pattern_offsets
 from .sampling import pivoted_pattern  # unused here; perfbench/spans.py traces it
@@ -69,7 +70,7 @@ class SasPlan:
         """The plan `sas_transform(source, J, r=r)` runs, from J's cache."""
         prepared, _ = _prepared(J, r)
         if counter is not None:
-            counter.count_bit_ops(prepared.bit_ops)
+            counter.count_bit_ops(prepared.report.tree_build_bitops)
         return prepared.plan
 
 
@@ -334,13 +335,6 @@ def _solve_ops(sizes: np.ndarray) -> tuple[int, int]:
     return mults, adds
 
 
-def _charge_solve(counter: OpCounter, sizes: np.ndarray) -> None:
-    """Charge the counted cost of solving systems of these sizes."""
-    mults, adds = _solve_ops(sizes)
-    counter.mul(mults, phase="solve")
-    counter.add(adds, phase="solve")
-
-
 def vandermonde_solve(nodes, rhs, counter: OpCounter | None = None) -> np.ndarray:
     """Solve sum_m c_m x_m^j = y_j for distinct nodes x_m in O(m^2) counted ops.
 
@@ -360,7 +354,9 @@ def vandermonde_solve(nodes, rhs, counter: OpCounter | None = None) -> np.ndarra
         return y.copy()
     c = _bp_apply(_bp_factors(x[None], sizes, _leja_orders(x[None], sizes)), y[None])[0]
     if counter is not None:
-        _charge_solve(counter, sizes)
+        mults, adds = _solve_ops(sizes)
+        counter.mul(mults, phase="solve")
+        counter.add(adds, phase="solve")
     return c
 
 
@@ -377,22 +373,25 @@ def _vander_stack(x: np.ndarray) -> np.ndarray:
 _MEASUREMENT_NOISE = 100 * np.finfo(np.float64).eps  # rounding already in y
 
 
-def _error_estimate(factors: _Factors, V: np.ndarray, y: np.ndarray, c: np.ndarray) -> float:
-    """Uncounted forward-error estimate of one decoded system (a batch of
-    one: V is its (1, m, m) Vandermonde stack, y and c its (1, m) rows).
+def _inverse_norm(V: np.ndarray) -> float:
+    """||V_0^-1||_inf of the first system of a Vandermonde stack, exactly;
+    inf if it is singular.  Depends on the nodes alone."""
+    try:
+        return float(np.abs(np.linalg.inv(V[0])).sum(axis=1).max())
+    except np.linalg.LinAlgError:
+        return math.inf
+
+
+def _error_estimate(factors: _Factors, V: np.ndarray, y: np.ndarray, c: np.ndarray, amp: float) -> float:
+    """Uncounted forward-error estimate of one decoded system of size m > 1
+    (a batch of one: V is its (1, m, m) Vandermonde stack, y and c its
+    (1, m) rows, amp its `_inverse_norm`).
 
     Two effects matter: the solver's own error (probed by re-solving on the
     residual, in the same Leja order) and the system's amplification of the
-    rounding noise carried by the measured right-hand side, gauged by the
-    exact inf-norm of the inverse (inf if singular; diagnostics are not
-    counted).  A size-1 system is exact.
+    rounding noise carried by the measured right-hand side, gauged by amp
+    (diagnostics are not counted).
     """
-    if V.shape[1] == 1:
-        return 0.0
-    try:
-        amp = float(np.abs(np.linalg.inv(V[0])).sum(axis=1).max())
-    except np.linalg.LinAlgError:
-        amp = math.inf
     if math.isinf(amp):
         return math.inf
     d = _bp_apply(factors, (V @ c[:, :, None])[:, :, 0] - y)
@@ -445,30 +444,26 @@ class _Prepared:
     """Everything `sas_transform` derives from J and the pivots alone,
     read-only; `_execute` does the rest.  Nodes are the decode-level nodes
     by ascending residue, padded to mu* columns.  Holds no reference to J,
-    so J can cache it.  The counted ops of a call depend on J alone too:
-    read_mults is the "read" phase's (the read scale of the weight-1 nodes),
-    solve_mults and solve_adds the "solve" phase's (the read scale of the
-    heavier nodes, the Bjorck-Pereyra sweep and its Leja term)."""
+    so J can cache it.  A call's counted ops depend on J and the pivots
+    alone too, so `report` is every call's: the tree's bit ops, the
+    butterfly, the "read" phase (the read scale of the weight-1 nodes) and
+    the "solve" phase (the read scale of the heavier nodes, the
+    Bjorck-Pereyra sweep and its Leja term)."""
 
     plan: SasPlan
-    bit_ops: int            # tree_build_bitops charged to every call
+    report: CostReport
     offsets: np.ndarray     # the pivoted pattern I_r
     shifts: np.ndarray      # j d mod N for j < mu*
     locations: np.ndarray   # (offsets - shifts) mod N, row by row, flat
     scale: float            # N / |I_r|
     butterfly: ButterflyPlan
     take: np.ndarray        # the nodes' butterfly slots
-    touched: int            # distinct samples read
     residues: np.ndarray    # NodeArrays.residues, .bounds, .members
     bounds: np.ndarray
     members: np.ndarray
-    own: np.ndarray         # (nodes, mu*): column < the node's weight
-    at: np.ndarray          # positions in J of own's entries, row by row
+    coeff_index: np.ndarray   # where J's coefficients sit in the flat solution, node by node
     factors: _Factors | None  # of the Vandermonde nodes e^{-2 pi i d l / N}, padded
     V: np.ndarray | None    # x[b, m]^j at [b, j, m] for all j < mu*; both None if mu* = 1
-    read_mults: int
-    solve_mults: int
-    solve_adds: int
 
 
 def _prepared(J: SupportSet, r: Sequence[int]) -> tuple[_Prepared, bool]:
@@ -499,17 +494,23 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
     x[own] = np.exp(-2j * np.pi * mod_product(members, stride, N).astype(np.float64) / N)
     factors = _bp_factors(x, weights, _leja_orders(x, weights)) if mu > 1 else None
     V = np.ascontiguousarray(_vander_stack(x)) if mu > 1 else None
+    coeff_index = np.empty(len(J), dtype=np.intp)
+    coeff_index[np.searchsorted(J.as_array(), members)] = np.flatnonzero(own)
+
     solve_mults, solve_adds = _solve_ops(weights)
     read_mults = 0
     if scale != 1.0:  # one product per measured value a node is solved from
         read_mults = int(np.count_nonzero(weights == 1))
         solve_mults += int(weights.sum()) - read_mults
-
+    hidft_adds, hidft_mults = butterfly_ops(len(rt), mu, butterfly.n_slots)
+    report = CostReport(
+        tree_bitops(J, level), hidft_adds, hidft_mults, solve_adds, solve_mults, read_mults,
+        samples_touched=int(np.unique(locations).size), bound_alg1bnd=plan.predicted_cost,
+        bound_hidft=C1 * len(rt) * (1 << len(rt)),
+    )
     prepared = _Prepared(
-        plan, len(J) * max(level, 1), offsets, shifts, locations, scale,
-        butterfly, take, int(np.unique(locations).size), residues, bounds, members,
-        own, np.searchsorted(J.as_array(), members), factors, V,
-        read_mults, solve_mults, solve_adds,
+        plan, report, offsets, shifts, locations, scale, butterfly, take,
+        residues, bounds, members, coeff_index, factors, V,
     )
     for a in vars(prepared).values():
         if isinstance(a, np.ndarray):
@@ -517,19 +518,16 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
     return prepared
 
 
-def _execute(p: _Prepared, source, J: SupportSet, counter: OpCounter, tolerance: float):
-    """The sample-dependent half of `sas_transform`: the coefficients, the
-    node state and the counted costs of one call, and the scaled rows y the
-    nodes were solved from (None when mu* = 1)."""
-    counter.count_bit_ops(p.bit_ops)  # the figure build_tree(J, level, counter) charges
-
+def _execute(p: _Prepared, source, J: SupportSet, tolerance: float):
+    """The sample-dependent half of `sas_transform`: the coefficients and
+    the node state of one call, and the scaled rows y the nodes were solved
+    from (None when mu* = 1).  Counts nothing; the call's cost is p.report."""
     # row j: every decode-level node's value under shift j d, by ascending residue
     grid = _read_grid(source, p.offsets, p.shifts, p.locations, J.N)
-    measured = _butterfly_pass(p.butterfly, grid, counter)[:, p.take]
+    measured = _butterfly_pass(p.butterfly, grid)[:, p.take]
 
-    coeffs = np.empty(len(J), dtype=np.complex128)
     if p.factors is None:  # mu* = 1: every node has weight 1 and no spare row
-        coeffs[p.at] = measured[0] * p.scale
+        c = measured * p.scale
         residual = np.zeros(len(p.residues))
         y = None
     else:
@@ -538,21 +536,9 @@ def _execute(p: _Prepared, source, J: SupportSet, counter: OpCounter, tolerance:
         y = (measured * p.scale).T
         c = _bp_apply(p.factors, y)
         residual = _residuals(p.V, y, c)
-        coeffs[p.at] = c[p.own]
-    if p.read_mults:  # a phase charged nothing gets no entry in counter.phases
-        counter.mul(p.read_mults, phase="read")
-    if p.solve_mults:
-        counter.mul(p.solve_mults, phase="solve")
-        counter.add(p.solve_adds, phase="solve")
-
-    report = CostReport.from_counter(
-        counter,
-        samples_touched=p.touched,
-        bound_alg1bnd=p.plan.predicted_cost,
-        bound_hidft=C1 * len(p.plan.pivots) * (1 << len(p.plan.pivots)),
-    )
+    coeffs = c.reshape(-1).take(p.coeff_index)
     mismatch = residual > max(tolerance, 1e-9)
-    return coeffs, NodeArrays(p.residues, p.bounds, p.members, mismatch, residual), report, y
+    return coeffs, NodeArrays(p.residues, p.bounds, p.members, mismatch, residual), y
 
 
 def sas_transform(
@@ -596,9 +582,9 @@ def sas_transform(
     congruence tree, the pivot choice, the plan and stride, the sample
     locations, the butterfly slots, the node layout, the Vandermonde
     nodes, their Leja orders, the Bjorck-Pereyra divisor factors and the
-    counted ops of the solve.  A call then reads the grid, runs the
-    butterfly and solves the node right-hand sides against the stored
-    factors.  A sample callback receives the cached, read-only locations; a
+    call's cost report.  A call then reads the grid, runs the butterfly and
+    solves the node right-hand sides against the stored factors.  A sample
+    callback receives the cached, read-only locations; a
     `BandlimitedSignal` on the same instance finds the phase tables of its
     group sums cached there too (`BandlimitedSignal.sample_grid`) and forms
     only their product with its coefficients.  The cache is keyed by
@@ -610,18 +596,21 @@ def sas_transform(
     equal but distinct instance prepares its own.  No call writes into its
     source: a dense vector, the array a callback returns or a
     `BandlimitedSignal`'s coefficients.
-    Every call, cold or warm, returns the same bytes and is charged the same
-    ops, in the same order, including the plan's `tree_build_bitops`;
-    `SasResult.plan_reused` tells the two apart.
+    Every call, cold or warm, returns the same bytes and the same report,
+    the plan's, so it is always this call's own even when `counter` spans
+    many calls; `SasResult.plan_reused` tells cold from warm.  A passed
+    counter is charged the report (`CostReport.charge`) after the call
+    succeeds; a call that raises charges nothing.
     """
     if policy not in POLICIES:
         raise InvalidInputError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if not 0 < tolerance < math.inf:  # NaN too: it would switch the mismatch flag off
         raise InvalidInputError(f"tolerance must be finite and positive, not {tolerance!r}")
-    counter = counter if counter is not None else OpCounter()
     prepared, reused = _prepared(J, select_pivots(J) if r is None else r)
-    coeffs, nodes, report, _ = _execute(prepared, source, J, counter, tolerance)
-    return SasResult(J, coeffs, prepared.plan, report, nodes, reused)
+    coeffs, nodes, _ = _execute(prepared, source, J, tolerance)
+    if counter is not None:
+        prepared.report.charge(counter)
+    return SasResult(J, coeffs, prepared.plan, prepared.report, nodes, reused)
 
 
 def submatrix_method(
@@ -642,23 +631,26 @@ def submatrix_method(
     the cap k <= SUBMATRIX_SIZE_CAP (2048).
     Raises ContractViolationError when the uncounted forward-error
     estimate of the solve (`_error_estimate`, on the measured rows)
-    exceeds tolerance: the system is out of reach in float64.  Raises
+    exceeds tolerance: the system is out of reach in float64; its
+    ||V^-1||_inf is cached on J by the first call.  Raises
     InvalidInputError when tolerance is not finite and positive or k is
-    over the cap.
+    over the cap.  A counter is charged as `sas_transform` charges it.
     """
     if not 0 < tolerance < math.inf:
         raise InvalidInputError(f"tolerance must be finite and positive, not {tolerance!r}")
     k = len(J)
     if k > SUBMATRIX_SIZE_CAP:
         raise InvalidInputError(f"submatrix baseline capped at k <= {SUBMATRIX_SIZE_CAP}")
-    counter = counter if counter is not None else OpCounter()
     prepared, _ = _prepared(J, ())
-    coeffs, _, _, y = _execute(prepared, source, J, counter, tolerance)
+    coeffs, _, y = _execute(prepared, source, J, tolerance)
     if y is not None:  # k = 1 is read directly, exactly
-        est = _error_estimate(prepared.factors, prepared.V, y, coeffs[None])
+        amp, _ = _memoized(J, ("inverse_norm", ()), lambda tree: _inverse_norm(prepared.V))
+        est = _error_estimate(prepared.factors, prepared.V, y, coeffs[None], amp)
         if est > tolerance:
             raise ContractViolationError(
                 f"submatrix system out of reach in float64 (k={k}): "
                 f"forward-error estimate {est:.1e}"
             )
+    if counter is not None:
+        prepared.report.charge(counter)
     return coeffs

@@ -23,7 +23,7 @@ from structfft import (
     spectrality_check,
     submatrix_unitarity,
 )
-from structfft.hidft import _build_plan
+from structfft.hidft import _build_plan, butterfly_ops
 
 rng = np.random.default_rng(99)
 
@@ -200,6 +200,18 @@ class TestExactOpCount:
             logA = len(r) - n
             assert ctr.total == round(1.5 * A * logA)
             assert ctr.total <= 1.5 * A * logA + A  # stated upper bound
+
+    def test_charges_butterfly_ops_and_reports_them(self):
+        for _ in range(20):
+            J = random_homogeneous(M_hi=9, s_hi=6)
+            r = pivots(J)
+            sig, _ = random_signal(J)
+            n = int(rng.integers(0, len(r) + 1))
+            ctr = OpCounter()
+            res = hidft(sig, J, r, height=n, counter=ctr)
+            adds, mults = butterfly_ops(len(r) - n, 1, 1 << (len(r) - n))
+            assert (res.ops_adds, res.ops_mults) == (adds, mults)
+            assert ctr.phases == ({"hidft": (adds, mults)} if adds else {})
 
     def test_degenerate_tree_same_count(self):
         # missing branches are padded, so the count ignores tree shape

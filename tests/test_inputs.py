@@ -64,8 +64,8 @@ def test_butterfly_pass_reads_its_grid_only(stages):
         rows = int(rng.integers(1, 6))
         grid = rng.standard_normal((rows, 1 << stages)) + 1j * rng.standard_normal((rows, 1 << stages))
         before = grid.copy()
-        first = _butterfly_pass(plan, grid, None)
-        second = _butterfly_pass(plan, grid, None)
+        first = _butterfly_pass(plan, grid)
+        second = _butterfly_pass(plan, grid)
         assert grid.tobytes() == before.tobytes()
         assert first.tobytes() == second.tobytes()
         assert np.all(np.isfinite(first))

@@ -172,7 +172,7 @@ def test_cached_and_returned_arrays_are_read_only():
     returned = [out.nodes.residues, out.nodes.bounds, out.nodes.members, J.as_array()]
     [prepared] = [v for k, v in J._memo.items() if k[0] == "plan"]
     cached = [v for v in vars(prepared).values() if isinstance(v, np.ndarray)]
-    assert len(cached) == 10
+    assert len(cached) == 9
     f = prepared.factors
     cached += [*prepared.butterfly.twiddles, f.perm, f.sizes, f.xr, f.xi, f.gather, f.pad]
     cached += [a for step in f.steps for a in step]

@@ -1,5 +1,6 @@
 """Tests for shift-and-sample decoding, pivot policies and the Vandermonde solver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from structfft import (
     vandermonde_solve,
 )
 from structfft.bench import FIXTURES
+from structfft import sas as sas_module
 from structfft.sas import C1, C2, _solve_ops
 
 rng = np.random.default_rng(4242)
@@ -275,6 +277,41 @@ def test_tolerance_must_be_finite_and_positive(tolerance):
         submatrix_method(J, sig, tolerance=tolerance)
 
 
+class TestCostReport:
+    @staticmethod
+    def request():
+        J = FamilySpec("random_subset", {"k": 64, "M": 12}, 0).build().support
+        return J, BandlimitedSignal(J, draw_coefficients(len(J), np.random.default_rng(0), nonzero=True))
+
+    def test_shared_counter_gets_the_sum_and_each_report_its_own(self):
+        J, sig = self.request()
+        fresh = OpCounter()
+        want = sas_transform(sig, J, counter=fresh).report
+        shared = OpCounter()
+        for calls in (1, 2):
+            out = sas_transform(sig, J, counter=shared)
+            assert out.report == want and out.report.total <= out.report.bound_alg1bnd
+            assert shared.phases == {p: (calls * a, calls * m) for p, (a, m) in fresh.phases.items()}
+            assert shared.bit_ops == calls * fresh.bit_ops
+        assert want.total == fresh.total
+
+    def test_a_call_that_raises_charges_nothing(self):
+        J, sig = self.request()
+        ctr = OpCounter()
+        sas_transform(sig, J, counter=ctr)
+        before = (ctr.phases, ctr.bit_ops)
+        for source in (np.zeros(J.N - 1, dtype=complex), np.zeros(2 * J.N)):
+            with pytest.raises(InvalidInputError):
+                sas_transform(source, J, counter=ctr)
+            assert (ctr.phases, ctr.bit_ops) == before
+
+    def test_report_is_read_only(self):
+        J, sig = self.request()
+        report = sas_transform(sig, J).report
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.hidft_adds = 0
+
+
 class TestSubmatrixMethod:
     def test_k_equals_one(self):
         J = SupportSet.make(64, [13])
@@ -342,6 +379,21 @@ class TestSubmatrixMethod:
         else:  # k scaling products, then the Leja + Bjorck-Pereyra sweep
             mults, adds = _solve_ops([k])
             assert ctr.phases == {"solve": (adds, k + mults)}
+
+    def test_inverts_once_per_support(self, monkeypatch):
+        # ||V^-1||_inf depends on J alone: the first call computes it, the
+        # next calls reuse it, and the estimate and coefficients do not move
+        J = SupportSet.make(1024, rng.choice(1024, size=32, replace=False).tolist())
+        sig, _ = planted(J)
+        inverses, estimates = [], []
+        inv, estimate = np.linalg.inv, sas_module._error_estimate
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(1) or inv(a))
+        monkeypatch.setattr(sas_module, "_error_estimate",
+                            lambda *a: estimates.append(estimate(*a)) or estimates[-1])
+        outs = [submatrix_method(J, sig) for _ in range(3)]
+        assert len(inverses) == 1
+        assert len(estimates) == 3 and len(set(estimates)) == 1 and estimates[0] < 1e-8
+        assert all(out.tobytes() == outs[0].tobytes() for out in outs)
 
     def test_seeded_sweep_never_wrong(self):
         # a call may raise, but no answer it returns misses the tolerance
