@@ -174,17 +174,14 @@ def cmd_transform(args) -> int:
     counter = OpCounter()
     explicit_r = _parse_pivots(args.pivots)
     extra = {}  # the sas plan and flagged nodes, reported beside the cost
-    if args.algo == "oracle":
-        if J.N > ORACLE_SIZE_CAP:
-            raise BudgetExceededError(f"oracle transform capped at N <= {ORACLE_SIZE_CAP}")
-        full = dft_direct(sig.synthesize(), counter)
+    if args.algo in ("oracle", "fft"):
+        cap, full_transform = ((ORACLE_SIZE_CAP, dft_direct) if args.algo == "oracle"
+                               else (FFT_SIZE_CAP, fft_radix2))
+        if J.N > cap:
+            raise BudgetExceededError(f"{args.algo} transform capped at N <= {cap}")
+        full = full_transform(sig.synthesize(), counter)
         coeffs = full[list(J.indices)]
-        cost = CostReport.from_counter(counter, samples_touched=J.N)
-    elif args.algo == "fft":
-        if J.N > FFT_SIZE_CAP:
-            raise BudgetExceededError(f"fft transform capped at N <= {FFT_SIZE_CAP}")
-        full = fft_radix2(sig.synthesize(), counter)
-        coeffs = full[list(J.indices)]
+        # the full-length transform's counted ops, reported as the butterfly's
         cost = CostReport(hidft_adds=counter.complex_adds, hidft_mults=counter.complex_mults,
                           samples_touched=J.N)
     elif args.algo == "submatrix":

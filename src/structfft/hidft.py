@@ -7,11 +7,18 @@ kernel), evaluated with the same butterfly structure as decimation-in-time
 radix-2.  Counted cost is exactly 1.5 * A * log2(A) with A = |I|; the
 butterfly always processes the full 2^(s-n) slot lattice, padding branches
 that are empty in the tree, so the count (`butterfly_ops`) never depends on
-the tree shape.
+the tree shape.  That count is the paper's radix-2 model, not a trace of
+the execution: a run of FFT_RUN or more consecutive pivots c..c+m-1 is
+exactly a 2^m-point DFT after a per-prefix pre-twiddle (Cooley-Tukey), and
+the pass hands it to `numpy.fft` (pocketfft, in C); shorter runs execute as
+radix-2 stages in numpy.
 
 The slot plan is read off the output nodes alone: the ascending node
 residues of `CongruenceTree.level_arrays` give each node its slot (its
-residue's bits at the used pivots) and every stage its twiddles.
+residue's bits at the used pivots), every stage its twiddles and every long
+run its pre-twiddle table.  A support caches its plan per pivot vector
+(`_butterfly_plan`), and `hidft` at any height and `sas_transform` read
+the same entry.
 
 A shift argument a computes the transform of the shifted signal tau^a f,
 i.e. the samples are read at locations I - a (mod N).  `_read_grid` and
@@ -34,13 +41,13 @@ from .congruence import (
     assert_part_homogeneous,
     build_tree,
     check_part_homogeneous,
-    classify,
+    memoized,
     validate_pivot_vector,
 )
 from .core import BandlimitedSignal, submatrix_apply
 from .counting import OpCounter
 from .errors import ContractViolationError, InvalidInputError
-from .sampling import pattern_offsets, pivoted_pattern
+from .sampling import fft_runs, pattern_offsets, pivoted_pattern
 
 
 def _fetch(source, locations: np.ndarray, N: int) -> np.ndarray:
@@ -71,13 +78,17 @@ class ButterflyPlan:
     """Precomputed slot structure for the nodes at level used[-1] + 1, built
     from their residues alone (`_build_plan`).
 
-    Its arrays are read-only: `sas_transform` caches the plan on J."""
+    `twiddles` serves every stage as a radix-2 step; `runs` lists the runs
+    of FFT_RUN or more consecutive pivots (`fft_runs`), which
+    `_butterfly_pass` runs as one pre-twiddled `numpy.fft` each instead.
+    Its arrays are read-only: J caches the plan (`_butterfly_plan`)."""
 
     used: tuple[int, ...]           # pivots merged by the butterfly, ascending
     level: int                      # output nodes live at this tree level
     slot_residues: np.ndarray       # node residue per slot; virtual slots inherit one
     slot_real: np.ndarray           # which slots hold a node
     twiddles: tuple[np.ndarray, ...]  # stage k merges used[k]; array of size 2^k
+    runs: tuple[tuple[int, int, np.ndarray | None], ...]  # (j, m, pre-twiddle) per fft_runs(used)
 
     @property
     def n_slots(self) -> int:
@@ -95,6 +106,12 @@ def _build_plan(residues: np.ndarray, used: tuple[int, ...]) -> tuple[ButterflyP
     residues serves, and the last stage's slots are distinct.  A prefix with
     no node (a virtual slot) inherits its parent's shared residue with the
     branch bit patched in.
+
+    A run of m consecutive pivots c..c+m-1 at stages j..j+m-1 (`fft_runs`)
+    is one 2^m-point DFT after a pre-twiddle (Cooley-Tukey): its table
+    holds e^{-2 pi i x_p n / 2^(c+m)} at [n, p], where x_p is slot prefix
+    p's shared residue mod 2^c, for p < 2^j and n < 2^m; it is None when
+    every x_p is 0.
     """
     s = len(used)
     slots = np.zeros(len(residues), dtype=np.int64)
@@ -112,9 +129,36 @@ def _build_plan(residues: np.ndarray, used: tuple[int, ...]) -> tuple[ButterflyP
     slot_residues = reps % (1 << level)
     slot_real = np.zeros(1 << s, dtype=bool)
     slot_real[slots] = True
-    for a in (slots, slot_residues, slot_real, *twiddles):
+    runs = []
+    for j, m in fft_runs(used):
+        c = used[j]
+        x = slot_residues[:1 << j] % (1 << c)
+        table = None
+        if x.any():
+            phase = (np.arange(1 << m)[:, None] * x) % (1 << (c + m))
+            table = np.exp(-2j * np.pi * phase / float(1 << (c + m)))
+        runs.append((j, m, table))
+    tables = [t for _, _, t in runs if t is not None]
+    for a in (slots, slot_residues, slot_real, *twiddles, *tables):
         a.flags.writeable = False
-    return ButterflyPlan(used, level, slot_residues, slot_real, tuple(twiddles)), slots
+    return ButterflyPlan(used, level, slot_residues, slot_real, tuple(twiddles), tuple(runs)), slots
+
+
+def _butterfly_plan(J: SupportSet, used: tuple[int, ...]) -> tuple[ButterflyPlan, np.ndarray]:
+    """J's butterfly plan and node slots for the pivots `used`
+    (`_build_plan` on the nodes at level used[-1] + 1), cached on J under
+    ("butterfly", used): `hidft` at any height and `sas_transform` share
+    it.  Raises ContractViolationError, storing nothing, unless J is
+    used-part-homogeneous."""
+    def make(tree):
+        check_part_homogeneous(tree.split_levels(), used)
+        return _build_plan(tree.level_arrays(used[-1] + 1 if used else 0)[0], used)
+    return memoized(J, ("butterfly", used), make)[0]
+
+
+def _split_levels(J: SupportSet) -> tuple[int, ...]:
+    """pivots(J), cached on J under "split_levels"."""
+    return memoized(J, "split_levels", lambda tree: tree.split_levels())[0]
 
 
 @dataclass
@@ -185,25 +229,47 @@ def butterfly_ops(stages: int, rows: int, A: int) -> tuple[int, int]:
 def _butterfly_pass(plan: ButterflyPlan, v: np.ndarray) -> np.ndarray:
     """The butterfly over every row of a sample grid at once: row b of the
     result holds the slot values of row b's samples.  Counts nothing; its
-    cost is `butterfly_ops(len(plan.used), rows, A)`.
+    cost is `butterfly_ops(len(plan.used), rows, A)`, the paper's radix-2
+    count, however the stages run.
 
-    Each stage writes into one of two buffers allocated per call, so the
-    grid v is only read and the result is always a fresh array.  The
-    twiddle product is taken on the stage input viewed as
+    A run of `plan.runs` (stages j..j+m-1) is one multiply by its
+    pre-twiddle table and one `numpy.fft.fft` along axis 2 of the input
+    viewed as (rows, A / 2^(j+m), 2^m, 2^j), whose samples lie in natural
+    order there (`pattern_offsets`).  Every other stage k is a radix-2
+    step; its twiddle product is taken on the input viewed as
     (rows, A / 2^k, 2, 2^(k-1)), as the one-row pass takes it: numpy's
-    complex multiply can round differently on other layouts.
+    complex multiply can round differently on other layouts.  Each step
+    writes into one of two buffers allocated per call, so the grid v is
+    only read and the result is always a fresh array.
     """
     rows, A = v.shape
     stages = len(plan.used)
     buffers = [np.empty((rows, A), dtype=np.complex128) for _ in range(min(stages, 2))]
-    for k in range(1, stages + 1):
-        half = 1 << (k - 1)
-        a = v.reshape(rows, -1, 2, half)
-        t = plan.twiddles[k - 1] * a[:, :, 1, :]
-        v = buffers[k % len(buffers)]
-        b = v.reshape(rows, -1, 2, half)
-        np.subtract(a[:, :, 0, :], t, out=b[:, :, 0, :])
-        np.add(a[:, :, 0, :], t, out=b[:, :, 1, :])
+
+    def spare(w: np.ndarray) -> np.ndarray:
+        return buffers[1] if w is buffers[0] else buffers[0]
+
+    runs = {j: (m, table) for j, m, table in plan.runs}
+    k = 0
+    while k < stages:
+        if k in runs:
+            m, table = runs[k]
+            a = v.reshape(rows, -1, 1 << m, 1 << k)
+            if table is not None:
+                v = spare(v)
+                a = np.multiply(a, table, out=v.reshape(a.shape))
+            v = spare(v)
+            np.fft.fft(a, axis=2, out=v.reshape(a.shape))
+            k += m
+        else:
+            half = 1 << k
+            a = v.reshape(rows, -1, 2, half)
+            t = plan.twiddles[k] * a[:, :, 1, :]
+            v = spare(v)
+            b = v.reshape(rows, -1, 2, half)
+            np.subtract(a[:, :, 0, :], t, out=b[:, :, 0, :])
+            np.add(a[:, :, 0, :], t, out=b[:, :, 1, :])
+            k += 1
     return v if stages else v.copy()
 
 
@@ -222,13 +288,11 @@ def hidft(
     1.5 * A * log2(A) complex operations are counted, A = 2^(size(r)-height).
     """
     rt = validate_pivot_vector(r, J.M)
-    tree = build_tree(J, rt[-1] + 1 if rt else 0)
-    check_part_homogeneous(tree.split_levels(), rt)
     if height < 0 or height > len(rt):
         raise InvalidInputError(f"height must be in [0, {len(rt)}]")
+    check_part_homogeneous(_split_levels(J), rt)
     used = rt[: len(rt) - height]
-    residues = tree.level_arrays(used[-1] + 1 if used else 0)[0]
-    plan, slots = _build_plan(residues, used)
+    plan, slots = _butterfly_plan(J, used)
     offsets, shifts = pattern_offsets(used, J.M), np.asarray([shift], dtype=np.int64)
     grid = _read_grid(source, offsets, shifts, _grid_locations(offsets, shifts, J.N), J.N)
     v = _butterfly_pass(plan, grid)[0]
@@ -242,7 +306,7 @@ def hidft(
         height=height,
         shift=shift,
         level=plan.level,
-        node_residues=tuple(residues.tolist()),
+        node_residues=tuple(plan.slot_residues[slots].tolist()),
         node_values=v[slots],
         slot_values=v,
         slot_residues=plan.slot_residues,
@@ -260,8 +324,7 @@ def hidft_to_dft(res: HiDftResult, counter: OpCounter | None = None) -> np.ndarr
     (and uncounted) when the factor is exactly 1.
     """
     J = res.support
-    cls = classify(J)
-    if not cls.is_homogeneous:
+    if len(J) != 1 << len(_split_levels(J)):  # homogeneous: log2 |J| pivots
         raise ContractViolationError("hidft_to_dft requires a homogeneous support")
     if res.height != 0:
         raise ContractViolationError("hidft_to_dft requires a height-0 transform")

@@ -43,12 +43,38 @@ class SamplingPattern:
         return SupportSet.make(self.N, self.samples)
 
 
+FFT_RUN = 6  # shortest run of consecutive pivots the butterfly hands to numpy.fft
+
+
+def fft_runs(r: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """(j, m) of every maximal run r_j, r_j + 1, ..., r_j + m - 1 of at
+    least FFT_RUN consecutive pivots, ascending."""
+    runs, j = [], 0
+    for i in range(1, len(r) + 1):
+        if i == len(r) or r[i] != r[i - 1] + 1:
+            if i - j >= FFT_RUN:
+                runs.append((j, i - j))
+            j = i
+    return tuple(runs)
+
+
 def pattern_offsets(r: Sequence[int], M: int) -> np.ndarray:
-    """I_r in butterfly order: element b is sum_i bit_i(b) 2^{M-1-r_i}."""
-    b = np.arange(1 << len(r), dtype=np.int64)
+    """I_r in butterfly order: element b is sum_i bit_i(b) 2^{M-1-q_i}, where
+    q is r with every run of `fft_runs` reversed.
+
+    So outside the long runs bit i of b selects pivot r_i, and a run of m
+    pivots c..c+m-1 at indices j..j+m-1 contributes n 2^{M-c-m}, with n
+    = (b >> j) mod 2^m: its samples lie in natural DFT order along that
+    bit field, as the butterfly's `numpy.fft` over the run reads them.
+    The order depends on r alone.
+    """
+    q = list(r)
+    for j, m in fft_runs(q):
+        q[j:j + m] = q[j:j + m][::-1]
+    b = np.arange(1 << len(q), dtype=np.int64)
     out = np.zeros(len(b), dtype=np.int64)
-    for i, ri in enumerate(r):
-        out += ((b >> i) & 1) << (M - 1 - ri)
+    for i, qi in enumerate(q):
+        out += ((b >> i) & 1) << (M - 1 - qi)
     return out
 
 

@@ -23,8 +23,8 @@ import numpy as np
 from .congruence import (
     CongruenceTree,
     SupportSet,
-    build_tree,
-    check_part_homogeneous,
+    build_tree,  # unused here; perfbench/spans.py traces it
+    memoized,
     pivots as support_pivots,  # unused here; perfbench/spans.py traces it
     tree_bitops,
     validate_pivot_vector,
@@ -32,7 +32,7 @@ from .congruence import (
 from .core import _CHUNK, mod_product
 from .counting import CostReport, OpCounter
 from .errors import ContractViolationError, InvalidInputError
-from .hidft import ButterflyPlan, _build_plan, _butterfly_pass, _grid_locations, _read_grid, butterfly_ops
+from .hidft import ButterflyPlan, _butterfly_pass, _butterfly_plan, _grid_locations, _read_grid, butterfly_ops
 from .hidft import hidft  # unused here; perfbench/spans.py traces it
 from .sampling import pattern_offsets
 from .sampling import pivoted_pattern  # unused here; perfbench/spans.py traces it
@@ -160,7 +160,7 @@ def select_pivots(J: SupportSet) -> tuple[int, ...]:
     levels leaves J part-homogeneous by construction.  Cached on J under
     "pivots" (see `sas_transform`).
     """
-    return _memoized(J, "pivots", _least_cost_prefix)[0]
+    return memoized(J, "pivots", _least_cost_prefix)[0]
 
 
 def _least_cost_prefix(tree: CongruenceTree) -> tuple[int, ...]:
@@ -172,21 +172,6 @@ def _least_cost_prefix(tree: CongruenceTree) -> tuple[int, ...]:
         if cost < best_cost:  # strict: ties keep the smaller prefix
             best, best_cost = p[:t], cost
     return best
-
-
-def _memoized(J: SupportSet, key: tuple | str, make):
-    """(J's cached value under key, whether it was cached), else make(tree)
-    stored under key.  A make that raises stores nothing, not even the
-    tree it was given.  Two threads that miss at once each make the value;
-    both are equal and the later store wins."""
-    memo = J._memo
-    if key in memo:
-        return memo[key], True
-    tree = memo["tree"] if "tree" in memo else build_tree(J, J.M)
-    value = make(tree)
-    memo["tree"] = tree
-    memo[key] = value
-    return value, False
 
 
 # Vandermonde machinery --------------------------------------------------------
@@ -469,12 +454,14 @@ class _Prepared:
 def _prepared(J: SupportSet, r: Sequence[int]) -> tuple[_Prepared, bool]:
     """J's prepared plan for pivots r, and whether it was cached."""
     rt = validate_pivot_vector(r, J.M)
-    return _memoized(J, ("plan", rt), lambda tree: _prepare(J, tree, rt))
+    butterfly, take = _butterfly_plan(J, rt)  # checks that J is rt-part-homogeneous
+    return memoized(J, ("plan", rt), lambda tree: _prepare(J, tree, rt, butterfly, take))
 
 
-def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepared:
-    """The plan-time half of `sas_transform`; counts nothing."""
-    check_part_homogeneous(tree.split_levels(), rt)
+def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...],
+             butterfly: ButterflyPlan, take: np.ndarray) -> _Prepared:
+    """The plan-time half of `sas_transform`, on J's cached butterfly plan
+    and slots for rt; counts nothing."""
     level = rt[-1] + 1 if rt else 0
     residues, bounds, members = tree.level_arrays(level)
     weights = np.diff(bounds)
@@ -486,7 +473,6 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
     offsets = pattern_offsets(rt, J.M)
     shifts = mod_product(np.arange(mu), stride, N)
     locations = _grid_locations(offsets, shifts, N)
-    butterfly, take = _build_plan(residues, rt)
     scale = N / len(offsets)
 
     own = np.arange(mu) < weights[:, None]
@@ -563,7 +549,10 @@ def sas_transform(
     from J alone; d = 1 when mu* = 1).  Shift j reads samples at
     (I_r - j d) mod N.  All mu* x |I_r| samples are read as one grid (for a
     `BandlimitedSignal`, from its group sums) and one butterfly pass
-    transforms every row.  The nodes are then decoded together, as rows of
+    transforms every row; it is charged the paper's radix-2 count,
+    1.5 A log2 A per row with A = |I_r|, though runs of FFT_RUN or more
+    consecutive pivots execute in `numpy.fft` (see `hidft`).  The nodes are
+    then decoded together, as rows of
     zero-padded arrays, in float64 only: one counted Leja + Bjorck-Pereyra
     sweep over all nodes, weight 1 included, with Vandermonde nodes
     e^{-2 pi i d l / N} that the stride keeps apart; when mu* = 1 every
@@ -580,7 +569,8 @@ def sas_transform(
     Plan once, execute per call.  Everything that depends on J alone is
     prepared once and cached on the `SupportSet` instance itself: the
     congruence tree, the pivot choice, the plan and stride, the sample
-    locations, the butterfly slots, the node layout, the Vandermonde
+    locations, the butterfly plan and slots (shared with `hidft`), the
+    node layout, the Vandermonde
     nodes, their Leja orders, the Bjorck-Pereyra divisor factors and the
     call's cost report.  A call then reads the grid, runs the butterfly and
     solves the node right-hand sides against the stored factors.  A sample
@@ -644,7 +634,7 @@ def submatrix_method(
     prepared, _ = _prepared(J, ())
     coeffs, _, y = _execute(prepared, source, J, tolerance)
     if y is not None:  # k = 1 is read directly, exactly
-        amp, _ = _memoized(J, ("inverse_norm", ()), lambda tree: _inverse_norm(prepared.V))
+        amp, _ = memoized(J, ("inverse_norm", ()), lambda tree: _inverse_norm(prepared.V))
         est = _error_estimate(prepared.factors, prepared.V, y, coeffs[None], amp)
         if est > tolerance:
             raise ContractViolationError(

@@ -20,6 +20,7 @@ from structfft import (
     SupportSet,
     build_tree,
     cli,
+    gen_homogeneous,
     hidft,
     sas_transform,
     select_pivots,
@@ -28,7 +29,7 @@ from structfft import (
 )
 from structfft.bench import FIXTURES
 from structfft.hidft import _build_plan, _butterfly_pass, _grid_locations, _read_grid, butterfly_ops
-from structfft.sampling import pattern_offsets
+from structfft.sampling import FFT_RUN, pattern_offsets
 from structfft.sas import (
     C1,
     C2,
@@ -225,6 +226,24 @@ def random_support(M_lo=4, M_hi=13, k_hi=60):
     return SupportSet.make(1 << M, rng.choice(1 << M, size=k, replace=False).tolist())
 
 
+def assert_rows_equal_single_shift_hidft(J, x, r, shifts):
+    """Row b of one pass over every shift's grid has the bytes of the
+    single-shift `hidft` at shifts[b]; the per-row charges sum to the pass's."""
+    plan, slots = _build_plan(build_tree(J, J.M).level_arrays(r[-1] + 1 if r else 0)[0], r)
+    offsets = pattern_offsets(r, J.M)
+    grid = _read_grid(x, offsets, shifts, _grid_locations(offsets, shifts, J.N), J.N)
+    v = _butterfly_pass(plan, grid)
+    nodes = v[:, slots]
+    ref = OpCounter()
+    for b, j in enumerate(shifts.tolist()):
+        one = hidft(x, J, r, shift=j, counter=ref)
+        assert nodes[b].tobytes() == one.node_values.tobytes()
+        assert v[b].tobytes() == one.slot_values.tobytes()
+    adds, mults = butterfly_ops(len(r), len(shifts), plan.n_slots)
+    assert ref.phases == ({"hidft": (adds, mults)} if r else {})
+    return plan
+
+
 class TestButterflyBatch:
     def test_rows_equal_single_shift_hidft(self):
         for _ in range(40):
@@ -232,18 +251,24 @@ class TestButterflyBatch:
             x, _ = dense_source(J)
             r = select_pivots(J)
             shifts = np.concatenate([np.arange(5), rng.integers(-J.N, 2 * J.N, size=4)])
-            plan, slots = _build_plan(build_tree(J, J.M).level_arrays(r[-1] + 1 if r else 0)[0], r)
-            offsets = pattern_offsets(r, J.M)
-            grid = _read_grid(x, offsets, shifts, _grid_locations(offsets, shifts, J.N), J.N)
-            v = _butterfly_pass(plan, grid)
-            nodes = v[:, slots]
-            ref = OpCounter()
-            for b, j in enumerate(shifts.tolist()):
-                one = hidft(x, J, r, shift=j, counter=ref)
-                assert nodes[b].tobytes() == one.node_values.tobytes()
-                assert v[b].tobytes() == one.slot_values.tobytes()
-            adds, mults = butterfly_ops(len(r), len(shifts), plan.n_slots)
-            assert ref.phases == ({"hidft": (adds, mults)} if r else {})
+            assert_rows_equal_single_shift_hidft(J, x, r, shifts)
+
+    def test_rows_equal_single_shift_hidft_on_fft_runs(self):
+        # homogeneous supports whose pivots hold a run of FFT_RUN or more
+        # consecutive levels, which the pass hands to numpy.fft
+        gen = np.random.default_rng(7)
+        tables = 0
+        for t in range(12):
+            j = int(gen.integers(0, 3))
+            r = tuple(range(0, 2 * j, 2)) + tuple(range(2 * j, 2 * j + FFT_RUN + t % 3))
+            r += tuple(range(r[-1] + 2, r[-1] + 2 + 2 * int(gen.integers(0, 3)), 2))
+            J = gen_homogeneous(r, r[-1] + 2, int(gen.integers(0, 2**62)))
+            x = gen.standard_normal(J.N) + 1j * gen.standard_normal(J.N)
+            shifts = np.concatenate([np.arange(5), gen.integers(-J.N, 2 * J.N, size=4)])
+            plan = assert_rows_equal_single_shift_hidft(J, x, r, shifts)
+            assert plan.runs and plan.runs[0][:2] == (j, FFT_RUN + t % 3)
+            tables += plan.runs[0][2] is not None
+        assert tables >= 6
 
     def test_callable_reads_once(self):
         J = SupportSet.make(1 << 10, [0, 1, 6, 7, 512, 300, 301])

@@ -78,3 +78,15 @@ def test_modulus_not_power_of_two_exits_2(tmp_path, capsys):
     assert code == 2
     assert out.out == ""
     assert "not a power of two" in out.err
+
+
+def test_oracle_reports_the_direct_dft_ops(tmp_path, capsys):
+    support, signal = tmp_path / "support.json", tmp_path / "signal.json"
+    assert cli.main(["gen", "--kind", "elementary", "--params", '{"r": 3, "M": 8}', "--seed", "1",
+                     "--out", str(support), "--signal", str(signal)]) == 0
+    capsys.readouterr()
+    assert cli.main(["transform", "--signal", str(signal), "--algo", "oracle"]) == 0
+    cost = json.loads(capsys.readouterr().out)["cost"]
+    N = 256  # dft_direct: N^2 products and N(N - 1) sums
+    assert (cost["hidft_mults"], cost["hidft_adds"]) == (N * N, N * (N - 1))
+    assert cost["ops_total"] == N * N + N * (N - 1)

@@ -1,5 +1,7 @@
 """Tests for the generalized butterfly, its oracle equivalence and identities."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -20,10 +22,13 @@ from structfft import (
     hidft_to_dft,
     pivots,
     rel_error,
+    sas_transform,
     spectrality_check,
     submatrix_unitarity,
 )
-from structfft.hidft import _build_plan, butterfly_ops
+from structfft import congruence
+from structfft.hidft import _build_plan, _butterfly_plan, butterfly_ops
+from structfft.sampling import FFT_RUN, fft_runs
 
 rng = np.random.default_rng(99)
 
@@ -335,3 +340,95 @@ class TestSpectrality:
             k = 1 << int(rng.integers(1, min(M, 4) + 1))
             J = SupportSet.make(N, rng.choice(N, size=k, replace=False).tolist())
             assert spectrality_check(J).passed == classify(J).is_homogeneous
+
+
+def mixed_runs(gen, s_max=10):
+    """A pivot vector of at most s_max pivots that has a run of FFT_RUN or
+    more consecutive pivots: segments of FFT_RUN..FFT_RUN+2 or 1..FFT_RUN-1
+    consecutive pivots, one or two levels apart, the first at level 0..2."""
+    while True:
+        r, start = [], int(gen.integers(0, 3))
+        while True:
+            long = gen.random() < 0.5
+            size = int(gen.integers(FFT_RUN, FFT_RUN + 3) if long else gen.integers(1, FFT_RUN))
+            if len(r) + size > s_max:
+                break
+            r.extend(range(start, start + size))
+            start += size + int(gen.integers(1, 3))
+        if fft_runs(r):
+            return tuple(r)
+
+
+class TestFftRuns:
+    """The butterfly runs each run of FFT_RUN or more consecutive pivots as
+    one pre-twiddled numpy.fft; it must still give the dense submatrix
+    product."""
+
+    def test_pass_matches_oracle(self):
+        gen = np.random.default_rng(2026)
+        twiddled = 0  # runs after a first pivot whose table has several prefixes
+        for t in range(40):
+            r = mixed_runs(gen)
+            M = r[-1] + 1 + int(gen.integers(0, 3))
+            J = gen_homogeneous(r, M, int(gen.integers(0, 2**62)))
+            if t % 2:  # thinned: virtual slots, J stays r-part-homogeneous
+                keep = gen.random(len(J)) < 0.7
+                keep[0] = True
+                J = SupportSet.make(J.N, np.asarray(J.indices)[keep].tolist())
+            x = gen.standard_normal(J.N) + 1j * gen.standard_normal(J.N)
+            plan, _ = _butterfly_plan(J, r)
+            twiddled += sum(j > 0 and table is not None for j, _, table in plan.runs)
+            for height in (0, int(gen.integers(0, len(r) + 1))):
+                shift = int(gen.integers(0, J.N))
+                got = hidft(x, J, r, height=height, shift=shift)
+                want = hidft_oracle(x, J, r, height=height, shift=shift)
+                assert got.node_residues == want.node_residues
+                scale = np.max(np.abs(want.node_values))
+                assert np.max(np.abs(got.node_values - want.node_values)) <= 1e-12 * scale
+        assert twiddled >= 5
+
+    def test_pre_twiddle_table(self):
+        # pivots 2..8 at stages 1..7: prefix p = 0, 1 of the first pivot, and
+        # a residue shared mod 4 by each prefix's nodes
+        r = (0, 2, 3, 4, 5, 6, 7, 8, 10)
+        J = gen_homogeneous(r, 12, 3)
+        plan, _ = _butterfly_plan(J, r)
+        [(j, m, table)] = plan.runs
+        assert (j, m) == (1, 7) and table.shape == (1 << 7, 2)
+        x = plan.slot_residues[:2] % 4
+        n = np.arange(1 << 7)[:, None]
+        assert np.max(np.abs(table - np.exp(-2j * np.pi * n * x / (1 << 9)))) <= 1e-15
+        assert not table.flags.writeable
+
+
+class TestPlanCache:
+    def test_second_call_builds_no_tree_and_no_plan(self, monkeypatch):
+        hidft_module = importlib.import_module("structfft.hidft")
+        J = gen_homogeneous((0, 2, 3, 4, 5, 6, 7, 8, 10), 12, 3)
+        sig, _ = random_signal(J)
+        r = pivots(J)
+        first = hidft(sig, J, r)
+        coeffs = hidft_to_dft(first)
+        built = []
+        tree_init = congruence.CongruenceTree.__init__
+        monkeypatch.setattr(congruence.CongruenceTree, "__init__",
+                            lambda self, *a: built.append("tree") or tree_init(self, *a))
+        monkeypatch.setattr(hidft_module, "_build_plan", lambda *a: built.append("plan"))
+        ctr = OpCounter()
+        for _ in range(2):
+            again = hidft(sig, J, r, counter=ctr)
+            assert again.slot_values.tobytes() == first.slot_values.tobytes()
+            assert again.node_residues == first.node_residues
+            assert hidft_to_dft(again).tobytes() == coeffs.tobytes()
+        assert built == []
+        assert ctr.phases == {"hidft": (2 * first.ops_adds, 2 * first.ops_mults)}
+
+    def test_shares_the_sas_plan(self):
+        J = gen_homogeneous((0, 1, 2, 3, 4, 5, 6, 7, 9), 11, 5)
+        sig, c = random_signal(J)
+        out = sas_transform(sig, J, r=pivots(J))
+        entries = [k for k in J._memo if k[0] == "butterfly"]
+        res = hidft(sig, J, pivots(J))
+        assert [k for k in J._memo if k[0] == "butterfly"] == entries == [("butterfly", pivots(J))]
+        assert hidft_to_dft(res).tobytes() == out.coeffs.tobytes()
+        assert rel_error(out.coeffs, c) < 1e-12

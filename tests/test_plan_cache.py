@@ -26,6 +26,7 @@ from structfft import (
     sas_transform,
     select_pivots,
 )
+from structfft import congruence
 from structfft.core import _CHUNK
 from structfft.sampling import pattern_offsets
 
@@ -207,8 +208,8 @@ def test_support_pickles_as_its_two_fields():
 
 def test_pivot_choice_and_plan_reuse_one_tree(monkeypatch):
     built = []
-    real = sas.build_tree
-    monkeypatch.setattr(sas, "build_tree", lambda *a, **k: built.append(a) or real(*a, **k))
+    real = congruence.build_tree
+    monkeypatch.setattr(congruence, "build_tree", lambda *a, **k: built.append(a) or real(*a, **k))
     fam = STRUCT[4].build()
     J, meta = fam.support, fam.meta
     x = dense(J, np.ones(len(J)))
@@ -371,13 +372,19 @@ def fresh_grid(sig, o, shifts):
 # open fault, pinned ------------------------------------------------------------------
 
 
-@pytest.mark.xfail(strict=True, reason="large random subsets miss 1e-8 at the planned "
-                   "stride (d = 115) with nothing flagged; see FOUND in CHANGES.md")
-@pytest.mark.parametrize("kind", ["bandlimited", "dense"])
+@pytest.mark.parametrize("kind", [
+    "bandlimited",
+    pytest.param("dense", marks=pytest.mark.xfail(
+        strict=True, reason="large random subsets miss 1e-8 at the planned stride "
+        "(d = 115) with nothing flagged; see FOUND in CHANGES.md")),
+])
 def test_large_random_subset_within_tolerance(kind):
     # the paper's pivot count, t = floor(log2 k - log2 log2 k) = 6, as an explicit r:
-    # the least-cost plan decodes this case (see the test below).  The spare-row
-    # check does not see this miss: its largest residual is 7.9e-12
+    # the least-cost plan decodes this case (see the test below).  The weight-25
+    # node's ||V^-1||_inf is about 8.7e7, so the error is amplified rounding:
+    # 2.2e-8 on the dense source, and 9.5e-9 on the bandlimited one, which
+    # passes by the butterfly's rounding alone.  The spare-row check does not
+    # see the miss: its largest residual is 6.5e-12
     fam = FamilySpec("random_subset", {"k": 1024, "M": 18}, 5).build()
     J = fam.support
     c = draw_coefficients(len(J), np.random.default_rng(5), nonzero=True)

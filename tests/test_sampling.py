@@ -18,7 +18,7 @@ from structfft import (
     pivoted_pattern,
     pivots,
 )
-from structfft.sampling import _recursive
+from structfft.sampling import FFT_RUN, _recursive, fft_runs, pattern_offsets
 
 rng = np.random.default_rng(11)
 
@@ -74,6 +74,37 @@ class TestPivotedPattern:
     def test_pivot_out_of_range(self):
         with pytest.raises(InvalidInputError):
             pivoted_pattern((6,), 6)
+
+
+class TestPatternOffsets:
+    def test_permutes_pivoted_pattern_for_every_r(self):
+        for M in range(1, 11):
+            for mask in range(1 << M):
+                r = tuple(i for i in range(M) if mask >> i & 1)
+                got = pattern_offsets(r, M)
+                assert sorted(got.tolist()) == list(pivoted_pattern(r, M).samples)
+
+    def test_long_runs_in_natural_order(self):
+        # each run of FFT_RUN or more consecutive pivots c..c+m-1 at indices
+        # j..j+m-1 reads its bit field n of b as the offset n 2^(M-c-m); every
+        # other bit i of b selects 2^(M-1-r_i)
+        M = 16
+        for r in (tuple(range(FFT_RUN)), (0,) + tuple(range(2, FFT_RUN + 3)) + (M - 3,),
+                  tuple(range(FFT_RUN)) + tuple(range(FFT_RUN + 1, 2 * FFT_RUN + 1))):
+            runs = fft_runs(r)
+            assert runs
+            in_run = {j + i for j, m in runs for i in range(m)}
+            b = np.arange(1 << len(r))
+            want = sum((((b >> i) & 1) << (M - 1 - ri)) for i, ri in enumerate(r) if i not in in_run)
+            want = want + sum(((b >> j) & ((1 << m) - 1)) << (M - r[j] - m) for j, m in runs)
+            assert pattern_offsets(r, M).tolist() == want.tolist()
+
+    def test_runs(self):
+        short = tuple(range(FFT_RUN - 1))
+        assert fft_runs(short) == ()
+        assert fft_runs(tuple(range(FFT_RUN))) == ((0, FFT_RUN),)
+        r = (0,) + tuple(range(2, FFT_RUN + 2)) + (FFT_RUN + 3,) + tuple(range(20, 20 + FFT_RUN + 1))
+        assert fft_runs(r) == ((1, FFT_RUN), (FFT_RUN + 2, FFT_RUN + 1))
 
 
 class TestAliasingValue:
