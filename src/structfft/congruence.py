@@ -271,16 +271,16 @@ def build_tree(J: SupportSet, depth: int, counter=None) -> CongruenceTree:
     return tree
 
 
-def memoized(J: SupportSet, key: tuple | str, make):
+def memoized(J: SupportSet, key: tuple | str, make, build=build_tree):
     """(J's cached value under key, whether it was cached), else make(tree)
     stored under key, where tree is J's full-depth congruence tree, built
-    once and cached under "tree".  A make that raises stores nothing, not
-    even the tree it was given.  Two threads that miss at once each make
-    the value; both are equal and the later store wins."""
+    once by build(J, J.M) and cached under "tree".  A make that raises
+    stores nothing, not even the tree it was given.  Two threads that miss
+    at once each make the value; both are equal and the later store wins."""
     memo = J._memo
     if key in memo:
         return memo[key], True
-    tree = memo["tree"] if "tree" in memo else build_tree(J, J.M)
+    tree = memo["tree"] if "tree" in memo else build(J, J.M)
     value = make(tree)
     memo["tree"] = tree
     memo[key] = value

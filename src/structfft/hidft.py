@@ -78,16 +78,17 @@ class ButterflyPlan:
     """Precomputed slot structure for the nodes at level used[-1] + 1, built
     from their residues alone (`_build_plan`).
 
-    `twiddles` serves every stage as a radix-2 step; `runs` lists the runs
-    of FFT_RUN or more consecutive pivots (`fft_runs`), which
-    `_butterfly_pass` runs as one pre-twiddled `numpy.fft` each instead.
-    Its arrays are read-only: J caches the plan (`_butterfly_plan`)."""
+    `runs` lists the runs of FFT_RUN or more consecutive pivots
+    (`fft_runs`), which `_butterfly_pass` runs as one pre-twiddled
+    `numpy.fft` each; `twiddles` serves every other stage as a radix-2
+    step and holds None for the stages inside a run.  Its arrays are
+    read-only: J caches the plan (`_butterfly_plan`)."""
 
     used: tuple[int, ...]           # pivots merged by the butterfly, ascending
     level: int                      # output nodes live at this tree level
     slot_residues: np.ndarray       # node residue per slot; virtual slots inherit one
     slot_real: np.ndarray           # which slots hold a node
-    twiddles: tuple[np.ndarray, ...]  # stage k merges used[k]; array of size 2^k
+    twiddles: tuple[np.ndarray | None, ...]  # stage k merges used[k]; size 2^k, None in a run
     runs: tuple[tuple[int, int, np.ndarray | None], ...]  # (j, m, pre-twiddle) per fft_runs(used)
 
     @property
@@ -114,14 +115,17 @@ def _build_plan(residues: np.ndarray, used: tuple[int, ...]) -> tuple[ButterflyP
     every x_p is 0.
     """
     s = len(used)
+    long_runs = fft_runs(used)
+    in_run = {k for j, m in long_runs for k in range(j, j + m)}
     slots = np.zeros(len(residues), dtype=np.int64)
     for i, rk in enumerate(used):
         slots |= ((residues >> rk) & 1) << i
     reps = residues[:1]
-    twiddles: list[np.ndarray] = []
+    twiddles: list[np.ndarray | None] = []
     for k, rk in enumerate(used, start=1):
         shared = reps % (1 << rk)
-        twiddles.append(np.exp(-2j * np.pi * (shared + (1 << rk)) / float(1 << (rk + 1))))
+        twiddles.append(None if k - 1 in in_run else
+                        np.exp(-2j * np.pi * (shared + (1 << rk)) / float(1 << (rk + 1))))
         branch = (np.arange(1 << k) >> (k - 1)) & 1
         reps = shared[np.arange(1 << k) & ((1 << (k - 1)) - 1)] + (branch << rk)
         reps[slots & ((1 << k) - 1)] = residues  # duplicate writes agree below used[k]
@@ -130,7 +134,7 @@ def _build_plan(residues: np.ndarray, used: tuple[int, ...]) -> tuple[ButterflyP
     slot_real = np.zeros(1 << s, dtype=bool)
     slot_real[slots] = True
     runs = []
-    for j, m in fft_runs(used):
+    for j, m in long_runs:
         c = used[j]
         x = slot_residues[:1 << j] % (1 << c)
         table = None
@@ -138,22 +142,22 @@ def _build_plan(residues: np.ndarray, used: tuple[int, ...]) -> tuple[ButterflyP
             phase = (np.arange(1 << m)[:, None] * x) % (1 << (c + m))
             table = np.exp(-2j * np.pi * phase / float(1 << (c + m)))
         runs.append((j, m, table))
-    tables = [t for _, _, t in runs if t is not None]
-    for a in (slots, slot_residues, slot_real, *twiddles, *tables):
-        a.flags.writeable = False
+    for a in (slots, slot_residues, slot_real, *twiddles, *(t for _, _, t in runs)):
+        if a is not None:
+            a.flags.writeable = False
     return ButterflyPlan(used, level, slot_residues, slot_real, tuple(twiddles), tuple(runs)), slots
 
 
-def _butterfly_plan(J: SupportSet, used: tuple[int, ...]) -> tuple[ButterflyPlan, np.ndarray]:
+def _butterfly_plan(J: SupportSet, used: tuple[int, ...], build=build_tree) -> tuple[ButterflyPlan, np.ndarray]:
     """J's butterfly plan and node slots for the pivots `used`
     (`_build_plan` on the nodes at level used[-1] + 1), cached on J under
     ("butterfly", used): `hidft` at any height and `sas_transform` share
-    it.  Raises ContractViolationError, storing nothing, unless J is
-    used-part-homogeneous."""
+    it.  A miss builds J's tree with `build` unless J has one cached
+    (`memoized`).  The caller checks first that J is used-part-homogeneous:
+    the slots of any other support collide."""
     def make(tree):
-        check_part_homogeneous(tree.split_levels(), used)
         return _build_plan(tree.level_arrays(used[-1] + 1 if used else 0)[0], used)
-    return memoized(J, ("butterfly", used), make)[0]
+    return memoized(J, ("butterfly", used), make, build)[0]
 
 
 def _split_levels(J: SupportSet) -> tuple[int, ...]:
@@ -238,9 +242,10 @@ def _butterfly_pass(plan: ButterflyPlan, v: np.ndarray) -> np.ndarray:
     order there (`pattern_offsets`).  Every other stage k is a radix-2
     step; its twiddle product is taken on the input viewed as
     (rows, A / 2^k, 2, 2^(k-1)), as the one-row pass takes it: numpy's
-    complex multiply can round differently on other layouts.  Each step
-    writes into one of two buffers allocated per call, so the grid v is
-    only read and the result is always a fresh array.
+    complex multiply can round differently on other layouts.  A radix-2
+    step or a pre-twiddle writes into one of two buffers allocated per
+    call, and `numpy.fft` returns a new array, so the grid v is only read
+    and the result is always a fresh array.
     """
     rows, A = v.shape
     stages = len(plan.used)
@@ -258,8 +263,7 @@ def _butterfly_pass(plan: ButterflyPlan, v: np.ndarray) -> np.ndarray:
             if table is not None:
                 v = spare(v)
                 a = np.multiply(a, table, out=v.reshape(a.shape))
-            v = spare(v)
-            np.fft.fft(a, axis=2, out=v.reshape(a.shape))
+            v = np.fft.fft(a, axis=2).reshape(rows, A)
             k += m
         else:
             half = 1 << k

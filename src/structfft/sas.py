@@ -23,7 +23,8 @@ import numpy as np
 from .congruence import (
     CongruenceTree,
     SupportSet,
-    build_tree,  # unused here; perfbench/spans.py traces it
+    build_tree,
+    check_part_homogeneous,
     memoized,
     pivots as support_pivots,  # unused here; perfbench/spans.py traces it
     tree_bitops,
@@ -160,7 +161,7 @@ def select_pivots(J: SupportSet) -> tuple[int, ...]:
     levels leaves J part-homogeneous by construction.  Cached on J under
     "pivots" (see `sas_transform`).
     """
-    return memoized(J, "pivots", _least_cost_prefix)[0]
+    return memoized(J, "pivots", _least_cost_prefix, build_tree)[0]
 
 
 def _least_cost_prefix(tree: CongruenceTree) -> tuple[int, ...]:
@@ -452,16 +453,18 @@ class _Prepared:
 
 
 def _prepared(J: SupportSet, r: Sequence[int]) -> tuple[_Prepared, bool]:
-    """J's prepared plan for pivots r, and whether it was cached."""
+    """J's prepared plan for pivots r, and whether it was cached.  Its tree
+    is built through this module's `build_tree`, which perfbench/spans.py
+    traces."""
     rt = validate_pivot_vector(r, J.M)
-    butterfly, take = _butterfly_plan(J, rt)  # checks that J is rt-part-homogeneous
-    return memoized(J, ("plan", rt), lambda tree: _prepare(J, tree, rt, butterfly, take))
+    return memoized(J, ("plan", rt), lambda tree: _prepare(J, tree, rt), build_tree)
 
 
-def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...],
-             butterfly: ButterflyPlan, take: np.ndarray) -> _Prepared:
-    """The plan-time half of `sas_transform`, on J's cached butterfly plan
-    and slots for rt; counts nothing."""
+def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepared:
+    """The plan-time half of `sas_transform`, on J's butterfly plan and
+    slots for rt, which `hidft` shares; counts nothing."""
+    check_part_homogeneous(tree.split_levels(), rt)
+    butterfly, take = _butterfly_plan(J, rt, lambda J, depth: tree)
     level = rt[-1] + 1 if rt else 0
     residues, bounds, members = tree.level_arrays(level)
     weights = np.diff(bounds)
@@ -634,7 +637,7 @@ def submatrix_method(
     prepared, _ = _prepared(J, ())
     coeffs, _, y = _execute(prepared, source, J, tolerance)
     if y is not None:  # k = 1 is read directly, exactly
-        amp, _ = memoized(J, ("inverse_norm", ()), lambda tree: _inverse_norm(prepared.V))
+        amp, _ = memoized(J, ("inverse_norm", ()), lambda tree: _inverse_norm(prepared.V), build_tree)
         est = _error_estimate(prepared.factors, prepared.V, y, coeffs[None], amp)
         if est > tolerance:
             raise ContractViolationError(

@@ -26,7 +26,6 @@ from structfft import (
     sas_transform,
     select_pivots,
 )
-from structfft import congruence
 from structfft.core import _CHUNK
 from structfft.sampling import pattern_offsets
 
@@ -175,7 +174,9 @@ def test_cached_and_returned_arrays_are_read_only():
     cached = [v for v in vars(prepared).values() if isinstance(v, np.ndarray)]
     assert len(cached) == 9
     f = prepared.factors
-    cached += [*prepared.butterfly.twiddles, f.perm, f.sizes, f.xr, f.xi, f.gather, f.pad]
+    cached += [t for t in prepared.butterfly.twiddles if t is not None]
+    cached += [t for _, _, t in prepared.butterfly.runs if t is not None]
+    cached += [f.perm, f.sizes, f.xr, f.xi, f.gather, f.pad]
     cached += [a for step in f.steps for a in step]
     for a in returned + cached:
         assert not a.flags.writeable
@@ -208,8 +209,8 @@ def test_support_pickles_as_its_two_fields():
 
 def test_pivot_choice_and_plan_reuse_one_tree(monkeypatch):
     built = []
-    real = congruence.build_tree
-    monkeypatch.setattr(congruence, "build_tree", lambda *a, **k: built.append(a) or real(*a, **k))
+    real = sas.build_tree
+    monkeypatch.setattr(sas, "build_tree", lambda *a, **k: built.append(a) or real(*a, **k))
     fam = STRUCT[4].build()
     J, meta = fam.support, fam.meta
     x = dense(J, np.ones(len(J)))
