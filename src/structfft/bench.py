@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .congruence import SupportSet
+from .congruence import SupportSet, as_int
 from .core import BandlimitedSignal, rel_error
 from .counting import OpCounter
 from .errors import InvalidInputError
@@ -79,19 +79,12 @@ class TrialRecord:
         return [getattr(self, c) for c in CSV_COLUMNS]
 
 
-def _as_int(value) -> int:
-    """int(value), but ValueError on a number int() would truncate."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
 def _draw_int(rng, value) -> int:
     """Scenario params may give a constant or an inclusive [lo, hi] range."""
     if isinstance(value, (list, tuple)):
         lo, hi = value
-        return int(rng.integers(_as_int(lo), _as_int(hi) + 1))
-    return _as_int(value)
+        return int(rng.integers(as_int(lo), as_int(hi) + 1))
+    return as_int(value)
 
 
 def _family_spec_for_trial(kind: str, params: dict, rng, seed: int) -> FamilySpec:
@@ -126,7 +119,7 @@ def _family_spec_for_trial(kind: str, params: dict, rng, seed: int) -> FamilySpe
         M = _draw_int(rng, p["M"])
         N = 1 << M
         d = _draw_int(rng, p.get("d", [1, 3]))
-        cap = _as_int(p.get("volume_cap", 1 << 12))
+        cap = as_int(p.get("volume_cap", 1 << 12))
         lengths = []
         vol = 1
         for i in range(d):
@@ -140,7 +133,7 @@ def _family_spec_for_trial(kind: str, params: dict, rng, seed: int) -> FamilySpe
     if kind == "uoe":
         M = _draw_int(rng, p["M"])
         a_n = _draw_int(rng, p.get("a_n", [1, max(M // 2, 1)]))
-        C = _as_int(p.get("eta_cap", 2))
+        C = as_int(p.get("eta_cap", 2))
         etas = [int(rng.integers(0, C + 1)) for _ in range(a_n + 1)]
         etas[a_n] = max(1, etas[a_n])  # keep the top size present so a_n is realized
         return FamilySpec("uoe", {"a_n": a_n, "etas": etas, "M": M}, seed)
@@ -149,7 +142,7 @@ def _family_spec_for_trial(kind: str, params: dict, rng, seed: int) -> FamilySpe
         s = _draw_int(rng, p.get("s", [2, max(M // 2, 2)]))
         base = sorted(rng.choice(M, size=min(s, M), replace=False).tolist())
         a_n = min(_draw_int(rng, p.get("a_n", [1, len(base)])), len(base))
-        C = _as_int(p.get("eta_cap", 2))
+        C = as_int(p.get("eta_cap", 2))
         etas = [int(rng.integers(0, C + 1)) for _ in range(a_n + 1)]
         etas[a_n] = max(1, etas[a_n])
         return FamilySpec(
@@ -215,9 +208,9 @@ def run_trial(kind: str, params: dict, base_seed: int, scenario_idx: int,
 def run_antipodal_scenario(params: dict, base_seed: int, scenario_idx: int,
                            trials: int) -> dict:
     """Fraction of Bernoulli(k/N) subsets of Z_N containing a pair j, j + N/2."""
-    M = _as_int(params["M"])
+    M = as_int(params["M"])
     N = 1 << M
-    k = _as_int(params.get("k", math.isqrt(N) * _as_int(params.get("k_factor", 4))))
+    k = as_int(params.get("k", math.isqrt(N) * as_int(params.get("k_factor", 4))))
     hits = 0
     sizes = []
     for t in range(trials):
@@ -245,7 +238,7 @@ def run_scenario(scenario: dict, base_seed: int, scenario_idx: int,
                  tolerance: float, threads: int = 1) -> tuple[list[TrialRecord], dict]:
     try:
         kind = scenario["kind"]
-        trials = _as_int(scenario["trials"])
+        trials = as_int(scenario["trials"])
     except (KeyError, TypeError, ValueError):
         raise InvalidInputError(f"scenario {scenario_idx} needs a 'kind' and an integer 'trials'") from None
     params = scenario.get("params", {})
@@ -318,7 +311,7 @@ def run_bench(config: dict, threads: int | None = None) -> tuple[list[TrialRecor
     if not isinstance(config.get("scenarios"), list):
         raise InvalidInputError("scenario file needs a 'scenarios' list")
     try:
-        base_seed = _as_int(config.get("seed", 0))
+        base_seed = as_int(config.get("seed", 0))
         tolerance = float(config.get("tolerance", 1e-8))
     except (TypeError, ValueError):
         raise InvalidInputError("scenario file 'seed' must be an integer and 'tolerance' a number") from None

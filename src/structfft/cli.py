@@ -23,11 +23,11 @@ import numpy as np
 from .bench import CSV_COLUMNS, run_bench
 from .congruence import SupportSet, build_tree, classify, pivots
 from .core import BandlimitedSignal, dft_direct, fft_radix2
-from .counting import CostReport, OpCounter
+from .counting import CostReport
 from .errors import BudgetExceededError, ContractViolationError, InvalidInputError
 from .families import FamilySpec, doubling, draw_coefficients, rng_from_seed
-from .hidft import hidft, hidft_to_dft
-from .sas import sas_transform, submatrix_method
+from .hidft import butterfly_ops, hidft, hidft_to_dft
+from .sas import _prepared, sas_transform, submatrix_method
 
 ORACLE_SIZE_CAP = 1 << 12
 FFT_SIZE_CAP = 1 << 22
@@ -171,7 +171,6 @@ def _parse_pivots(text: str | None):
 def cmd_transform(args) -> int:
     sig = load_signal(args.signal)
     J = sig.support
-    counter = OpCounter()
     explicit_r = _parse_pivots(args.pivots)
     extra = {}  # the sas plan and flagged nodes, reported beside the cost
     if args.algo in ("oracle", "fft"):
@@ -179,18 +178,23 @@ def cmd_transform(args) -> int:
                                else (FFT_SIZE_CAP, fft_radix2))
         if J.N > cap:
             raise BudgetExceededError(f"{args.algo} transform capped at N <= {cap}")
-        full = full_transform(sig.synthesize(), counter)
-        coeffs = full[list(J.indices)]
-        # the full-length transform's counted ops, reported as the butterfly's
-        cost = CostReport(hidft_adds=counter.complex_adds, hidft_mults=counter.complex_mults,
-                          samples_touched=J.N)
+        coeffs = full_transform(sig.synthesize())[list(J.indices)]
+        # the full-length transform's counted ops, reported as the butterfly's:
+        # N^2 products and N(N - 1) sums, or the radix-2 count
+        N = J.N
+        adds, mults = (N * (N - 1), N * N) if args.algo == "oracle" else butterfly_ops(J.M, 1, N)
+        cost = CostReport(hidft_adds=adds, hidft_mults=mults, samples_touched=N)
     elif args.algo == "submatrix":
-        coeffs = submatrix_method(J, sig, counter, tolerance=args.tolerance)
-        cost = CostReport.from_counter(counter, samples_touched=len(J))
+        coeffs = submatrix_method(J, sig, tolerance=args.tolerance)
+        cost = _prepared(J, ())[0].report
     elif args.algo == "hidft":
         r = explicit_r if explicit_r is not None else pivots(J)
         height = args.height if args.height is not None else 0
-        res = hidft(sig, J, r, height=height, counter=counter)
+        res = hidft(sig, J, r, height=height)
+        # hidft_to_dft scales by N / k: one product per coefficient, none when it is 1
+        read = 0 if args.height is not None or J.N == len(J) else len(J)
+        cost = CostReport(hidft_adds=res.ops_adds, hidft_mults=res.ops_mults, read_ops=read,
+                          samples_touched=len(res.slot_values))
         if args.height is not None:
             report = {
                 "N": J.N,
@@ -199,18 +203,15 @@ def cmd_transform(args) -> int:
                 "nodes": {
                     str(k): [v.real, v.imag] for k, v in res.values.items()
                 },
-                "cost": CostReport.from_counter(
-                    counter, samples_touched=1 << (len(r) - height)
-                ).as_dict(),
+                "cost": cost.as_dict(),
             }
             text = dump_json(report, args.out)
             if not args.out:
                 sys.stdout.write(text)
             return 0
-        coeffs = hidft_to_dft(res, counter)
-        cost = CostReport.from_counter(counter, samples_touched=len(res.slot_values))
+        coeffs = hidft_to_dft(res)
     elif args.algo == "sas":
-        out = sas_transform(sig, J, r=explicit_r, counter=counter, tolerance=args.tolerance)
+        out = sas_transform(sig, J, r=explicit_r, tolerance=args.tolerance)
         coeffs = out.coeffs
         cost = out.report
         extra["plan"] = {f: getattr(out.plan, f)

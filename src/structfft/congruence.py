@@ -128,9 +128,10 @@ def pivots(J: SupportSet) -> tuple[int, ...]:
     The distinct split levels of neighbours in bit-reversed order (one
     O(k log k) sort), which scales past the O(k^2) pairwise definition;
     `pivots_pairwise` implements the definition literally and the two must
-    agree.
+    agree.  Read from J's cached tree and cached on J under "split_levels"
+    (`memoized`), so only the first call on a support sorts.
     """
-    return CongruenceTree(J, J.M).split_levels()
+    return memoized(J, "split_levels", lambda tree: tree.split_levels())[0]
 
 
 def pivots_pairwise(J: SupportSet, size_cap: int = PAIRWISE_SIZE_CAP) -> tuple[int, ...]:
@@ -330,12 +331,16 @@ def is_part_homogeneous(J: SupportSet, r: Sequence[int]) -> bool:
     return True
 
 
-def assert_part_homogeneous(J: SupportSet, r: Sequence[int]) -> None:
-    check_part_homogeneous(pivots(J), r)
+def as_int(value) -> int:
+    """int(value), but InvalidInputError (a ValueError) on a float that int()
+    would truncate; an integral float such as 2.0 is accepted."""
+    if isinstance(value, (float, np.floating)) and not float(value).is_integer():
+        raise InvalidInputError(f"{value!r} is not an integer")
+    return int(value)
 
 
 def validate_pivot_vector(r: Sequence[int], M: int) -> tuple[int, ...]:
-    r = tuple(int(x) for x in r)
+    r = tuple(as_int(x) for x in r)
     if any(r[i] >= r[i + 1] for i in range(len(r) - 1)):
         raise InvalidInputError("pivot vector must be strictly increasing")
     if any(x < 0 or x >= M for x in r):
@@ -353,5 +358,5 @@ def height_of(level: int, r: Sequence[int]) -> int:
 
 def node_heights(J: SupportSet, r: Sequence[int]) -> dict[int, int]:
     """level -> height map for an r-part-homogeneous J (contract-checked)."""
-    assert_part_homogeneous(J, r)
+    check_part_homogeneous(pivots(J), r)
     return {level: height_of(level, r) for level in range(J.M + 1)}

@@ -124,13 +124,6 @@ class CostReport:
                 counter.mul(mults, phase=phase)
                 counter.add(adds, phase=phase)
 
-    @classmethod
-    def from_counter(cls, counter: OpCounter, *, samples_touched: int = 0) -> "CostReport":
-        """The bit ops and the "hidft", "solve" and "read" phases a counter
-        holds, read back: the report of the one run it counted."""
-        (ha, hm), (sa, sm) = counter.phase("hidft"), counter.phase("solve")
-        return cls(counter.bit_ops, ha, hm, sa, sm, sum(counter.phase("read")), samples_touched)
-
     def as_dict(self) -> dict:
         d = asdict(self)
         d["ops_hidft"] = self.ops_hidft

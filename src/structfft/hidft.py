@@ -38,10 +38,11 @@ import numpy as np
 
 from .congruence import (
     SupportSet,
-    assert_part_homogeneous,
+    as_int,
     build_tree,
     check_part_homogeneous,
     memoized,
+    pivots,
     validate_pivot_vector,
 )
 from .core import BandlimitedSignal, submatrix_apply
@@ -158,11 +159,6 @@ def _butterfly_plan(J: SupportSet, used: tuple[int, ...], build=build_tree) -> t
     def make(tree):
         return _build_plan(tree.level_arrays(used[-1] + 1 if used else 0)[0], used)
     return memoized(J, ("butterfly", used), make, build)[0]
-
-
-def _split_levels(J: SupportSet) -> tuple[int, ...]:
-    """pivots(J), cached on J under "split_levels"."""
-    return memoized(J, "split_levels", lambda tree: tree.split_levels())[0]
 
 
 @dataclass
@@ -294,7 +290,8 @@ def hidft(
     rt = validate_pivot_vector(r, J.M)
     if height < 0 or height > len(rt):
         raise InvalidInputError(f"height must be in [0, {len(rt)}]")
-    check_part_homogeneous(_split_levels(J), rt)
+    check_part_homogeneous(pivots(J), rt)
+    shift = as_int(shift)
     used = rt[: len(rt) - height]
     plan, slots = _butterfly_plan(J, used)
     offsets, shifts = pattern_offsets(used, J.M), np.asarray([shift], dtype=np.int64)
@@ -328,7 +325,7 @@ def hidft_to_dft(res: HiDftResult, counter: OpCounter | None = None) -> np.ndarr
     (and uncounted) when the factor is exactly 1.
     """
     J = res.support
-    if len(J) != 1 << len(_split_levels(J)):  # homogeneous: log2 |J| pivots
+    if len(J) != 1 << len(pivots(J)):  # homogeneous: log2 |J| pivots
         raise ContractViolationError("hidft_to_dft requires a homogeneous support")
     if res.height != 0:
         raise ContractViolationError("hidft_to_dft requires a height-0 transform")
@@ -346,7 +343,8 @@ def hidft_oracle(
 ) -> HiDftResult:
     """Same contract as hidft, evaluated by the dense submatrix product."""
     rt = validate_pivot_vector(r, J.M)
-    assert_part_homogeneous(J, rt)
+    check_part_homogeneous(pivots(J), rt)
+    shift = as_int(shift)
     used = rt[: len(rt) - height]
     level = used[-1] + 1 if used else 0
     pattern = pivoted_pattern(used, J.M)
@@ -452,9 +450,7 @@ def spectrality_check(J: SupportSet, tol: float = 1e-9) -> SpectralityReport:
     k = len(J)
     if k & (k - 1):
         raise InvalidInputError("spectrality check needs |J| a power of two")
-    from .congruence import pivots as _pivots
-
-    r = _pivots(J)
+    r = pivots(J)
     pattern = pivoted_pattern(r, J.M)
     A = np.exp(-2j * np.pi * (np.outer(J.as_array(), pattern.as_array()) % J.N) / J.N)
     gram = A @ A.conj().T

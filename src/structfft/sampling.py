@@ -16,7 +16,8 @@ import numpy as np
 
 from .congruence import (
     SupportSet,
-    assert_part_homogeneous,
+    check_part_homogeneous,
+    pivots,
     v2,
     validate_pivot_vector,
 )
@@ -145,7 +146,7 @@ def check_isolation(r: Sequence[int], J: SupportSet, drop: int = 0) -> Isolation
     rt = validate_pivot_vector(r, J.M)
     if drop < 0 or drop > len(rt):
         raise InvalidInputError("drop must be in [0, size(r)]")
-    assert_part_homogeneous(J, rt)
+    check_part_homogeneous(pivots(J), rt)
     kept = rt[: len(rt) - drop]
     keep_set = set(kept)
     full = 2 ** len(kept)

@@ -33,7 +33,9 @@ from .congruence import (
 from .core import _CHUNK, mod_product
 from .counting import CostReport, OpCounter
 from .errors import ContractViolationError, InvalidInputError
-from .hidft import ButterflyPlan, _butterfly_pass, _butterfly_plan, _grid_locations, _read_grid, butterfly_ops
+from .hidft import (
+    ButterflyPlan, _butterfly_pass, _butterfly_plan, _fetch, _grid_locations, _read_grid, butterfly_ops,
+)
 from .hidft import hidft  # unused here; perfbench/spans.py traces it
 from .sampling import pattern_offsets
 from .sampling import pivoted_pattern  # unused here; perfbench/spans.py traces it
@@ -42,6 +44,8 @@ C1 = 1.5  # per-stage butterfly constant
 C2 = 6.0  # Vandermonde solve constant
 
 SUBMATRIX_SIZE_CAP = 1 << 11  # one node of weight k caches 32 k^2 bytes of V and factors
+_PROBES = 4        # samples off the read grid that check a submatrix answer
+_PROBE_MARGIN = 2  # the probe error is relative to max|c|; the tolerance is entrywise
 
 POLICIES = ("balanced", "uoe", "uoh", "random_subset", "auto")
 
@@ -356,36 +360,6 @@ def _vander_stack(x: np.ndarray) -> np.ndarray:
     return V.transpose(0, 2, 1)
 
 
-_MEASUREMENT_NOISE = 100 * np.finfo(np.float64).eps  # rounding already in y
-
-
-def _inverse_norm(V: np.ndarray) -> float:
-    """||V_0^-1||_inf of the first system of a Vandermonde stack, exactly;
-    inf if it is singular.  Depends on the nodes alone."""
-    try:
-        return float(np.abs(np.linalg.inv(V[0])).sum(axis=1).max())
-    except np.linalg.LinAlgError:
-        return math.inf
-
-
-def _error_estimate(factors: _Factors, V: np.ndarray, y: np.ndarray, c: np.ndarray, amp: float) -> float:
-    """Uncounted forward-error estimate of one decoded system of size m > 1
-    (a batch of one: V is its (1, m, m) Vandermonde stack, y and c its
-    (1, m) rows, amp its `_inverse_norm`).
-
-    Two effects matter: the solver's own error (probed by re-solving on the
-    residual, in the same Leja order) and the system's amplification of the
-    rounding noise carried by the measured right-hand side, gauged by amp
-    (diagnostics are not counted).
-    """
-    if math.isinf(amp):
-        return math.inf
-    d = _bp_apply(factors, (V @ c[:, :, None])[:, :, 0] - y)
-    denom = max(float(np.abs(c).max()), 1e-300)
-    est = float(np.abs(d).max()) / denom
-    return float(np.maximum(est, amp * _MEASUREMENT_NOISE * float(np.abs(y).max()) / denom))
-
-
 def _residuals(V: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
     """||V_b c_b - y_b|| / ||y_b|| for every row."""
     norm_y = np.maximum(np.linalg.norm(y, axis=1), 1e-300)
@@ -508,9 +482,9 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
 
 
 def _execute(p: _Prepared, source, J: SupportSet, tolerance: float):
-    """The sample-dependent half of `sas_transform`: the coefficients and
-    the node state of one call, and the scaled rows y the nodes were solved
-    from (None when mu* = 1).  Counts nothing; the call's cost is p.report."""
+    """The sample-dependent half of `sas_transform` and `submatrix_method`:
+    the coefficients (support order) and the node state of one call.
+    Counts nothing; the call's cost is p.report."""
     # row j: every decode-level node's value under shift j d, by ascending residue
     grid = _read_grid(source, p.offsets, p.shifts, p.locations, J.N)
     measured = _butterfly_pass(p.butterfly, grid)[:, p.take]
@@ -518,7 +492,6 @@ def _execute(p: _Prepared, source, J: SupportSet, tolerance: float):
     if p.factors is None:  # mu* = 1: every node has weight 1 and no spare row
         c = measured * p.scale
         residual = np.zeros(len(p.residues))
-        y = None
     else:
         # all mu* rows: a node of weight m is solved from rows 0..m-1, and
         # rows m..mu*-1 check it
@@ -527,7 +500,7 @@ def _execute(p: _Prepared, source, J: SupportSet, tolerance: float):
         residual = _residuals(p.V, y, c)
     coeffs = c.reshape(-1).take(p.coeff_index)
     mismatch = residual > max(tolerance, 1e-9)
-    return coeffs, NodeArrays(p.residues, p.bounds, p.members, mismatch, residual), y
+    return coeffs, NodeArrays(p.residues, p.bounds, p.members, mismatch, residual)
 
 
 def sas_transform(
@@ -600,10 +573,35 @@ def sas_transform(
     if not 0 < tolerance < math.inf:  # NaN too: it would switch the mismatch flag off
         raise InvalidInputError(f"tolerance must be finite and positive, not {tolerance!r}")
     prepared, reused = _prepared(J, select_pivots(J) if r is None else r)
-    coeffs, nodes, _ = _execute(prepared, source, J, tolerance)
+    coeffs, nodes = _execute(prepared, source, J, tolerance)
     if counter is not None:
         prepared.report.charge(counter)
     return SasResult(J, coeffs, prepared.plan, prepared.report, nodes, reused)
+
+
+def _probes(J: SupportSet, read: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The locations t of `submatrix_method`'s probe samples and their phase
+    rows e^{2 pi i t l / N} (l in J, support order), read-only; they depend
+    on J alone.
+
+    Probe i starts at 1 + (2i+1) N / (2 _PROBES) mod N and moves on to the
+    next location that neither the decode reads (`read`) nor an earlier
+    probe takes.  There are fewer probes when fewer locations are unread,
+    and none when k = N.  t l is reduced mod N before the phase is taken.
+    """
+    N = J.N
+    taken = set(read.tolist())
+    t = []
+    for i in range(min(_PROBES, N - len(taken))):
+        x = (1 + (2 * i + 1) * N // (2 * _PROBES)) % N
+        while x in taken:
+            x = (x + 1) % N
+        taken.add(x)
+        t.append(x)
+    t = np.array(t, dtype=np.int64)
+    rows = np.exp(2j * np.pi * mod_product(t[:, None], J.as_array(), N).astype(np.float64) / N)
+    t.flags.writeable = rows.flags.writeable = False
+    return t, rows
 
 
 def submatrix_method(
@@ -622,12 +620,21 @@ def submatrix_method(
     support, at quadratic cost.  The plan is cached on J as
     `sas_transform`'s is; it holds 32 k^2 bytes of V and factors, hence
     the cap k <= SUBMATRIX_SIZE_CAP (2048).
-    Raises ContractViolationError when the uncounted forward-error
-    estimate of the solve (`_error_estimate`, on the measured rows)
-    exceeds tolerance: the system is out of reach in float64; its
-    ||V^-1||_inf is cached on J by the first call.  Raises
-    InvalidInputError when tolerance is not finite and positive or k is
-    over the cap.  A counter is charged as `sas_transform` charges it.
+
+    The answer is then checked on _PROBES samples at locations t the
+    decode did not read (`_probes`, cached on J with their phase rows): it
+    raises ContractViolationError when max_t |f(t) - synth(t)| N / max|c|
+    exceeds tolerance / _PROBE_MARGIN, synth(t) = (1/N) sum_l c_l
+    e^{2 pi i t l / N} being the decoded spectrum's synthesis.  That
+    catches a system out of reach in float64 and a signal with energy off
+    J alike.  The check is uncounted, like the node residuals of
+    `sas_transform`, so the report and the charges are the r = () plan's.
+    A dense vector is indexed at t, a `BandlimitedSignal` synthesizes the
+    samples, and a callback is called a second time, with the read-only t.
+    When k = N every location is read and J is all of Z_N, so nothing can
+    leak and the check is skipped.  Raises InvalidInputError when
+    tolerance is not finite and positive or k is over the cap.  A counter
+    is charged as `sas_transform` charges it.
     """
     if not 0 < tolerance < math.inf:
         raise InvalidInputError(f"tolerance must be finite and positive, not {tolerance!r}")
@@ -635,14 +642,15 @@ def submatrix_method(
     if k > SUBMATRIX_SIZE_CAP:
         raise InvalidInputError(f"submatrix baseline capped at k <= {SUBMATRIX_SIZE_CAP}")
     prepared, _ = _prepared(J, ())
-    coeffs, _, y = _execute(prepared, source, J, tolerance)
-    if y is not None:  # k = 1 is read directly, exactly
-        amp, _ = memoized(J, ("inverse_norm", ()), lambda tree: _inverse_norm(prepared.V), build_tree)
-        est = _error_estimate(prepared.factors, prepared.V, y, coeffs[None], amp)
-        if est > tolerance:
+    coeffs, _ = _execute(prepared, source, J, tolerance)
+    t, rows = memoized(J, ("probe", ()), lambda tree: _probes(J, prepared.locations), build_tree)[0]
+    if len(t):
+        miss = float(np.abs(_fetch(source, t, J.N) * J.N - rows @ coeffs).max())
+        error = miss / max(float(np.abs(coeffs).max()), 1e-300)
+        if not error <= tolerance / _PROBE_MARGIN:  # a NaN answer fails too
             raise ContractViolationError(
-                f"submatrix system out of reach in float64 (k={k}): "
-                f"forward-error estimate {est:.1e}"
+                f"submatrix answer out of reach (k={k}): probe samples miss its synthesis by "
+                f"{error:.1e} of the largest coefficient (ill-conditioned, or energy off J)"
             )
     if counter is not None:
         prepared.report.charge(counter)

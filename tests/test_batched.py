@@ -1,11 +1,11 @@
 """Byte oracles for the batched float64 layers of sas_transform.
 
-The scalar Leja order, Bjorck-Pereyra sweep and error estimate that the
-batched code replaced are kept here as oracles; on dense sources every
-batched layer must give their bytes, the solver also when one set of
-factors (`_bp_factors`) serves several right-hand sides (`_bp_apply`).  The group-sum sample grids are
-checked against the dense per-sample synthesis instead, so that the
-butterfly is never validated against its own algebra.
+The scalar Leja order and Bjorck-Pereyra sweep that the batched code
+replaced are kept here as oracles; on dense sources every batched layer
+must give their bytes, the solver also when one set of factors
+(`_bp_factors`) serves several right-hand sides (`_bp_apply`).  The
+group-sum sample grids are checked against the dense per-sample synthesis
+instead, so that the butterfly is never validated against its own algebra.
 """
 
 import numpy as np
@@ -35,10 +35,7 @@ from structfft.sas import (
     C2,
     _bp_apply,
     _bp_factors,
-    _error_estimate,
-    _inverse_norm,
     _leja_orders,
-    _vander_stack,
     predicted_cost,
 )
 
@@ -88,17 +85,6 @@ def scalar_solve(x, y):
     c = np.empty(m, dtype=np.complex128)
     c[perm] = bp_core(x[perm], y)
     return c
-
-
-def scalar_error_estimate(x, y, c):
-    m = len(x)
-    denom = max(float(np.max(np.abs(c))), 1e-300)
-    V = np.vander(x, m, increasing=True).T
-    d = scalar_solve(x, V @ c - y)
-    est = float(np.max(np.abs(d))) / denom
-    amp = float(np.linalg.norm(np.linalg.inv(V), np.inf))
-    noise = amp * 100 * np.finfo(np.float64).eps * float(np.max(np.abs(y))) / denom
-    return max(est, noise)
 
 
 # inputs -----------------------------------------------------------------------
@@ -170,7 +156,7 @@ class TestPaddedSolve:
                 a[0, 0] = 1
 
     @pytest.mark.parametrize("sizes", MIXED[:2])
-    def test_error_estimate_equals_scalar(self, sizes):
+    def test_rows_equal_single_system_solves(self, sizes):
         x, y, sizes = padded_batch(sizes)
         factors = _bp_factors(x, sizes, _leja_orders(x, sizes))
         c = _bp_apply(factors, y)
@@ -178,11 +164,6 @@ class TestPaddedSolve:
             xb, yb = x[b:b + 1, :m], y[b:b + 1, :m]
             one = _bp_factors(xb, sizes[b:b + 1], _leja_orders(xb, sizes[b:b + 1]))
             assert c[b, :m].tobytes() == _bp_apply(one, yb)[0].tobytes()
-            if m == 1:  # a size-1 system is read directly, never estimated
-                continue
-            V = _vander_stack(xb)
-            est = _error_estimate(one, V, yb, c[b:b + 1, :m], _inverse_norm(V))
-            assert est == scalar_error_estimate(x[b, :m], y[b, :m], c[b, :m])
 
     def test_counts_equal_per_system_charges(self):
         sizes = [1, 2, 3, 25, 7]

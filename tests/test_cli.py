@@ -1,8 +1,9 @@
-"""`structfft analyze` tree output, pinned, and its input-error exit code."""
+"""`structfft analyze` tree output, pinned, and its input-error exit code;
+the cost report of every `structfft transform --algo`, pinned."""
 
 import json
 
-from structfft import cli
+from structfft import CostReport, cli
 
 Z8 = {"N": 8, "indices": [0, 3, 6, 7]}
 
@@ -90,3 +91,34 @@ def test_oracle_reports_the_direct_dft_ops(tmp_path, capsys):
     N = 256  # dft_direct: N^2 products and N(N - 1) sums
     assert (cost["hidft_mults"], cost["hidft_adds"]) == (N * N, N * (N - 1))
     assert cost["ops_total"] == N * N + N * (N - 1)
+
+
+def test_every_algo_reports_its_plan_or_formula(tmp_path, capsys):
+    # homogeneous, pivots (0, 2, 3, 6, 8): N = 4096, M = 12, k = 32
+    support, signal = tmp_path / "support.json", tmp_path / "signal.json"
+    assert cli.main(["gen", "--kind", "homogeneous", "--params", '{"pivots": [0, 2, 3, 6, 8], "M": 12}',
+                     "--seed", "3", "--out", str(support), "--signal", str(signal)]) == 0
+    capsys.readouterr()
+    N, M, k, s = 4096, 12, 32, 5
+    half = k * (k - 1) // 2
+    want = {
+        # dft_direct: N^2 products and N(N - 1) sums
+        ("oracle",): dict(hidft_adds=N * (N - 1), hidft_mults=N * N, samples_touched=N),
+        # fft_radix2: butterfly_ops(M, 1, N)
+        ("fft",): dict(hidft_adds=M * N, hidft_mults=M * N // 2, samples_touched=N),
+        # the r = () plan: k scaling products, the Leja + Bjorck-Pereyra sweep
+        # of one weight-k system, and its bound 6 k^2
+        ("submatrix",): dict(tree_build_bitops=k, solve_adds=3 * half + half,
+                             solve_mults=k * (k - 1) + half + k, samples_touched=k,
+                             bound_alg1bnd=6.0 * k * k),
+        # the butterfly over all s pivots, then N / k read scaling products
+        ("hidft",): dict(hidft_adds=s * k, hidft_mults=s * k // 2, read_ops=k, samples_touched=k),
+        ("hidft", "--height", "1"): dict(hidft_adds=(s - 1) * k // 2, hidft_mults=(s - 1) * k // 4,
+                                         samples_touched=k // 2),
+        # the plan of all s pivots (mu* = 1), tree refined to level 9
+        ("sas",): dict(tree_build_bitops=9 * k, hidft_adds=s * k, hidft_mults=s * k // 2, read_ops=k,
+                       samples_touched=k, bound_alg1bnd=1.5 * s * k + 6.0 * k, bound_hidft=1.5 * s * k),
+    }
+    for (algo, *flags), fields in want.items():
+        assert cli.main(["transform", "--signal", str(signal), "--algo", algo, *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["cost"] == CostReport(**fields).as_dict(), algo

@@ -17,7 +17,8 @@ from structfft import (
     pivots_pairwise,
     v2,
 )
-from structfft.congruence import node_heights
+from structfft import congruence
+from structfft.congruence import node_heights, validate_pivot_vector
 
 rng = np.random.default_rng(7)
 
@@ -140,6 +141,29 @@ class TestPivots:
         for _ in range(50):
             J = random_support()
             assert build_tree(J, J.M).split_levels() == pivots(J)
+
+    def test_cached_on_the_support(self, monkeypatch):
+        # the first pivots(J) builds J's tree once; later pivots, classify
+        # and part-homogeneity queries on J read the cache
+        built = []
+        init = congruence.CongruenceTree.__init__
+        monkeypatch.setattr(congruence.CongruenceTree, "__init__",
+                            lambda self, *a: built.append(1) or init(self, *a))
+        J = random_support(10, 40)
+        first = pivots(J)
+        assert len(built) == 1
+        assert pivots(J) == first
+        assert classify(J).pivots == first
+        assert is_part_homogeneous(J, first)
+        assert node_heights(J, first)[0] == len(first)
+        assert len(built) == 1
+
+    def test_integral_pivots_only(self):
+        assert validate_pivot_vector((0, 1.0, 2), 8) == (0, 1, 2)
+        assert validate_pivot_vector(np.array([0.0, 3.0]), 8) == (0, 3)
+        for r in ((0, 1.7, 2.2), (0, np.float32(0.5) + 1)):
+            with pytest.raises(InvalidInputError, match="not an integer"):
+                validate_pivot_vector(r, 8)
 
 
 class TestClassify:

@@ -8,6 +8,7 @@ import pytest
 from structfft import (
     BandlimitedSignal,
     ContractViolationError,
+    InvalidInputError,
     OpCounter,
     SupportSet,
     block_factorization_check,
@@ -416,6 +417,21 @@ class TestFftRuns:
         got, want = hidft(x, J, r), hidft_oracle(x, J, r)
         scale = np.max(np.abs(want.node_values))
         assert np.max(np.abs(got.node_values - want.node_values)) <= 1e-12 * scale
+
+
+def test_shift_must_be_an_integer():
+    # int() would read at shift 2 and report shift=2.7
+    J = gen_homogeneous((0, 2, 3), 8, 1)
+    sig, _ = random_signal(J)
+    r = pivots(J)
+    for fn in (hidft, hidft_oracle):
+        with pytest.raises(InvalidInputError, match="not an integer"):
+            fn(sig, J, r, shift=2.7)
+        with pytest.raises(InvalidInputError, match="not an integer"):
+            fn(sig, J, (0, 2.5))
+        res = fn(sig, J, r, shift=2.0)
+        assert res.shift == 2 and type(res.shift) is int
+        assert res.slot_values.tobytes() == fn(sig, J, r, shift=2).slot_values.tobytes()
 
 
 class TestPlanCache:

@@ -12,6 +12,7 @@ from structfft import (
     FamilySpec,
     InvalidInputError,
     OpCounter,
+    SasPlan,
     SupportSet,
     dft_direct,
     draw_coefficients,
@@ -277,6 +278,22 @@ def test_tolerance_must_be_finite_and_positive(tolerance):
         submatrix_method(J, sig, tolerance=tolerance)
 
 
+def test_pivots_must_be_integers():
+    # int() would truncate (0, 1.9, 2.0) to (0, 1, 2) and run that instead
+    J = SupportSet.make(64, [1, 5, 9, 33])
+    sig, _ = planted(J)
+    for r in ((0, 1.9, 2.0), (0.5,)):
+        with pytest.raises(InvalidInputError, match="not an integer"):
+            sas_transform(sig, J, r=r)
+        with pytest.raises(InvalidInputError, match="not an integer"):
+            SasPlan.plan(J, r)
+    assert not J._memo  # rejected before any plan is made
+    # integral floats name the same pivots
+    assert SasPlan.plan(J, (0, 1.0, 2.0)) == SasPlan.plan(J, (0, 1, 2))
+    out = sas_transform(sig, J, r=(0, 1.0, 2.0))
+    assert out.coeffs.tobytes() == sas_transform(sig, J, r=(0, 1, 2)).coeffs.tobytes()
+
+
 class TestCostReport:
     @staticmethod
     def request():
@@ -380,20 +397,93 @@ class TestSubmatrixMethod:
             mults, adds = _solve_ops([k])
             assert ctr.phases == {"solve": (adds, k + mults)}
 
-    def test_inverts_once_per_support(self, monkeypatch):
-        # ||V^-1||_inf depends on J alone: the first call computes it, the
-        # next calls reuse it, and the estimate and coefficients do not move
+    def test_probes_once_per_support(self, monkeypatch):
+        # the probe locations and phase rows depend on J alone: the first call
+        # makes them, the next calls reuse them, and nothing inverts V
         J = SupportSet.make(1024, rng.choice(1024, size=32, replace=False).tolist())
         sig, _ = planted(J)
-        inverses, estimates = [], []
-        inv, estimate = np.linalg.inv, sas_module._error_estimate
+        inverses, made = [], []
+        inv, probes = np.linalg.inv, sas_module._probes
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(1) or inv(a))
-        monkeypatch.setattr(sas_module, "_error_estimate",
-                            lambda *a: estimates.append(estimate(*a)) or estimates[-1])
+        monkeypatch.setattr(sas_module, "_probes", lambda *a: made.append(1) or probes(*a))
         outs = [submatrix_method(J, sig) for _ in range(3)]
-        assert len(inverses) == 1
-        assert len(estimates) == 3 and len(set(estimates)) == 1 and estimates[0] < 1e-8
+        assert not inverses
+        assert len(made) == 1 and ("probe", ()) in J._memo
         assert all(out.tobytes() == outs[0].tobytes() for out in outs)
+
+    @pytest.mark.parametrize("N,k", [(1024, 1), (1024, 32), (16, 11), (16, 13), (16, 15)])
+    def test_probes_avoid_the_read_grid(self, N, k):
+        # min(4, N - k) distinct probes, none of them a location the decode read
+        J = SupportSet.make(N, rng.choice(N, size=k, replace=False).tolist())
+        prepared, _ = sas_module._prepared(J, ())
+        t, rows = sas_module._probes(J, prepared.locations)
+        assert len(set(t.tolist())) == len(t) == min(4, N - k)
+        assert not set(t.tolist()) & set(prepared.locations.tolist())
+        want = np.exp(2j * np.pi * np.outer(t, J.as_array()) / N)
+        assert np.abs(rows - want).max() < 1e-12
+        for a in (t, rows):
+            assert not a.flags.writeable
+
+    def test_callback_reads_the_probes_once_more(self):
+        J = FamilySpec("random_subset", {"k": 64, "M": 12}, 0).build().support
+        sig, c = planted(J, 0)
+        calls = []
+
+        def source(locations):
+            calls.append(locations)
+            return sig.sample_block(locations)
+
+        out = submatrix_method(J, source)
+        assert rel_error(out, c) < 1e-8
+        assert [len(x) for x in calls] == [len(J), 4]
+        assert not calls[1].flags.writeable
+        assert not set(calls[1].tolist()) & set(calls[0].tolist())
+
+    def test_full_support_skips_the_probes(self):
+        # k = N: every location is read, J is all of Z_N and nothing can leak
+        J = SupportSet.make(16, range(16))
+        sig, c = planted(J, 0)
+        calls = []
+        out = submatrix_method(J, lambda t: calls.append(t) or sig.sample_block(t))
+        assert rel_error(out, c) < 1e-8
+        assert len(calls) == 1
+
+    def test_nan_answer_raises(self):
+        J = SupportSet.make(1024, [3, 17, 40, 101])
+        sig, _ = planted(J, 0)
+        x = sig.synthesize()
+        x[0] = np.nan  # a read location: every coefficient comes back NaN
+        with pytest.raises(ContractViolationError, match="out of reach"):
+            submatrix_method(J, x)
+
+    @staticmethod
+    def random_subset_k60(seed):
+        J = FamilySpec("random_subset", {"k": 64, "M": 12}, 0).build().support
+        g = np.random.default_rng(seed)
+        c = (0.5 + g.random(len(J))) * np.exp(2j * np.pi * g.random(len(J)))
+        return J, c
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_well_solved_k60_returns(self, seed):
+        # true errors 4e-11 to 1e-10: the probes see about that much, and the
+        # call returns on both sources
+        J, c = self.random_subset_k60(seed)
+        assert len(J) == 60
+        for source in self.sources(J, c):
+            assert rel_error(submatrix_method(J, source), c) < 1e-8
+
+    @pytest.mark.parametrize("amplitude", [0.3, 1e-6])
+    def test_leak_off_the_support_raises(self, amplitude):
+        # three off-J bins: the decode reads only J's k samples, which the leak
+        # aliases into wrong coefficients; the probes off the read grid see it
+        J, c = self.random_subset_k60(0)
+        x = BandlimitedSignal(J, c).synthesize()
+        n = np.arange(J.N)
+        for b in (0, 1007, 2021):
+            assert b not in J
+            x = x + amplitude * np.exp(2j * np.pi * b * n / J.N) / J.N
+        with pytest.raises(ContractViolationError, match="out of reach"):
+            submatrix_method(J, x)
 
     def test_seeded_sweep_never_wrong(self):
         # a call may raise, but no answer it returns misses the tolerance
