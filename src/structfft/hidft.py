@@ -13,12 +13,28 @@ exactly a 2^m-point DFT after a per-prefix pre-twiddle (Cooley-Tukey), and
 the pass hands it to `numpy.fft` (pocketfft, in C); shorter runs execute as
 radix-2 stages in numpy.
 
+The pass holds each row in Stockham's autosort order (Cochran et al.,
+"What is the fast Fourier transform?", 1967).  Before stage k a row is
+indexed p 2^(s-k) + u: p is the k-bit slot prefix already merged (bit i
+selects pivot i), u the unread sample bits b_{s-1}..b_k with b_k lowest.
+A radix-2 stage reads the pairs u = 2h, 2h + 1 and writes its two results
+into the two contiguous halves of the next row, at p 2^(s-k-1) + h and
+2^(s-1) + p 2^(s-k-1) + h.  So stage k's numpy calls run along lines of
+2^(s-k-1) samples, where the natural order ran them along lines of 2^k,
+which left the first stages with lines of 1, 2, 4, ... samples.  At k = 0
+this is the sample order of `pattern_offsets` and at k = s the slot
+order, so neither the pattern nor the plan sees the layout.  A long run's sample bits are the
+lowest of u, so its `numpy.fft` reads contiguous lines; it writes them in
+the layout after the run, which is one transposing copy whenever radix-2
+stages stand on either side of it.
+
 The slot plan is read off the output nodes alone: the ascending node
 residues of `CongruenceTree.level_arrays` give each node its slot (its
 residue's bits at the used pivots), every stage its twiddles and every long
 run its pre-twiddle table.  A support caches its plan per pivot vector
-(`_butterfly_plan`), and `hidft` at any height and `sas_transform` read
-the same entry.
+(`_butterfly_entry`), with the pattern offsets and the node of every
+support element, and `hidft` at any height and `sas_transform` read the
+same entry.
 
 A shift argument a computes the transform of the shifted signal tau^a f,
 i.e. the samples are read at locations I - a (mod N).  `_read_grid` and
@@ -83,7 +99,7 @@ class ButterflyPlan:
     (`fft_runs`), which `_butterfly_pass` runs as one pre-twiddled
     `numpy.fft` each; `twiddles` serves every other stage as a radix-2
     step and holds None for the stages inside a run.  Its arrays are
-    read-only: J caches the plan (`_butterfly_plan`)."""
+    read-only: J caches the plan (`_butterfly_entry`)."""
 
     used: tuple[int, ...]           # pivots merged by the butterfly, ascending
     level: int                      # output nodes live at this tree level
@@ -149,16 +165,31 @@ def _build_plan(residues: np.ndarray, used: tuple[int, ...]) -> tuple[ButterflyP
     return ButterflyPlan(used, level, slot_residues, slot_real, tuple(twiddles), tuple(runs)), slots
 
 
-def _butterfly_plan(J: SupportSet, used: tuple[int, ...], build=build_tree) -> tuple[ButterflyPlan, np.ndarray]:
-    """J's butterfly plan and node slots for the pivots `used`
-    (`_build_plan` on the nodes at level used[-1] + 1), cached on J under
-    ("butterfly", used): `hidft` at any height and `sas_transform` share
-    it.  A miss builds J's tree with `build` unless J has one cached
-    (`memoized`).  The caller checks first that J is used-part-homogeneous:
-    the slots of any other support collide."""
+def _butterfly_entry(J: SupportSet, used: tuple[int, ...], build=build_tree):
+    """J's butterfly entry for the pivots `used`, cached on J under
+    ("butterfly", used), which `hidft` at any height and `sas_transform`
+    share: the plan and node slots (`_build_plan` on the nodes at level
+    used[-1] + 1), the pattern offsets (`pattern_offsets`), the node
+    residues as a tuple, and node_index, the position among the nodes of
+    each support element (support order); its arrays are read-only.  A miss
+    builds J's tree with `build` unless J has one cached (`memoized`).  The
+    caller checks first that J is used-part-homogeneous: the slots of any
+    other support collide."""
     def make(tree):
-        return _build_plan(tree.level_arrays(used[-1] + 1 if used else 0)[0], used)
+        level = used[-1] + 1 if used else 0
+        residues = tree.level_arrays(level)[0]
+        plan, slots = _build_plan(residues, used)
+        offsets = pattern_offsets(used, J.M)
+        node_index = np.searchsorted(residues, J.as_array() % (1 << level))  # residues ascend
+        offsets.flags.writeable = node_index.flags.writeable = False
+        return plan, slots, offsets, tuple(residues.tolist()), node_index
     return memoized(J, ("butterfly", used), make, build)[0]
+
+
+def _butterfly_plan(J: SupportSet, used: tuple[int, ...], build=build_tree) -> tuple[ButterflyPlan, np.ndarray]:
+    """J's butterfly plan and node slots for the pivots `used`, from its
+    cached `_butterfly_entry`."""
+    return _butterfly_entry(J, used, build)[:2]
 
 
 @dataclass
@@ -175,6 +206,7 @@ class HiDftResult:
     slot_values: np.ndarray
     slot_residues: np.ndarray
     slot_real: np.ndarray
+    node_index: np.ndarray  # each support element's position in node_values, support order
     ops_adds: int
     ops_mults: int
 
@@ -192,9 +224,7 @@ class HiDftResult:
 
     def values_by_index(self) -> np.ndarray:
         """One value per support element, in support order."""
-        residues = np.fromiter(self.node_residues, dtype=np.int64, count=len(self.node_residues))
-        at = np.searchsorted(residues, self.support.as_array() % (1 << self.level))  # they ascend
-        return np.asarray(self.node_values, dtype=np.complex128)[at]
+        return self.node_values[self.node_index]
 
 
 def _grid_locations(offsets: np.ndarray, shifts: np.ndarray, N: int) -> np.ndarray:
@@ -232,43 +262,56 @@ def _butterfly_pass(plan: ButterflyPlan, v: np.ndarray) -> np.ndarray:
     cost is `butterfly_ops(len(plan.used), rows, A)`, the paper's radix-2
     count, however the stages run.
 
-    A run of `plan.runs` (stages j..j+m-1) is one multiply by its
-    pre-twiddle table and one `numpy.fft.fft` along axis 2 of the input
-    viewed as (rows, A / 2^(j+m), 2^m, 2^j), whose samples lie in natural
-    order there (`pattern_offsets`).  Every other stage k is a radix-2
-    step; its twiddle product is taken on the input viewed as
-    (rows, A / 2^k, 2, 2^(k-1)), as the one-row pass takes it: numpy's
-    complex multiply can round differently on other layouts.  A radix-2
-    step or a pre-twiddle writes into one of two buffers allocated per
-    call, and `numpy.fft` returns a new array, so the grid v is only read
-    and the result is always a fresh array.
+    Between stages the rows are in Stockham order (module docstring):
+    before stage k, row b viewed as (2^k, A / 2^k) holds slot prefix p in
+    row p and its unread samples along the line, b_k lowest.  A radix-2
+    stage k views the row as (2^k, A / 2^(k+1), 2) and takes the twiddle
+    product t = twiddles[k][p] * a[p, h, 1]; it writes a[p, h, 0] - t and
+    a[p, h, 0] + t into the first and the second half of the next row.  A
+    run of `plan.runs` (stages j..j+m-1) views the row as (2^j, A / 2^(j+m),
+    2^m), multiplies it by its pre-twiddle table (transposed to [p, n]),
+    and takes one `numpy.fft.fft` along each contiguous line of 2^m
+    samples, in natural order there (`pattern_offsets`); the FFT writes
+    frequency n of prefix p to slot prefix p + n 2^j, the row order after
+    the run, so the output is transposed whenever radix-2 stages stand on
+    either side.  Complex products in numpy can round differently on
+    different layouts; tests/test_hidft.py keeps the natural-order pass of
+    earlier versions and checks that this one returns its bytes.
+
+    A radix-2 step or a pre-twiddle writes into one of at most two buffers,
+    each allocated the first time a stage writes one (none for a run with
+    no table), and `numpy.fft` returns a new array, so the grid v is only
+    read and the result is always a fresh array.
     """
     rows, A = v.shape
     stages = len(plan.used)
-    buffers = [np.empty((rows, A), dtype=np.complex128) for _ in range(min(stages, 2))]
+    buffers: list[np.ndarray] = []
 
     def spare(w: np.ndarray) -> np.ndarray:
-        return buffers[1] if w is buffers[0] else buffers[0]
+        for b in buffers:
+            if b is not w:
+                return b
+        buffers.append(np.empty((rows, A), dtype=np.complex128))
+        return buffers[-1]
 
     runs = {j: (m, table) for j, m, table in plan.runs}
     k = 0
     while k < stages:
         if k in runs:
             m, table = runs[k]
-            a = v.reshape(rows, -1, 1 << m, 1 << k)
+            a = v.reshape(rows, 1 << k, -1, 1 << m)
             if table is not None:
                 v = spare(v)
-                a = np.multiply(a, table, out=v.reshape(a.shape))
-            v = np.fft.fft(a, axis=2).reshape(rows, A)
+                a = np.multiply(a, table.T[:, None, :], out=v.reshape(a.shape))
+            v = np.fft.fft(a.transpose(0, 3, 1, 2), axis=1).reshape(rows, A)
             k += m
         else:
-            half = 1 << k
-            a = v.reshape(rows, -1, 2, half)
-            t = plan.twiddles[k] * a[:, :, 1, :]
+            a = v.reshape(rows, 1 << k, -1, 2)
+            t = plan.twiddles[k][:, None] * a[..., 1]
             v = spare(v)
-            b = v.reshape(rows, -1, 2, half)
-            np.subtract(a[:, :, 0, :], t, out=b[:, :, 0, :])
-            np.add(a[:, :, 0, :], t, out=b[:, :, 1, :])
+            b = v.reshape(rows, 2, 1 << k, -1)
+            np.subtract(a[..., 0], t, out=b[:, 0])
+            np.add(a[..., 0], t, out=b[:, 1])
             k += 1
     return v if stages else v.copy()
 
@@ -293,10 +336,10 @@ def hidft(
     check_part_homogeneous(pivots(J), rt)
     shift = as_int(shift)
     used = rt[: len(rt) - height]
-    plan, slots = _butterfly_plan(J, used)
-    offsets, shifts = pattern_offsets(used, J.M), np.asarray([shift], dtype=np.int64)
-    grid = _read_grid(source, offsets, shifts, _grid_locations(offsets, shifts, J.N), J.N)
-    v = _butterfly_pass(plan, grid)[0]
+    plan, slots, offsets, node_residues, node_index = _butterfly_entry(J, used)
+    shifts = np.asarray([shift], dtype=np.int64)
+    locations = offsets if shift == 0 else _grid_locations(offsets, shifts, J.N)  # offsets lie in [0, N)
+    v = _butterfly_pass(plan, _read_grid(source, offsets, shifts, locations, J.N))[0]
     adds, mults = butterfly_ops(len(used), 1, plan.n_slots)
     if counter is not None and adds:
         counter.mul(mults, phase="hidft")
@@ -307,11 +350,12 @@ def hidft(
         height=height,
         shift=shift,
         level=plan.level,
-        node_residues=tuple(plan.slot_residues[slots].tolist()),
+        node_residues=node_residues,
         node_values=v[slots],
         slot_values=v,
         slot_residues=plan.slot_residues,
         slot_real=plan.slot_real,
+        node_index=node_index,
         ops_adds=adds,
         ops_mults=mults,
     )
@@ -353,6 +397,7 @@ def hidft_oracle(
     residues = sorted({j % (1 << level) for j in J.indices})
     reps = np.asarray(residues, dtype=np.int64)
     vals = submatrix_apply(reps, cols, samples, J.N)
+    node_index = np.searchsorted(reps, J.as_array() % (1 << level))
     return HiDftResult(
         support=J,
         pivots=rt,
@@ -364,6 +409,7 @@ def hidft_oracle(
         slot_values=vals,
         slot_residues=reps,
         slot_real=np.ones(len(reps), dtype=bool),
+        node_index=node_index,
         ops_adds=0,
         ops_mults=0,
     )

@@ -34,10 +34,9 @@ from .core import _CHUNK, mod_product
 from .counting import CostReport, OpCounter
 from .errors import ContractViolationError, InvalidInputError
 from .hidft import (
-    ButterflyPlan, _butterfly_pass, _butterfly_plan, _fetch, _grid_locations, _read_grid, butterfly_ops,
+    ButterflyPlan, _butterfly_entry, _butterfly_pass, _fetch, _grid_locations, _read_grid, butterfly_ops,
 )
 from .hidft import hidft  # unused here; perfbench/spans.py traces it
-from .sampling import pattern_offsets
 from .sampling import pivoted_pattern  # unused here; perfbench/spans.py traces it
 
 C1 = 1.5  # per-stage butterfly constant
@@ -408,7 +407,8 @@ class _Prepared:
     alone too, so `report` is every call's: the tree's bit ops, the
     butterfly, the "read" phase (the read scale of the weight-1 nodes) and
     the "solve" phase (the read scale of the heavier nodes, the
-    Bjorck-Pereyra sweep and its Leja term)."""
+    Bjorck-Pereyra sweep and its Leja term).  When mu* = 1, read_index
+    takes J's coefficients straight from the pass output, one gather."""
 
     plan: SasPlan
     report: CostReport
@@ -422,6 +422,7 @@ class _Prepared:
     bounds: np.ndarray
     members: np.ndarray
     coeff_index: np.ndarray   # where J's coefficients sit in the flat solution, node by node
+    read_index: np.ndarray | None  # take[coeff_index]: each coefficient's slot if mu* = 1, else None
     factors: _Factors | None  # of the Vandermonde nodes e^{-2 pi i d l / N}, padded
     V: np.ndarray | None    # x[b, m]^j at [b, j, m] for all j < mu*; both None if mu* = 1
 
@@ -438,7 +439,7 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
     """The plan-time half of `sas_transform`, on J's butterfly plan and
     slots for rt, which `hidft` shares; counts nothing."""
     check_part_homogeneous(tree.split_levels(), rt)
-    butterfly, take = _butterfly_plan(J, rt, lambda J, depth: tree)
+    butterfly, take, offsets, _, _ = _butterfly_entry(J, rt, lambda J, depth: tree)
     level = rt[-1] + 1 if rt else 0
     residues, bounds, members = tree.level_arrays(level)
     weights = np.diff(bounds)
@@ -447,7 +448,6 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
     N = J.N
     stride, score = choose_stride(members, bounds, N) if mu > 1 else (1, 0.0)
     plan = SasPlan(rt, level, mu, node_weights, predicted_cost(len(rt), mu, node_weights), stride, score)
-    offsets = pattern_offsets(rt, J.M)
     shifts = mod_product(np.arange(mu), stride, N)
     locations = _grid_locations(offsets, shifts, N)
     scale = N / len(offsets)
@@ -459,6 +459,7 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
     V = np.ascontiguousarray(_vander_stack(x)) if mu > 1 else None
     coeff_index = np.empty(len(J), dtype=np.intp)
     coeff_index[np.searchsorted(J.as_array(), members)] = np.flatnonzero(own)
+    read_index = take[coeff_index] if mu == 1 else None
 
     solve_mults, solve_adds = _solve_ops(weights)
     read_mults = 0
@@ -473,7 +474,7 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
     )
     prepared = _Prepared(
         plan, report, offsets, shifts, locations, scale, butterfly, take,
-        residues, bounds, members, coeff_index, factors, V,
+        residues, bounds, members, coeff_index, read_index, factors, V,
     )
     for a in vars(prepared).values():
         if isinstance(a, np.ndarray):
@@ -485,20 +486,21 @@ def _execute(p: _Prepared, source, J: SupportSet, tolerance: float):
     """The sample-dependent half of `sas_transform` and `submatrix_method`:
     the coefficients (support order) and the node state of one call.
     Counts nothing; the call's cost is p.report."""
-    # row j: every decode-level node's value under shift j d, by ascending residue
+    # row j: every slot's value under shift j d; p.take picks the decode-level
+    # nodes from it by ascending residue
     grid = _read_grid(source, p.offsets, p.shifts, p.locations, J.N)
-    measured = _butterfly_pass(p.butterfly, grid)[:, p.take]
+    slots = _butterfly_pass(p.butterfly, grid)
 
     if p.factors is None:  # mu* = 1: every node has weight 1 and no spare row
-        c = measured * p.scale
+        coeffs = slots.reshape(-1).take(p.read_index) * p.scale
         residual = np.zeros(len(p.residues))
     else:
         # all mu* rows: a node of weight m is solved from rows 0..m-1, and
         # rows m..mu*-1 check it
-        y = (measured * p.scale).T
+        y = (slots[:, p.take] * p.scale).T
         c = _bp_apply(p.factors, y)
         residual = _residuals(p.V, y, c)
-    coeffs = c.reshape(-1).take(p.coeff_index)
+        coeffs = c.reshape(-1).take(p.coeff_index)
     mismatch = residual > max(tolerance, 1e-9)
     return coeffs, NodeArrays(p.residues, p.bounds, p.members, mismatch, residual)
 
@@ -556,7 +558,9 @@ def sas_transform(
     only their product with its coefficients.  The cache is keyed by
     exactly what the plan reads: the pivot vector, which is the explicit r
     or the one "pivots" entry of `select_pivots`; `tolerance` and `counter`
-    act per call.  A request that raises stores nothing.  Cached arrays are
+    act per call.  A warm request with no r reads the plan under its cached
+    pivots straight from the cache, without validating them again.  A
+    request that raises stores nothing.  Cached arrays are
     read-only, and `SasResult.nodes` shares them.  The cache is never
     pickled and lives exactly as long as the `SupportSet` instance; an
     equal but distinct instance prepares its own.  No call writes into its
@@ -572,7 +576,11 @@ def sas_transform(
         raise InvalidInputError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if not 0 < tolerance < math.inf:  # NaN too: it would switch the mismatch flag off
         raise InvalidInputError(f"tolerance must be finite and positive, not {tolerance!r}")
-    prepared, reused = _prepared(J, select_pivots(J) if r is None else r)
+    memo = J._memo  # a warm default request: its cached pivots' plan, not validated again
+    prepared = memo.get(("plan", memo.get("pivots"))) if r is None else None
+    reused = prepared is not None
+    if not reused:
+        prepared, reused = _prepared(J, select_pivots(J) if r is None else r)
     coeffs, nodes = _execute(prepared, source, J, tolerance)
     if counter is not None:
         prepared.report.charge(counter)

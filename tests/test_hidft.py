@@ -28,7 +28,7 @@ from structfft import (
     submatrix_unitarity,
 )
 from structfft import congruence
-from structfft.hidft import _build_plan, _butterfly_plan, butterfly_ops
+from structfft.hidft import _build_plan, _butterfly_pass, _butterfly_plan, butterfly_ops
 from structfft.sampling import FFT_RUN, fft_runs
 
 rng = np.random.default_rng(99)
@@ -419,6 +419,95 @@ class TestFftRuns:
         assert np.max(np.abs(got.node_values - want.node_values)) <= 1e-12 * scale
 
 
+def natural_order_pass(plan, v):
+    """The butterfly as earlier versions ran it, in natural order: before
+    stage k, row b is indexed u 2^k + p, p the merged k-bit slot prefix and
+    u the unread sample bits.  `TestStockhamLayout`'s oracle."""
+    rows, A = v.shape
+    stages = len(plan.used)
+    buffers = [np.empty((rows, A), dtype=np.complex128) for _ in range(min(stages, 2))]
+
+    def spare(w):
+        return buffers[1] if w is buffers[0] else buffers[0]
+
+    runs = {j: (m, table) for j, m, table in plan.runs}
+    k = 0
+    while k < stages:
+        if k in runs:
+            m, table = runs[k]
+            a = v.reshape(rows, -1, 1 << m, 1 << k)
+            if table is not None:
+                v = spare(v)
+                a = np.multiply(a, table, out=v.reshape(a.shape))
+            v = np.fft.fft(a, axis=2).reshape(rows, A)
+            k += m
+        else:
+            half = 1 << k
+            a = v.reshape(rows, -1, 2, half)
+            t = plan.twiddles[k] * a[:, :, 1, :]
+            v = spare(v)
+            b = v.reshape(rows, -1, 2, half)
+            np.subtract(a[:, :, 0, :], t, out=b[:, :, 0, :])
+            np.add(a[:, :, 0, :], t, out=b[:, :, 1, :])
+            k += 1
+    return v if stages else v.copy()
+
+
+def run_pivots(gen, M):
+    """Pivots below M >= FFT_RUN + 4 with one run of FFT_RUN or more
+    consecutive levels and single pivots below and above it, levels apart;
+    half the time the run starts at level 2 or more and ends two or more
+    levels below M, so that room is left on both sides."""
+    m = int(gen.integers(FFT_RUN, min(FFT_RUN + 2, M - 3)))
+    c = int(gen.integers(2, M - m - 1) if gen.random() < 0.5 else gen.integers(0, M - m + 1))
+    below = [x for x in range(c - 1) if gen.random() < 0.7]
+    above = [x for x in range(c + m + 1, M) if gen.random() < 0.7]
+    return below + list(range(c, c + m)) + above
+
+
+class TestStockhamLayout:
+    """The pass runs its stages in Stockham order and its long runs on
+    contiguous lines; on every plan it must return the bytes of the
+    natural-order pass it replaced."""
+
+    def test_bytes_equal_natural_order_pass(self):
+        gen = np.random.default_rng(19)
+        seen = {"random": 0, "thinned": 0, "run at 0": 0, "run after 0": 0, "run inside": 0,
+                "table inside": 0}
+        for t in range(240):
+            M = int(gen.integers(1, 13) if t % 3 < 2 else gen.integers(FFT_RUN + 4, 13))
+            if t % 3 == 0:
+                k = int(gen.integers(1, min(1 << M, 80) + 1))
+                J = SupportSet.make(1 << M, gen.choice(1 << M, size=k, replace=False).tolist())
+                seen["random"] += 1
+            else:
+                if t % 3 == 1:
+                    piv = sorted(gen.choice(M, size=int(gen.integers(0, M + 1)), replace=False).tolist())
+                else:
+                    piv = run_pivots(gen, M)
+                J = gen_homogeneous(piv, M, int(gen.integers(0, 2**62)))
+                if gen.random() < 0.4:  # virtual slots; J stays pivots(J)-part-homogeneous
+                    keep = gen.random(len(J)) < 0.7
+                    keep[0] = True
+                    J = SupportSet.make(J.N, np.asarray(J.indices)[keep].tolist())
+                    seen["thinned"] += 1
+            r = pivots(J)
+            tree = build_tree(J, J.M)
+            for height in range(len(r) + 1):
+                used = r[:len(r) - height]
+                plan, _ = _build_plan(tree.level_arrays(used[-1] + 1 if used else 0)[0], used)
+                for j, m, table in plan.runs:
+                    inside = 0 < j and j + m < len(used)  # radix-2 stages on both sides
+                    seen["run inside" if inside else "run at 0" if j == 0 else "run after 0"] += 1
+                    seen["table inside"] += inside and table is not None
+                for rows in (1, 9):
+                    shape = (rows, 1 << len(used))
+                    grid = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+                    got = _butterfly_pass(plan, grid)
+                    assert got.tobytes() == natural_order_pass(plan, grid).tobytes(), (J, used, rows)
+        assert min(seen.values()) >= 10, seen
+
+
 def test_shift_must_be_an_integer():
     # int() would read at shift 2 and report shift=2.7
     J = gen_homogeneous((0, 2, 3), 8, 1)
@@ -455,6 +544,26 @@ class TestPlanCache:
             assert hidft_to_dft(again).tobytes() == coeffs.tobytes()
         assert built == []
         assert ctr.phases == {"hidft": (2 * first.ops_adds, 2 * first.ops_mults)}
+
+    def test_warm_call_reads_offsets_and_node_order_from_the_entry(self, monkeypatch):
+        hidft_module = importlib.import_module("structfft.hidft")
+        J = gen_homogeneous((0, 2, 3, 5, 7, 8), 11, 6)
+        sig, c = random_signal(J)
+        r = pivots(J)
+        cold = [hidft(sig, J, r, height=n, shift=3 * n) for n in range(len(r) + 1)]
+
+        def unexpected(*args):
+            raise AssertionError("a warm hidft recomputed the pattern offsets")
+
+        monkeypatch.setattr(hidft_module, "pattern_offsets", unexpected)
+        warm = [hidft(sig, J, r, height=n, shift=3 * n) for n in range(len(r) + 1)]
+        for got, want in zip(warm, cold):
+            assert got.slot_values.tobytes() == want.slot_values.tobytes()
+            assert got.node_residues is want.node_residues
+            residues = np.asarray(got.node_residues)
+            at = np.searchsorted(residues, J.as_array() % (1 << got.level))
+            assert got.values_by_index().tobytes() == got.node_values[at].tobytes()
+        assert rel_error(hidft_to_dft(hidft(sig, J, r)), c) < 1e-12
 
     def test_shares_the_sas_plan(self):
         J = gen_homogeneous((0, 1, 2, 3, 4, 5, 6, 7, 9), 11, 5)

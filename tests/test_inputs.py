@@ -14,9 +14,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from structfft import BandlimitedSignal, FamilySpec, SupportSet, build_tree, hidft, sas_transform
+from structfft import (
+    BandlimitedSignal, FamilySpec, SupportSet, build_tree, gen_homogeneous, hidft, sas, sas_transform,
+)
 from structfft.congruence import pivots
-from structfft.hidft import _build_plan, _butterfly_pass
+from structfft.hidft import _build_plan, _butterfly_pass, _butterfly_plan
 
 rng = np.random.default_rng(4096)
 
@@ -69,6 +71,56 @@ def test_butterfly_pass_reads_its_grid_only(stages):
         assert grid.tobytes() == before.tobytes()
         assert first.tobytes() == second.tobytes()
         assert np.all(np.isfinite(first))
+
+
+@pytest.mark.parametrize("r, table, radix2", [
+    (tuple(range(10)), False, False),           # one numpy.fft, no pre-twiddle
+    (tuple(range(3, 13)), True, False),         # one pre-twiddled numpy.fft
+    ((0, 2, 3, 4, 5, 6, 7, 8, 10), True, True),  # radix-2 stages on both sides of a run
+], ids=["fft", "fft-table", "mixed"])
+def test_butterfly_pass_allocates_a_fresh_result(r, table, radix2):
+    J = gen_homogeneous(r, 14, 1)
+    plan, _ = _butterfly_plan(J, r)
+    assert [t is not None for _, _, t in plan.runs] == [table]
+    assert any(t is not None for t in plan.twiddles) == radix2
+    grid = rng.standard_normal((3, 1 << len(r))) + 1j * rng.standard_normal((3, 1 << len(r)))
+    before = grid.copy()
+    first = _butterfly_pass(plan, grid)  # numpy.fft caches its plan for this length
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        second = _butterfly_pass(plan, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.tobytes() == before.tobytes()
+    assert first.tobytes() == second.tobytes()
+    assert not np.shares_memory(first, grid) and not np.shares_memory(first, second)
+    if not (table or radix2):  # only numpy.fft's result: no stage buffer
+        assert peak < 1.5 * grid.nbytes, f"the pass allocated {peak} bytes at peak"
+
+
+def test_warm_default_request_reads_its_plan_in_one_lookup(monkeypatch):
+    J = SUPPORTS[1].support
+    x = dense(J, spectrum(J))
+    cold = sas_transform(x, J)
+    keys = list(J._memo)
+
+    def unexpected(*args):
+        raise AssertionError("a warm default request planned or validated again")
+
+    with monkeypatch.context() as m:
+        m.setattr(sas, "select_pivots", unexpected)
+        m.setattr(sas, "validate_pivot_vector", unexpected)
+        warm = sas_transform(x, J)
+    assert warm.plan_reused and not cold.plan_reused
+    assert list(J._memo) == keys
+    explicit = sas_transform(x, J, r=cold.plan.pivots)
+    for out in (warm, explicit):
+        assert out.plan == cold.plan and out.report == cold.report
+        assert out.coeffs.tobytes() == cold.coeffs.tobytes()
+        assert out.nodes.residual.tobytes() == cold.nodes.residual.tobytes()
+    assert list(J._memo) == keys
 
 
 @pytest.mark.parametrize("fam", SUPPORTS, ids=lambda f: f.kind)
