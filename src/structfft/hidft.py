@@ -32,9 +32,9 @@ The slot plan is read off the output nodes alone: the ascending node
 residues of `CongruenceTree.level_arrays` give each node its slot (its
 residue's bits at the used pivots), every stage its twiddles and every long
 run its pre-twiddle table.  A support caches its plan per pivot vector
-(`_butterfly_entry`), with the pattern offsets and the node of every
-support element, and `hidft` at any height and `sas_transform` read the
-same entry.
+with the pattern offsets (`_butterfly_entry`), which `hidft` at any height
+and `sas_transform` read, and `hidft`'s node order per level
+(`_node_order`).
 
 A shift argument a computes the transform of the shifted signal tau^a f,
 i.e. the samples are read at locations I - a (mod N).  `_read_grid` and
@@ -165,31 +165,34 @@ def _build_plan(residues: np.ndarray, used: tuple[int, ...]) -> tuple[ButterflyP
     return ButterflyPlan(used, level, slot_residues, slot_real, tuple(twiddles), tuple(runs)), slots
 
 
-def _butterfly_entry(J: SupportSet, used: tuple[int, ...], build=build_tree):
-    """J's butterfly entry for the pivots `used`, cached on J under
-    ("butterfly", used), which `hidft` at any height and `sas_transform`
-    share: the plan and node slots (`_build_plan` on the nodes at level
-    used[-1] + 1), the pattern offsets (`pattern_offsets`), the node
-    residues as a tuple, and node_index, the position among the nodes of
-    each support element (support order); its arrays are read-only.  A miss
+def _butterfly_entry(
+    J: SupportSet, used: tuple[int, ...], build=build_tree,
+) -> tuple[ButterflyPlan, np.ndarray, np.ndarray]:
+    """J's butterfly plan, node slots (`_build_plan` on the nodes at level
+    used[-1] + 1) and pattern offsets (`pattern_offsets`) for the pivots
+    `used`, cached on J under ("butterfly", used), which `hidft` at any
+    height and `sas_transform` share; its arrays are read-only.  A miss
     builds J's tree with `build` unless J has one cached (`memoized`).  The
     caller checks first that J is used-part-homogeneous: the slots of any
     other support collide."""
     def make(tree):
-        level = used[-1] + 1 if used else 0
-        residues = tree.level_arrays(level)[0]
-        plan, slots = _build_plan(residues, used)
+        plan, slots = _build_plan(tree.level_arrays(used[-1] + 1 if used else 0)[0], used)
         offsets = pattern_offsets(used, J.M)
-        node_index = np.searchsorted(residues, J.as_array() % (1 << level))  # residues ascend
-        offsets.flags.writeable = node_index.flags.writeable = False
-        return plan, slots, offsets, tuple(residues.tolist()), node_index
+        offsets.flags.writeable = False
+        return plan, slots, offsets
     return memoized(J, ("butterfly", used), make, build)[0]
 
 
-def _butterfly_plan(J: SupportSet, used: tuple[int, ...], build=build_tree) -> tuple[ButterflyPlan, np.ndarray]:
-    """J's butterfly plan and node slots for the pivots `used`, from its
-    cached `_butterfly_entry`."""
-    return _butterfly_entry(J, used, build)[:2]
+def _node_order(J: SupportSet, level: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """`hidft`'s node order at `level`, cached on J under ("nodes", level):
+    the ascending node residues as a tuple, and node_index, the position
+    among them of each support element (support order), read-only."""
+    def make(tree):
+        residues = tree.level_arrays(level)[0]
+        node_index = np.searchsorted(residues, J.as_array() % (1 << level))  # residues ascend
+        node_index.flags.writeable = False
+        return tuple(residues.tolist()), node_index
+    return memoized(J, ("nodes", level), make)[0]
 
 
 @dataclass
@@ -336,9 +339,10 @@ def hidft(
     check_part_homogeneous(pivots(J), rt)
     shift = as_int(shift)
     used = rt[: len(rt) - height]
-    plan, slots, offsets, node_residues, node_index = _butterfly_entry(J, used)
+    plan, slots, offsets = _butterfly_entry(J, used)
+    node_residues, node_index = _node_order(J, plan.level)
     shifts = np.asarray([shift], dtype=np.int64)
-    locations = offsets if shift == 0 else _grid_locations(offsets, shifts, J.N)  # offsets lie in [0, N)
+    locations = _grid_locations(offsets, shifts, J.N)
     v = _butterfly_pass(plan, _read_grid(source, offsets, shifts, locations, J.N))[0]
     adds, mults = butterfly_ops(len(used), 1, plan.n_slots)
     if counter is not None and adds:

@@ -439,7 +439,7 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
     """The plan-time half of `sas_transform`, on J's butterfly plan and
     slots for rt, which `hidft` shares; counts nothing."""
     check_part_homogeneous(tree.split_levels(), rt)
-    butterfly, take, offsets, _, _ = _butterfly_entry(J, rt, lambda J, depth: tree)
+    butterfly, take, offsets = _butterfly_entry(J, rt, lambda J, depth: tree)
     level = rt[-1] + 1 if rt else 0
     residues, bounds, members = tree.level_arrays(level)
     weights = np.diff(bounds)
@@ -558,9 +558,7 @@ def sas_transform(
     only their product with its coefficients.  The cache is keyed by
     exactly what the plan reads: the pivot vector, which is the explicit r
     or the one "pivots" entry of `select_pivots`; `tolerance` and `counter`
-    act per call.  A warm request with no r reads the plan under its cached
-    pivots straight from the cache, without validating them again.  A
-    request that raises stores nothing.  Cached arrays are
+    act per call.  A request that raises stores nothing.  Cached arrays are
     read-only, and `SasResult.nodes` shares them.  The cache is never
     pickled and lives exactly as long as the `SupportSet` instance; an
     equal but distinct instance prepares its own.  No call writes into its
@@ -576,11 +574,7 @@ def sas_transform(
         raise InvalidInputError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if not 0 < tolerance < math.inf:  # NaN too: it would switch the mismatch flag off
         raise InvalidInputError(f"tolerance must be finite and positive, not {tolerance!r}")
-    memo = J._memo  # a warm default request: its cached pivots' plan, not validated again
-    prepared = memo.get(("plan", memo.get("pivots"))) if r is None else None
-    reused = prepared is not None
-    if not reused:
-        prepared, reused = _prepared(J, select_pivots(J) if r is None else r)
+    prepared, reused = _prepared(J, select_pivots(J) if r is None else r)
     coeffs, nodes = _execute(prepared, source, J, tolerance)
     if counter is not None:
         prepared.report.charge(counter)

@@ -18,7 +18,7 @@ from structfft import (
     BandlimitedSignal, FamilySpec, SupportSet, build_tree, gen_homogeneous, hidft, sas, sas_transform,
 )
 from structfft.congruence import pivots
-from structfft.hidft import _build_plan, _butterfly_pass, _butterfly_plan
+from structfft.hidft import _build_plan, _butterfly_entry, _butterfly_pass
 
 rng = np.random.default_rng(4096)
 
@@ -80,7 +80,7 @@ def test_butterfly_pass_reads_its_grid_only(stages):
 ], ids=["fft", "fft-table", "mixed"])
 def test_butterfly_pass_allocates_a_fresh_result(r, table, radix2):
     J = gen_homogeneous(r, 14, 1)
-    plan, _ = _butterfly_plan(J, r)
+    plan, _ = _butterfly_entry(J, r)[:2]
     assert [t is not None for _, _, t in plan.runs] == [table]
     assert any(t is not None for t in plan.twiddles) == radix2
     grid = rng.standard_normal((3, 1 << len(r))) + 1j * rng.standard_normal((3, 1 << len(r)))
@@ -100,18 +100,18 @@ def test_butterfly_pass_allocates_a_fresh_result(r, table, radix2):
         assert peak < 1.5 * grid.nbytes, f"the pass allocated {peak} bytes at peak"
 
 
-def test_warm_default_request_reads_its_plan_in_one_lookup(monkeypatch):
+def test_warm_default_request_reuses_its_plan(monkeypatch):
     J = SUPPORTS[1].support
     x = dense(J, spectrum(J))
     cold = sas_transform(x, J)
     keys = list(J._memo)
 
     def unexpected(*args):
-        raise AssertionError("a warm default request planned or validated again")
+        raise AssertionError("a warm default request planned again")
 
     with monkeypatch.context() as m:
-        m.setattr(sas, "select_pivots", unexpected)
-        m.setattr(sas, "validate_pivot_vector", unexpected)
+        m.setattr(sas, "build_tree", unexpected)
+        m.setattr(sas, "_prepare", unexpected)
         warm = sas_transform(x, J)
     assert warm.plan_reused and not cold.plan_reused
     assert list(J._memo) == keys
