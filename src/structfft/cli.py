@@ -215,7 +215,7 @@ def cmd_transform(args) -> int:
         coeffs = out.coeffs
         cost = out.report
         extra["plan"] = {f: getattr(out.plan, f)
-                         for f in ("pivots", "decode_level", "mu_star", "stride", "cond_bound")}
+                         for f in ("pivots", "decode_level", "mu_star", "stride", "cond_bound", "decode")}
         extra["mismatch_nodes"] = int(out.nodes.mismatch.sum())
     else:
         raise InvalidInputError(f"unknown algo {args.algo!r}")

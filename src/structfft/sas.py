@@ -9,7 +9,16 @@ stride), and solves one Vandermonde system per aliased node:
     (N/|I|) * Hidft(tau^{j d} f)(v) = sum_{l in v} Ff(l) * x_l^j,
     x_l = e^{-2 pi i d l / N}.
 
-Weight-1 nodes are 1 x 1 rows of the same sweep, read directly when mu* = 1.
+The node systems depend on J alone, and a plan solves them one of two ways.
+Where `product_error_bound` (mu* 2^(mu*-1) e^cond_bound 2^-52, from Gautschi's
+bound on ||V^-1||) is at most RESIDUAL_FLOOR, the plan caches every node's
+explicit inverse and a call decodes all nodes with one batched product
+("matrix").  Otherwise, as for every plan of mu* > 23, a call runs
+the Leja + Bjorck-Pereyra sweep against cached divisor factors ("sweep"),
+which stays accurate where a product with the inverse would not.  Either way
+a call is charged the sweep's count, at most 6 m^2 per node of weight m, as
+a `numpy.fft` run is charged radix-2.  Weight-1 nodes are 1 x 1 rows of the
+same decode, read directly when mu* = 1.
 """
 
 from __future__ import annotations
@@ -42,7 +51,10 @@ from .sampling import pivoted_pattern  # unused here; perfbench/spans.py traces 
 C1 = 1.5  # per-stage butterfly constant
 C2 = 6.0  # Vandermonde solve constant
 
-SUBMATRIX_SIZE_CAP = 1 << 11  # one node of weight k caches 32 k^2 bytes of V and factors
+# the r = () plan of a support of k > 23 is a sweep plan (see
+# product_error_bound): its one node of weight k caches 32 k^2 bytes of V and factors
+SUBMATRIX_SIZE_CAP = 1 << 11
+RESIDUAL_FLOOR = 1e-9  # no residual below it flags a node; the matrix decode's error budget
 _PROBES = 4        # samples off the read grid that check a submatrix answer
 _PROBE_MARGIN = 2  # the probe error is relative to max|c|; the tolerance is entrywise
 
@@ -54,12 +66,29 @@ def predicted_cost(size_r: int, mu_star: int, node_weights: Sequence[int]) -> fl
     return C1 * size_r * (1 << size_r) * mu_star + C2 * int(w @ w)
 
 
+def product_error_bound(mu_star: int, cond_bound: float) -> float:
+    """mu* 2^(mu*-1) e^cond_bound 2^-52: mu* ||V^-1||_inf eps over the
+    plan's nodes (Gautschi's bound, see `SasPlan`), about what a product
+    with a node's explicit inverse rounds to, relative to the largest
+    coefficient.  A plan decodes by that product ("matrix") iff this is at
+    most RESIDUAL_FLOOR, else by the Bjorck-Pereyra sweep, whose rounding
+    does not grow with ||V^-1||.  Some row of the heaviest node has a
+    product of distances of at most mu* (Hadamard's inequality), so the
+    bound is at least 2^(mu*-53), and every plan of mu* > 23 takes the
+    sweep."""
+    log_bound = math.log(mu_star) + (mu_star - 53) * math.log(2) + cond_bound
+    return math.exp(log_bound) if log_bound < 700 else math.inf
+
+
 @dataclass(frozen=True)
 class SasPlan:
     """Pivots, decode level, mu*, node weights and predicted cost, plus the
     shift stride d (`choose_stride`) and its score `cond_bound`: the largest
     -sum_{j != i} log|x_i - x_j| over the rows of every aliased node, so a
-    node of weight m has ||V^-1||_inf <= 2^(m-1) e^cond_bound (Gautschi)."""
+    node of weight m has ||V^-1||_inf <= 2^(m-1) e^cond_bound (Gautschi).
+    `decode` names how the nodes are solved: "matrix" (one product with
+    plan-time inverses) when `product_error_bound` allows it, else "sweep"
+    (Bjorck-Pereyra); see `sas_transform`."""
 
     pivots: tuple[int, ...]
     decode_level: int
@@ -68,6 +97,7 @@ class SasPlan:
     predicted_cost: float
     stride: int = 1
     cond_bound: float = 0.0
+    decode: str = "sweep"
 
     @classmethod
     def plan(cls, J: SupportSet, r: Sequence[int], counter: OpCounter | None = None) -> "SasPlan":
@@ -330,8 +360,9 @@ def vandermonde_solve(nodes, rhs, counter: OpCounter | None = None) -> np.ndarra
     The progressive elimination costs exactly 2.5*m*(m-1) operations (the
     2x2 case is 5, matching the classic count); Leja reordering of the nodes
     adds m*(m-1) more and buys backward stability on clustered nodes.  Total
-    stays under the 6*m^2 budget.  A batch of one of the solver
-    `sas_transform` runs on all its nodes at once.
+    stays under the 6*m^2 budget.  A batch of one of the solver that
+    `sas_transform`'s sweep plans run on all their nodes at once; its
+    matrix plans are charged the same count.
     """
     x = np.asarray(nodes, dtype=np.complex128)
     y = np.asarray(rhs, dtype=np.complex128)
@@ -359,19 +390,50 @@ def _vander_stack(x: np.ndarray) -> np.ndarray:
     return V.transpose(0, 2, 1)
 
 
-def _residuals(V: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """||V_b c_b - y_b|| / ||y_b|| for every row."""
-    norm_y = np.maximum(np.linalg.norm(y, axis=1), 1e-300)
-    return np.linalg.norm((V @ c[:, :, None])[:, :, 0] - y, axis=1) / norm_y
+def _spare_rows(V: np.ndarray, y: np.ndarray, c: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """V_b c_b - y_b on row b's spare rows j >= sizes[b], 0 on the rows c_b
+    was solved from."""
+    r = (V @ c[:, :, None])[:, :, 0] - y
+    r[np.arange(r.shape[1]) < sizes[:, None]] = 0
+    return r
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """The 2-norm of every row of a complex (B, n) array whose rows are
+    contiguous."""
+    f = a.view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", f, f))
+
+
+def _inverse_stack(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """K_b = [W_b; R_b], (B, 2n, n), for every padded row b of x (m =
+    sizes[b] nodes): W_b is the inverse of the m x m Vandermonde system
+    zero-padded to n x n, and R_b = V_b W_b - I with rows 0..m-1 zeroed,
+    V_b the n x n Vandermonde of x_b.  K_b y_b is then the coefficients
+    followed by the spare-row residual of `_spare_rows`.  W is the
+    transpose of one batched LU inverse of the blocks V_b^T, padded with
+    the identity: their rows are the nodes (x_l^j, j < m), so partial
+    pivoting picks the nodes in about Leja order, as the sweep does, and W
+    comes out more accurate than from the blocks V_b."""
+    n = x.shape[1]
+    own = np.arange(n) < sizes[:, None]
+    V = _vander_stack(x)
+    block = own[:, :, None] & own[:, None, :]
+    W = np.linalg.inv(np.where(block, V.transpose(0, 2, 1), np.eye(n))).transpose(0, 2, 1)
+    W[~block] = 0
+    R = V @ W - np.eye(n)
+    R[own] = 0
+    return np.concatenate((W, R), axis=1)
 
 
 @dataclass(frozen=True)
 class NodeArrays:
     """Every decode-level node's state, by ascending residue: node i has
     residue residues[i] and members members[bounds[i]:bounds[i+1]]
-    (ascending), the relative residual of its decode against all mu* rows
-    it was measured under (0 when mu* = 1), and its mismatch flag,
-    residual > max(tolerance, 1e-9)."""
+    (ascending), the relative residual of its decode on its spare rows,
+    ||(V c - y)_{j >= m}|| / ||y|| for a node of weight m measured under
+    mu* rows y (0 when m = mu*, so always when mu* = 1), and its mismatch
+    flag, residual > max(tolerance, RESIDUAL_FLOOR)."""
 
     residues: np.ndarray
     bounds: np.ndarray
@@ -407,8 +469,10 @@ class _Prepared:
     alone too, so `report` is every call's: the tree's bit ops, the
     butterfly, the "read" phase (the read scale of the weight-1 nodes) and
     the "solve" phase (the read scale of the heavier nodes, the
-    Bjorck-Pereyra sweep and its Leja term).  When mu* = 1, read_index
-    takes J's coefficients straight from the pass output, one gather."""
+    Bjorck-Pereyra sweep and its Leja term), whichever decode the plan
+    runs.  When mu* = 1, read_index takes J's coefficients straight from
+    the pass output, one gather.  Otherwise a "matrix" plan holds K
+    (`_inverse_stack`) and a "sweep" plan the factors and V, not both."""
 
     plan: SasPlan
     report: CostReport
@@ -424,7 +488,8 @@ class _Prepared:
     coeff_index: np.ndarray   # where J's coefficients sit in the flat solution, node by node
     read_index: np.ndarray | None  # take[coeff_index]: each coefficient's slot if mu* = 1, else None
     factors: _Factors | None  # of the Vandermonde nodes e^{-2 pi i d l / N}, padded
-    V: np.ndarray | None    # x[b, m]^j at [b, j, m] for all j < mu*; both None if mu* = 1
+    V: np.ndarray | None    # x[b, m]^j at [b, j, m] for all j < mu*
+    K: np.ndarray | None    # [W_b; R_b] of the same nodes; all three None if mu* = 1
 
 
 def _prepared(J: SupportSet, r: Sequence[int]) -> tuple[_Prepared, bool]:
@@ -447,7 +512,9 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
     mu = max(node_weights)
     N = J.N
     stride, score = choose_stride(members, bounds, N) if mu > 1 else (1, 0.0)
-    plan = SasPlan(rt, level, mu, node_weights, predicted_cost(len(rt), mu, node_weights), stride, score)
+    decode = "matrix" if product_error_bound(mu, score) <= RESIDUAL_FLOOR else "sweep"
+    plan = SasPlan(rt, level, mu, node_weights, predicted_cost(len(rt), mu, node_weights), stride, score,
+                   decode)
     shifts = mod_product(np.arange(mu), stride, N)
     locations = _grid_locations(offsets, shifts, N)
     scale = N / len(offsets)
@@ -455,8 +522,12 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
     own = np.arange(mu) < weights[:, None]
     x = np.zeros(own.shape, dtype=np.complex128)
     x[own] = np.exp(-2j * np.pi * mod_product(members, stride, N).astype(np.float64) / N)
-    factors = _bp_factors(x, weights, _leja_orders(x, weights)) if mu > 1 else None
-    V = np.ascontiguousarray(_vander_stack(x)) if mu > 1 else None
+    factors = V = K = None
+    if mu > 1 and decode == "matrix":
+        K = _inverse_stack(x, weights)
+    elif mu > 1:
+        factors = _bp_factors(x, weights, _leja_orders(x, weights))
+        V = np.ascontiguousarray(_vander_stack(x))
     coeff_index = np.empty(len(J), dtype=np.intp)
     coeff_index[np.searchsorted(J.as_array(), members)] = np.flatnonzero(own)
     read_index = take[coeff_index] if mu == 1 else None
@@ -474,7 +545,7 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
     )
     prepared = _Prepared(
         plan, report, offsets, shifts, locations, scale, butterfly, take,
-        residues, bounds, members, coeff_index, read_index, factors, V,
+        residues, bounds, members, coeff_index, read_index, factors, V, K,
     )
     for a in vars(prepared).values():
         if isinstance(a, np.ndarray):
@@ -491,17 +562,22 @@ def _execute(p: _Prepared, source, J: SupportSet, tolerance: float):
     grid = _read_grid(source, p.offsets, p.shifts, p.locations, J.N)
     slots = _butterfly_pass(p.butterfly, grid)
 
-    if p.factors is None:  # mu* = 1: every node has weight 1 and no spare row
+    if p.read_index is not None:  # mu* = 1: every node has weight 1 and no spare row
         coeffs = slots.reshape(-1).take(p.read_index) * p.scale
         residual = np.zeros(len(p.residues))
     else:
         # all mu* rows: a node of weight m is solved from rows 0..m-1, and
         # rows m..mu*-1 check it
-        y = (slots[:, p.take] * p.scale).T
-        c = _bp_apply(p.factors, y)
-        residual = _residuals(p.V, y, c)
+        y = slots.T[p.take] * p.scale
+        if p.K is not None:
+            out = np.matmul(p.K, y[:, :, None])[:, :, 0]
+            c, spare = out[:, :p.plan.mu_star], out[:, p.plan.mu_star:]
+        else:
+            c = _bp_apply(p.factors, y)
+            spare = _spare_rows(p.V, y, c, p.factors.sizes)
+        residual = _row_norms(spare) / np.maximum(_row_norms(y), 1e-300)
         coeffs = c.reshape(-1).take(p.coeff_index)
-    mismatch = residual > max(tolerance, 1e-9)
+    mismatch = residual > max(tolerance, RESIDUAL_FLOOR)
     return coeffs, NodeArrays(p.residues, p.bounds, p.members, mismatch, residual)
 
 
@@ -531,27 +607,32 @@ def sas_transform(
     1.5 A log2 A per row with A = |I_r|, though runs of FFT_RUN or more
     consecutive pivots execute in `numpy.fft` (see `hidft`).  The nodes are
     then decoded together, as rows of
-    zero-padded arrays, in float64 only: one counted Leja + Bjorck-Pereyra
-    sweep over all nodes, weight 1 included, with Vandermonde nodes
-    e^{-2 pi i d l / N} that the stride keeps apart; when mu* = 1 every
-    node has weight 1 and is read directly.  There is no escalation and no
-    second decode.  A node of weight m is solved from its first m rows,
-    but it was measured under all mu* shifts; its relative residual is
-    taken against all mu* rows, so rows m..mu*-1 check the answer (a
-    consistency test, uncounted).  A node whose residual exceeds
-    max(tolerance, 1e-9) is flagged in `NodeArrays.mismatch`, as when the
-    signal has energy off J; nothing raises (but a tolerance that is not
-    finite and positive does).  Nodes of weight mu*, and every node when
-    mu* = 1, have no spare row, so a wrong answer there goes unflagged.
+    zero-padded arrays, in float64 only, with Vandermonde nodes
+    e^{-2 pi i d l / N} that the stride keeps apart, by the one decode the
+    plan chose from its conditioning bound (`SasPlan.decode`): one batched
+    product with the nodes' cached inverses ("matrix") when
+    `product_error_bound` is at most RESIDUAL_FLOOR, else one Leja +
+    Bjorck-Pereyra sweep over all nodes ("sweep").  Both are charged the
+    sweep's count.  When mu* = 1 every node has weight 1 and is read
+    directly.  There is no escalation and no second decode.  A node of
+    weight m is solved from its first m rows, but it was measured under all
+    mu* shifts; its relative residual is taken on the spare rows m..mu*-1,
+    which check the answer (a consistency test, uncounted; the matrix
+    decode forms it in the same product).  A node whose residual exceeds
+    max(tolerance, RESIDUAL_FLOOR) is flagged in `NodeArrays.mismatch`, as
+    when the signal has energy off J; nothing raises (but a tolerance that
+    is not finite and positive does).  Nodes of weight mu*, and every node
+    when mu* = 1, have no spare row, so a wrong answer there goes
+    unflagged.
 
     Plan once, execute per call.  Everything that depends on J alone is
     prepared once and cached on the `SupportSet` instance itself: the
     congruence tree, the pivot choice, the plan and stride, the sample
     locations, the butterfly plan and slots (shared with `hidft`), the
-    node layout, the Vandermonde
-    nodes, their Leja orders, the Bjorck-Pereyra divisor factors and the
-    call's cost report.  A call then reads the grid, runs the butterfly and
-    solves the node right-hand sides against the stored factors.  A sample
+    node layout, the nodes' inverses (a matrix plan) or their Leja orders
+    and Bjorck-Pereyra divisor factors (a sweep plan), and the call's cost
+    report.  A call then reads the grid, runs the butterfly and decodes the
+    node right-hand sides against what is stored.  A sample
     callback receives the cached, read-only locations; a
     `BandlimitedSignal` on the same instance finds the phase tables of its
     group sums cached there too (`BandlimitedSignal.sample_grid`) and forms
@@ -618,7 +699,8 @@ def submatrix_method(
     the plan and execute of `sas_transform(source, J, r=())`: samples at
     -j d mod N for j = 0..k-1, d from `choose_stride` (J as one node), and
     N f(-j d) = sum_l c_l x_l^j with x_l = e^{-2 pi i d l / N}, solved by
-    one counted float64 Leja + Bjorck-Pereyra sweep.  Works for any
+    one counted float64 Leja + Bjorck-Pereyra sweep (every k > 23 is past
+    the matrix decode's reach, see `product_error_bound`).  Works for any
     support, at quadratic cost.  The plan is cached on J as
     `sas_transform`'s is; it holds 32 k^2 bytes of V and factors, hence
     the cap k <= SUBMATRIX_SIZE_CAP (2048).

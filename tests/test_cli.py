@@ -122,3 +122,16 @@ def test_every_algo_reports_its_plan_or_formula(tmp_path, capsys):
     for (algo, *flags), fields in want.items():
         assert cli.main(["transform", "--signal", str(signal), "--algo", algo, *flags]) == 0
         assert json.loads(capsys.readouterr().out)["cost"] == CostReport(**fields).as_dict(), algo
+
+
+def test_sas_plan_names_its_decode(tmp_path, capsys):
+    # k = 60: the least-cost plan decodes by its inverses, the one node of r = () by the sweep
+    support, signal = tmp_path / "support.json", tmp_path / "signal.json"
+    assert cli.main(["gen", "--kind", "random_subset", "--params", '{"k": 64, "M": 12}', "--seed", "0",
+                     "--out", str(support), "--signal", str(signal)]) == 0
+    capsys.readouterr()
+    for flags, decode in (((), "matrix"), (("--pivots", ""), "sweep")):
+        assert cli.main(["transform", "--signal", str(signal), "--algo", "sas", *flags]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["plan"]["decode"] == decode
+        assert "decode" not in out["cost"]

@@ -2,8 +2,10 @@
 on the SupportSet) returns the bytes of a cold one, requests are keyed by
 what the plan reads, failures store nothing, and cached arrays are
 read-only and never pickled.  The same holds for the phase tables that
-BandlimitedSignal.sample_grid keeps on its support."""
+BandlimitedSignal.sample_grid keeps on its support.  Plans that decode by
+their cached inverses are checked against the sweep they replace."""
 
+import math
 import pickle
 import time
 
@@ -25,9 +27,12 @@ from structfft import (
     sas,
     sas_transform,
     select_pivots,
+    submatrix_method,
 )
 from structfft.core import _CHUNK
+from structfft.hidft import _butterfly_pass, _read_grid
 from structfft.sampling import pattern_offsets
+from structfft.sas import RESIDUAL_FLOOR, _bp_apply, _bp_factors, _leja_orders, product_error_bound
 
 TOLERANCE = 1e-8
 
@@ -95,7 +100,7 @@ def test_warm_equals_cold(spec):
         K = fresh(J)
         cold, ctr = run(source, K, **request)
         want = fingerprint(cold, ctr)
-        assert not cold.plan_reused
+        assert not cold.plan_reused and cold.plan.decode == "matrix"
         for again in (K, K, fresh(J)):  # warm twice, then an equal but distinct support
             out, ctr = run(source, again, **request)
             assert out.plan_reused == (again is K), name
@@ -167,24 +172,31 @@ def test_invalid_requests_raise_every_time_and_store_nothing(request_, error):
 def test_cached_and_returned_arrays_are_read_only():
     fam = STRUCT[5].build()
     J = fam.support
-    out = sas_transform(dense(J, np.ones(len(J))), J, policy=fam.meta["policy"], family_meta=fam.meta)
-    assert out.plan_reused is False
-    returned = [out.nodes.residues, out.nodes.bounds, out.nodes.members, J.as_array()]
-    [prepared] = [v for k, v in J._memo.items() if k[0] == "plan"]
-    cached = [v for v in vars(prepared).values() if isinstance(v, np.ndarray)]
-    assert len(cached) == 9
-    f = prepared.factors
-    cached += [t for t in prepared.butterfly.twiddles if t is not None]
-    cached += [t for _, _, t in prepared.butterfly.runs if t is not None]
-    cached += [f.perm, f.sizes, f.xr, f.xi, f.gather, f.pad]
-    cached += [a for step in f.steps for a in step]
-    for a in returned + cached:
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a.reshape(-1)[:1] = 0
-    # per-call state stays the caller's
-    out.coeffs[0] = 0
-    out.nodes.residual[0] = 0
+    # the least-cost plan decodes by its inverses K, r = () by the sweep's factors and V
+    for r, decode in ((None, "matrix"), ((), "sweep")):
+        out = sas_transform(dense(J, np.ones(len(J))), J, r=r, policy=fam.meta["policy"],
+                            family_meta=fam.meta)
+        assert out.plan_reused is False and out.plan.decode == decode
+        returned = [out.nodes.residues, out.nodes.bounds, out.nodes.members, J.as_array()]
+        prepared = J._memo[("plan", out.plan.pivots)]
+        cached = [v for v in vars(prepared).values() if isinstance(v, np.ndarray)]
+        assert len(cached) == 9
+        cached += [t for t in prepared.butterfly.twiddles if t is not None]
+        cached += [t for _, _, t in prepared.butterfly.runs if t is not None]
+        if decode == "matrix":
+            assert prepared.factors is None and prepared.V is None and prepared.K.ndim == 3
+        else:
+            f = prepared.factors
+            assert prepared.K is None
+            cached += [f.perm, f.sizes, f.xr, f.xi, f.gather, f.pad]
+            cached += [a for step in f.steps for a in step]
+        for a in returned + cached:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.reshape(-1)[:1] = 0
+        # per-call state stays the caller's
+        out.coeffs[0] = 0
+        out.nodes.residual[0] = 0
 
 
 def test_support_pickles_as_its_two_fields():
@@ -368,6 +380,122 @@ class TestGridTables:
 def fresh_grid(sig, o, shifts):
     """sig's grid from tables built on an equal support with nothing cached."""
     return BandlimitedSignal(fresh(sig.support), sig.coeffs).sample_grid(o, shifts)
+
+
+# the matrix decode -------------------------------------------------------------------
+
+# the random supports whose leaks TestMismatch plants (test_sas.py)
+LEAKY = [FamilySpec("random_subset", {"k": 256, "M": 14}, seed) for seed in range(4)]
+# the pinned miss below, with the paper's pivot count
+PINNED = (FamilySpec("random_subset", {"k": 1024, "M": 18}, 5), tuple(range(6)))
+# the k = 60 support of submatrix_method's tests, as one node of weight 60
+K60 = (FamilySpec("random_subset", {"k": 64, "M": 12}, 0), ())
+LARGE = [FamilySpec("random_subset", {"k": 2048, "M": 20}, seed) for seed in range(6)]
+
+
+def random_supports(count, seed):
+    g = np.random.default_rng(seed)
+    for _ in range(count):
+        M = int(g.integers(8, 17))
+        k = int(g.integers(10, min(1 << M, 400)))
+        yield SupportSet.make(1 << M, g.choice(1 << M, size=k, replace=False).tolist())
+
+
+def node_system(J, p):
+    """The plan's Vandermonde nodes e^{-2 pi i d l / N}, (B, mu*) padded with
+    0, and the node weights."""
+    sizes = np.diff(p.bounds)
+    own = np.arange(p.plan.mu_star) < sizes[:, None]
+    x = np.zeros(own.shape, dtype=np.complex128)
+    x[own] = np.exp(-2j * np.pi * (p.members * p.plan.stride % J.N).astype(np.float64) / J.N)
+    return x, sizes
+
+
+def node_rows(source, J, p):
+    """The (B, mu*) right-hand sides one call decodes."""
+    grid = _read_grid(source, p.offsets, p.shifts, p.locations, J.N)
+    return _butterfly_pass(p.butterfly, grid).T[p.take] * p.scale
+
+
+def sweep(J, p, y):
+    """The Leja + Bjorck-Pereyra sweep on the plan's nodes, (B, mu*)."""
+    x, sizes = node_system(J, p)
+    return _bp_apply(_bp_factors(x, sizes, _leja_orders(x, sizes)), y)
+
+
+class TestMatrixDecode:
+    @staticmethod
+    def bound(plan):
+        return product_error_bound(plan.mu_star, plan.cond_bound)
+
+    def test_gate_picks_the_decode(self):
+        cases = [(spec, None, "matrix") for spec in STRUCT + [HOMOG] + LEAKY]
+        cases += [(*PINNED, "sweep"), (*K60, "sweep")]
+        for spec, r, decode in cases:
+            J = spec.build().support
+            plan = SasPlan.plan(J, select_pivots(J) if r is None else r)
+            assert plan.decode == decode, spec
+            assert (self.bound(plan) <= RESIDUAL_FLOOR) == (decode == "matrix")
+        decodes = []
+        for spec in LARGE:  # bounds of 5e-10 to 3.4e-9 straddle the floor
+            J = spec.build().support
+            plan = SasPlan.plan(J, select_pivots(J))
+            decodes.append(plan.decode)
+            assert plan.decode == ("matrix" if self.bound(plan) <= RESIDUAL_FLOOR else "sweep")
+        assert set(decodes) == {"matrix", "sweep"}
+        # all of Z_16 as one node: the 16th roots of unity, the best-spread nodes, pass;
+        # with the best spread, bound = 2^(mu*-53), no plan of mu* > 23 can
+        assert SasPlan.plan(SupportSet.make(16, range(16)), ()).decode == "matrix"
+        best = [product_error_bound(mu, -math.log(mu)) for mu in (23, 24)]
+        assert best[0] <= RESIDUAL_FLOOR < best[1]
+
+    def test_inverses_within_the_gate(self):
+        supports = [spec.build().support for spec in STRUCT + LEAKY + LARGE]
+        checked = 0
+        for J in supports + list(random_supports(20, 3)):
+            p = sas._prepared(J, select_pivots(J))[0]
+            mu = p.plan.mu_star
+            if p.K is None or mu == 1:
+                continue
+            assert p.factors is None and p.V is None and p.K.shape == (len(p.residues), 2 * mu, mu)
+            x, sizes = node_system(J, p)
+            own = np.arange(mu) < sizes[:, None]
+            block = own[:, :, None] & own[:, None, :]
+            V = x[:, None, :] ** np.arange(mu)[None, :, None]  # V[b, j, l] = x_l^j
+            W, R = p.K[:, :mu], p.K[:, mu:]
+            assert not W[~block].any() and not R[own].any()
+            err = np.where(block, W @ V - np.eye(mu), 0)
+            assert np.abs(err).sum(axis=2).max() <= self.bound(p.plan)
+            checked += 1
+        assert checked >= 20
+
+    def test_coefficients_within_the_gate_of_the_sweep(self):
+        # each decode rounds within the bound, so they differ by at most twice it
+        supports = [spec.build().support for spec in STRUCT + LEAKY]
+        checked = 0
+        for i, J in enumerate(supports + list(random_supports(20, 4))):
+            p = sas._prepared(J, select_pivots(J))[0]
+            if p.K is None or p.plan.mu_star == 1:
+                continue
+            c = draw_coefficients(len(J), np.random.default_rng(i), nonzero=True)
+            x = dense(J, c)
+            got = sas_transform(x, J).coeffs
+            want = sweep(J, p, node_rows(x, J, p)).reshape(-1).take(p.coeff_index)
+            assert np.max(np.abs(got - want)) <= 2 * self.bound(p.plan) * np.max(np.abs(want))
+            checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("case", ["pinned", "submatrix"])
+    def test_sweep_plans_return_the_sweep_bytes(self, case):
+        spec, r = PINNED if case == "pinned" else K60
+        J = spec.build().support
+        c = draw_coefficients(len(J), np.random.default_rng(5), nonzero=True)
+        x = dense(J, c)
+        got = sas_transform(x, J, r=r).coeffs if case == "pinned" else submatrix_method(J, x)
+        p = J._memo[("plan", r)]
+        assert p.plan.decode == "sweep" and p.K is None
+        want = sweep(J, p, node_rows(x, J, p)).reshape(-1).take(p.coeff_index)
+        assert got.tobytes() == want.tobytes()
 
 
 # open fault, pinned ------------------------------------------------------------------

@@ -257,5 +257,6 @@ def test_cli_transform_reports_plan(tmp_path, capsys):
         "mu_star": want.mu_star,
         "stride": want.stride,
         "cond_bound": want.cond_bound,
+        "decode": want.decode,
     }
     assert plan["stride"] == 103
