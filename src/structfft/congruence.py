@@ -28,6 +28,7 @@ from .errors import ContractViolationError, InvalidInputError
 
 # pairwise pivot computation is O(k^2); above this size use pivots()
 PAIRWISE_SIZE_CAP = 1 << 16
+MAX_M = 62  # N = 2^M is an int64, as the planner reduces int64 differences mod N
 
 
 def v2(x: int) -> int:
@@ -44,7 +45,7 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class SupportSet:
-    """A validated frequency support J, a nonempty subset of Z_N with N = 2^M."""
+    """A validated frequency support J, a nonempty subset of Z_N, N = 2^M <= 2^MAX_M."""
 
     N: int
     indices: tuple[int, ...]
@@ -52,6 +53,8 @@ class SupportSet:
     def __post_init__(self) -> None:
         if not _is_power_of_two(self.N):
             raise InvalidInputError(f"N={self.N} is not a power of two")
+        if self.N > 1 << MAX_M:
+            raise InvalidInputError(f"N={self.N} is above the cap 2^{MAX_M}")
         idx = self.indices
         if len(idx) == 0:
             raise InvalidInputError("support set is empty")

@@ -39,7 +39,7 @@ def require_power_of_two(n: int) -> int:
 
 
 def mod_product(a, b, N: int) -> np.ndarray:
-    """a * b mod N for broadcasting int arrays, N a power of two up to 2^63.
+    """a * b mod N for broadcasting int arrays, N a power of two up to 2^62.
 
     The uint64 products wrap modulo 2^64, a multiple of N, so no product
     overflows on the way.

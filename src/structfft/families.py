@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .congruence import SupportSet, classify, pivots, validate_pivot_vector
+from .congruence import MAX_M, SupportSet, classify, pivots, validate_pivot_vector
 from .errors import ContractViolationError, InvalidInputError
 
 FAMILY_KINDS = (
@@ -305,10 +305,13 @@ class FamilySpec:
             raise InvalidInputError(f"family spec missing key {e}") from None
 
     def build(self) -> FamilyInstance:
-        """The family draw; InvalidInputError if params is not a dict or
-        lacks a key the kind reads."""
+        """The family draw; InvalidInputError if params is not a dict, has M
+        over MAX_M or N over 2^MAX_M (checked first) or lacks a key it reads."""
         if not isinstance(self.params, dict):
             raise InvalidInputError(f"{self.kind} params must be a JSON object")
+        for key, cap in (("M", MAX_M), ("N", 1 << MAX_M)):
+            if isinstance(self.params.get(key), int) and self.params[key] > cap:
+                raise InvalidInputError(f"{self.kind} params {key}={self.params[key]} is above the cap {cap}")
         try:
             return self._build()
         except KeyError as e:

@@ -332,6 +332,7 @@ def hidft(
     Output values equal submatrix_apply(node-representatives, I_{r^{n-}})
     applied to the shifted sample vector, with no extra scaling.  Exactly
     1.5 * A * log2(A) complex operations are counted, A = 2^(size(r)-height).
+    Raises InvalidInputError when a sample read is NaN or infinite.
     """
     rt = validate_pivot_vector(r, J.M)
     if height < 0 or height > len(rt):
@@ -344,6 +345,8 @@ def hidft(
     shifts = np.asarray([shift], dtype=np.int64)
     locations = _grid_locations(offsets, shifts, J.N)
     v = _butterfly_pass(plan, _read_grid(source, offsets, shifts, locations, J.N))[0]
+    if not np.isfinite(v[0]):  # a non-finite sample makes every slot so
+        raise InvalidInputError("signal samples at the read locations are not finite")
     adds, mults = butterfly_ops(len(used), 1, plan.n_slots)
     if counter is not None and adds:
         counter.mul(mults, phase="hidft")

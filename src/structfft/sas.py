@@ -561,6 +561,8 @@ def _execute(p: _Prepared, source, J: SupportSet, tolerance: float):
     # nodes from it by ascending residue
     grid = _read_grid(source, p.offsets, p.shifts, p.locations, J.N)
     slots = _butterfly_pass(p.butterfly, grid)
+    if not np.isfinite(slots[:, 0]).all():  # a non-finite sample makes its whole row so
+        raise InvalidInputError("signal samples at the read locations are not finite")
 
     if p.read_index is not None:  # mu* = 1: every node has weight 1 and no spare row
         coeffs = slots.reshape(-1).take(p.read_index) * p.scale
@@ -620,10 +622,10 @@ def sas_transform(
     which check the answer (a consistency test, uncounted; the matrix
     decode forms it in the same product).  A node whose residual exceeds
     max(tolerance, RESIDUAL_FLOOR) is flagged in `NodeArrays.mismatch`, as
-    when the signal has energy off J; nothing raises (but a tolerance that
-    is not finite and positive does).  Nodes of weight mu*, and every node
-    when mu* = 1, have no spare row, so a wrong answer there goes
-    unflagged.
+    when the signal has energy off J; nothing raises but a tolerance that
+    is not finite and positive or a NaN or infinite sample read
+    (InvalidInputError).  Nodes of weight mu*, and every node when mu* = 1,
+    have no spare row, so a wrong answer there goes unflagged.
 
     Plan once, execute per call.  Everything that depends on J alone is
     prepared once and cached on the `SupportSet` instance itself: the
@@ -632,17 +634,17 @@ def sas_transform(
     node layout, the nodes' inverses (a matrix plan) or their Leja orders
     and Bjorck-Pereyra divisor factors (a sweep plan), and the call's cost
     report.  A call then reads the grid, runs the butterfly and decodes the
-    node right-hand sides against what is stored.  A sample
-    callback receives the cached, read-only locations; a
-    `BandlimitedSignal` on the same instance finds the phase tables of its
-    group sums cached there too (`BandlimitedSignal.sample_grid`) and forms
-    only their product with its coefficients.  The cache is keyed by
-    exactly what the plan reads: the pivot vector, which is the explicit r
-    or the one "pivots" entry of `select_pivots`; `tolerance` and `counter`
-    act per call.  A request that raises stores nothing.  Cached arrays are
-    read-only, and `SasResult.nodes` shares them.  The cache is never
-    pickled and lives exactly as long as the `SupportSet` instance; an
-    equal but distinct instance prepares its own.  No call writes into its
+    node right-hand sides against what is stored.  A sample callback
+    receives the cached, read-only locations; a `BandlimitedSignal` on the
+    same instance finds the phase tables of its group sums cached there
+    too (`BandlimitedSignal.sample_grid`) and forms only their product with
+    its coefficients.  The cache is keyed by exactly what the plan reads:
+    the pivot vector, which is the explicit r or the one "pivots" entry of
+    `select_pivots`; `tolerance` and `counter` act per call.  An invalid
+    request stores nothing; a plan made before its samples raise stays
+    cached.  Cached arrays are read-only, and `SasResult.nodes` shares
+    them.  The cache is never pickled and lives exactly as long as the
+    `SupportSet` instance; an equal but distinct instance prepares its own.  No call writes into its
     source: a dense vector, the array a callback returns or a
     `BandlimitedSignal`'s coefficients.
     Every call, cold or warm, returns the same bytes and the same report,
@@ -667,16 +669,17 @@ def _probes(J: SupportSet, read: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows e^{2 pi i t l / N} (l in J, support order), read-only; they depend
     on J alone.
 
-    Probe i starts at 1 + (2i+1) N / (2 _PROBES) mod N and moves on to the
-    next location that neither the decode reads (`read`) nor an earlier
+    Probe i starts at the i-th of _PROBES seeded uniform draws from Z_N
+    (evenly spaced starts miss where J's residues cluster) and moves on to
+    the next location that neither the decode reads (`read`) nor an earlier
     probe takes.  There are fewer probes when fewer locations are unread,
     and none when k = N.  t l is reduced mod N before the phase is taken.
     """
     N = J.N
     taken = set(read.tolist())
+    starts = np.random.default_rng(0).integers(0, N, _PROBES).tolist()
     t = []
-    for i in range(min(_PROBES, N - len(taken))):
-        x = (1 + (2 * i + 1) * N // (2 * _PROBES)) % N
+    for x in starts[:N - len(taken)]:
         while x in taken:
             x = (x + 1) % N
         taken.add(x)
@@ -706,7 +709,7 @@ def submatrix_method(
     the cap k <= SUBMATRIX_SIZE_CAP (2048).
 
     The answer is then checked on _PROBES samples at locations t the
-    decode did not read (`_probes`, cached on J with their phase rows): it
+    decode did not read (`_probes`, seeded, cached on J with phase rows): it
     raises ContractViolationError when max_t |f(t) - synth(t)| N / max|c|
     exceeds tolerance / _PROBE_MARGIN, synth(t) = (1/N) sum_l c_l
     e^{2 pi i t l / N} being the decoded spectrum's synthesis.  That
@@ -717,8 +720,9 @@ def submatrix_method(
     samples, and a callback is called a second time, with the read-only t.
     When k = N every location is read and J is all of Z_N, so nothing can
     leak and the check is skipped.  Raises InvalidInputError when
-    tolerance is not finite and positive or k is over the cap.  A counter
-    is charged as `sas_transform` charges it.
+    tolerance is not finite and positive, k is over the cap or a sample
+    read (probes included) is not finite.  A counter is charged as
+    `sas_transform` charges it.
     """
     if not 0 < tolerance < math.inf:
         raise InvalidInputError(f"tolerance must be finite and positive, not {tolerance!r}")
@@ -729,7 +733,10 @@ def submatrix_method(
     coeffs, _ = _execute(prepared, source, J, tolerance)
     t, rows = memoized(J, ("probe", ()), lambda tree: _probes(J, prepared.locations), build_tree)[0]
     if len(t):
-        miss = float(np.abs(_fetch(source, t, J.N) * J.N - rows @ coeffs).max())
+        probed = _fetch(source, t, J.N)
+        if not np.isfinite(probed).all():
+            raise InvalidInputError("signal samples at the probe locations are not finite")
+        miss = float(np.abs(probed * J.N - rows @ coeffs).max())
         error = miss / max(float(np.abs(coeffs).max()), 1e-300)
         if not error <= tolerance / _PROBE_MARGIN:  # a NaN answer fails too
             raise ContractViolationError(

@@ -10,6 +10,7 @@ from structfft import cli
 
 UOE = '{"a_n": 5, "etas": [0, 0, 0, 1, 1, 1], "M": 10}'
 HOMOG = '{"pivots": [0, 2, 3, 6, 8], "M": 10}'
+CAP = '{"r": 3, "M": 62}'  # N = 2^62, the largest modulus a support may have
 
 
 def gen(tmp_path, capsys, kind, params, seed=3):
@@ -40,6 +41,9 @@ def recovered(payload):
     ("submatrix", "uoe", UOE),
     ("sas", "uoe", UOE),
     ("hidft", "homogeneous", HOMOG),
+    ("sas", "elementary", CAP),
+    ("submatrix", "elementary", CAP),
+    ("hidft", "elementary", CAP),
 ])
 def test_transform_recovers_planted_spectrum(tmp_path, capsys, algo, kind, params):
     signal, _, support, planted = gen(tmp_path, capsys, kind, params)
@@ -80,7 +84,27 @@ def test_size_caps_exit_4(tmp_path, capsys, algo, M):
     assert out.out == "" and "capped at N" in out.err
 
 
+def test_submatrix_clustered_support_exits_3(tmp_path, capsys):
+    # eight members of Z_(2^40), all 5 mod 8: the answer is wrong and the probes see it
+    J = [5 + 8 * b0 + (b1 << 16) + (b2 << 39) for b0 in (0, 1) for b1 in (0, 1) for b2 in (0, 1)]
+    path = tmp_path / "signal.json"
+    path.write_text(json.dumps({"N": 1 << 40, "support": sorted(J), "coeffs": [[1, 0.5]] * 8}))
+    assert cli.main(["transform", "--signal", str(path), "--algo", "submatrix"]) == 3
+    assert "out of reach" in capsys.readouterr().err
+
+
 # malformed input exits 2 -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("M", [63, 64])
+def test_modulus_above_the_cap_exits_2(tmp_path, capsys, M):
+    signal, support = tmp_path / "signal.json", tmp_path / "support.json"
+    signal.write_text(json.dumps({"N": 1 << M, "support": [5, 13], "coeffs": [[1, 0], [0, 1]]}))
+    support.write_text(json.dumps({"N": 1 << M, "indices": [5, 13]}))
+    for argv in (["transform", "--signal", str(signal), "--algo", "sas"], ["analyze", str(support)]):
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "cap 2^62" in out.err
 
 
 def bench_exit(tmp_path, capsys, scenario):
@@ -157,7 +181,8 @@ def test_transform_bad_tolerance_exits_2(tmp_path, capsys, algo, tolerance):
     assert out.out == "" and "tolerance" in out.err
 
 
-@pytest.mark.parametrize("params, needle", [("{}", "'r'"), ("[1]", "JSON object")])
+@pytest.mark.parametrize("params, needle", [("{}", "'r'"), ("[1]", "JSON object"),
+                                            ('{"r": 3, "M": 63}', "M=63 is above the cap 62")])
 def test_gen_bad_params_exits_2(tmp_path, capsys, params, needle):
     code = cli.main(["gen", "--kind", "elementary", "--params", params,
                      "--out", str(tmp_path / "support.json")])

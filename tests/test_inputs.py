@@ -6,7 +6,8 @@ sample grid, a dense source, the array a sample callback returns and a
 pass over the same grid gives the first pass's bytes.  A dense source is
 indexed as given and only the samples read are converted, so a float64 or
 complex64 vector gives the bytes of its complex128 copy without being
-copied whole.
+copied whole.  A NaN or infinite sample that a transform reads raises
+InvalidInputError, and one it does not read leaves its bytes unchanged.
 """
 
 import tracemalloc
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 
 from structfft import (
-    BandlimitedSignal, FamilySpec, SupportSet, build_tree, gen_homogeneous, hidft, sas, sas_transform,
+    BandlimitedSignal, FamilySpec, InvalidInputError, SupportSet, build_tree, gen_homogeneous, hidft, sas,
+    sas_transform, submatrix_method,
 )
 from structfft.congruence import pivots
 from structfft.hidft import _build_plan, _butterfly_entry, _butterfly_pass
@@ -194,3 +196,44 @@ def test_warm_call_does_not_copy_a_float64_source():
         tracemalloc.stop()
     assert out.plan_reused
     assert peak < N * 16, f"a warm call allocated {peak} bytes at peak"
+
+
+# non-finite samples -------------------------------------------------------------
+
+HOMOG = SUPPORTS[2].support  # plans mu* = 1
+ALIASED = SupportSet.make(64, [1, 3, 9, 17, 40])  # plans mu* = 3
+NONFINITE = {
+    "sas-mu1": (HOMOG, lambda J, x: sas_transform(x, J).coeffs),
+    "sas-mu3": (ALIASED, lambda J, x: sas_transform(x, J).coeffs),
+    "hidft": (HOMOG, lambda J, x: hidft(x, J, pivots(J)).slot_values),
+    "submatrix": (ALIASED, lambda J, x: submatrix_method(J, x)),  # probes included
+}
+
+
+def test_nonfinite_cases_plan_mu_star_1_and_3():
+    assert sas.SasPlan.plan(HOMOG, sas.select_pivots(HOMOG)).mu_star == 1
+    assert sas.SasPlan.plan(ALIASED, sas.select_pivots(ALIASED)).mu_star == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's invalid-value warnings before the raise
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)])
+@pytest.mark.parametrize("case", sorted(NONFINITE))
+def test_nonfinite_sample_read_raises(case, value):
+    J, run = NONFINITE[case]
+    x = dense(J, spectrum(J))
+    seen = []
+    clean = run(J, lambda t: seen.append(t.copy()) or x[t])
+    read = np.unique(np.concatenate(seen))
+    for loc in read:
+        bad = x.copy()
+        bad[loc] = value
+        with pytest.raises(InvalidInputError, match="not finite"):
+            run(J, bad)
+        # as a callback's answer too
+        with pytest.raises(InvalidInputError, match="not finite"):
+            run(J, lambda t: bad[t])
+    # NaN where nothing is read: the same bytes as the clean call
+    unread = np.setdiff1d(np.arange(J.N), read)
+    bad = x.copy()
+    bad[unread] = np.nan
+    assert run(J, bad).tobytes() == clean.tobytes()

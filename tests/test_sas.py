@@ -42,6 +42,12 @@ def planted(J, seed=None):
     return BandlimitedSignal(J, c), c
 
 
+def clustered_support(M, s):
+    """{5 + 8 b0 + 2^s b1 + 2^(M-1) b2}: eight members of Z_(2^M), all 5 mod 8."""
+    return SupportSet.make(1 << M, [5 + 8 * b0 + (b1 << s) + (b2 << (M - 1))
+                                    for b0 in (0, 1) for b1 in (0, 1) for b2 in (0, 1)])
+
+
 class TestVandermondeSolve:
     def test_size_one(self):
         out = vandermonde_solve([1.0 + 0j], [5.0 - 1j])
@@ -385,6 +391,18 @@ class TestSubmatrixMethod:
             with pytest.raises(ContractViolationError, match="out of reach"):
                 submatrix_method(J, source)
 
+    @pytest.mark.parametrize("M, s", [(30, 8), (40, 16), (48, 22), (62, 40)])
+    def test_clustered_support_miss_raises(self, M, s):
+        # the eight members share their residue mod 8, so probes evenly spaced
+        # from t = 1 would all be phases of the t = 1 sample, next to the read
+        # grid, and blind to the r = () miss.  sas decodes these supports.
+        J = clustered_support(M, s)
+        sig = BandlimitedSignal(J, np.full(len(J), 1 + 0.5j))
+        out = sas_transform(sig, J)
+        assert out.plan.mu_star == 1 and rel_error(out.coeffs, sig.coeffs) < 1e-14
+        with pytest.raises(ContractViolationError, match="out of reach"):
+            submatrix_method(J, sig)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 17, 64])
     def test_counted_ops(self, k):
         J = SupportSet.make(1 << 12, rng.choice(1 << 12, size=k, replace=False).tolist())
@@ -452,8 +470,8 @@ class TestSubmatrixMethod:
         J = SupportSet.make(1024, [3, 17, 40, 101])
         sig, _ = planted(J, 0)
         x = sig.synthesize()
-        x[0] = np.nan  # a read location: every coefficient comes back NaN
-        with pytest.raises(ContractViolationError, match="out of reach"):
+        x[0] = np.nan  # a read location: the samples are bad input, not a miss
+        with pytest.raises(InvalidInputError, match="not finite"):
             submatrix_method(J, x)
 
     @staticmethod

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structfft import sas
+from structfft import families, sas
 from structfft import (
     BandlimitedSignal,
     FamilySpec,
+    InvalidInputError,
     SupportSet,
     cli,
     gen_homogeneous,
@@ -226,6 +227,18 @@ def test_large_modulus_strides_do_not_overflow():
     out = decode(spec, BandlimitedSignal(J, c), r=(0, 1, 2))  # the paper's count; least cost has mu* = 1
     assert out.plan.stride >= 1 << 40
     assert worst_error(out.coeffs, c) <= TOLERANCE
+
+
+@pytest.mark.parametrize("M", [63, 64])
+def test_modulus_above_the_cap_is_rejected(M, monkeypatch):
+    with pytest.raises(InvalidInputError, match="cap"):
+        SupportSet.make(1 << M, [5, 13])
+    # the family check comes before anything is drawn
+    monkeypatch.setattr(families, "gen_elementary", lambda *a: pytest.fail("drew a support"))
+    with pytest.raises(InvalidInputError, match="cap"):
+        FamilySpec("elementary", {"r": 3, "M": M}, 1).build()
+    with pytest.raises(InvalidInputError, match="cap"):
+        FamilySpec("gap", {"a": 1, "steps": [3], "lengths": [4], "N": 1 << M}, 1).build()
 
 
 def test_mod_product_matches_python_integers():
