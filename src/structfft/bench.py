@@ -20,7 +20,6 @@ import numpy as np
 
 from .congruence import SupportSet, as_int
 from .core import BandlimitedSignal, rel_error
-from .counting import OpCounter
 from .errors import InvalidInputError
 from .families import FamilySpec, draw_coefficients, rng_from_seed
 from .sas import C1, C2, sas_transform
@@ -184,8 +183,7 @@ def run_trial(kind: str, params: dict, base_seed: int, scenario_idx: int,
         family_label = kind
     coeffs = draw_coefficients(len(J), rng, nonzero=True)
     sig = BandlimitedSignal(J, coeffs)
-    counter = OpCounter()
-    out = sas_transform(sig, J, counter=counter, tolerance=tolerance)
+    out = sas_transform(sig, J, tolerance=tolerance)
     err = rel_error(out.coeffs, coeffs)
     return TrialRecord(
         trial=trial,

@@ -49,18 +49,27 @@ def mod_product(a, b, N: int) -> np.ndarray:
     return ((a * b) & np.uint64(N - 1)).astype(np.int64)
 
 
+def fourier_kernel(rows, cols, N: int, sign: int = -1) -> np.ndarray:
+    """e^{sign 2 pi i (r c mod N) / N} at [r, c], r c reduced by `mod_product`."""
+    return np.exp(sign * 2j * np.pi * mod_product(np.asarray(rows)[:, None], cols, N) / N)
+
+
+def _kernel_apply(rows, cols, x: np.ndarray, N: int, sign: int = -1) -> np.ndarray:
+    """fourier_kernel(rows, cols, N, sign) @ x, formed in blocks of <= _CHUNK entries."""
+    out = np.empty(len(rows), dtype=np.complex128)
+    step = max(1, _CHUNK // max(len(cols), 1))
+    for s in range(0, len(rows), step):
+        out[s:s + step] = fourier_kernel(rows[s:s + step], cols, N, sign) @ x
+    return out
+
+
 def dft_direct(f, counter: OpCounter | None = None) -> np.ndarray:
     """O(N^2) forward DFT by the defining sum; the reference oracle."""
     f = _as_vec(f)
     N = f.size
     require_power_of_two(N)
-    out = np.empty(N, dtype=np.complex128)
-    rows = max(1, _CHUNK // N)
     n = np.arange(N)
-    for start in range(0, N, rows):
-        m = np.arange(start, min(start + rows, N))
-        kern = np.exp(-2j * np.pi * (np.outer(m, n) % N) / N)
-        out[start:start + len(m)] = kern @ f
+    out = _kernel_apply(n, n, f, N)
     if counter is not None:
         counter.mul(N * N)
         counter.add(N * (N - 1))
@@ -72,13 +81,8 @@ def idft_direct(F, counter: OpCounter | None = None) -> np.ndarray:
     F = _as_vec(F)
     N = F.size
     require_power_of_two(N)
-    out = np.empty(N, dtype=np.complex128)
-    rows = max(1, _CHUNK // N)
-    m = np.arange(N)
-    for start in range(0, N, rows):
-        n = np.arange(start, min(start + rows, N))
-        kern = np.exp(2j * np.pi * (np.outer(n, m) % N) / N)
-        out[start:start + len(n)] = kern @ F / N
+    n = np.arange(N)
+    out = _kernel_apply(n, n, F, N, sign=1) / N
     if counter is not None:
         counter.mul(N * N + N)
         counter.add(N * (N - 1))
@@ -180,14 +184,8 @@ class BandlimitedSignal:
 
     def sample_block(self, locations) -> np.ndarray:
         """Vectorized synthesis of f at the given (mod-N) locations."""
-        loc = np.asarray(locations, dtype=np.int64) % self.N
-        out = np.empty(len(loc), dtype=np.complex128)
-        rows = max(1, _CHUNK // max(len(self._l), 1))
-        for start in range(0, len(loc), rows):
-            chunk = loc[start:start + rows]
-            phase = np.exp(2j * np.pi * (np.outer(chunk, self._l) % self.N) / self.N)
-            out[start:start + len(chunk)] = phase @ self.coeffs / self.N
-        return out
+        loc = np.asarray(locations, dtype=np.int64)
+        return _kernel_apply(loc, self._l, self.coeffs, self.N, sign=1) / self.N
 
     def sample_grid(self, offsets, shifts) -> np.ndarray:
         """Samples f(o_i - j): one row per shift j, one column per offset o_i.
@@ -236,9 +234,9 @@ class BandlimitedSignal:
             l, res = self._l[order], group[starts]
             rows = max(1, _CHUNK // len(l))
             groups = max(1, _CHUNK // max(len(o), 1))
-            E = (np.exp(-2j * np.pi * mod_product(j[s:s + rows, None], l, N) / N)
+            E = (fourier_kernel(j[s:s + rows], l, N)
                  for s in range(0, max(len(j), 1), rows))  # no shifts: one empty block
-            P = (np.exp(2j * np.pi * mod_product(res[g:g + groups, None], o, N) / N)
+            P = (fourier_kernel(res[g:g + groups], o, N, sign=1)
                  for g in range(0, len(res), groups))
             if len(j) * len(l) <= _CHUNK and len(res) * len(o) <= _CHUNK:  # one block each
                 E, P = tuple(E), tuple(P)
@@ -255,8 +253,10 @@ class BandlimitedSignal:
         return out / N
 
     def synthesize(self) -> np.ndarray:
-        """Full time-domain vector; only sensible for small N."""
-        return self.sample_block(np.arange(self.N))
+        """Full time-domain vector: one inverse FFT of the spectrum on Z_N."""
+        F = np.zeros(self.N, dtype=np.complex128)
+        F[self._l] = self.coeffs
+        return np.fft.ifft(F)
 
 
 def _index_array(obj) -> np.ndarray:
@@ -281,12 +281,7 @@ def submatrix_apply(rows, cols, x, N: int, counter: OpCounter | None = None) -> 
         raise InvalidInputError(f"|x|={x.size} does not match |cols|={c.size}")
     if (r < 0).any() or (r >= N).any() or (c < 0).any() or (c >= N).any():
         raise InvalidInputError("indices must lie in [0, N)")
-    out = np.empty(r.size, dtype=np.complex128)
-    blk = max(1, _CHUNK // max(c.size, 1))
-    for start in range(0, r.size, blk):
-        rr = r[start:start + blk]
-        kern = np.exp(-2j * np.pi * (np.outer(rr % N, c % N) % N) / N)
-        out[start:start + len(rr)] = kern @ x
+    out = _kernel_apply(r, c, x, N)
     if counter is not None:
         counter.mul(r.size * c.size)
         counter.add(r.size * max(c.size - 1, 0))

@@ -61,7 +61,7 @@ from .congruence import (
     pivots,
     validate_pivot_vector,
 )
-from .core import BandlimitedSignal, submatrix_apply
+from .core import BandlimitedSignal, fourier_kernel, submatrix_apply
 from .counting import OpCounter
 from .errors import ContractViolationError, InvalidInputError
 from .sampling import fft_runs, pattern_offsets, pivoted_pattern
@@ -259,6 +259,7 @@ def butterfly_ops(stages: int, rows: int, A: int) -> tuple[int, int]:
     return stages * rows * A, stages * rows * (A // 2)
 
 
+@np.errstate(invalid="ignore")  # a non-finite sample: the callers raise on the output
 def _butterfly_pass(plan: ButterflyPlan, v: np.ndarray) -> np.ndarray:
     """The butterfly over every row of a sample grid at once: row b of the
     result holds the slot values of row b's samples.  Counts nothing; its
@@ -473,8 +474,8 @@ def block_factorization_check(
     cols = np.concatenate([sub, sub + a])
     rows = np.concatenate([j1, j2])
     N = J.N
-    full = np.exp(-2j * np.pi * (np.outer(rows, cols % N) % N) / N)
-    B = np.exp(-2j * np.pi * (np.outer(j1, sub) % N) / N)
+    full = fourier_kernel(rows, cols, N)
+    B = fourier_kernel(j1, sub, N)
     D = np.exp(-2j * np.pi * j1 / float(1 << (r_max + 1)))
     m = len(pairs)
     recon = np.empty_like(full)
@@ -505,7 +506,7 @@ def spectrality_check(J: SupportSet, tol: float = 1e-9) -> SpectralityReport:
         raise InvalidInputError("spectrality check needs |J| a power of two")
     r = pivots(J)
     pattern = pivoted_pattern(r, J.M)
-    A = np.exp(-2j * np.pi * (np.outer(J.as_array(), pattern.as_array()) % J.N) / J.N)
+    A = fourier_kernel(J.as_array(), pattern.as_array(), J.N)
     gram = A @ A.conj().T
     err = float(np.max(np.abs(gram - k * np.eye(k))))
     return SpectralityReport(err <= tol, err, pattern.samples)
@@ -517,5 +518,5 @@ def submatrix_unitarity(rows, cols, N: int) -> float:
     c = np.asarray(cols, dtype=np.int64)
     if r.size != c.size:
         raise InvalidInputError("square submatrix required")
-    A = np.exp(-2j * np.pi * (np.outer(r % N, c % N) % N) / N)
+    A = fourier_kernel(r, c, N)
     return float(np.max(np.abs(A @ A.conj().T - r.size * np.eye(r.size))))

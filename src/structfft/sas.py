@@ -39,7 +39,7 @@ from .congruence import (
     tree_bitops,
     validate_pivot_vector,
 )
-from .core import _CHUNK, mod_product
+from .core import _CHUNK, fourier_kernel, mod_product
 from .counting import CostReport, OpCounter
 from .errors import ContractViolationError, InvalidInputError
 from .hidft import (
@@ -52,7 +52,7 @@ C1 = 1.5  # per-stage butterfly constant
 C2 = 6.0  # Vandermonde solve constant
 
 # the r = () plan of a support of k > 23 is a sweep plan (see
-# product_error_bound): its one node of weight k caches 32 k^2 bytes of V and factors
+# product_error_bound): its one node of weight k caches 12.5 k^2 bytes of factors
 SUBMATRIX_SIZE_CAP = 1 << 11
 RESIDUAL_FLOOR = 1e-9  # no residual below it flags a node; the matrix decode's error budget
 _PROBES = 4        # samples off the read grid that check a submatrix answer
@@ -392,8 +392,10 @@ def _vander_stack(x: np.ndarray) -> np.ndarray:
 
 def _spare_rows(V: np.ndarray, y: np.ndarray, c: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """V_b c_b - y_b on row b's spare rows j >= sizes[b], 0 on the rows c_b
-    was solved from."""
-    r = (V @ c[:, :, None])[:, :, 0] - y
+    was solved from; V holds the rows j >= mu* - V.shape[1] = min(sizes)."""
+    lo = y.shape[1] - V.shape[1]
+    r = np.zeros_like(y)
+    r[:, lo:] = (V @ c[:, :, None])[:, :, 0] - y[:, lo:]
     r[np.arange(r.shape[1]) < sizes[:, None]] = 0
     return r
 
@@ -488,7 +490,7 @@ class _Prepared:
     coeff_index: np.ndarray   # where J's coefficients sit in the flat solution, node by node
     read_index: np.ndarray | None  # take[coeff_index]: each coefficient's slot if mu* = 1, else None
     factors: _Factors | None  # of the Vandermonde nodes e^{-2 pi i d l / N}, padded
-    V: np.ndarray | None    # x[b, m]^j at [b, j, m] for all j < mu*
+    V: np.ndarray | None    # x[b, m]^j at [b, j - lo, m] for lo <= j < mu*, lo the least weight
     K: np.ndarray | None    # [W_b; R_b] of the same nodes; all three None if mu* = 1
 
 
@@ -521,13 +523,15 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
 
     own = np.arange(mu) < weights[:, None]
     x = np.zeros(own.shape, dtype=np.complex128)
-    x[own] = np.exp(-2j * np.pi * mod_product(members, stride, N).astype(np.float64) / N)
+    x[own] = fourier_kernel(members, [stride], N)[:, 0]
     factors = V = K = None
     if mu > 1 and decode == "matrix":
         K = _inverse_stack(x, weights)
     elif mu > 1:
         factors = _bp_factors(x, weights, _leja_orders(x, weights))
-        V = np.ascontiguousarray(_vander_stack(x))
+        lo = int(weights.min())  # no node has a spare row below its weight
+        V = (np.ascontiguousarray(_vander_stack(x)[:, lo:]) if lo < mu
+             else np.empty((len(x), 0, mu), dtype=np.complex128))
     coeff_index = np.empty(len(J), dtype=np.intp)
     coeff_index[np.searchsorted(J.as_array(), members)] = np.flatnonzero(own)
     read_index = take[coeff_index] if mu == 1 else None
@@ -685,7 +689,7 @@ def _probes(J: SupportSet, read: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         taken.add(x)
         t.append(x)
     t = np.array(t, dtype=np.int64)
-    rows = np.exp(2j * np.pi * mod_product(t[:, None], J.as_array(), N).astype(np.float64) / N)
+    rows = fourier_kernel(t, J.as_array(), N, sign=1)
     t.flags.writeable = rows.flags.writeable = False
     return t, rows
 
@@ -705,8 +709,9 @@ def submatrix_method(
     one counted float64 Leja + Bjorck-Pereyra sweep (every k > 23 is past
     the matrix decode's reach, see `product_error_bound`).  Works for any
     support, at quadratic cost.  The plan is cached on J as
-    `sas_transform`'s is; it holds 32 k^2 bytes of V and factors, hence
-    the cap k <= SUBMATRIX_SIZE_CAP (2048).
+    `sas_transform`'s is; it holds 12.5 k^2 bytes of factors (and no
+    Vandermonde rows: its one node has no spare row), hence the cap
+    k <= SUBMATRIX_SIZE_CAP (2048).
 
     The answer is then checked on _PROBES samples at locations t the
     decode did not read (`_probes`, seeded, cached on J with phase rows): it

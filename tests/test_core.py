@@ -18,6 +18,7 @@ from structfft import (
     rel_error,
     submatrix_apply,
 )
+from structfft.core import fourier_kernel
 
 rng = np.random.default_rng(20240809)
 
@@ -127,6 +128,51 @@ class TestBandlimitedSignal:
     def test_coeff_count_must_match(self):
         with pytest.raises(InvalidInputError):
             BandlimitedSignal(SupportSet.make(8, [1, 2]), [1.0])
+
+    @pytest.mark.parametrize("M", [1, 4, 8, 10, 12])
+    def test_synthesize_is_sample_block_everywhere(self, M):
+        # one inverse FFT against the per-sample sums, on seeded random supports
+        N = 1 << M
+        g = np.random.default_rng(M)
+        for _ in range(3):
+            k = int(g.integers(1, min(N, 300) + 1))
+            J = SupportSet.make(N, g.choice(N, size=k, replace=False).tolist())
+            sig = BandlimitedSignal(J, g.normal(size=k) + 1j * g.normal(size=k))
+            want = sig.sample_block(np.arange(N))
+            assert np.max(np.abs(sig.synthesize() - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def exact_phases(rows, cols, N, sign):
+    """e^{sign 2 pi i (r c mod N) / N} with r c reduced in Python integers."""
+    res = np.array([[int(r) * int(c) % N for c in cols] for r in rows], dtype=np.int64)
+    return np.exp(sign * 2j * np.pi * res / N)
+
+
+class TestFourierKernel:
+    N = 1 << 62
+    g = np.random.default_rng(62)
+    rows = np.concatenate(([0, 1, N - 1], g.integers(N // 2, N, size=9)))
+    cols = np.unique(np.concatenate(([1, N - 1], g.integers(N // 2, N, size=13))))
+
+    def test_products_past_int64_reduce_exactly(self):
+        # the products reach 2^124; reduced in uint64 they keep their residues mod N
+        assert max(int(r) * int(c) for r in self.rows for c in self.cols) > 1 << 120
+        for sign in (-1, 1):
+            want = exact_phases(self.rows, self.cols, self.N, sign)
+            assert fourier_kernel(self.rows, self.cols, self.N, sign).tobytes() == want.tobytes()
+
+    def test_submatrix_apply_at_n_2_62(self):
+        g = np.random.default_rng(1)
+        x = g.normal(size=len(self.cols)) + 1j * g.normal(size=len(self.cols))
+        want = exact_phases(self.rows, self.cols, self.N, -1) @ x
+        assert rel_error(submatrix_apply(self.rows, self.cols, x, self.N), want) < 1e-12
+
+    def test_sample_block_at_n_2_62(self):
+        J = SupportSet.make(self.N, self.cols.tolist())
+        g = np.random.default_rng(2)
+        c = g.normal(size=len(J)) + 1j * g.normal(size=len(J))
+        want = exact_phases(self.rows, J.as_array(), self.N, 1) @ c / self.N
+        assert rel_error(BandlimitedSignal(J, c).sample_block(self.rows), want) < 1e-12
 
 
 class TestSubmatrixApply:

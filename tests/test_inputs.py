@@ -215,7 +215,7 @@ def test_nonfinite_cases_plan_mu_star_1_and_3():
     assert sas.SasPlan.plan(ALIASED, sas.select_pivots(ALIASED)).mu_star == 3
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's invalid-value warnings before the raise
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the raise comes with no numpy warning
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)])
 @pytest.mark.parametrize("case", sorted(NONFINITE))
 def test_nonfinite_sample_read_raises(case, value):

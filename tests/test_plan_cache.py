@@ -498,6 +498,39 @@ class TestMatrixDecode:
         assert got.tobytes() == want.tobytes()
 
 
+    def test_sweep_plans_keep_only_the_rows_a_check_reads(self):
+        # V holds the rows j >= the lightest node's weight, and none on the r = () plan;
+        # residuals and flags are those of the full Vandermonde, on clean and leaky sources
+        cases = [PINNED, K60] + [(spec, None) for spec in LARGE]
+        sweeps = 0
+        for spec, r in cases:
+            J = spec.build().support
+            r = select_pivots(J) if r is None else r
+            p = sas._prepared(J, r)[0]
+            if p.plan.decode != "sweep":
+                continue
+            sweeps += 1
+            sizes = np.diff(p.bounds)
+            mu = p.plan.mu_star
+            assert p.V.shape == (len(sizes), mu - sizes.min(), mu)
+            assert p.V.shape[1] == 0 if r == () else p.V.shape[1] > 0
+            x = dense(J, draw_coefficients(len(J), np.random.default_rng(5), nonzero=True))
+            off = np.setdiff1d(np.arange(64), J.as_array())[0]
+            leak = 1e-3 * np.exp(2j * np.pi * off * np.arange(J.N) / J.N)
+            for source in (x, x + leak):
+                out = sas_transform(source, J, r=r)
+                y = node_rows(source, J, p)
+                c = sweep(J, p, y)
+                V = np.ascontiguousarray(sas._vander_stack(node_system(J, p)[0]))  # all mu* rows
+                spare = (V @ c[:, :, None])[:, :, 0] - y
+                spare[np.arange(mu) < sizes[:, None]] = 0
+                want = sas._row_norms(spare) / np.maximum(sas._row_norms(y), 1e-300)
+                assert out.coeffs.tobytes() == c.reshape(-1).take(p.coeff_index).tobytes()
+                assert out.nodes.residual.tobytes() == want.tobytes()
+                assert (out.nodes.mismatch == (want > TOLERANCE)).all()
+        assert sweeps >= 4
+
+
 # open fault, pinned ------------------------------------------------------------------
 
 
