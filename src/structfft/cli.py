@@ -172,7 +172,7 @@ def cmd_transform(args) -> int:
     sig = load_signal(args.signal)
     J = sig.support
     explicit_r = _parse_pivots(args.pivots)
-    extra = {}  # the sas plan and flagged nodes, reported beside the cost
+    extra = {}  # the sas plan, flagged nodes and probe check, reported beside the cost
     if args.algo in ("oracle", "fft"):
         cap, full_transform = ((ORACLE_SIZE_CAP, dft_direct) if args.algo == "oracle"
                                else (FFT_SIZE_CAP, fft_radix2))
@@ -217,6 +217,7 @@ def cmd_transform(args) -> int:
         extra["plan"] = {f: getattr(out.plan, f)
                          for f in ("pivots", "decode_level", "mu_star", "stride", "cond_bound", "decode")}
         extra["mismatch_nodes"] = int(out.nodes.mismatch.sum())
+        extra["probe_error"], extra["flagged"] = out.probe_error, out.flagged  # None, False: matrix plan
     else:
         raise InvalidInputError(f"unknown algo {args.algo!r}")
     spectrum = signal_to_json(J, coeffs)

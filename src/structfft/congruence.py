@@ -104,11 +104,11 @@ class SupportSet:
     @cached_property
     def _memo(self) -> dict:
         """What other modules derive from J alone, under their own keys
-        (`sas_transform` keeps its tree, pivot choices and prepared plans
-        here; `BandlimitedSignal.sample_grid` keeps its phase tables for
-        the last offsets and shifts it was asked for under "grid").  It
-        lives exactly as long as this instance; nothing in it may refer
-        back to the instance."""
+        (`sas_transform` keeps its tree, pivot choices, prepared plans and
+        probes here, `hidft` its butterfly plans, and a plan's
+        `BandlimitedSignal` reads their phases, at most one entry per
+        plan).  It lives exactly as long as this instance; nothing in it
+        may refer back to the instance."""
         return {}
 
     def __reduce__(self):

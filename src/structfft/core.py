@@ -147,12 +147,10 @@ class BandlimitedSignal:
     Stores the nonzero DFT coefficients (F f)_J and synthesizes any sample
     f(i) = (1/N) sum_{l in J} c_l e^{+2 pi i i l / N} in O(|J|), so signals
     with huge N never materialize.  `sample_block` is the dense per-sample
-    sum, the oracle; `sample_grid` reads the shifted pivoted-pattern grids
-    of the transforms from group sums at a fraction of its cost.  The phase
-    tables those sums use depend on J alone, so `sample_grid` keeps the last
-    request's tables (up to _CHUNK entries each) in `support._memo`, where
-    every signal on the same `SupportSet` instance finds them; the signal
-    itself holds only its coefficients.
+    sum, the oracle.  The transforms read their shifted pivoted-pattern
+    grids of such a signal by running the plan's butterfly backwards
+    (`hidft._read_grid`), and keep what that read derives from J on the
+    support, not here: the signal holds only its coefficients.
     """
 
     def __init__(self, support: SupportSet, coeffs: Sequence[complex]):
@@ -168,12 +166,6 @@ class BandlimitedSignal:
         self.coeffs = c
         self._l = support.as_array()
 
-    def coeff(self, j: int) -> complex:
-        pos = int(np.searchsorted(self._l, j))
-        if pos >= len(self._l) or self._l[pos] != j:
-            raise InvalidInputError(f"index {j} not in support")
-        return complex(self.coeffs[pos])
-
     def coeff_map(self) -> dict[int, complex]:
         return {int(l): complex(c) for l, c in zip(self._l, self.coeffs)}
 
@@ -186,71 +178,6 @@ class BandlimitedSignal:
         """Vectorized synthesis of f at the given (mod-N) locations."""
         loc = np.asarray(locations, dtype=np.int64)
         return _kernel_apply(loc, self._l, self.coeffs, self.N, sign=1) / self.N
-
-    def sample_grid(self, offsets, shifts) -> np.ndarray:
-        """Samples f(o_i - j): one row per shift j, one column per offset o_i.
-
-        Built from group sums instead of one k-term sum per sample.  With
-        2^(M-q) the largest power of two dividing every offset (q = 0 if all
-        are 0 mod N), e^{2 pi i o l / N} depends on l only through its group,
-        l mod 2^q, so
-
-            f(o_i - j) = (1/N) sum_g S[j, g] P[g, i],
-            S[j, g] = sum_{l in g} c_l E[j, l],
-            E[j, l] = e^{-2 pi i j l / N},  P[g, i] = e^{2 pi i res_g o_i / N}.
-
-        For a pivoted pattern the groups are the decode-level tree nodes, so
-        the cost is len(shifts) * k + G * len(offsets) exponentials for G
-        groups, plus one (shifts x G) @ (G x offsets) product.  `sample_block`
-        at the same locations is the oracle.
-
-        Everything but the coefficients depends on J, the offsets and the
-        shifts alone.  E is formed in blocks of rows and P in blocks of
-        groups, each of at most _CHUNK entries (at least one row or group).
-        When each is one block, the support order by group, the group
-        starts, E and P are kept, read-only, as the one "grid" entry of
-        `support._memo`, keyed by the offsets and shifts mod N; a request
-        with other offsets or shifts replaces it.  A call that finds them
-        (any signal on the same `SupportSet` instance) forms only S and the
-        product.  Cold, warm and larger requests go through the same loops,
-        so a warm call returns a cold call's bytes.
-        """
-        N = self.N
-        o = np.asarray(offsets, dtype=np.int64) % N
-        j = np.asarray(shifts, dtype=np.int64) % N
-        memo = self.support._memo
-        key = (o.tobytes(), j.tobytes())
-        entry = memo.get("grid")
-        if entry is not None and entry[0] == key:
-            order, starts, E, P = entry[1]
-            E, P = (E,), (P,)
-        else:
-            nz = o[o != 0]
-            q = N.bit_length() - int(np.min(nz & -nz)).bit_length() if nz.size else 0
-            group = self._l & ((1 << q) - 1)
-            order = np.argsort(group, kind="stable")  # the support by group
-            group = group[order]
-            starts = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
-            l, res = self._l[order], group[starts]
-            rows = max(1, _CHUNK // len(l))
-            groups = max(1, _CHUNK // max(len(o), 1))
-            E = (fourier_kernel(j[s:s + rows], l, N)
-                 for s in range(0, max(len(j), 1), rows))  # no shifts: one empty block
-            P = (fourier_kernel(res[g:g + groups], o, N, sign=1)
-                 for g in range(0, len(res), groups))
-            if len(j) * len(l) <= _CHUNK and len(res) * len(o) <= _CHUNK:  # one block each
-                E, P = tuple(E), tuple(P)
-                for a in (order, starts, *E, *P):
-                    a.flags.writeable = False
-                memo["grid"] = (key, (order, starts, *E, *P))
-        c = self.coeffs[order]
-        S = np.concatenate([np.add.reduceat(e * c, starts, axis=1) for e in E])
-        out = np.zeros((len(j), len(o)), dtype=np.complex128)  # + turns -0.0 into 0.0
-        g = 0
-        for p in P:
-            out += S[:, g:g + len(p)] @ p
-            g += len(p)
-        return out / N
 
     def synthesize(self) -> np.ndarray:
         """Full time-domain vector: one inverse FFT of the spectrum on Z_N."""

@@ -40,8 +40,10 @@ A shift argument a computes the transform of the shifted signal tau^a f,
 i.e. the samples are read at locations I - a (mod N).  `_read_grid` and
 `_butterfly_pass` serve any number of shifts at once, one row per shift;
 `hidft` is their batch of one, and `sas_transform` reads all its shifts
-with one plan, one grid and one pass.  The pass counts nothing: `hidft`
-charges `butterfly_ops`, and `sas_transform`'s plan holds it.
+with one plan, one grid and one pass.  The same plan run backwards
+(`_butterfly_adjoint`) synthesizes a `BandlimitedSignal`'s grid.  The
+passes count nothing: `hidft` charges `butterfly_ops`, and
+`sas_transform`'s plan holds it.
 """
 
 from __future__ import annotations
@@ -236,21 +238,40 @@ def _grid_locations(offsets: np.ndarray, shifts: np.ndarray, N: int) -> np.ndarr
     return ((offsets[None, :] - np.asarray(shifts, dtype=np.int64)[:, None]) % N).reshape(-1)
 
 
-def _read_grid(source, offsets: np.ndarray, shifts: np.ndarray, locations: np.ndarray, N: int) -> np.ndarray:
-    """Samples f(o - j) for every shift j (rows) and offset o (columns), in
-    one read, at their `_grid_locations`, which a plan computes once.
+def _read_grid(source, J: SupportSet, plan: ButterflyPlan, slots: np.ndarray, shifts: np.ndarray,
+               locations: np.ndarray, cache_key=None) -> np.ndarray:
+    """Samples f(o - j) for every shift j (rows) and offset o of `plan`'s
+    pattern (columns); a dense vector or a callback is read at the
+    `_grid_locations`.  A `BandlimitedSignal` runs the butterfly backwards
+    (transposition principle; Bostan, Lecerf and Schost, ISSAC 2003): the
+    pass's column at a node's slot is e^{-2 pi i l o / N} for every l in the
+    node, so the grid is `_butterfly_adjoint`(S) / N with the node sums S[j,
+    slot] = sum_{l in node} c_l e^{-2 pi i j l / N}, 0 in virtual slots.
+    Given a `cache_key`, J keeps the phases and slots of its frequencies
+    under it, read-only, with the bytes a per-call read forms.  A plan with
+    no pivots (one node, whose sums are the samples) and a signal with
+    energy in no node are read by `sample_block`."""
+    if isinstance(source, BandlimitedSignal) and plan.used and source.N == J.N:
+        l, A = source._l, plan.n_slots
 
-    A `BandlimitedSignal` builds the grid from its group sums
-    (`BandlimitedSignal.sample_grid`), whose phase tables for these offsets
-    and shifts it keeps on the support, so a plan's repeated reads reuse
-    them; a dense vector or a callback is read once at all
-    len(shifts) * len(offsets) locations.
-    """
-    if isinstance(source, BandlimitedSignal):
-        if source.N != N:
-            raise InvalidInputError("signal modulus does not match support")
-        return source.sample_grid(offsets, shifts)
-    return _fetch(source, locations, N).reshape(len(shifts), len(offsets))
+        def make(_tree=None):
+            residues, res = plan.slot_residues[slots], l % (1 << plan.level)  # node residues ascend
+            node = np.minimum(np.searchsorted(residues, res), len(residues) - 1)
+            if (residues[node] != res).any():
+                return None
+            flat = slots[node] + A * np.arange(len(shifts))[:, None]  # S.flat position
+            index = (2 * flat[:, :, None] + np.arange(2)).reshape(-1)  # its real and imaginary part
+            phases = fourier_kernel(shifts, l, J.N)
+            index.flags.writeable = phases.flags.writeable = False
+            return index, phases
+
+        cached = cache_key is not None and np.array_equal(l, J.as_array())
+        entry = memoized(J, cache_key, make)[0] if cached else make()
+        if entry is not None:
+            w = (entry[1] * source.coeffs).view(np.float64).reshape(-1)
+            S = np.bincount(entry[0], w, 2 * len(shifts) * A).view(np.complex128)
+            return _butterfly_adjoint(plan, S.reshape(len(shifts), A)) / J.N
+    return _fetch(source, locations, J.N).reshape(len(shifts), -1)
 
 
 def butterfly_ops(stages: int, rows: int, A: int) -> tuple[int, int]:
@@ -289,15 +310,7 @@ def _butterfly_pass(plan: ButterflyPlan, v: np.ndarray) -> np.ndarray:
     """
     rows, A = v.shape
     stages = len(plan.used)
-    buffers: list[np.ndarray] = []
-
-    def spare(w: np.ndarray) -> np.ndarray:
-        for b in buffers:
-            if b is not w:
-                return b
-        buffers.append(np.empty((rows, A), dtype=np.complex128))
-        return buffers[-1]
-
+    spare = _spare_buffers(rows, A)
     runs = {j: (m, table) for j, m, table in plan.runs}
     k = 0
     while k < stages:
@@ -318,6 +331,50 @@ def _butterfly_pass(plan: ButterflyPlan, v: np.ndarray) -> np.ndarray:
             np.add(a[..., 0], t, out=b[:, 1])
             k += 1
     return v if stages else v.copy()
+
+
+def _butterfly_adjoint(plan: ButterflyPlan, v: np.ndarray) -> np.ndarray:
+    """T^H v for the pass T of `_butterfly_pass`, on every row: its stages
+    in reverse order, each conjugated and transposed.  A radix-2 stage k
+    maps the halves b0, b1 of a row to b0 + b1 and conj(twiddles[k]) (b1 -
+    b0) at u = 2h, 2h + 1; a run is an unscaled inverse `numpy.fft` back to
+    the layout before it, times its conjugate table.  v is only read."""
+    rows, A = v.shape
+    spare = _spare_buffers(rows, A)
+    runs = {j + m: (j, m, table) for j, m, table in plan.runs}  # by the stage after the run
+    k = len(plan.used)
+    while k:
+        if k in runs:
+            j, m, table = runs[k]
+            y = np.fft.ifft(v.reshape(rows, 1 << m, 1 << j, -1), axis=1, norm="forward")
+            a = y.transpose(0, 2, 3, 1)  # [p, h, n]
+            if table is None:
+                v = a.reshape(rows, A)
+            else:
+                v = spare(v)
+                np.multiply(a, table.T.conj()[:, None, :], out=v.reshape(a.shape))
+            k = j
+        else:
+            k -= 1
+            b = v.reshape(rows, 2, 1 << k, -1)
+            v = spare(v)
+            a = v.reshape(rows, 1 << k, -1, 2)
+            np.add(b[:, 0], b[:, 1], out=a[..., 0])
+            np.multiply(b[:, 1] - b[:, 0], plan.twiddles[k].conj()[:, None], out=a[..., 1])
+    return v
+
+
+def _spare_buffers(rows: int, A: int):
+    """spare(w): one of at most two (rows, A) buffers, not w, allocated on first use."""
+    buffers: list[np.ndarray] = []
+
+    def spare(w: np.ndarray) -> np.ndarray:
+        for b in buffers:
+            if b is not w:
+                return b
+        buffers.append(np.empty((rows, A), dtype=np.complex128))
+        return buffers[-1]
+    return spare
 
 
 def hidft(
@@ -345,7 +402,7 @@ def hidft(
     node_residues, node_index = _node_order(J, plan.level)
     shifts = np.asarray([shift], dtype=np.int64)
     locations = _grid_locations(offsets, shifts, J.N)
-    v = _butterfly_pass(plan, _read_grid(source, offsets, shifts, locations, J.N))[0]
+    v = _butterfly_pass(plan, _read_grid(source, J, plan, slots, shifts, locations))[0]
     if not np.isfinite(v[0]):  # a non-finite sample makes every slot so
         raise InvalidInputError("signal samples at the read locations are not finite")
     adds, mults = butterfly_ops(len(used), 1, plan.n_slots)

@@ -449,7 +449,8 @@ class SasResult:
     """One transform's coefficients (support order), plan, counted costs and
     node state.  plan_reused tells whether the call found its prepared plan
     cached on the support (see `sas_transform`); it is not a cost and stays
-    out of `report`."""
+    out of `report`.  A "sweep" plan's call holds its `_probe_error`, and
+    flagged tells whether it exceeds tolerance / _PROBE_MARGIN."""
 
     support: SupportSet
     coeffs: np.ndarray
@@ -457,6 +458,8 @@ class SasResult:
     report: CostReport
     nodes: NodeArrays
     plan_reused: bool = False
+    probe_error: float | None = None  # None: a "matrix" plan is not probed
+    flagged: bool = False
 
     def coeff_map(self) -> dict[int, complex]:
         return {int(j): complex(c) for j, c in zip(self.support.indices, self.coeffs)}
@@ -478,9 +481,8 @@ class _Prepared:
 
     plan: SasPlan
     report: CostReport
-    offsets: np.ndarray     # the pivoted pattern I_r
     shifts: np.ndarray      # j d mod N for j < mu*
-    locations: np.ndarray   # (offsets - shifts) mod N, row by row, flat
+    locations: np.ndarray   # (I_r - shifts) mod N, row by row, flat
     scale: float            # N / |I_r|
     butterfly: ButterflyPlan
     take: np.ndarray        # the nodes' butterfly slots
@@ -548,7 +550,7 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
         bound_hidft=C1 * len(rt) * (1 << len(rt)),
     )
     prepared = _Prepared(
-        plan, report, offsets, shifts, locations, scale, butterfly, take,
+        plan, report, shifts, locations, scale, butterfly, take,
         residues, bounds, members, coeff_index, read_index, factors, V, K,
     )
     for a in vars(prepared).values():
@@ -563,7 +565,7 @@ def _execute(p: _Prepared, source, J: SupportSet, tolerance: float):
     Counts nothing; the call's cost is p.report."""
     # row j: every slot's value under shift j d; p.take picks the decode-level
     # nodes from it by ascending residue
-    grid = _read_grid(source, p.offsets, p.shifts, p.locations, J.N)
+    grid = _read_grid(source, J, p.butterfly, p.take, p.shifts, p.locations, ("phases", p.plan.pivots))
     slots = _butterfly_pass(p.butterfly, grid)
     if not np.isfinite(slots[:, 0]).all():  # a non-finite sample makes its whole row so
         raise InvalidInputError("signal samples at the read locations are not finite")
@@ -608,7 +610,8 @@ def sas_transform(
     The plan fixes the pivots, mu* and the shift stride d (`choose_stride`,
     from J alone; d = 1 when mu* = 1).  Shift j reads samples at
     (I_r - j d) mod N.  All mu* x |I_r| samples are read as one grid (for a
-    `BandlimitedSignal`, from its group sums) and one butterfly pass
+    `BandlimitedSignal`, by the butterfly run backwards from its node sums,
+    see `hidft._read_grid`) and one butterfly pass
     transforms every row; it is charged the paper's radix-2 count,
     1.5 A log2 A per row with A = |I_r|, though runs of FFT_RUN or more
     consecutive pivots execute in `numpy.fft` (see `hidft`).  The nodes are
@@ -629,7 +632,10 @@ def sas_transform(
     when the signal has energy off J; nothing raises but a tolerance that
     is not finite and positive or a NaN or infinite sample read
     (InvalidInputError).  Nodes of weight mu*, and every node when mu* = 1,
-    have no spare row, so a wrong answer there goes unflagged.
+    have no spare row, so a "sweep" plan's call is also checked by probe
+    samples (`_probe_error`, uncounted), flagged when the statistic exceeds
+    tolerance / _PROBE_MARGIN (`SasResult.flagged`); on a "matrix" plan a
+    wrong answer on such a node goes unflagged.
 
     Plan once, execute per call.  Everything that depends on J alone is
     prepared once and cached on the `SupportSet` instance itself: the
@@ -639,10 +645,10 @@ def sas_transform(
     and Bjorck-Pereyra divisor factors (a sweep plan), and the call's cost
     report.  A call then reads the grid, runs the butterfly and decodes the
     node right-hand sides against what is stored.  A sample callback
-    receives the cached, read-only locations; a `BandlimitedSignal` on the
-    same instance finds the phase tables of its group sums cached there
-    too (`BandlimitedSignal.sample_grid`) and forms only their product with
-    its coefficients.  The cache is keyed by exactly what the plan reads:
+    receives the cached, read-only locations (a sweep plan's probes in a
+    second call); a `BandlimitedSignal` on J's frequencies finds the plan's
+    phases there too (`hidft._read_grid`, one entry per plan).  The cache
+    is keyed by exactly what the plan reads:
     the pivot vector, which is the explicit r or the one "pivots" entry of
     `select_pivots`; `tolerance` and `counter` act per call.  An invalid
     request stores nothing; a plan made before its samples raise stays
@@ -663,15 +669,17 @@ def sas_transform(
         raise InvalidInputError(f"tolerance must be finite and positive, not {tolerance!r}")
     prepared, reused = _prepared(J, select_pivots(J) if r is None else r)
     coeffs, nodes = _execute(prepared, source, J, tolerance)
+    probe = _probe_error(prepared, source, J, coeffs) if prepared.plan.decode == "sweep" else None
     if counter is not None:
         prepared.report.charge(counter)
-    return SasResult(J, coeffs, prepared.plan, prepared.report, nodes, reused)
+    return SasResult(J, coeffs, prepared.plan, prepared.report, nodes, reused, probe,
+                     probe is not None and not probe <= tolerance / _PROBE_MARGIN)
 
 
 def _probes(J: SupportSet, read: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The locations t of `submatrix_method`'s probe samples and their phase
-    rows e^{2 pi i t l / N} (l in J, support order), read-only; they depend
-    on J alone.
+    """The locations t of a plan's probe samples (`_probe_error`) and their
+    phase rows e^{2 pi i t l / N} (l in J, support order), read-only; they
+    depend on J and the plan alone.
 
     Probe i starts at the i-th of _PROBES seeded uniform draws from Z_N
     (evenly spaced starts miss where J's residues cluster) and moves on to
@@ -694,6 +702,24 @@ def _probes(J: SupportSet, read: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, rows
 
 
+def _probe_error(p: _Prepared, source, J: SupportSet, coeffs: np.ndarray) -> float:
+    """max_t |f(t) - synth(t)| N / max|c| over the plan's probe locations t
+    (`_probes`, cached on J under ("probe", pivots)), synth(t) = (1/N)
+    sum_l c_l e^{2 pi i t l / N} being the decoded spectrum's synthesis.
+    A dense vector is indexed at t, a `BandlimitedSignal` synthesizes the
+    samples, and a callback is called a second time, with the read-only t.
+    0 when k = N: every location is read and nothing can leak.  Raises
+    InvalidInputError when a probe sample is not finite."""
+    t, rows = memoized(J, ("probe", p.plan.pivots), lambda tree: _probes(J, p.locations), build_tree)[0]
+    if not len(t):
+        return 0.0
+    probed = _fetch(source, t, J.N)
+    if not np.isfinite(probed).all():
+        raise InvalidInputError("signal samples at the probe locations are not finite")
+    miss = float(np.abs(probed * J.N - rows @ coeffs).max())
+    return miss / max(float(np.abs(coeffs).max()), 1e-300)
+
+
 def submatrix_method(
     J: SupportSet,
     source,
@@ -713,18 +739,11 @@ def submatrix_method(
     Vandermonde rows: its one node has no spare row), hence the cap
     k <= SUBMATRIX_SIZE_CAP (2048).
 
-    The answer is then checked on _PROBES samples at locations t the
-    decode did not read (`_probes`, seeded, cached on J with phase rows): it
-    raises ContractViolationError when max_t |f(t) - synth(t)| N / max|c|
-    exceeds tolerance / _PROBE_MARGIN, synth(t) = (1/N) sum_l c_l
-    e^{2 pi i t l / N} being the decoded spectrum's synthesis.  That
-    catches a system out of reach in float64 and a signal with energy off
-    J alike.  The check is uncounted, like the node residuals of
-    `sas_transform`, so the report and the charges are the r = () plan's.
-    A dense vector is indexed at t, a `BandlimitedSignal` synthesizes the
-    samples, and a callback is called a second time, with the read-only t.
-    When k = N every location is read and J is all of Z_N, so nothing can
-    leak and the check is skipped.  Raises InvalidInputError when
+    The answer is then checked on probe samples the decode did not read:
+    it raises ContractViolationError when `_probe_error` exceeds tolerance
+    / _PROBE_MARGIN, which catches a system out of reach in float64 and a
+    signal with energy off J alike.  The check is uncounted, so the report
+    and the charges are the r = () plan's.  Raises InvalidInputError when
     tolerance is not finite and positive, k is over the cap or a sample
     read (probes included) is not finite.  A counter is charged as
     `sas_transform` charges it.
@@ -736,18 +755,12 @@ def submatrix_method(
         raise InvalidInputError(f"submatrix baseline capped at k <= {SUBMATRIX_SIZE_CAP}")
     prepared, _ = _prepared(J, ())
     coeffs, _ = _execute(prepared, source, J, tolerance)
-    t, rows = memoized(J, ("probe", ()), lambda tree: _probes(J, prepared.locations), build_tree)[0]
-    if len(t):
-        probed = _fetch(source, t, J.N)
-        if not np.isfinite(probed).all():
-            raise InvalidInputError("signal samples at the probe locations are not finite")
-        miss = float(np.abs(probed * J.N - rows @ coeffs).max())
-        error = miss / max(float(np.abs(coeffs).max()), 1e-300)
-        if not error <= tolerance / _PROBE_MARGIN:  # a NaN answer fails too
-            raise ContractViolationError(
-                f"submatrix answer out of reach (k={k}): probe samples miss its synthesis by "
-                f"{error:.1e} of the largest coefficient (ill-conditioned, or energy off J)"
-            )
+    error = _probe_error(prepared, source, J, coeffs)
+    if not error <= tolerance / _PROBE_MARGIN:  # a NaN answer fails too
+        raise ContractViolationError(
+            f"submatrix answer out of reach (k={k}): probe samples miss its synthesis by "
+            f"{error:.1e} of the largest coefficient (ill-conditioned, or energy off J)"
+        )
     if counter is not None:
         prepared.report.charge(counter)
     return coeffs

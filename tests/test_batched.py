@@ -4,8 +4,9 @@ The scalar Leja order and Bjorck-Pereyra sweep that the batched code
 replaced are kept here as oracles; on dense sources every batched layer
 must give their bytes, the solver also when one set of factors
 (`_bp_factors`) serves several right-hand sides (`_bp_apply`).  The
-group-sum sample grids are checked against the dense per-sample synthesis
-instead, so that the butterfly is never validated against its own algebra.
+sample grids of a BandlimitedSignal, synthesized by the butterfly run
+backwards, are checked against the dense per-sample synthesis instead, so
+that the butterfly is never validated against its own algebra.
 """
 
 import numpy as np
@@ -22,13 +23,16 @@ from structfft import (
     cli,
     gen_homogeneous,
     hidft,
+    pivots,
     sas_transform,
     select_pivots,
     submatrix_method,
     vandermonde_solve,
 )
 from structfft.bench import FIXTURES
-from structfft.hidft import _build_plan, _butterfly_pass, _grid_locations, _read_grid, butterfly_ops
+from structfft.hidft import (
+    _build_plan, _butterfly_entry, _butterfly_pass, _grid_locations, _read_grid, butterfly_ops,
+)
 from structfft.sampling import FFT_RUN, pattern_offsets
 from structfft.sas import (
     C1,
@@ -214,7 +218,7 @@ def assert_rows_equal_single_shift_hidft(J, x, r, shifts):
     single-shift `hidft` at shifts[b]; the per-row charges sum to the pass's."""
     plan, slots = _build_plan(build_tree(J, J.M).level_arrays(r[-1] + 1 if r else 0)[0], r)
     offsets = pattern_offsets(r, J.M)
-    grid = _read_grid(x, offsets, shifts, _grid_locations(offsets, shifts, J.N), J.N)
+    grid = _read_grid(x, J, plan, slots, shifts, _grid_locations(offsets, shifts, J.N))
     v = _butterfly_pass(plan, grid)
     nodes = v[:, slots]
     ref = OpCounter()
@@ -347,32 +351,35 @@ class TestLazyNodeSystems:
 # synthesis against independent oracles -------------------------------------------
 
 
-def random_offsets(M):
-    """Offsets sharing a random power-of-two factor, one of them odd multiple."""
-    t = int(rng.integers(0, M))
-    A = int(rng.integers(1, 40))
-    o = (rng.integers(0, 1 << (M - t), size=A) << t) % (1 << M)
-    o[0] = (1 << t) % (1 << M)
-    return o
+def synthesized_grid(sig, used, shifts):
+    """sig's grid for the pivots `used` (the butterfly run backwards), and
+    the dense per-sample synthesis at the same locations."""
+    J = sig.support
+    plan, slots, offsets = _butterfly_entry(J, used)
+    locations = _grid_locations(offsets, shifts, J.N)
+    got = _read_grid(sig, J, plan, slots, shifts, locations)
+    return got, sig.sample_block(locations).reshape(got.shape)
 
 
 class TestSampleGrid:
     def test_float_grid_equals_dense_synthesis(self):
+        # every height of the full pivot vector, so gapped pivots, runs of FFT_RUN
+        # and the no-pivot read all occur, at shifts beyond [0, N)
         for _ in range(60):
             J = random_support(M_lo=2, M_hi=13, k_hi=300)
             sig = BandlimitedSignal(J, rng.normal(size=len(J)) + 1j * rng.normal(size=len(J)))
-            o = random_offsets(J.M)
+            r = pivots(J)
+            used = r[:len(r) - int(rng.integers(0, len(r) + 1))]
             shifts = rng.integers(-J.N, 2 * J.N, size=int(rng.integers(1, 9)))
-            got = sig.sample_grid(o, shifts)
-            want = sig.sample_block((o[None, :] - shifts[:, None]).reshape(-1)).reshape(got.shape)
+            got, want = synthesized_grid(sig, used, shifts)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_pivot_pattern_grid(self):
         J = SupportSet.make(1 << 12, rng.choice(1 << 12, size=200, replace=False).tolist())
         r = select_pivots(J)
         sig = BandlimitedSignal(J, rng.normal(size=200) + 1j * rng.normal(size=200))
+        got, _ = synthesized_grid(sig, r, np.arange(6))
         o = pattern_offsets(r, J.M)
-        got = sig.sample_grid(o, np.arange(6))
         want = np.stack([sig.sample_block(o - j) for j in range(6)])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 

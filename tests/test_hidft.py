@@ -29,7 +29,7 @@ from structfft import (
     submatrix_unitarity,
 )
 from structfft import congruence
-from structfft.hidft import _build_plan, _butterfly_entry, _butterfly_pass, butterfly_ops
+from structfft.hidft import _build_plan, _butterfly_adjoint, _butterfly_entry, _butterfly_pass, butterfly_ops
 from structfft.sampling import FFT_RUN, fft_runs
 
 rng = np.random.default_rng(99)
@@ -519,6 +519,48 @@ class TestStockhamLayout:
         assert min(seen.values()) >= 10, seen
         if misses:
             warnings.warn(f"{len(misses)} plans rounded differently from the natural-order pass: {misses[:5]}")
+
+
+class TestButterflyAdjoint:
+    """`_butterfly_adjoint` is the conjugate transpose of `_butterfly_pass`,
+    which `_read_grid` runs to synthesize a BandlimitedSignal's grid."""
+
+    def test_inner_products_agree(self):
+        # <T g, s> = <g, T^H s> on every height of random, homogeneous and
+        # thinned supports, with runs of FFT_RUN pivots with and without a table
+        gen = np.random.default_rng(23)
+        seen = {"zero stages": 0, "virtual slots": 0, "run, no table": 0, "run, table": 0}
+        for t in range(120):
+            M = int(gen.integers(1, 13) if t % 2 else gen.integers(FFT_RUN + 4, 13))
+            if t % 4 == 1:
+                k = int(gen.integers(1, min(1 << M, 80) + 1))
+                J = SupportSet.make(1 << M, gen.choice(1 << M, size=k, replace=False).tolist())
+            else:
+                piv = run_pivots(gen, M) if t % 2 == 0 else sorted(
+                    gen.choice(M, size=int(gen.integers(0, M + 1)), replace=False).tolist())
+                J = gen_homogeneous(piv, M, int(gen.integers(0, 2**62)))
+                if t % 4 == 2:
+                    keep = gen.random(len(J)) < 0.7
+                    keep[0] = True
+                    J = SupportSet.make(J.N, np.asarray(J.indices)[keep].tolist())
+            r = pivots(J)
+            tree = build_tree(J, J.M)
+            for height in range(len(r) + 1):
+                used = r[:len(r) - height]
+                plan, _ = _build_plan(tree.level_arrays(used[-1] + 1 if used else 0)[0], used)
+                seen["zero stages"] += not used
+                seen["virtual slots"] += not plan.slot_real.all()
+                for _, _, table in plan.runs:
+                    seen["run, no table" if table is None else "run, table"] += 1
+                rows = int(gen.integers(1, 6))
+                g, v = (gen.standard_normal((2, rows, plan.n_slots))
+                        + 1j * gen.standard_normal((2, rows, plan.n_slots)))
+                before = v.tobytes()
+                Tg, Thv = _butterfly_pass(plan, g), _butterfly_adjoint(plan, v)
+                assert v.tobytes() == before  # the input is only read
+                lhs, rhs = np.vdot(v, Tg), np.vdot(Thv, g)
+                assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(Tg) * np.linalg.norm(v)
+        assert min(seen.values()) >= 5, seen
 
 
 def test_shift_must_be_an_integer():

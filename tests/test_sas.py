@@ -29,6 +29,7 @@ from structfft import (
 )
 from structfft.bench import FIXTURES
 from structfft import sas as sas_module
+from structfft.hidft import _read_grid
 from structfft.sas import C1, C2, _solve_ops
 
 rng = np.random.default_rng(4242)
@@ -225,14 +226,20 @@ class TestMismatch:
     m of them; the spare rows flag a signal with energy off J."""
 
     @staticmethod
-    def leaky(seed, leak):
+    def leaky_spectrum(seed, leak):
+        """J, the planted spectrum F on Z_N and its three off-J bins."""
         J = FamilySpec("random_subset", {"k": 256, "M": 14}, seed).build().support
-        c = draw_coefficients(len(J), np.random.default_rng(seed), nonzero=True)
         F = np.zeros(J.N, dtype=np.complex128)
-        F[J.as_array()] = c
+        F[J.as_array()] = draw_coefficients(len(J), np.random.default_rng(seed), nonzero=True)
         off = np.setdiff1d(np.arange(J.N), J.as_array())
-        F[np.random.default_rng(100 + seed).choice(off, size=3, replace=False)] = leak
-        return sas_transform(np.fft.ifft(F), J), c
+        bins = np.random.default_rng(100 + seed).choice(off, size=3, replace=False)
+        F[bins] = leak
+        return J, F, bins
+
+    @classmethod
+    def leaky(cls, seed, leak):
+        J, F, _ = cls.leaky_spectrum(seed, leak)
+        return sas_transform(np.fft.ifft(F), J), F[J.as_array()]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_off_support_bins_are_flagged(self, seed):
@@ -265,6 +272,24 @@ class TestMismatch:
         assert missed.size == 1
         assert np.diff(out.nodes.bounds)[missed[0]] == out.plan.mu_star == 8
         assert out.nodes.residual[missed[0]] <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bandlimited_leak_is_synthesized_and_flagged(self, seed):
+        # a BandlimitedSignal on J plus the three off-J bins, read through J's plan:
+        # where every bin's residue is a node of J (seeds 0-2) the grid is the
+        # butterfly run backwards, else (seed 3) sample_block's; either way the
+        # nodes are flagged as the dense leak's are, and no phases are kept
+        J, F, bins = self.leaky_spectrum(seed, 0.3)
+        L = SupportSet.make(J.N, sorted(J.indices + tuple(bins.tolist())))
+        sig = BandlimitedSignal(L, F[L.as_array()])
+        r = select_pivots(J)
+        p = sas_module._prepared(J, r)[0]
+        got = _read_grid(sig, J, p.butterfly, p.take, p.shifts, p.locations, ("phases", r))
+        want = sig.sample_block(p.locations).reshape(got.shape)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        out = sas_transform(sig, J)
+        assert (out.nodes.mismatch == self.leaky(seed, 0.3)[0].nodes.mismatch).all()
+        assert out.nodes.mismatch.any() and ("phases", r) not in J._memo
 
     @pytest.mark.parametrize("seed", range(4))
     def test_clean_twin_flags_nothing(self, seed):
