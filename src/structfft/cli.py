@@ -216,6 +216,8 @@ def cmd_transform(args) -> int:
         cost = out.report
         extra["plan"] = {f: getattr(out.plan, f)
                          for f in ("pivots", "decode_level", "mu_star", "stride", "cond_bound", "decode")}
+        # how the butterfly runs its stages: numpy.fft runs, fused groups, radix-2 stages
+        extra["plan"]["butterfly"] = _prepared(J, out.plan.pivots)[0].butterfly.layout
         extra["mismatch_nodes"] = int(out.nodes.mismatch.sum())
         extra["probe_error"], extra["flagged"] = out.probe_error, out.flagged  # None, False: matrix plan
     else:

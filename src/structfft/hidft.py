@@ -10,8 +10,11 @@ that are empty in the tree, so the count (`butterfly_ops`) never depends on
 the tree shape.  That count is the paper's radix-2 model, not a trace of
 the execution: a run of FFT_RUN or more consecutive pivots c..c+m-1 is
 exactly a 2^m-point DFT after a per-prefix pre-twiddle (Cooley-Tukey), and
-the pass hands it to `numpy.fft` (pocketfft, in C); shorter runs execute as
-radix-2 stages in numpy.
+the pass hands it to `numpy.fft` (pocketfft, in C).  The other stages are
+radix-2 steps, and a short stretch of them (g stages from stage j, see
+`fused_groups`) is one 2^g x 2^g matrix per j-bit slot prefix, which the
+pass applies with one `np.matmul`, as FFTW's codelets merge stages (Frigo
+and Johnson, Proc. IEEE 2005); the stages past the gate run one by one.
 
 The pass holds each row in Stockham's autosort order (Cochran et al.,
 "What is the fast Fourier transform?", 1967).  Before stage k a row is
@@ -30,11 +33,11 @@ stages stand on either side of it.
 
 The slot plan is read off the output nodes alone: the ascending node
 residues of `CongruenceTree.level_arrays` give each node its slot (its
-residue's bits at the used pivots), every stage its twiddles and every long
-run its pre-twiddle table.  A support caches its plan per pivot vector
-with the pattern offsets (`_butterfly_entry`), which `hidft` at any height
-and `sas_transform` read, and `hidft`'s node order per level
-(`_node_order`).
+residue's bits at the used pivots), every stage its twiddles, every long
+run its pre-twiddle table and every fused group its matrices.  A support
+caches its plan per pivot vector with the pattern offsets
+(`_butterfly_entry`), which `hidft` at any height and `sas_transform` read,
+and `hidft`'s node order per level (`_node_order`).
 
 A shift argument a computes the transform of the shifted signal tau^a f,
 i.e. the samples are read at locations I - a (mod N).  `_read_grid` and
@@ -48,6 +51,7 @@ passes count nothing: `hidft` charges `butterfly_ops`, and
 
 from __future__ import annotations
 
+import cmath
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
@@ -92,6 +96,33 @@ def _fetch(source, locations: np.ndarray, N: int) -> np.ndarray:
     return arr[locations].astype(np.complex128, copy=False)
 
 
+FUSE_STAGES = 4     # most radix-2 stages one fused product takes
+FUSE_PREFIXES = 16  # most per-prefix matrices of a fused group: it starts at a stage j <= 4
+
+
+def fused_groups(used: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """(j, g) of every group of g >= 2 radix-2 stages j..j+g-1 that the
+    butterfly over pivots `used` runs as one product (`_build_plan`).  A
+    stretch of stages outside the runs of `fft_runs` is fused up to the
+    stage where a group starting at 2^j = FUSE_PREFIXES would end, in the
+    fewest groups of at most FUSE_STAGES, their sizes as even as possible
+    and the larger first (5 stages: 3 + 2); the stages past it stay
+    radix-2.  Measured like FFT_RUN, at A = 64 to 8192 on calls that follow
+    `gc.collect()` and back to back (CHANGES.md): these groups beat or tie
+    radix-2 at every A, while a further group at j = 8 loses at A = 8192
+    on one row."""
+    reach = FUSE_PREFIXES.bit_length() - 1 + FUSE_STAGES  # no group ends past this stage
+    groups, k = [], 0
+    for j, m in fft_runs(used) + ((len(used), 0),):
+        end = min(j, reach)
+        while k + 2 <= end and 1 << k <= FUSE_PREFIXES:
+            g = -(-(end - k) // -(-(end - k) // FUSE_STAGES))  # ceil(n / ceil(n / FUSE_STAGES))
+            groups.append((k, g))
+            k += g
+        k = j + m
+    return tuple(groups)
+
+
 @dataclass(frozen=True)
 class ButterflyPlan:
     """Precomputed slot structure for the nodes at level used[-1] + 1, built
@@ -99,8 +130,13 @@ class ButterflyPlan:
 
     `runs` lists the runs of FFT_RUN or more consecutive pivots
     (`fft_runs`), which `_butterfly_pass` runs as one pre-twiddled
-    `numpy.fft` each; `twiddles` serves every other stage as a radix-2
-    step and holds None for the stages inside a run.  Its arrays are
+    `numpy.fft` each.  `fused` lists the groups of `fused_groups`: stages
+    j..j+g-1 as one `np.matmul` by the per-prefix matrices F, (2^j, 2^g,
+    2^g), F[p, q, e] the factor by which those stages carry the row's
+    sample e of slot prefix p into slot prefix p + q 2^j, and their
+    conjugates Fh for `_butterfly_adjoint`.  `twiddles` describes every
+    stage outside a run as a radix-2 step (None inside a run); the stages
+    of neither a run nor a group run as radix-2 steps.  Its arrays are
     read-only: J caches the plan (`_butterfly_entry`)."""
 
     used: tuple[int, ...]           # pivots merged by the butterfly, ascending
@@ -109,10 +145,20 @@ class ButterflyPlan:
     slot_real: np.ndarray           # which slots hold a node
     twiddles: tuple[np.ndarray | None, ...]  # stage k merges used[k]; size 2^k, None in a run
     runs: tuple[tuple[int, int, np.ndarray | None], ...]  # (j, m, pre-twiddle) per fft_runs(used)
+    fused: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]  # (j, g, F, Fh) per fused_groups(used)
 
     @property
     def n_slots(self) -> int:
         return 1 << len(self.used)
+
+    @property
+    def layout(self) -> dict[str, list]:
+        """How the pass runs its stages: the (j, m) of its `numpy.fft`
+        runs, the (j, g) of its fused groups and its radix-2 stages k."""
+        inside = {k for j, n, *_ in self.runs + self.fused for k in range(j, j + n)}
+        return {"fft_runs": [[j, m] for j, m, _ in self.runs],
+                "fused": [[j, g] for j, g, *_ in self.fused],
+                "radix2": [k for k in range(len(self.used)) if k not in inside]}
 
 
 def _build_plan(residues: np.ndarray, used: tuple[int, ...]) -> tuple[ButterflyPlan, np.ndarray]:
@@ -132,6 +178,15 @@ def _build_plan(residues: np.ndarray, used: tuple[int, ...]) -> tuple[ButterflyP
     holds e^{-2 pi i x_p n / 2^(c+m)} at [n, p], where x_p is slot prefix
     p's shared residue mod 2^c, for p < 2^j and n < 2^m; it is None when
     every x_p is 0.
+
+    A fused group of stages j..j+g-1 (`fused_groups`) is the product of
+    their radix-2 steps, one 2^g x 2^g matrix per j-bit prefix p.  Sample e
+    (bit i of e selects pivot used[j+i]) reaches slot prefix p + q 2^j
+    along one path, whose stage j+i multiplies it by e^{-2 pi i x_i /
+    2^(used[j+i]+1)} when bit i of e is set, x_i the residue of the prefix
+    after that stage (its parent's shared residue plus bit i of q at
+    used[j+i]).  So F[p, q, e] is one exponential of the exact phase sum,
+    taken in integers mod 2^(used[j+g-1]+1), and has modulus 1.
     """
     s = len(used)
     long_runs = fft_runs(used)
@@ -141,8 +196,10 @@ def _build_plan(residues: np.ndarray, used: tuple[int, ...]) -> tuple[ButterflyP
         slots |= ((residues >> rk) & 1) << i
     reps = residues[:1]
     twiddles: list[np.ndarray | None] = []
+    shares = []  # stage k's shared residue per k-bit prefix
     for k, rk in enumerate(used, start=1):
         shared = reps % (1 << rk)
+        shares.append(shared)
         twiddles.append(None if k - 1 in in_run else
                         np.exp(-2j * np.pi * (shared + (1 << rk)) / float(1 << (rk + 1))))
         branch = (np.arange(1 << k) >> (k - 1)) & 1
@@ -161,10 +218,22 @@ def _build_plan(residues: np.ndarray, used: tuple[int, ...]) -> tuple[ButterflyP
             phase = (np.arange(1 << m)[:, None] * x) % (1 << (c + m))
             table = np.exp(-2j * np.pi * phase / float(1 << (c + m)))
         runs.append((j, m, table))
-    for a in (slots, slot_residues, slot_real, *twiddles, *(t for _, _, t in runs)):
+    fused = []
+    for j, g in fused_groups(used):
+        top = used[j + g - 1] + 1
+        p, q = np.arange(1 << j)[:, None, None], np.arange(1 << g)[:, None]
+        phase = np.zeros((1 << j, 1 << g, 1 << g), dtype=np.int64)
+        for i, rk in enumerate(used[j:j + g]):
+            x = shares[j + i][p + ((q & ((1 << i) - 1)) << j)] + (((q >> i) & 1) << rk)
+            phase = (phase + (x << (top - 1 - rk)) * ((q.T >> i) & 1)) & ((1 << top) - 1)
+        F = np.exp(-2j * np.pi * phase / float(1 << top))
+        fused.append((j, g, F, F.conj()))
+    for a in (slots, slot_residues, slot_real, *twiddles, *(t for _, _, t in runs),
+              *(f for *_, F, Fh in fused for f in (F, Fh))):
         if a is not None:
             a.flags.writeable = False
-    return ButterflyPlan(used, level, slot_residues, slot_real, tuple(twiddles), tuple(runs)), slots
+    return ButterflyPlan(used, level, slot_residues, slot_real, tuple(twiddles), tuple(runs),
+                         tuple(fused)), slots
 
 
 def _butterfly_entry(
@@ -239,18 +308,25 @@ def _grid_locations(offsets: np.ndarray, shifts: np.ndarray, N: int) -> np.ndarr
 
 
 def _read_grid(source, J: SupportSet, plan: ButterflyPlan, slots: np.ndarray, shifts: np.ndarray,
-               locations: np.ndarray, cache_key=None) -> np.ndarray:
-    """Samples f(o - j) for every shift j (rows) and offset o of `plan`'s
-    pattern (columns); a dense vector or a callback is read at the
-    `_grid_locations`.  A `BandlimitedSignal` runs the butterfly backwards
-    (transposition principle; Bostan, Lecerf and Schost, ISSAC 2003): the
-    pass's column at a node's slot is e^{-2 pi i l o / N} for every l in the
-    node, so the grid is `_butterfly_adjoint`(S) / N with the node sums S[j,
-    slot] = sum_{l in node} c_l e^{-2 pi i j l / N}, 0 in virtual slots.
-    Given a `cache_key`, J keeps the phases and slots of its frequencies
-    under it, read-only, with the bytes a per-call read forms.  A plan with
-    no pivots (one node, whose sums are the samples) and a signal with
-    energy in no node are read by `sample_block`."""
+               locations: np.ndarray, cache_key=None, scale: float = 1.0) -> np.ndarray:
+    """Samples f(o - j) times `scale` for every shift j (rows) and offset o
+    of `plan`'s pattern (columns); a dense vector or a callback is read at
+    the `_grid_locations` and scaled on its float64 view, so the grid stays
+    complex128 and an infinite sample warns of nothing.  A
+    `BandlimitedSignal` runs the butterfly backwards (transposition
+    principle; Bostan, Lecerf and Schost, ISSAC 2003): the pass's column at
+    a node's slot is e^{-2 pi i l o / N} for every l in the node, so the
+    grid is `_butterfly_adjoint`(S) with the node sums S[j, slot] = (scale /
+    N) sum_{l in node} c_l e^{-2 pi i j l / N}, 0 in virtual slots; the
+    factor scale / N rides in the phases.  With a power-of-two scale, as
+    every caller's is (1 for `hidft`, N / |I_r| for `sas_transform`),
+    scaling the read instead of the pass's output changes no byte.  Given
+    a `cache_key`, J keeps the phases and slots of its frequencies under
+    it, read-only, with the bytes a per-call read forms; a key holds the
+    phases of one scale, so every read under it passes the same one.  A
+    signal that holds J's own index array skips the comparison with it.  A
+    plan with no pivots (one node, whose sums are the samples) and a signal
+    with energy in no node are read by `sample_block`."""
     if isinstance(source, BandlimitedSignal) and plan.used and source.N == J.N:
         l, A = source._l, plan.n_slots
 
@@ -261,17 +337,21 @@ def _read_grid(source, J: SupportSet, plan: ButterflyPlan, slots: np.ndarray, sh
                 return None
             flat = slots[node] + A * np.arange(len(shifts))[:, None]  # S.flat position
             index = (2 * flat[:, :, None] + np.arange(2)).reshape(-1)  # its real and imaginary part
-            phases = fourier_kernel(shifts, l, J.N)
+            phases = fourier_kernel(shifts, l, J.N) * (scale / J.N)
             index.flags.writeable = phases.flags.writeable = False
             return index, phases
 
-        cached = cache_key is not None and np.array_equal(l, J.as_array())
+        cached = cache_key is not None and (l is J.as_array() or np.array_equal(l, J.as_array()))
         entry = memoized(J, cache_key, make)[0] if cached else make()
         if entry is not None:
             w = (entry[1] * source.coeffs).view(np.float64).reshape(-1)
             S = np.bincount(entry[0], w, 2 * len(shifts) * A).view(np.complex128)
-            return _butterfly_adjoint(plan, S.reshape(len(shifts), A)) / J.N
-    return _fetch(source, locations, J.N).reshape(len(shifts), -1)
+            return _butterfly_adjoint(plan, S.reshape(len(shifts), A))
+    grid = _fetch(source, locations, J.N).reshape(len(shifts), -1)
+    if scale == 1.0:
+        return grid
+    # on the float64 view: an infinite sample times scale + 0j would make a NaN and warn
+    return (np.ascontiguousarray(grid).view(np.float64) * scale).view(np.complex128)
 
 
 def butterfly_ops(stages: int, rows: int, A: int) -> tuple[int, int]:
@@ -299,19 +379,27 @@ def _butterfly_pass(plan: ButterflyPlan, v: np.ndarray) -> np.ndarray:
     samples, in natural order there (`pattern_offsets`); the FFT writes
     frequency n of prefix p to slot prefix p + n 2^j, the row order after
     the run, so the output is transposed whenever radix-2 stages stand on
-    either side.  Complex products in numpy can round differently on
-    different layouts; tests/test_hidft.py keeps the natural-order pass of
-    earlier versions and checks that this one returns its bytes.
+    either side.  A fused group of `plan.fused` (stages j..j+g-1) views the
+    row as (2^j, L, 2^g), L = A / 2^(j+g), and takes one `np.matmul` of its
+    matrix F[p] by the transposed line a[p]^T, per row and prefix (never
+    one product over all rows, so a row's bytes do not depend on how many
+    there are); the product is written straight through a strided view
+    into the layout after the group, slot prefix p + q 2^j at [q, p, h].
+    Complex products in numpy can round differently on different layouts;
+    tests/test_hidft.py keeps the natural-order pass of earlier versions and
+    checks that this one returns its bytes on plans with no fused group,
+    and its values within 1e-12 on plans with one.
 
-    A radix-2 step or a pre-twiddle writes into one of at most two buffers,
-    each allocated the first time a stage writes one (none for a run with
-    no table), and `numpy.fft` returns a new array, so the grid v is only
-    read and the result is always a fresh array.
+    A radix-2 step, a fused group or a pre-twiddle writes into one of at
+    most two buffers, each allocated the first time a stage writes one
+    (none for a run with no table), and `numpy.fft` returns a new array, so
+    the grid v is only read and the result is always a fresh array.
     """
     rows, A = v.shape
     stages = len(plan.used)
     spare = _spare_buffers(rows, A)
     runs = {j: (m, table) for j, m, table in plan.runs}
+    fused = {j: (g, F) for j, g, F, _ in plan.fused}
     k = 0
     while k < stages:
         if k in runs:
@@ -322,6 +410,13 @@ def _butterfly_pass(plan: ButterflyPlan, v: np.ndarray) -> np.ndarray:
                 a = np.multiply(a, table.T[:, None, :], out=v.reshape(a.shape))
             v = np.fft.fft(a.transpose(0, 3, 1, 2), axis=1).reshape(rows, A)
             k += m
+        elif k in fused:
+            g, F = fused[k]
+            a = v.reshape(rows, 1 << k, -1, 1 << g)
+            v = spare(v)
+            out = v.reshape(rows, 1 << g, 1 << k, -1).transpose(0, 2, 1, 3)  # [p, q, h] of layout [q, p, h]
+            np.matmul(F, a.transpose(0, 1, 3, 2), out=out)
+            k += g
         else:
             a = v.reshape(rows, 1 << k, -1, 2)
             t = plan.twiddles[k][:, None] * a[..., 1]
@@ -337,14 +432,24 @@ def _butterfly_adjoint(plan: ButterflyPlan, v: np.ndarray) -> np.ndarray:
     """T^H v for the pass T of `_butterfly_pass`, on every row: its stages
     in reverse order, each conjugated and transposed.  A radix-2 stage k
     maps the halves b0, b1 of a row to b0 + b1 and conj(twiddles[k]) (b1 -
-    b0) at u = 2h, 2h + 1; a run is an unscaled inverse `numpy.fft` back to
+    b0) at u = 2h, 2h + 1; a fused group is one `np.matmul` of the strided
+    view [p, h, q] of its output layout by its conjugate matrices Fh[p]
+    (sum over q of conj(F[p, q, e]) b[q, p, h]), per row and prefix, into
+    the layout before it; a run is an unscaled inverse `numpy.fft` back to
     the layout before it, times its conjugate table.  v is only read."""
     rows, A = v.shape
     spare = _spare_buffers(rows, A)
     runs = {j + m: (j, m, table) for j, m, table in plan.runs}  # by the stage after the run
+    fused = {j + g: (j, g, Fh) for j, g, _, Fh in plan.fused}
     k = len(plan.used)
     while k:
-        if k in runs:
+        if k in fused:
+            j, g, Fh = fused[k]
+            b = v.reshape(rows, 1 << g, 1 << j, -1).transpose(0, 2, 3, 1)  # [p, h, q]
+            v = spare(v)
+            np.matmul(b, Fh, out=v.reshape(rows, 1 << j, -1, 1 << g))
+            k = j
+        elif k in runs:
             j, m, table = runs[k]
             y = np.fft.ifft(v.reshape(rows, 1 << m, 1 << j, -1), axis=1, norm="forward")
             a = y.transpose(0, 2, 3, 1)  # [p, h, n]
@@ -403,7 +508,7 @@ def hidft(
     shifts = np.asarray([shift], dtype=np.int64)
     locations = _grid_locations(offsets, shifts, J.N)
     v = _butterfly_pass(plan, _read_grid(source, J, plan, slots, shifts, locations))[0]
-    if not np.isfinite(v[0]):  # a non-finite sample makes every slot so
+    if not cmath.isfinite(v[0]):  # a non-finite sample makes every slot so
         raise InvalidInputError("signal samples at the read locations are not finite")
     adds, mults = butterfly_ops(len(used), 1, plan.n_slots)
     if counter is not None and adds:

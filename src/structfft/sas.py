@@ -23,6 +23,7 @@ same decode, read directly when mu* = 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -402,9 +403,10 @@ def _spare_rows(V: np.ndarray, y: np.ndarray, c: np.ndarray, sizes: np.ndarray) 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
     """The 2-norm of every row of a complex (B, n) array whose rows are
-    contiguous."""
-    f = a.view(np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", f, f))
+    contiguous: one `np.matmul` of each row's float64 view with itself, the
+    kernel the matrix decode runs."""
+    f = a.view(np.float64)[:, None, :]
+    return np.sqrt(np.matmul(f, f.transpose(0, 2, 1))[:, 0, 0])
 
 
 def _inverse_stack(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -483,7 +485,7 @@ class _Prepared:
     report: CostReport
     shifts: np.ndarray      # j d mod N for j < mu*
     locations: np.ndarray   # (I_r - shifts) mod N, row by row, flat
-    scale: float            # N / |I_r|
+    scale: float            # N / |I_r|, a power of two: the read scales the grid by it
     butterfly: ButterflyPlan
     take: np.ndarray        # the nodes' butterfly slots
     residues: np.ndarray    # NodeArrays.residues, .bounds, .members
@@ -496,10 +498,18 @@ class _Prepared:
     K: np.ndarray | None    # [W_b; R_b] of the same nodes; all three None if mu* = 1
 
 
-def _prepared(J: SupportSet, r: Sequence[int]) -> tuple[_Prepared, bool]:
-    """J's prepared plan for pivots r, and whether it was cached.  Its tree
-    is built through this module's `build_tree`, which perfbench/spans.py
-    traces."""
+def _prepared(J: SupportSet, r: Sequence[int] | None) -> tuple[_Prepared, bool]:
+    """J's prepared plan for pivots r (None: `select_pivots(J)`), and
+    whether it was cached.  The plan of r = None is also kept under
+    ("plan", None), the same object as under its pivots, so that a warm
+    call without r finds it in one lookup.  Its tree is built through this
+    module's `build_tree`, which perfbench/spans.py traces."""
+    if r is None:
+        if ("plan", None) in J._memo:
+            return J._memo[("plan", None)], True
+        prepared, reused = _prepared(J, select_pivots(J))
+        J._memo[("plan", None)] = prepared
+        return prepared, reused
     rt = validate_pivot_vector(r, J.M)
     return memoized(J, ("plan", rt), lambda tree: _prepare(J, tree, rt), build_tree)
 
@@ -561,22 +571,27 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
 
 def _execute(p: _Prepared, source, J: SupportSet, tolerance: float):
     """The sample-dependent half of `sas_transform` and `submatrix_method`:
-    the coefficients (support order) and the node state of one call.
-    Counts nothing; the call's cost is p.report."""
-    # row j: every slot's value under shift j d; p.take picks the decode-level
-    # nodes from it by ascending residue
-    grid = _read_grid(source, J, p.butterfly, p.take, p.shifts, p.locations, ("phases", p.plan.pivots))
+    the coefficients (support order) and the node state of one call.  The
+    read scale N / |I_r| is applied to the grid (`_read_grid`), and the
+    non-finite check reads one slot per row as Python complex numbers.
+    Counts nothing; the call's cost is p.report (its "read" and "solve"
+    scaling products included)."""
+    # row j: every slot's value under shift j d, read scale N / |I_r| included;
+    # p.take picks the decode-level nodes from it by ascending residue
+    grid = _read_grid(source, J, p.butterfly, p.take, p.shifts, p.locations, ("phases", p.plan.pivots),
+                      p.scale)
     slots = _butterfly_pass(p.butterfly, grid)
-    if not np.isfinite(slots[:, 0]).all():  # a non-finite sample makes its whole row so
+    # a non-finite sample makes its whole row so: every stage's factors have modulus 1
+    if not all(map(cmath.isfinite, slots[:, 0].tolist())):
         raise InvalidInputError("signal samples at the read locations are not finite")
 
     if p.read_index is not None:  # mu* = 1: every node has weight 1 and no spare row
-        coeffs = slots.reshape(-1).take(p.read_index) * p.scale
+        coeffs = slots.reshape(-1).take(p.read_index)
         residual = np.zeros(len(p.residues))
     else:
         # all mu* rows: a node of weight m is solved from rows 0..m-1, and
         # rows m..mu*-1 check it
-        y = slots.T[p.take] * p.scale
+        y = slots.T[p.take]
         if p.K is not None:
             out = np.matmul(p.K, y[:, :, None])[:, :, 0]
             c, spare = out[:, :p.plan.mu_star], out[:, p.plan.mu_star:]
@@ -640,22 +655,29 @@ def sas_transform(
     Plan once, execute per call.  Everything that depends on J alone is
     prepared once and cached on the `SupportSet` instance itself: the
     congruence tree, the pivot choice, the plan and stride, the sample
-    locations, the butterfly plan and slots (shared with `hidft`), the
-    node layout, the nodes' inverses (a matrix plan) or their Leja orders
-    and Bjorck-Pereyra divisor factors (a sweep plan), and the call's cost
-    report.  A call then reads the grid, runs the butterfly and decodes the
-    node right-hand sides against what is stored.  A sample callback
-    receives the cached, read-only locations (a sweep plan's probes in a
-    second call); a `BandlimitedSignal` on J's frequencies finds the plan's
-    phases there too (`hidft._read_grid`, one entry per plan).  The cache
-    is keyed by exactly what the plan reads:
-    the pivot vector, which is the explicit r or the one "pivots" entry of
-    `select_pivots`; `tolerance` and `counter` act per call.  An invalid
-    request stores nothing; a plan made before its samples raise stays
-    cached.  Cached arrays are read-only, and `SasResult.nodes` shares
-    them.  The cache is never pickled and lives exactly as long as the
-    `SupportSet` instance; an equal but distinct instance prepares its own.  No call writes into its
-    source: a dense vector, the array a callback returns or a
+    locations, the butterfly plan and slots (shared with `hidft`, fused
+    groups' matrices included), the node layout, the nodes' inverses (a
+    matrix plan) or their Leja orders and Bjorck-Pereyra divisor factors (a
+    sweep plan), and the call's cost report.  A warm call then reads the
+    grid, runs the butterfly and decodes the node right-hand sides against
+    what is stored, on few numpy kernels: the fused groups and the matrix
+    decode run the same `np.matmul`, and so do the residual norms.  A
+    sample callback receives the cached, read-only locations (a sweep
+    plan's probes in a second call); a `BandlimitedSignal` on J's
+    frequencies finds the plan's phases there too, the read scale N / |I_r|
+    folded in (`hidft._read_grid`, one entry per plan), and one that holds
+    J's own index array is not compared with it.  The cache is keyed by
+    exactly what the plan reads: the pivot vector, which is the explicit r
+    or the one "pivots" entry of `select_pivots`; the plan of a call
+    without r is also kept under ("plan", None), the same object, so a
+    warm call without r finds it in one lookup.  `policy` and `tolerance`
+    are checked on every call, and a sweep plan's call is probed and a
+    counter charged on every call, warm or cold.  An invalid request stores
+    nothing; a plan made before its samples raise stays cached.  Cached
+    arrays are read-only, and `SasResult.nodes` shares them.  The cache is
+    never pickled and lives exactly as long as the `SupportSet` instance;
+    an equal but distinct instance prepares its own.  No call writes into
+    its source: a dense vector, the array a callback returns or a
     `BandlimitedSignal`'s coefficients.
     Every call, cold or warm, returns the same bytes and the same report,
     the plan's, so it is always this call's own even when `counter` spans
@@ -667,7 +689,7 @@ def sas_transform(
         raise InvalidInputError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if not 0 < tolerance < math.inf:  # NaN too: it would switch the mismatch flag off
         raise InvalidInputError(f"tolerance must be finite and positive, not {tolerance!r}")
-    prepared, reused = _prepared(J, select_pivots(J) if r is None else r)
+    prepared, reused = _prepared(J, r)
     coeffs, nodes = _execute(prepared, source, J, tolerance)
     probe = _probe_error(prepared, source, J, coeffs) if prepared.plan.decode == "sweep" else None
     if counter is not None:

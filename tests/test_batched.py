@@ -33,7 +33,7 @@ from structfft.bench import FIXTURES
 from structfft.hidft import (
     _build_plan, _butterfly_entry, _butterfly_pass, _grid_locations, _read_grid, butterfly_ops,
 )
-from structfft.sampling import FFT_RUN, pattern_offsets
+from structfft.sampling import FFT_RUN, fft_runs, pattern_offsets
 from structfft.sas import (
     C1,
     C2,
@@ -256,6 +256,33 @@ class TestButterflyBatch:
             assert plan.runs and plan.runs[0][:2] == (j, FFT_RUN + t % 3)
             tables += plan.runs[0][2] is not None
         assert tables >= 6
+
+    def test_rows_equal_single_shift_hidft_on_fused_groups(self):
+        # gapped homogeneous supports, thinned or not: the pass fuses stretches
+        # of radix-2 stages into per-prefix products, batched per row, so a row
+        # has the bytes of its single-shift hidft; 9 or more pivots leave the
+        # stages past the gate radix-2
+        gen = np.random.default_rng(11)
+        layouts = set()
+        for t in range(16):
+            M = int(gen.integers(6, 15))
+            while True:
+                r = tuple(sorted(gen.choice(M, size=int(gen.integers(2, min(M - M // FFT_RUN, 11) + 1)),
+                                            replace=False).tolist()))
+                if not fft_runs(r):
+                    break
+            J = gen_homogeneous(r, M, int(gen.integers(0, 2**62)))
+            if t % 2:
+                keep = gen.random(len(J)) < 0.7
+                keep[0] = True
+                J = SupportSet.make(J.N, np.asarray(J.indices)[keep].tolist())
+            x = gen.standard_normal(J.N) + 1j * gen.standard_normal(J.N)
+            r = pivots(J)
+            shifts = np.concatenate([np.arange(5), gen.integers(-J.N, 2 * J.N, size=4)])
+            plan = assert_rows_equal_single_shift_hidft(J, x, r, shifts)
+            assert plan.fused
+            layouts.add(bool(plan.layout["radix2"]))
+        assert layouts == {False, True}
 
     def test_callable_reads_once(self):
         J = SupportSet.make(1 << 10, [0, 1, 6, 7, 512, 300, 301])

@@ -135,3 +135,19 @@ def test_sas_plan_names_its_decode(tmp_path, capsys):
         out = json.loads(capsys.readouterr().out)
         assert out["plan"]["decode"] == decode
         assert "decode" not in out["cost"]
+
+
+def test_sas_plan_reports_its_butterfly_layout(tmp_path, capsys):
+    # the two homogeneous signals of the CI round trip: gapped pivots 0, 2, 3, 6, 8
+    # run as two fused groups; pivots 0, 2..8, 10 as a radix-2 stage, a numpy.fft
+    # run of 7 and a radix-2 stage
+    for pivots, layout in (
+        ([0, 2, 3, 6, 8], {"fft_runs": [], "fused": [[0, 3], [3, 2]], "radix2": []}),
+        ([0, 2, 3, 4, 5, 6, 7, 8, 10], {"fft_runs": [[1, 7]], "fused": [], "radix2": [0, 8]}),
+    ):
+        support, signal = tmp_path / "support.json", tmp_path / "signal.json"
+        assert cli.main(["gen", "--kind", "homogeneous", "--params", json.dumps({"pivots": pivots, "M": 12}),
+                         "--seed", "3", "--out", str(support), "--signal", str(signal)]) == 0
+        capsys.readouterr()
+        assert cli.main(["transform", "--signal", str(signal), "--algo", "sas"]) == 0
+        assert json.loads(capsys.readouterr().out)["plan"]["butterfly"] == layout

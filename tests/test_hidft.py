@@ -29,7 +29,10 @@ from structfft import (
     submatrix_unitarity,
 )
 from structfft import congruence
-from structfft.hidft import _build_plan, _butterfly_adjoint, _butterfly_entry, _butterfly_pass, butterfly_ops
+from structfft.hidft import (
+    FUSE_PREFIXES, FUSE_STAGES, _build_plan, _butterfly_adjoint, _butterfly_entry, _butterfly_pass,
+    butterfly_ops, fused_groups,
+)
 from structfft.sampling import FFT_RUN, fft_runs
 
 rng = np.random.default_rng(99)
@@ -466,26 +469,50 @@ def run_pivots(gen, M):
     return below + list(range(c, c + m)) + above
 
 
+def gapped_pivots(gen, M, s):
+    """s levels below M (at most M - M // FFT_RUN of them) that hold no run
+    of FFT_RUN consecutive levels, so every stage of the pass is radix-2 or
+    fused."""
+    s = min(s, M - M // FFT_RUN)
+    while True:
+        r = tuple(sorted(gen.choice(M, size=s, replace=False).tolist()))
+        if not fft_runs(r):
+            return r
+
+
 class TestStockhamLayout:
     """The pass runs its stages in Stockham order and its long runs on
-    contiguous lines; on every plan it must return the bytes of the
-    natural-order pass it replaced.  numpy's complex products can round
-    differently by operand layout on some SIMD paths, so a case that misses
-    in the last bit is reported and held to 1e-12 of the oracle instead."""
+    contiguous lines; on every plan with no fused group it must return the
+    bytes of the natural-order pass it replaced.  numpy's complex products
+    can round differently by operand layout on some SIMD paths, so a case
+    that misses in the last bit is reported and held to 1e-12 of the oracle
+    instead.  A fused group sums 2^g products where its radix-2 stages
+    rounded g times, so a plan with one is held to 1e-12 of the
+    natural-order pass and of `hidft_oracle`, and not reported."""
 
     def test_bytes_equal_natural_order_pass(self):
         gen = np.random.default_rng(19)
         misses = []
         seen = {"random": 0, "thinned": 0, "run at 0": 0, "run after 0": 0, "run inside": 0,
-                "table inside": 0}
-        for t in range(240):
+                "table inside": 0, "fused": 0, "unfused": 0, "radix-2 past the gate": 0}
+
+        def assert_hidft_matches_oracle(J, r, height, seed):
+            x = np.random.default_rng(seed).standard_normal(J.N).astype(np.complex128)
+            res, ref = hidft(x, J, r, height=height), hidft_oracle(x, J, r, height=height)
+            scale = np.max(np.abs(ref.node_values))
+            assert np.max(np.abs(res.node_values - ref.node_values)) <= 1e-12 * scale
+
+        for t in range(252):
             M = int(gen.integers(1, 13) if t % 3 < 2 else gen.integers(FFT_RUN + 4, 13))
-            if t % 3 == 0:
+            if t % 3 == 0 and t < 240:
                 k = int(gen.integers(1, min(1 << M, 80) + 1))
                 J = SupportSet.make(1 << M, gen.choice(1 << M, size=k, replace=False).tolist())
                 seen["random"] += 1
             else:
-                if t % 3 == 1:
+                if t >= 240:  # 9 to 11 gapped pivots: fused groups, then radix-2 stages past the gate
+                    M = int(gen.integers(11, 15))
+                    piv = gapped_pivots(gen, M, int(gen.integers(9, 12)))
+                elif t % 3 == 1:
                     piv = sorted(gen.choice(M, size=int(gen.integers(0, M + 1)), replace=False).tolist())
                 else:
                     piv = run_pivots(gen, M)
@@ -504,18 +531,20 @@ class TestStockhamLayout:
                     inside = 0 < j and j + m < len(used)  # radix-2 stages on both sides
                     seen["run inside" if inside else "run at 0" if j == 0 else "run after 0"] += 1
                     seen["table inside"] += inside and table is not None
+                seen["fused" if plan.fused else "unfused"] += 1
+                seen["radix-2 past the gate"] += bool(plan.fused) and bool(plan.layout["radix2"])
+                if plan.fused:
+                    assert_hidft_matches_oracle(J, r, height, t)
                 for rows in (1, 9):
                     shape = (rows, 1 << len(used))
                     grid = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
                     got, want = _butterfly_pass(plan, grid), natural_order_pass(plan, grid)
-                    if got.tobytes() != want.tobytes():
+                    if got.tobytes() == want.tobytes():
+                        continue
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (J, used, rows)
+                    if not plan.fused:
                         misses.append((J.N, len(J), used, rows))
-                        scale = np.max(np.abs(want))
-                        assert np.max(np.abs(got - want)) <= 1e-12 * scale, (J, used, rows)
-                        x = np.random.default_rng(len(misses)).standard_normal(J.N).astype(np.complex128)
-                        res, ref = hidft(x, J, r, height=height), hidft_oracle(x, J, r, height=height)
-                        scale = np.max(np.abs(ref.node_values))
-                        assert np.max(np.abs(res.node_values - ref.node_values)) <= 1e-12 * scale
+                        assert_hidft_matches_oracle(J, r, height, len(misses))
         assert min(seen.values()) >= 10, seen
         if misses:
             warnings.warn(f"{len(misses)} plans rounded differently from the natural-order pass: {misses[:5]}")
@@ -527,12 +556,17 @@ class TestButterflyAdjoint:
 
     def test_inner_products_agree(self):
         # <T g, s> = <g, T^H s> on every height of random, homogeneous and
-        # thinned supports, with runs of FFT_RUN pivots with and without a table
+        # thinned supports, with runs of FFT_RUN pivots with and without a
+        # table, fused groups, and radix-2 stages past the fusion gate
         gen = np.random.default_rng(23)
-        seen = {"zero stages": 0, "virtual slots": 0, "run, no table": 0, "run, table": 0}
-        for t in range(120):
+        seen = {"zero stages": 0, "virtual slots": 0, "run, no table": 0, "run, table": 0, "fused": 0,
+                "radix-2 past the gate": 0}
+        for t in range(132):
             M = int(gen.integers(1, 13) if t % 2 else gen.integers(FFT_RUN + 4, 13))
-            if t % 4 == 1:
+            if t >= 120:  # 9 to 11 pivots, no run: stages past the gate stay radix-2
+                J = gen_homogeneous(gapped_pivots(gen, 14, int(gen.integers(9, 12))), 14,
+                                    int(gen.integers(0, 2**62)))
+            elif t % 4 == 1:
                 k = int(gen.integers(1, min(1 << M, 80) + 1))
                 J = SupportSet.make(1 << M, gen.choice(1 << M, size=k, replace=False).tolist())
             else:
@@ -550,6 +584,8 @@ class TestButterflyAdjoint:
                 plan, _ = _build_plan(tree.level_arrays(used[-1] + 1 if used else 0)[0], used)
                 seen["zero stages"] += not used
                 seen["virtual slots"] += not plan.slot_real.all()
+                seen["fused"] += bool(plan.fused)
+                seen["radix-2 past the gate"] += bool(plan.fused) and bool(plan.layout["radix2"])
                 for _, _, table in plan.runs:
                     seen["run, no table" if table is None else "run, table"] += 1
                 rows = int(gen.integers(1, 6))
@@ -561,6 +597,60 @@ class TestButterflyAdjoint:
                 lhs, rhs = np.vdot(v, Tg), np.vdot(Thv, g)
                 assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(Tg) * np.linalg.norm(v)
         assert min(seen.values()) >= 5, seen
+
+
+class TestFusedGroups:
+    """Stretches of radix-2 stages run as one product by per-prefix
+    matrices (`fused_groups`).  `TestStockhamLayout` and
+    `TestButterflyAdjoint` check the pass and its adjoint on fused plans,
+    and tests/test_batched.py that a row's bytes do not depend on the
+    other rows."""
+
+    def test_groups_follow_the_gate(self):
+        assert fused_groups((0, 2, 3, 6, 8)) == ((0, 3), (3, 2))
+        assert fused_groups((0, 1, 2, 3, 5, 7)) == ((0, 3), (3, 3))
+        assert fused_groups((0, 1, 3, 4, 6, 7, 9)) == ((0, 4), (4, 3))
+        assert fused_groups(tuple(range(0, 26, 2))) == ((0, 4), (4, 4))  # A = 8192: stages 8..12 radix-2
+        assert fused_groups((0, 2, 3, 4, 5, 6, 7, 8, 10)) == ()  # stage 0, a run, stage 8
+        assert fused_groups((0, 2, 4, 5, 6, 7, 8, 9)) == ((0, 2),)  # two stages, then a run
+        assert fused_groups((0,)) == fused_groups(()) == ()
+        gen = np.random.default_rng(31)
+        for _ in range(200):
+            M = int(gen.integers(1, 20))
+            r = tuple(sorted(gen.choice(M, size=int(gen.integers(0, M + 1)), replace=False).tolist()))
+            runs = {k for j, m in fft_runs(r) for k in range(j, j + m)}
+            covered = [k for j, g in fused_groups(r) for k in range(j, j + g)]
+            assert len(covered) == len(set(covered)) and not runs & set(covered)
+            for j, g in fused_groups(r):
+                assert 2 <= g <= FUSE_STAGES and 1 << j <= FUSE_PREFIXES
+
+    def test_matrices_are_read_only_in_the_frozen_plan(self):
+        gen = np.random.default_rng(37)
+        for t in range(30):
+            M = int(gen.integers(3, 13))
+            J = gen_homogeneous(gapped_pivots(gen, M, int(gen.integers(2, min(M, 9) + 1))), M,
+                                int(gen.integers(0, 2**62)))
+            r = pivots(J)
+            plan = _butterfly_entry(J, r)[0]
+            assert plan.fused and _butterfly_entry(J, r)[0] is plan  # cached on J
+            for j, g, F, Fh in plan.fused:
+                assert F.shape == Fh.shape == (1 << j, 1 << g, 1 << g)
+                assert not F.flags.writeable and not Fh.flags.writeable
+                with pytest.raises(ValueError):
+                    F[0, 0, 0] = 0
+                assert Fh.tobytes() == F.conj().tobytes()
+                assert np.max(np.abs(np.abs(F) - 1)) <= 1e-15
+            with pytest.raises(AttributeError):
+                plan.fused = ()
+
+    def test_layout_names_every_stage_once(self):
+        for r, layout in (
+            ((0, 2, 3, 6, 8), {"fft_runs": [], "fused": [[0, 3], [3, 2]], "radix2": []}),
+            ((0, 2, 3, 4, 5, 6, 7, 8, 10), {"fft_runs": [[1, 7]], "fused": [], "radix2": [0, 8]}),
+            (tuple(range(0, 22, 2)), {"fft_runs": [], "fused": [[0, 4], [4, 4]], "radix2": [8, 9, 10]}),
+        ):
+            J = gen_homogeneous(r, r[-1] + 1, 3)
+            assert _butterfly_entry(J, r)[0].layout == layout
 
 
 def test_shift_must_be_an_integer():

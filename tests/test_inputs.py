@@ -202,10 +202,17 @@ def test_warm_call_does_not_copy_a_float64_source():
 
 HOMOG = SUPPORTS[2].support  # plans mu* = 1
 ALIASED = SupportSet.make(64, [1, 3, 9, 17, 40])  # plans mu* = 3
+# pivots 0, 2..7, 9 and a copy of the set at N / 2: mu* = 2 under r = RUN_PIVOTS,
+# whose butterfly is a radix-2 stage, a numpy.fft run and a radix-2 stage
+RUN_PIVOTS = (0, 2, 3, 4, 5, 6, 7, 9)
+_RUN_HALF = gen_homogeneous(RUN_PIVOTS, 11, 3)
+RUN_ALIASED = SupportSet.make(2048, set(_RUN_HALF.indices) | {(j + 1024) % 2048 for j in _RUN_HALF.indices})
 NONFINITE = {
     "sas-mu1": (HOMOG, lambda J, x: sas_transform(x, J).coeffs),
     "sas-mu3": (ALIASED, lambda J, x: sas_transform(x, J).coeffs),
+    "sas-run": (RUN_ALIASED, lambda J, x: sas_transform(x, J, r=RUN_PIVOTS).coeffs),
     "hidft": (HOMOG, lambda J, x: hidft(x, J, pivots(J)).slot_values),
+    "hidft-run": (RUN_ALIASED, lambda J, x: hidft(x, J, RUN_PIVOTS).slot_values),
     "submatrix": (ALIASED, lambda J, x: submatrix_method(J, x)),  # probes included
 }
 
@@ -215,8 +222,20 @@ def test_nonfinite_cases_plan_mu_star_1_and_3():
     assert sas.SasPlan.plan(ALIASED, sas.select_pivots(ALIASED)).mu_star == 3
 
 
+def test_nonfinite_cases_cover_fused_run_and_radix2_stages():
+    # the check reads one slot per row; every stage kind must carry a
+    # non-finite sample there, fused groups by matrices of modulus-1 entries
+    layouts = {J: _butterfly_entry(J, r)[0].layout
+               for J, r in ((HOMOG, pivots(HOMOG)), (ALIASED, sas.select_pivots(ALIASED)),
+                            (RUN_ALIASED, RUN_PIVOTS))}
+    assert layouts[HOMOG] == {"fft_runs": [], "fused": [[0, 4]], "radix2": []}
+    assert layouts[ALIASED] == {"fft_runs": [], "fused": [[0, 2]], "radix2": []}
+    assert layouts[RUN_ALIASED] == {"fft_runs": [[1, 6]], "fused": [], "radix2": [0, 7]}
+    assert sas.SasPlan.plan(RUN_ALIASED, RUN_PIVOTS).mu_star == 2
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the raise comes with no numpy warning
-@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf), -np.inf])
 @pytest.mark.parametrize("case", sorted(NONFINITE))
 def test_nonfinite_sample_read_raises(case, value):
     J, run = NONFINITE[case]

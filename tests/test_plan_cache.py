@@ -150,7 +150,9 @@ def memo_snapshot(J):
     ({"r": (1,)}, ContractViolationError),
     ({"r": (2, 1)}, InvalidInputError),
     ({"r": (0, 99)}, InvalidInputError),
-], ids=[0, 4, 5, 6])
+    ({"tolerance": math.nan}, InvalidInputError),
+    ({"tolerance": 0.0}, InvalidInputError),
+], ids=[0, 4, 5, 6, 7, 8])
 def test_invalid_requests_raise_every_time_and_store_nothing(request_, error):
     J = SupportSet.make(1 << 8, [0, 1, 2, 3, 64, 65, 130])  # pivots 0, 1, 6, 7
     x = dense(J, np.ones(len(J)))
@@ -166,6 +168,33 @@ def test_invalid_requests_raise_every_time_and_store_nothing(request_, error):
         with pytest.raises(error):
             SasPlan.plan(J, request_["r"])
     assert memo_snapshot(J) == before
+
+
+def test_warm_call_without_r_finds_its_plan_in_one_lookup(monkeypatch):
+    fam = STRUCT[2].build()
+    J = fam.support
+    x = dense(J, draw_coefficients(len(J), np.random.default_rng(1), nonzero=True))
+    cold, cold_ctr = run(x, J)
+    assert not cold.plan_reused
+    assert J._memo[("plan", None)] is J._memo[("plan", cold.plan.pivots)]
+
+    def unexpected(*args):
+        raise AssertionError("a warm call without r chose or validated its pivots again")
+
+    monkeypatch.setattr(sas, "select_pivots", unexpected)
+    monkeypatch.setattr(sas, "validate_pivot_vector", unexpected)
+    for _ in range(2):
+        warm, warm_ctr = run(x, J)
+        assert warm.plan_reused
+        assert fingerprint(warm, warm_ctr) == fingerprint(cold, cold_ctr)
+    monkeypatch.undo()
+    # a plan prepared under its explicit pivots is found by a first call without r
+    K = fresh(J)
+    first = run(x, K, r=cold.plan.pivots)[0]
+    assert not first.plan_reused
+    out, ctr = run(x, K)
+    assert out.plan_reused and fingerprint(out, ctr) == fingerprint(cold, cold_ctr)
+    assert K._memo[("plan", None)] is K._memo[("plan", cold.plan.pivots)]
 
 
 # read-only, pickling, reuse -------------------------------------------------------------
@@ -282,16 +311,19 @@ def grid_request(spec):
 
 
 def read(sig, J, r, cache=True):
-    """The grid one sas_transform call on J with pivots r reads from sig
-    (with cache=False, as a read that keeps nothing on J forms it)."""
+    """The grid one sas_transform call on J with pivots r reads from sig,
+    its read scale N / |I_r| included (with cache=False, as a read that
+    keeps nothing on J forms it)."""
     p = sas._prepared(J, r)[0]
-    return _read_grid(sig, J, p.butterfly, p.take, p.shifts, p.locations, ("phases", r) if cache else None)
+    return _read_grid(sig, J, p.butterfly, p.take, p.shifts, p.locations, ("phases", r) if cache else None,
+                      p.scale)
 
 
 def synthesis(sig, J, r):
-    """sample_block at the locations of `read`: the oracle."""
+    """sample_block at the locations of `read`, times the read scale: the oracle."""
     p = sas._prepared(J, r)[0]
-    return sig.sample_block(p.locations).reshape(len(p.shifts), -1)
+    samples = sig.sample_block(p.locations).reshape(len(p.shifts), -1)
+    return (samples.view(np.float64) * p.scale).view(np.complex128)
 
 
 def phase_entries(J):
@@ -350,6 +382,27 @@ class TestGridTables:
         assert read(sig, J, r).tobytes() == read(BandlimitedSignal(K, sig.coeffs), K, r).tobytes()
         out = sas_transform(sig, J, policy=meta["policy"], family_meta=meta)
         assert np.max(np.abs(out.coeffs - sig.coeffs) / np.abs(sig.coeffs)) <= TOLERANCE
+
+    def test_signal_on_an_equal_support_reads_the_cached_phases(self, monkeypatch):
+        # a signal on J itself holds J's index array, so the read skips the
+        # comparison; one on an equal but distinct support is compared, and
+        # both read J's phases, with the same bytes
+        J, meta, c, r = grid_request(STRUCT[2])
+        want = sas_transform(BandlimitedSignal(fresh(J), c), fresh(J))
+        sig = BandlimitedSignal(J, c)
+        cold = sas_transform(sig, J)
+        [(key, entry)] = phase_entries(J).items()
+        compared = []
+        real = np.array_equal
+        monkeypatch.setattr(np, "array_equal", lambda *a, **k: compared.append(1) or real(*a, **k))
+        same = sas_transform(sig, J)
+        assert compared == []
+        other = sas_transform(BandlimitedSignal(fresh(J), c), J)
+        assert compared == [1]
+        assert list(phase_entries(J)) == [key] and J._memo[key] is entry
+        for out in (cold, same, other):
+            assert out.coeffs.tobytes() == want.coeffs.tobytes()
+            assert out.nodes.residual.tobytes() == want.nodes.residual.tobytes()
 
     def test_hidft_at_many_shifts_keeps_one_entry(self):
         # hidft keeps its butterfly plan and node order, and no phases: a read at
@@ -422,8 +475,9 @@ def node_system(J, p):
 
 def node_rows(source, J, p):
     """The (B, mu*) right-hand sides one call decodes."""
-    grid = _read_grid(source, J, p.butterfly, p.take, p.shifts, p.locations, ("phases", p.plan.pivots))
-    return _butterfly_pass(p.butterfly, grid).T[p.take] * p.scale
+    grid = _read_grid(source, J, p.butterfly, p.take, p.shifts, p.locations, ("phases", p.plan.pivots),
+                      p.scale)
+    return _butterfly_pass(p.butterfly, grid).T[p.take]
 
 
 def sweep(J, p, y):
