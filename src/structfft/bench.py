@@ -34,6 +34,7 @@ CSV_COLUMNS = (
     "k",
     "size_r",
     "mu_star",
+    "amplification",
     "ops_hidft",
     "ops_solve",
     "ops_total",
@@ -65,6 +66,7 @@ class TrialRecord:
     k: int
     size_r: int
     mu_star: int
+    amplification: float  # SasPlan.amplification: the largest exact ||V_b^-1||_inf
     ops_hidft: int
     ops_solve: int
     ops_total: int
@@ -192,6 +194,7 @@ def run_trial(kind: str, params: dict, base_seed: int, scenario_idx: int,
         k=len(J),
         size_r=len(out.plan.pivots),
         mu_star=out.plan.mu_star,
+        amplification=out.plan.amplification,
         ops_hidft=out.report.ops_hidft,
         ops_solve=out.report.ops_solve,
         ops_total=out.report.total,

@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -216,10 +217,14 @@ def cmd_transform(args) -> int:
         cost = out.report
         extra["plan"] = {f: getattr(out.plan, f)
                          for f in ("pivots", "decode_level", "mu_star", "stride", "cond_bound", "decode")}
+        # the largest exact ||V_b^-1||_inf; null where mu* > 23 left it uncomputed (NaN)
+        amplification = out.plan.amplification
+        extra["plan"]["amplification"] = None if math.isnan(amplification) else amplification
         # how the butterfly runs its stages: numpy.fft runs, fused groups, radix-2 stages
         extra["plan"]["butterfly"] = _prepared(J, out.plan.pivots)[0].butterfly.layout
         extra["mismatch_nodes"] = int(out.nodes.mismatch.sum())
-        extra["probe_error"], extra["flagged"] = out.probe_error, out.flagged  # None, False: matrix plan
+        # None, False: a plan within product_error_bound is not probed
+        extra["probe_error"], extra["flagged"] = out.probe_error, out.flagged
     else:
         raise InvalidInputError(f"unknown algo {args.algo!r}")
     spectrum = signal_to_json(J, coeffs)

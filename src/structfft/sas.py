@@ -10,22 +10,26 @@ stride), and solves one Vandermonde system per aliased node:
     x_l = e^{-2 pi i d l / N}.
 
 The node systems depend on J alone, and a plan solves them one of two ways.
-Where `product_error_bound` (mu* 2^(mu*-1) e^cond_bound 2^-52, from Gautschi's
-bound on ||V^-1||) is at most RESIDUAL_FLOOR, the plan caches every node's
-explicit inverse and a call decodes all nodes with one batched product
-("matrix").  Otherwise, as for every plan of mu* > 23, a call runs
+A plan of mu* <= 23 builds every node's explicit inverse W_b and keeps it
+when either `product_error_bound` (mu* 2^(mu*-1) e^cond_bound 2^-52, from
+Gautschi's bound on ||V^-1||) or its exact form, mu* max_b ||W_b||_inf 2^-52,
+is at most RESIDUAL_FLOOR; a call then decodes all nodes with one batched
+product ("matrix").  Otherwise, as for every plan of mu* > 23, a call runs
 the Leja + Bjorck-Pereyra sweep against cached divisor factors ("sweep"),
-which stays accurate where a product with the inverse would not.  Either way
-a call is charged the sweep's count, at most 6 m^2 per node of weight m, as
-a `numpy.fft` run is charged radix-2.  Weight-1 nodes are 1 x 1 rows of the
-same decode, read directly when mu* = 1.
+which stays accurate where a product with the inverse would not.  A call
+is checked by probe samples iff `product_error_bound` exceeds the floor.
+Either way a call is charged the sweep's count, at most 6 m^2 per node of
+weight m, as a `numpy.fft` run is charged radix-2, and the planner
+(`select_pivots`) runs the least-charged prefix of J's split levels that
+decodes by matrix.  Weight-1 nodes are 1 x 1 rows of the same decode, read
+directly when mu* = 1.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -71,14 +75,28 @@ def product_error_bound(mu_star: int, cond_bound: float) -> float:
     """mu* 2^(mu*-1) e^cond_bound 2^-52: mu* ||V^-1||_inf eps over the
     plan's nodes (Gautschi's bound, see `SasPlan`), about what a product
     with a node's explicit inverse rounds to, relative to the largest
-    coefficient.  A plan decodes by that product ("matrix") iff this is at
-    most RESIDUAL_FLOOR, else by the Bjorck-Pereyra sweep, whose rounding
-    does not grow with ||V^-1||.  Some row of the heaviest node has a
-    product of distances of at most mu* (Hadamard's inequality), so the
-    bound is at least 2^(mu*-53), and every plan of mu* > 23 takes the
-    sweep."""
+    coefficient.  Some row of the heaviest node has a product of distances
+    of at most mu* (Hadamard's inequality), so the bound is at least
+    2^(mu*-53), which is over RESIDUAL_FLOOR for every mu* > 23
+    (`_in_reach`).
+
+    The decode rule: a plan of mu* <= 23 builds its nodes' inverses W_b
+    once and decodes by one product with them ("matrix") iff this bound or
+    its exact form, mu* max_b ||W_b||_inf 2^-52 (`SasPlan.amplification`),
+    is at most RESIDUAL_FLOOR; any other plan runs the Bjorck-Pereyra
+    sweep, whose rounding does not grow with ||V^-1||.  The probe rule: a
+    call is checked by probe samples (`_probe_error`) iff this bound
+    exceeds RESIDUAL_FLOOR, so every sweep plan's call is probed, and so is
+    a matrix plan's that only the exact form admits."""
     log_bound = math.log(mu_star) + (mu_star - 53) * math.log(2) + cond_bound
     return math.exp(log_bound) if log_bound < 700 else math.inf
+
+
+def _in_reach(mu_star: int) -> bool:
+    """Whether a plan of this mu* may decode by matrix: its bound at the
+    best spread (cond_bound = -log mu*) is within RESIDUAL_FLOOR, so mu*
+    <= 23."""
+    return product_error_bound(mu_star, -math.log(mu_star)) <= RESIDUAL_FLOOR
 
 
 @dataclass(frozen=True)
@@ -88,8 +106,12 @@ class SasPlan:
     -sum_{j != i} log|x_i - x_j| over the rows of every aliased node, so a
     node of weight m has ||V^-1||_inf <= 2^(m-1) e^cond_bound (Gautschi).
     `decode` names how the nodes are solved: "matrix" (one product with
-    plan-time inverses) when `product_error_bound` allows it, else "sweep"
-    (Bjorck-Pereyra); see `sas_transform`."""
+    plan-time inverses) or "sweep" (Bjorck-Pereyra), by the decode rule of
+    `product_error_bound`; a call is probed by its probe rule.
+    `amplification` is the largest exact ||V_b^-1||_inf over the nodes
+    (`NodeArrays.amplification`): 1.0 when mu* = 1, NaN when mu* > 23 left
+    the inverses unbuilt.  It follows from the other fields and J, and
+    plans compare without it."""
 
     pivots: tuple[int, ...]
     decode_level: int
@@ -99,6 +121,7 @@ class SasPlan:
     stride: int = 1
     cond_bound: float = 0.0
     decode: str = "sweep"
+    amplification: float = field(default=math.nan, compare=False)
 
     @classmethod
     def plan(cls, J: SupportSet, r: Sequence[int], counter: OpCounter | None = None) -> "SasPlan":
@@ -189,24 +212,38 @@ def choose_stride(members: np.ndarray, bounds: np.ndarray, N: int) -> tuple[int,
 
 
 def select_pivots(J: SupportSet) -> tuple[int, ...]:
-    """The pivot vector `sas_transform` runs when given no explicit r: the
-    prefix of J's split levels (`pivots(J)`) of least predicted cost
-    (`bound_alg1bnd`), the smaller prefix on ties.  A prefix of the split
-    levels leaves J part-homogeneous by construction.  Cached on J under
-    "pivots" (see `sas_transform`).
+    """The pivot vector `sas_transform` runs when given no explicit r: of
+    the prefixes of J's split levels (`pivots(J)`), taken in order of the
+    ops a call is charged (`_charged_ops`, the fewer pivots on ties), the
+    first whose plan decodes by matrix (the decode rule of
+    `product_error_bound`).  The whole vector leaves every node of weight
+    1, mu* = 1, which passes, so some prefix always does.  A prefix of mu*
+    > 23 cannot pass and is skipped unplanned; a candidate that fails costs
+    its stride and its nodes' inverses, cached on J for its plan
+    (`_decoded_nodes`).  A prefix of the split levels leaves J
+    part-homogeneous by construction.  Cached on J under "pivots" (see
+    `sas_transform`).
     """
-    return memoized(J, "pivots", _least_cost_prefix, build_tree)[0]
+    return memoized(J, "pivots", lambda tree: _least_cost_prefix(J, tree), build_tree)[0]
 
 
-def _least_cost_prefix(tree: CongruenceTree) -> tuple[int, ...]:
+def _charged_ops(size_r: int, M: int, weights: np.ndarray) -> int:
+    """The counted ops a call is charged (`CostReport.total`) for |r| =
+    size_r pivots of Z_(2^M) and decode-level node weights `weights`: the
+    butterfly over mu* rows of 2^size_r slots, the sweep's count and one
+    read-scale product per measured value, none when N / |I_r| = 1."""
+    adds, mults = butterfly_ops(size_r, int(weights.max()), 1 << size_r)
+    solve_mults, solve_adds = _solve_ops(weights)
+    read = int(weights.sum()) if size_r < M else 0
+    return adds + mults + solve_mults + solve_adds + read
+
+
+def _least_cost_prefix(J: SupportSet, tree: CongruenceTree) -> tuple[int, ...]:
     p = tree.split_levels()
-    best, best_cost = (), math.inf
-    for t in range(len(p) + 1):
-        w = tree.run_lengths(p[t - 1] + 1 if t else 0)
-        cost = predicted_cost(t, int(w.max()), w)
-        if cost < best_cost:  # strict: ties keep the smaller prefix
-            best, best_cost = p[:t], cost
-    return best
+    weights = [tree.run_lengths(p[t - 1] + 1 if t else 0) for t in range(len(p) + 1)]
+    order = sorted(range(len(p) + 1), key=lambda t: (_charged_ops(t, J.M, weights[t]), t))
+    return next(p[:t] for t in order if _in_reach(int(weights[t].max()))
+                and _decoded_nodes(J, tree, p[:t]).decode == "matrix")
 
 
 # Vandermonde machinery --------------------------------------------------------
@@ -346,13 +383,13 @@ def _bp_apply(f: _Factors, y: np.ndarray) -> np.ndarray:
 
 def _solve_ops(sizes: np.ndarray) -> tuple[int, int]:
     """The counted (mults, adds) of solving systems of these sizes (see
-    vandermonde_solve)."""
+    vandermonde_solve): with h = sum m (m - 1) / 2, phase 1 takes 2h
+    products and divides and phases 1-2 3h subtractions, and the Leja term
+    adds m (m - 1) / 2 of each for every system of size 3 or more."""
     m = np.asarray(sizes, dtype=np.int64)
-    half = m * (m - 1) // 2
-    reordered = int(np.sum(half[m >= 3]))  # the Leja term
-    mults = int(np.sum(m * (m - 1))) + reordered  # phase-1 products + divides
-    adds = int(np.sum(3 * half)) + reordered      # phase-1/2 subtractions
-    return mults, adds
+    half = int(m @ (m - 1)) // 2
+    reordered = half - int(np.count_nonzero(m == 2))  # size 2 has h = 1; sizes 1 and 2 no Leja term
+    return 2 * half + reordered, 3 * half + reordered
 
 
 def vandermonde_solve(nodes, rhs, counter: OpCounter | None = None) -> np.ndarray:
@@ -409,25 +446,82 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(f, f.transpose(0, 2, 1))[:, 0, 0])
 
 
-def _inverse_stack(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """K_b = [W_b; R_b], (B, 2n, n), for every padded row b of x (m =
-    sizes[b] nodes): W_b is the inverse of the m x m Vandermonde system
-    zero-padded to n x n, and R_b = V_b W_b - I with rows 0..m-1 zeroed,
-    V_b the n x n Vandermonde of x_b.  K_b y_b is then the coefficients
-    followed by the spare-row residual of `_spare_rows`.  W is the
-    transpose of one batched LU inverse of the blocks V_b^T, padded with
-    the identity: their rows are the nodes (x_l^j, j < m), so partial
-    pivoting picks the nodes in about Leja order, as the sweep does, and W
-    comes out more accurate than from the blocks V_b."""
-    n = x.shape[1]
+def _inverses(V: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """W_b, (B, n, n), for every n x n Vandermonde block V_b (`_vander_stack`)
+    of m = sizes[b] nodes: the inverse of its m x m system zero-padded to n
+    x n.  W is the transpose of one batched LU inverse of the blocks V_b^T,
+    padded with the identity: their rows are the nodes (x_l^j, j < m), so
+    partial pivoting picks the nodes in about Leja order, as the sweep
+    does, and W comes out more accurate than from the blocks V_b."""
+    n = V.shape[1]
     own = np.arange(n) < sizes[:, None]
-    V = _vander_stack(x)
     block = own[:, :, None] & own[:, None, :]
     W = np.linalg.inv(np.where(block, V.transpose(0, 2, 1), np.eye(n))).transpose(0, 2, 1)
     W[~block] = 0
+    return W
+
+
+def _inverse_stack(V: np.ndarray, W: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """K_b = [W_b; R_b], (B, 2n, n), from the blocks V_b and their
+    `_inverses` W_b, with R_b = V_b W_b - I and its rows 0..m-1 zeroed.  K_b
+    y_b is then the coefficients followed by the spare-row residual of
+    `_spare_rows`."""
+    n = V.shape[1]
     R = V @ W - np.eye(n)
-    R[own] = 0
+    R[np.arange(n) < sizes[:, None]] = 0
     return np.concatenate((W, R), axis=1)
+
+
+@dataclass(frozen=True)
+class _Nodes:
+    """The decode-level nodes of one pivot vector and how its plan decodes
+    them (`_decoded_nodes`), read-only.  Nodes by ascending residue, as in
+    `NodeArrays`; x holds their Vandermonde nodes e^{-2 pi i d l / N},
+    padded to mu* columns with 0 (None when mu* = 1)."""
+
+    residues: np.ndarray
+    bounds: np.ndarray
+    members: np.ndarray
+    stride: int
+    cond_bound: float
+    x: np.ndarray | None
+    amplification: np.ndarray  # NodeArrays.amplification
+    decode: str
+    K: np.ndarray | None       # [W_b; R_b] (`_inverse_stack`) of a matrix plan of mu* > 1
+
+
+def _decoded_nodes(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Nodes:
+    """J's decode-level nodes for pivots rt, their stride and decode,
+    cached on J under ("decode", rt), so that `select_pivots` and
+    `_prepare` find each plan's stride and inverses once.  A plan of mu*
+    <= 23 (`_in_reach`) inverts its nodes (`_inverses`), reads each node's
+    ||V_b^-1||_inf off W_b as its row-sum norm, and completes K iff it
+    decodes by matrix (`product_error_bound`); a plan of larger mu* inverts
+    nothing, and its nodes of weight > 1 read NaN.  Plan-time work, not
+    counted."""
+    def make(tree):
+        residues, bounds, members = tree.level_arrays(rt[-1] + 1 if rt else 0)
+        weights = np.diff(bounds)
+        mu = int(weights.max())
+        amplification = np.where(weights == 1, 1.0, math.nan)
+        stride, score, x, K = 1, 0.0, None, None
+        if mu > 1:  # mu* = 1 reads every node directly: no stride, no Vandermonde nodes
+            stride, score = choose_stride(members, bounds, J.N)
+            x = np.zeros((len(weights), mu), dtype=np.complex128)
+            x[np.arange(mu) < weights[:, None]] = fourier_kernel(members, [stride], J.N)[:, 0]
+            if _in_reach(mu):
+                V = _vander_stack(x)
+                W = _inverses(V, weights)
+                amplification = np.abs(W).sum(axis=2).max(axis=1)
+                exact = mu * float(amplification.max()) * 2.0 ** -52
+                if min(product_error_bound(mu, score), exact) <= RESIDUAL_FLOOR:
+                    K = _inverse_stack(V, W, weights)
+        for a in (residues, bounds, members, x, amplification, K):
+            if a is not None:
+                a.flags.writeable = False
+        return _Nodes(residues, bounds, members, stride, score, x, amplification,
+                      "matrix" if mu == 1 or K is not None else "sweep", K)
+    return memoized(J, ("decode", rt), make, lambda J, depth: tree)[0]
 
 
 @dataclass(frozen=True)
@@ -437,13 +531,18 @@ class NodeArrays:
     (ascending), the relative residual of its decode on its spare rows,
     ||(V c - y)_{j >= m}|| / ||y|| for a node of weight m measured under
     mu* rows y (0 when m = mu*, so always when mu* = 1), and its mismatch
-    flag, residual > max(tolerance, RESIDUAL_FLOOR)."""
+    flag, residual > max(tolerance, RESIDUAL_FLOOR).  amplification[i] is
+    the node's exact ||V^-1||_inf, which bounds how much its coefficients
+    amplify an error in its measured rows: 1.0 for a node of weight 1, NaN
+    for a heavier node of a plan of mu* > 23, whose inverses are never
+    built; it depends on J and the plan alone, and is read-only."""
 
     residues: np.ndarray
     bounds: np.ndarray
     members: np.ndarray
     mismatch: np.ndarray
     residual: np.ndarray
+    amplification: np.ndarray
 
 
 @dataclass
@@ -451,8 +550,10 @@ class SasResult:
     """One transform's coefficients (support order), plan, counted costs and
     node state.  plan_reused tells whether the call found its prepared plan
     cached on the support (see `sas_transform`); it is not a cost and stays
-    out of `report`.  A "sweep" plan's call holds its `_probe_error`, and
-    flagged tells whether it exceeds tolerance / _PROBE_MARGIN."""
+    out of `report`.  A call whose plan's `product_error_bound` exceeds
+    RESIDUAL_FLOOR (every "sweep" plan, and a "matrix" plan that only the
+    exact amplification admits) holds its `_probe_error`, and flagged
+    tells whether it exceeds tolerance / _PROBE_MARGIN."""
 
     support: SupportSet
     coeffs: np.ndarray
@@ -460,7 +561,7 @@ class SasResult:
     report: CostReport
     nodes: NodeArrays
     plan_reused: bool = False
-    probe_error: float | None = None  # None: a "matrix" plan is not probed
+    probe_error: float | None = None  # None: a plan within product_error_bound is not probed
     flagged: bool = False
 
     def coeff_map(self) -> dict[int, complex]:
@@ -479,7 +580,8 @@ class _Prepared:
     Bjorck-Pereyra sweep and its Leja term), whichever decode the plan
     runs.  When mu* = 1, read_index takes J's coefficients straight from
     the pass output, one gather.  Otherwise a "matrix" plan holds K
-    (`_inverse_stack`) and a "sweep" plan the factors and V, not both."""
+    (`_inverse_stack`) and a "sweep" plan the factors and V, not both.
+    probed is the probe rule of `product_error_bound`."""
 
     plan: SasPlan
     report: CostReport
@@ -488,14 +590,16 @@ class _Prepared:
     scale: float            # N / |I_r|, a power of two: the read scales the grid by it
     butterfly: ButterflyPlan
     take: np.ndarray        # the nodes' butterfly slots
-    residues: np.ndarray    # NodeArrays.residues, .bounds, .members
+    residues: np.ndarray    # NodeArrays.residues, .bounds, .members, .amplification
     bounds: np.ndarray
     members: np.ndarray
+    amplification: np.ndarray
     coeff_index: np.ndarray   # where J's coefficients sit in the flat solution, node by node
     read_index: np.ndarray | None  # take[coeff_index]: each coefficient's slot if mu* = 1, else None
     factors: _Factors | None  # of the Vandermonde nodes e^{-2 pi i d l / N}, padded
     V: np.ndarray | None    # x[b, m]^j at [b, j - lo, m] for lo <= j < mu*, lo the least weight
     K: np.ndarray | None    # [W_b; R_b] of the same nodes; all three None if mu* = 1
+    probed: bool
 
 
 def _prepared(J: SupportSet, r: Sequence[int] | None) -> tuple[_Prepared, bool]:
@@ -516,36 +620,30 @@ def _prepared(J: SupportSet, r: Sequence[int] | None) -> tuple[_Prepared, bool]:
 
 def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepared:
     """The plan-time half of `sas_transform`, on J's butterfly plan and
-    slots for rt, which `hidft` shares; counts nothing."""
+    slots for rt, which `hidft` shares, and its decoded nodes
+    (`_decoded_nodes`), which `select_pivots` shares; counts nothing."""
     check_part_homogeneous(tree.split_levels(), rt)
     butterfly, take, offsets = _butterfly_entry(J, rt, lambda J, depth: tree)
-    level = rt[-1] + 1 if rt else 0
-    residues, bounds, members = tree.level_arrays(level)
-    weights = np.diff(bounds)
+    nodes = _decoded_nodes(J, tree, rt)
+    weights = np.diff(nodes.bounds)
     node_weights = tuple(weights.tolist())
     mu = max(node_weights)
     N = J.N
-    stride, score = choose_stride(members, bounds, N) if mu > 1 else (1, 0.0)
-    decode = "matrix" if product_error_bound(mu, score) <= RESIDUAL_FLOOR else "sweep"
-    plan = SasPlan(rt, level, mu, node_weights, predicted_cost(len(rt), mu, node_weights), stride, score,
-                   decode)
-    shifts = mod_product(np.arange(mu), stride, N)
+    plan = SasPlan(rt, rt[-1] + 1 if rt else 0, mu, node_weights, predicted_cost(len(rt), mu, node_weights),
+                   nodes.stride, nodes.cond_bound, nodes.decode, float(nodes.amplification.max()))
+    shifts = mod_product(np.arange(mu), nodes.stride, N)
     locations = _grid_locations(offsets, shifts, N)
     scale = N / len(offsets)
 
-    own = np.arange(mu) < weights[:, None]
-    x = np.zeros(own.shape, dtype=np.complex128)
-    x[own] = fourier_kernel(members, [stride], N)[:, 0]
-    factors = V = K = None
-    if mu > 1 and decode == "matrix":
-        K = _inverse_stack(x, weights)
-    elif mu > 1:
-        factors = _bp_factors(x, weights, _leja_orders(x, weights))
+    factors = V = None
+    if nodes.decode == "sweep":  # mu* > 1: a mu* = 1 plan reads its nodes directly
+        factors = _bp_factors(nodes.x, weights, _leja_orders(nodes.x, weights))
         lo = int(weights.min())  # no node has a spare row below its weight
-        V = (np.ascontiguousarray(_vander_stack(x)[:, lo:]) if lo < mu
-             else np.empty((len(x), 0, mu), dtype=np.complex128))
+        V = (np.ascontiguousarray(_vander_stack(nodes.x)[:, lo:]) if lo < mu
+             else np.empty((len(weights), 0, mu), dtype=np.complex128))
+    own = np.arange(mu) < weights[:, None]
     coeff_index = np.empty(len(J), dtype=np.intp)
-    coeff_index[np.searchsorted(J.as_array(), members)] = np.flatnonzero(own)
+    coeff_index[np.searchsorted(J.as_array(), nodes.members)] = np.flatnonzero(own)
     read_index = take[coeff_index] if mu == 1 else None
 
     solve_mults, solve_adds = _solve_ops(weights)
@@ -555,13 +653,14 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepa
         solve_mults += int(weights.sum()) - read_mults
     hidft_adds, hidft_mults = butterfly_ops(len(rt), mu, butterfly.n_slots)
     report = CostReport(
-        tree_bitops(J, level), hidft_adds, hidft_mults, solve_adds, solve_mults, read_mults,
+        tree_bitops(J, plan.decode_level), hidft_adds, hidft_mults, solve_adds, solve_mults, read_mults,
         samples_touched=int(np.unique(locations).size), bound_alg1bnd=plan.predicted_cost,
         bound_hidft=C1 * len(rt) * (1 << len(rt)),
     )
     prepared = _Prepared(
-        plan, report, shifts, locations, scale, butterfly, take,
-        residues, bounds, members, coeff_index, read_index, factors, V, K,
+        plan, report, shifts, locations, scale, butterfly, take, nodes.residues, nodes.bounds,
+        nodes.members, nodes.amplification, coeff_index, read_index, factors, V, nodes.K,
+        product_error_bound(mu, nodes.cond_bound) > RESIDUAL_FLOOR,
     )
     for a in vars(prepared).values():
         if isinstance(a, np.ndarray):
@@ -601,7 +700,7 @@ def _execute(p: _Prepared, source, J: SupportSet, tolerance: float):
         residual = _row_norms(spare) / np.maximum(_row_norms(y), 1e-300)
         coeffs = c.reshape(-1).take(p.coeff_index)
     mismatch = residual > max(tolerance, RESIDUAL_FLOOR)
-    return coeffs, NodeArrays(p.residues, p.bounds, p.members, mismatch, residual)
+    return coeffs, NodeArrays(p.residues, p.bounds, p.members, mismatch, residual, p.amplification)
 
 
 def sas_transform(
@@ -615,9 +714,10 @@ def sas_transform(
 ) -> SasResult:
     """Recover (F f)_J from mu* shifted butterfly passes plus node decodes.
 
-    The pivots are r when given, else `select_pivots(J)`: the least
-    predicted cost over the prefixes of pivots(J).  The paper's fixed
-    pivot counts are reachable only as an explicit r.  `policy` must name
+    The pivots are r when given, else `select_pivots(J)`: the
+    least-charged prefix of pivots(J) whose plan decodes by matrix.  The
+    paper's fixed pivot counts are reachable only as an explicit r.
+    `policy` must name
     one of POLICIES (InvalidInputError otherwise) but does not change the
     plan, and `family_meta` is accepted and not read; both keywords stay
     until the benchmark that passes them stops doing so.
@@ -630,15 +730,17 @@ def sas_transform(
     transforms every row; it is charged the paper's radix-2 count,
     1.5 A log2 A per row with A = |I_r|, though runs of FFT_RUN or more
     consecutive pivots execute in `numpy.fft` (see `hidft`).  The nodes are
-    then decoded together, as rows of
-    zero-padded arrays, in float64 only, with Vandermonde nodes
-    e^{-2 pi i d l / N} that the stride keeps apart, by the one decode the
-    plan chose from its conditioning bound (`SasPlan.decode`): one batched
-    product with the nodes' cached inverses ("matrix") when
-    `product_error_bound` is at most RESIDUAL_FLOOR, else one Leja +
-    Bjorck-Pereyra sweep over all nodes ("sweep").  Both are charged the
-    sweep's count.  When mu* = 1 every node has weight 1 and is read
-    directly.  There is no escalation and no second decode.  A node of
+    then decoded together, as rows of zero-padded arrays, in float64 only,
+    with Vandermonde nodes e^{-2 pi i d l / N} that the stride keeps apart,
+    by the one decode the plan chose (`SasPlan.decode`, the decode rule of
+    `product_error_bound`): one batched product with the nodes' cached
+    inverses ("matrix") when mu* <= 23 and `product_error_bound` or its
+    exact form mu* max_b ||V_b^-1||_inf 2^-52 is at most RESIDUAL_FLOOR,
+    else one Leja + Bjorck-Pereyra sweep over all nodes ("sweep").  A call
+    without r always decodes by matrix: `select_pivots` returns no other
+    plan.  Both decodes are charged the sweep's count.  When mu* = 1 every
+    node has weight 1 and is read directly.  There is no escalation and no
+    second decode.  A node of
     weight m is solved from its first m rows, but it was measured under all
     mu* shifts; its relative residual is taken on the spare rows m..mu*-1,
     which check the answer (a consistency test, uncounted; the matrix
@@ -647,23 +749,28 @@ def sas_transform(
     when the signal has energy off J; nothing raises but a tolerance that
     is not finite and positive or a NaN or infinite sample read
     (InvalidInputError).  Nodes of weight mu*, and every node when mu* = 1,
-    have no spare row, so a "sweep" plan's call is also checked by probe
+    have no spare row.  So, by the probe rule of `product_error_bound`, a
+    call whose plan's bound exceeds RESIDUAL_FLOOR (every sweep plan, and
+    a matrix plan only the exact form admits) is also checked by probe
     samples (`_probe_error`, uncounted), flagged when the statistic exceeds
-    tolerance / _PROBE_MARGIN (`SasResult.flagged`); on a "matrix" plan a
-    wrong answer on such a node goes unflagged.
+    tolerance / _PROBE_MARGIN (`SasResult.flagged`); on any other plan a
+    wrong answer on such a node goes unflagged.  `NodeArrays.amplification`
+    reports each node's exact ||V_b^-1||_inf, and `SasPlan.amplification`
+    the largest.
 
     Plan once, execute per call.  Everything that depends on J alone is
     prepared once and cached on the `SupportSet` instance itself: the
     congruence tree, the pivot choice, the plan and stride, the sample
     locations, the butterfly plan and slots (shared with `hidft`, fused
-    groups' matrices included), the node layout, the nodes' inverses (a
-    matrix plan) or their Leja orders and Bjorck-Pereyra divisor factors (a
-    sweep plan), and the call's cost report.  A warm call then reads the
-    grid, runs the butterfly and decodes the node right-hand sides against
-    what is stored, on few numpy kernels: the fused groups and the matrix
+    groups' matrices included), the node layout, the stride and the nodes'
+    amplification of every prefix the planner tried (`_decoded_nodes`), the
+    nodes' inverses (a matrix plan) or their Leja orders and Bjorck-Pereyra
+    divisor factors (a sweep plan), and the call's cost report.  A warm
+    call then reads the grid, runs the butterfly and decodes the node
+    right-hand sides against what is stored, on few numpy kernels: the fused groups and the matrix
     decode run the same `np.matmul`, and so do the residual norms.  A
-    sample callback receives the cached, read-only locations (a sweep
-    plan's probes in a second call); a `BandlimitedSignal` on J's
+    sample callback receives the cached, read-only locations (a probed
+    call's probes in a second call); a `BandlimitedSignal` on J's
     frequencies finds the plan's phases there too, the read scale N / |I_r|
     folded in (`hidft._read_grid`, one entry per plan), and one that holds
     J's own index array is not compared with it.  The cache is keyed by
@@ -671,8 +778,8 @@ def sas_transform(
     or the one "pivots" entry of `select_pivots`; the plan of a call
     without r is also kept under ("plan", None), the same object, so a
     warm call without r finds it in one lookup.  `policy` and `tolerance`
-    are checked on every call, and a sweep plan's call is probed and a
-    counter charged on every call, warm or cold.  An invalid request stores
+    are checked on every call, and the probe rule and a counter's charge
+    apply to every call, warm or cold.  An invalid request stores
     nothing; a plan made before its samples raise stays cached.  Cached
     arrays are read-only, and `SasResult.nodes` shares them.  The cache is
     never pickled and lives exactly as long as the `SupportSet` instance;
@@ -691,7 +798,7 @@ def sas_transform(
         raise InvalidInputError(f"tolerance must be finite and positive, not {tolerance!r}")
     prepared, reused = _prepared(J, r)
     coeffs, nodes = _execute(prepared, source, J, tolerance)
-    probe = _probe_error(prepared, source, J, coeffs) if prepared.plan.decode == "sweep" else None
+    probe = _probe_error(prepared, source, J, coeffs) if prepared.probed else None
     if counter is not None:
         prepared.report.charge(counter)
     return SasResult(J, coeffs, prepared.plan, prepared.report, nodes, reused, probe,

@@ -13,6 +13,8 @@ def test_fixture_row_has_mismatch_column():
     assert row["family"] == "fixture:paper_sas"
     assert row["mismatch_nodes"] == 0
     assert summary["scenarios"][0]["mismatch_nodes_total"] == 0
+    # r = (0, 1): one node {0, 512} of weight 2, x = 1 and -1 at any odd stride, ||V^-1||_inf = 1
+    assert row["amplification"] == 1.0
 
 
 def test_summary_sums_mismatch_nodes():

@@ -125,7 +125,8 @@ def test_every_algo_reports_its_plan_or_formula(tmp_path, capsys):
 
 
 def test_sas_plan_names_its_decode(tmp_path, capsys):
-    # k = 60: the least-cost plan decodes by its inverses, the one node of r = () by the sweep
+    # k = 60: the least-cost plan decodes by its inverses, the one node of r = () by the sweep;
+    # the plan reports its largest exact ||V_b^-1||_inf, null at mu* = 60, where K is not built
     support, signal = tmp_path / "support.json", tmp_path / "signal.json"
     assert cli.main(["gen", "--kind", "random_subset", "--params", '{"k": 64, "M": 12}', "--seed", "0",
                      "--out", str(support), "--signal", str(signal)]) == 0
@@ -135,6 +136,8 @@ def test_sas_plan_names_its_decode(tmp_path, capsys):
         out = json.loads(capsys.readouterr().out)
         assert out["plan"]["decode"] == decode
         assert "decode" not in out["cost"]
+        amplification = out["plan"]["amplification"]
+        assert amplification >= 1 if decode == "matrix" else amplification is None
 
 
 def test_sas_plan_reports_its_butterfly_layout(tmp_path, capsys):

@@ -201,7 +201,10 @@ def test_warm_call_does_not_copy_a_float64_source():
 # non-finite samples -------------------------------------------------------------
 
 HOMOG = SUPPORTS[2].support  # plans mu* = 1
-ALIASED = SupportSet.make(64, [1, 3, 9, 17, 40])  # plans mu* = 3
+# mu* = 3 under r = ALIASED_PIVOTS, two stages fused into one product; the
+# least-charged plan, r = (0,), has mu* = 4 and a single radix-2 stage
+ALIASED = SupportSet.make(64, [1, 3, 9, 17, 40])
+ALIASED_PIVOTS = (0, 1)
 # pivots 0, 2..7, 9 and a copy of the set at N / 2: mu* = 2 under r = RUN_PIVOTS,
 # whose butterfly is a radix-2 stage, a numpy.fft run and a radix-2 stage
 RUN_PIVOTS = (0, 2, 3, 4, 5, 6, 7, 9)
@@ -209,7 +212,7 @@ _RUN_HALF = gen_homogeneous(RUN_PIVOTS, 11, 3)
 RUN_ALIASED = SupportSet.make(2048, set(_RUN_HALF.indices) | {(j + 1024) % 2048 for j in _RUN_HALF.indices})
 NONFINITE = {
     "sas-mu1": (HOMOG, lambda J, x: sas_transform(x, J).coeffs),
-    "sas-mu3": (ALIASED, lambda J, x: sas_transform(x, J).coeffs),
+    "sas-mu3": (ALIASED, lambda J, x: sas_transform(x, J, r=ALIASED_PIVOTS).coeffs),
     "sas-run": (RUN_ALIASED, lambda J, x: sas_transform(x, J, r=RUN_PIVOTS).coeffs),
     "hidft": (HOMOG, lambda J, x: hidft(x, J, pivots(J)).slot_values),
     "hidft-run": (RUN_ALIASED, lambda J, x: hidft(x, J, RUN_PIVOTS).slot_values),
@@ -219,14 +222,14 @@ NONFINITE = {
 
 def test_nonfinite_cases_plan_mu_star_1_and_3():
     assert sas.SasPlan.plan(HOMOG, sas.select_pivots(HOMOG)).mu_star == 1
-    assert sas.SasPlan.plan(ALIASED, sas.select_pivots(ALIASED)).mu_star == 3
+    assert sas.SasPlan.plan(ALIASED, ALIASED_PIVOTS).mu_star == 3
 
 
 def test_nonfinite_cases_cover_fused_run_and_radix2_stages():
     # the check reads one slot per row; every stage kind must carry a
     # non-finite sample there, fused groups by matrices of modulus-1 entries
     layouts = {J: _butterfly_entry(J, r)[0].layout
-               for J, r in ((HOMOG, pivots(HOMOG)), (ALIASED, sas.select_pivots(ALIASED)),
+               for J, r in ((HOMOG, pivots(HOMOG)), (ALIASED, ALIASED_PIVOTS),
                             (RUN_ALIASED, RUN_PIVOTS))}
     assert layouts[HOMOG] == {"fft_runs": [], "fused": [[0, 4]], "radix2": []}
     assert layouts[ALIASED] == {"fft_runs": [], "fused": [[0, 2]], "radix2": []}

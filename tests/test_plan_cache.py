@@ -24,6 +24,7 @@ from structfft import (
     OpCounter,
     SasPlan,
     SupportSet,
+    build_tree,
     draw_coefficients,
     hidft,
     hidft_oracle,
@@ -208,10 +209,12 @@ def test_cached_and_returned_arrays_are_read_only():
         out = sas_transform(dense(J, np.ones(len(J))), J, r=r, policy=fam.meta["policy"],
                             family_meta=fam.meta)
         assert out.plan_reused is False and out.plan.decode == decode
-        returned = [out.nodes.residues, out.nodes.bounds, out.nodes.members, J.as_array()]
+        returned = [out.nodes.residues, out.nodes.bounds, out.nodes.members, out.nodes.amplification,
+                    J.as_array()]
         prepared = J._memo[("plan", out.plan.pivots)]
         cached = [v for v in vars(prepared).values() if isinstance(v, np.ndarray)]
-        assert len(cached) == 8
+        assert len(cached) == 9
+        cached.append(J._memo[("decode", out.plan.pivots)].x)  # the nodes' decode entry
         cached += [t for t in prepared.butterfly.twiddles if t is not None]
         cached += [t for _, _, t in prepared.butterfly.runs if t is not None]
         if decode == "matrix":
@@ -491,26 +494,81 @@ class TestMatrixDecode:
     def bound(plan):
         return product_error_bound(plan.mu_star, plan.cond_bound)
 
+    @staticmethod
+    def exact(plan):
+        """The exact form of the bound: mu* max_b ||V_b^-1||_inf eps."""
+        return plan.mu_star * plan.amplification * 2.0 ** -52
+
+    @classmethod
+    def gate(cls, plan):
+        """What the decode rule holds a matrix plan's rounding to: the lesser form."""
+        return min(cls.bound(plan), cls.exact(plan))
+
+    @classmethod
+    def admits(cls, plan):
+        """The decode rule: mu* <= 23, and either form within the floor."""
+        return plan.mu_star <= 23 and min(cls.bound(plan), cls.exact(plan)) <= RESIDUAL_FLOOR
+
     def test_gate_picks_the_decode(self):
-        cases = [(spec, None, "matrix") for spec in STRUCT + [HOMOG] + LEAKY]
+        cases = [(spec, None, "matrix") for spec in STRUCT + [HOMOG] + LEAKY + LARGE]
         cases += [(*PINNED, "sweep"), (*K60, "sweep")]
+        # the k = 2048 subsets under r = (0..7): mu* 15 to 19, admitted by neither form but on
+        # seed 5, where the exact one is 9.6e-10 against a bound of 1.2e-6
+        cases += [(spec, tuple(range(8)), "sweep" if spec.seed < 5 else "matrix") for spec in LARGE]
         for spec, r, decode in cases:
             J = spec.build().support
             plan = SasPlan.plan(J, select_pivots(J) if r is None else r)
-            assert plan.decode == decode, spec
-            assert (self.bound(plan) <= RESIDUAL_FLOOR) == (decode == "matrix")
-        decodes = []
-        for spec in LARGE:  # bounds of 5e-10 to 3.4e-9 straddle the floor
-            J = spec.build().support
-            plan = SasPlan.plan(J, select_pivots(J))
-            decodes.append(plan.decode)
-            assert plan.decode == ("matrix" if self.bound(plan) <= RESIDUAL_FLOOR else "sweep")
-        assert set(decodes) == {"matrix", "sweep"}
-        # all of Z_16 as one node: the 16th roots of unity, the best-spread nodes, pass;
-        # with the best spread, bound = 2^(mu*-53), no plan of mu* > 23 can
-        assert SasPlan.plan(SupportSet.make(16, range(16)), ()).decode == "matrix"
+            assert plan.decode == decode, (spec, r)
+            assert self.admits(plan) == (decode == "matrix"), (spec, r)
+            if self.bound(plan) <= RESIDUAL_FLOOR:  # every plan the bound admits decodes by matrix
+                assert decode == "matrix"
+        for J in random_supports(20, 3):
+            p = build_tree(J, J.M).split_levels()
+            for t in range(len(p) + 1):
+                plan = SasPlan.plan(J, p[:t])
+                assert plan.decode == ("matrix" if self.admits(plan) else "sweep"), (J, t)
+        # the bound admits no plan of mu* > 23, not even the best-spread nodes, and the rule
+        # tries no other: all of Z_32 as one node, the 32nd roots of unity, has ||V^-1|| = 1
         best = [product_error_bound(mu, -math.log(mu)) for mu in (23, 24)]
         assert best[0] <= RESIDUAL_FLOOR < best[1]
+        assert sas._in_reach(23) and not sas._in_reach(24)
+        assert SasPlan.plan(SupportSet.make(16, range(16)), ()).decode == "matrix"
+        plan = SasPlan.plan(SupportSet.make(32, range(32)), ())
+        assert plan.decode == "sweep" and math.isnan(plan.amplification)
+
+    def test_amplification_is_the_exact_inverse_norm(self):
+        for spec in STRUCT + LEAKY + LARGE:
+            J = spec.build().support
+            p = sas._prepared(J, select_pivots(J))[0]
+            x, sizes = node_system(J, p)
+            amp = p.amplification
+            assert amp.shape == sizes.shape and not amp.flags.writeable
+            for b, m in enumerate(sizes.tolist()):
+                want = np.linalg.norm(np.linalg.inv(np.vander(x[b, :m], m, increasing=True).T), np.inf)
+                assert abs(amp[b] - want) <= 1e-9 * want, (spec, b)
+            assert (amp[sizes == 1] == 1.0).all()
+            assert p.plan.amplification == amp.max()
+        # mu* > 23 builds no inverses: NaN on the heavier nodes, 1.0 on weight 1
+        spec, r = PINNED
+        p = sas._prepared(spec.build().support, r)[0]
+        assert p.plan.mu_star == 25 and np.isnan(p.amplification).all() and math.isnan(p.plan.amplification)
+        p = sas._prepared(SupportSet.make(64, [1] + list(range(0, 64, 2))), (0,))[0]
+        assert p.plan.node_weights == (32, 1) and p.plan.decode == "sweep"
+        assert np.isnan(p.amplification[0]) and p.amplification[1] == 1.0
+
+    @pytest.mark.parametrize("kind", ["dense", "bandlimited"])
+    @pytest.mark.parametrize("seed", [0, 2, 4, 5])
+    def test_large_subsets_leave_the_sweep(self, seed, kind):
+        # Gautschi's bound sends these plans to the sweep (1.0e-9 to 3.4e-9); their exact
+        # form, 1.4e-11 to 8.9e-11, admits them.  The bound still decides the probe
+        spec = LARGE[seed]
+        J = spec.build().support
+        c = draw_coefficients(len(J), np.random.default_rng(seed), nonzero=True)
+        out = sas_transform(BandlimitedSignal(J, c) if kind == "bandlimited" else dense(J, c), J)
+        assert out.plan.decode == "matrix" and self.bound(out.plan) > RESIDUAL_FLOOR
+        assert self.exact(out.plan) <= RESIDUAL_FLOOR
+        assert out.probe_error is not None and not out.flagged and not out.nodes.mismatch.any()
+        assert np.max(np.abs(out.coeffs - c) / np.abs(c)) <= 1e-10
 
     def test_inverses_within_the_gate(self):
         supports = [spec.build().support for spec in STRUCT + LEAKY + LARGE]
@@ -528,13 +586,14 @@ class TestMatrixDecode:
             W, R = p.K[:, :mu], p.K[:, mu:]
             assert not W[~block].any() and not R[own].any()
             err = np.where(block, W @ V - np.eye(mu), 0)
-            assert np.abs(err).sum(axis=2).max() <= self.bound(p.plan)
+            assert np.abs(err).sum(axis=2).max() <= self.gate(p.plan)  # 0.52 of it at most, measured
             checked += 1
         assert checked >= 20
 
     def test_coefficients_within_the_gate_of_the_sweep(self):
-        # each decode rounds within the bound, so they differ by at most twice it
-        supports = [spec.build().support for spec in STRUCT + LEAKY]
+        # each decode rounds within the gate, so they differ by at most twice it (0.17 of
+        # that at most, measured)
+        supports = [spec.build().support for spec in STRUCT + LEAKY + LARGE]
         checked = 0
         for i, J in enumerate(supports + list(random_supports(20, 4))):
             p = sas._prepared(J, select_pivots(J))[0]
@@ -544,7 +603,7 @@ class TestMatrixDecode:
             x = dense(J, c)
             got = sas_transform(x, J).coeffs
             want = sweep(J, p, node_rows(x, J, p)).reshape(-1).take(p.coeff_index)
-            assert np.max(np.abs(got - want)) <= 2 * self.bound(p.plan) * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 2 * self.gate(p.plan) * np.max(np.abs(want))
             checked += 1
         assert checked >= 20
 
@@ -554,17 +613,21 @@ class TestMatrixDecode:
         J = spec.build().support
         c = draw_coefficients(len(J), np.random.default_rng(5), nonzero=True)
         x = dense(J, c)
-        got = sas_transform(x, J, r=r).coeffs if case == "pinned" else submatrix_method(J, x)
+        out = sas_transform(x, J, r=r)
+        got = out.coeffs if case == "pinned" else submatrix_method(J, x)
         p = J._memo[("plan", r)]
-        assert p.plan.decode == "sweep" and p.K is None
+        assert p.plan.decode == "sweep" and p.K is None and p.plan.mu_star == (25 if case == "pinned" else 60)
         want = sweep(J, p, node_rows(x, J, p)).reshape(-1).take(p.coeff_index)
-        assert got.tobytes() == want.tobytes()
-
+        assert got.tobytes() == want.tobytes() == out.coeffs.tobytes()
+        # probed, and only the pinned miss is flagged
+        assert out.probe_error is not None and out.flagged == (case == "pinned")
 
     def test_sweep_plans_keep_only_the_rows_a_check_reads(self):
         # V holds the rows j >= the lightest node's weight, and none on the r = () plan;
-        # residuals and flags are those of the full Vandermonde, on clean and leaky sources
-        cases = [PINNED, K60] + [(spec, None) for spec in LARGE]
+        # residuals and flags are those of the full Vandermonde, on clean and leaky sources.
+        # Under r = (0..7) the k = 2048 subsets but seed 5 plan mu* <= 23 sweeps: their nodes
+        # were inverted for the amplification, and K was never completed
+        cases = [PINNED, K60] + [(spec, tuple(range(8))) for spec in LARGE]
         sweeps = 0
         for spec, r in cases:
             J = spec.build().support
@@ -591,7 +654,7 @@ class TestMatrixDecode:
                 assert out.coeffs.tobytes() == c.reshape(-1).take(p.coeff_index).tobytes()
                 assert out.nodes.residual.tobytes() == want.tobytes()
                 assert (out.nodes.mismatch == (want > TOLERANCE)).all()
-        assert sweeps >= 4
+        assert sweeps == 7
 
 
 # the probe check of sweep plans ----------------------------------------------------------
@@ -631,3 +694,31 @@ def test_least_cost_plan_decodes_large_random_subsets(k, M, seed, kind):
         assert not out.plan_reused and not out.flagged
         assert np.max(np.abs(out.coeffs - c) / np.abs(c)) <= TOLERANCE
     assert min(cold) < 0.05
+
+
+def test_a_rejected_candidate_costs_its_stride_and_inverses_once(monkeypatch):
+    # k = 2048, M = 20, seed 4: the least-charged prefix, 8 pivots at mu* = 15 (106044 ops),
+    # fails the decode rule, so 9 pivots run (106419 ops).  Each candidate's nodes are
+    # inverted once and only the chosen plan completes K; an explicit r of the rejected
+    # prefix reuses its stride, amplification and nodes
+    J = fresh(LARGE[4].build().support)
+    calls = []
+    for name in ("_inverses", "_inverse_stack"):
+        def counted(*a, f=getattr(sas, name), name=name):
+            calls.append(name)
+            return f(*a)
+        monkeypatch.setattr(sas, name, counted)
+    c = draw_coefficients(len(J), np.random.default_rng(4), nonzero=True)
+    x = dense(J, c)
+    out = sas_transform(x, J)
+    p = build_tree(J, J.M).split_levels()
+    assert out.plan.pivots == p[:9] and out.report.total == 106419 and out.plan.decode == "matrix"
+    rejected = J._memo[("decode", p[:8])]
+    assert rejected.decode == "sweep" and rejected.K is None and ("plan", p[:8]) not in J._memo
+    assert 15 * rejected.amplification.max() * 2.0 ** -52 > RESIDUAL_FLOOR  # the exact form fails
+    assert calls == ["_inverses", "_inverses", "_inverse_stack"]
+    again = sas_transform(x, J, r=p[:8])
+    assert len(calls) == 3 and again.report.total == 106044 and again.plan.decode == "sweep"
+    assert again.plan.stride == rejected.stride and again.nodes.amplification is rejected.amplification
+    assert again.probe_error is not None and not again.flagged
+    assert np.max(np.abs(again.coeffs - c) / np.abs(c)) <= TOLERANCE

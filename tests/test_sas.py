@@ -14,6 +14,7 @@ from structfft import (
     OpCounter,
     SasPlan,
     SupportSet,
+    build_tree,
     dft_direct,
     draw_coefficients,
     gen_homogeneous,
@@ -22,12 +23,14 @@ from structfft import (
     hidft_to_dft,
     pivots,
     rel_error,
+    rng_from_seed,
     sas_transform,
     select_pivots,
     submatrix_method,
     vandermonde_solve,
 )
-from structfft.bench import FIXTURES
+from structfft.bench import FIXTURES, _family_spec_for_trial
+from structfft.families import FAMILY_KINDS
 from structfft import sas as sas_module
 from structfft.hidft import _read_grid
 from structfft.sas import C1, C2, _solve_ops
@@ -102,10 +105,48 @@ class TestSelectPivots:
         assert r == pivots(J)
 
     def test_worked_example_tie_break(self):
-        # bounds over prefixes of (0,1,9): 150, 87, 66, 66 -> the tie at 66
-        # goes to the smaller prefix (0,1)
+        # charged ops over the prefixes of (0,1,9): 75, 40, 34, 41; every plan decodes by
+        # matrix, so the least charged, (0,1), wins
         J = SupportSet.make(1024, [0, 1, 6, 7, 512])
         assert select_pivots(J) == (0, 1)
+        assert sas_transform(planted(J, 0)[0], J).report.total == 34
+        # charged ops over the prefixes of (0..4): 154, 97, 97, 136, 204, 240; the tie at 97
+        # goes to the smaller prefix (0,)
+        J = SupportSet.make(32, [1, 7, 11, 15, 28, 30, 31])
+        assert select_pivots(J) == (0,)
+        assert [SasPlan.plan(J, r).decode for r in ((0,), (0, 1))] == ["matrix", "matrix"]
+        assert sas_transform(planted(J, 0)[0], J).report.total == 97
+
+    def test_no_passing_prefix_charges_less(self):
+        # a seeded sweep over every family kind: each prefix of the split levels that may
+        # decode by matrix (mu* <= 23) is planned, the chosen one does, and none that does is
+        # charged less, nor as little with fewer pivots.  `_charged_ops`, which ranks them,
+        # is each plan's report total
+        kinds = {"homogeneous": {"M": [4, 14]}, "elementary": {"M": [4, 14]},
+                 "consecutive": {"M": [4, 14], "k": [2, 64]}, "ap": {"M": [4, 14]}, "gap": {"M": [6, 14]},
+                 "uoe": {"M": [4, 14]}, "uoh": {"M": [4, 14]},
+                 "random_subset": {"M": [9, 14], "k": [8, 512]}, "jstar": {"M": [4, 12]}}
+        assert sorted(kinds) == sorted(FAMILY_KINDS)
+        aliased = 0
+        for i, (kind, params) in enumerate(sorted(kinds.items())):
+            for t in range(8):
+                g = rng_from_seed(20261020, i, t)
+                J = _family_spec_for_trial(kind, params, g, int(g.integers(1 << 62))).build().support
+                tree = build_tree(J, J.M)
+                p = tree.split_levels()
+                weights = [tree.run_lengths(p[n - 1] + 1 if n else 0) for n in range(len(p) + 1)]
+                key = {n: (sas_module._charged_ops(n, J.M, w), n) for n, w in enumerate(weights)}
+                chosen = len(select_pivots(J))
+                passing = []
+                for n, w in enumerate(weights):
+                    if w.max() <= 23:
+                        q = sas_module._prepared(J, p[:n])[0]
+                        assert q.report.total == key[n][0], (kind, t, n)
+                        passing += [n] if q.plan.decode == "matrix" else []
+                assert select_pivots(J) == p[:chosen] and chosen in passing
+                assert key[chosen] == min(key[n] for n in passing), (kind, t)
+                aliased += int(weights[chosen].max()) > 1
+        assert aliased >= 20
 
     def test_jstar_auto_is_prefix(self):
         J = gen_jstar(10)

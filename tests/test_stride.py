@@ -271,6 +271,7 @@ def test_cli_transform_reports_plan(tmp_path, capsys):
         "stride": want.stride,
         "cond_bound": want.cond_bound,
         "decode": want.decode,
+        "amplification": want.amplification,
         # pivots 0..3: no run of FFT_RUN, so the four stages are one fused product
         "butterfly": {"fft_runs": [], "fused": [[0, 4]], "radix2": []},
     }

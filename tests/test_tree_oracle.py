@@ -1,11 +1,8 @@
 """The bit-reversed congruence tree against definitions computed by dicts."""
 
-import math
-
 import numpy as np
 
-from structfft import SasPlan, SupportSet, build_tree, pivots, pivots_pairwise, select_pivots
-from structfft.sas import predicted_cost
+from structfft import SasPlan, SupportSet, build_tree, pivots, pivots_pairwise, sas, select_pivots
 
 rng = np.random.default_rng(20221130)
 
@@ -59,22 +56,33 @@ def test_split_levels_are_pairwise_pivots():
         assert build_tree(J, depth).split_levels() == tuple(p for p in want if p < depth)
 
 
-def auto_by_dict(J: SupportSet) -> tuple[int, ...]:
-    """Cheapest prefix of pivots(J) by predicted cost; a tie keeps the smaller."""
+def charged_by_dict(J: SupportSet, t: int) -> tuple[int, int]:
+    """(the ops a call on the first t pivots of J is charged, mu*): the
+    butterfly's 1.5 A log2 A per row over mu* rows, A = 2^t, the sweep's
+    2.5 m (m - 1) per node of weight m plus m (m - 1) for its Leja order
+    when m >= 3, and one read-scale product per member unless A = N."""
     p = pivots(J)
-    best, best_cost = (), math.inf
-    for t in range(len(p) + 1):
-        weights = [len(ms) for ms in residue_classes(J, p[t - 1] + 1 if t else 0).values()]
-        cost = predicted_cost(t, max(weights), weights)
-        if cost < best_cost:
-            best, best_cost = p[:t], cost
-    return best
+    weights = [len(ms) for ms in residue_classes(J, p[t - 1] + 1 if t else 0).values()]
+    mu = max(weights)
+    solve = sum(5 * m * (m - 1) // 2 + (m * (m - 1) if m >= 3 else 0) for m in weights)
+    return 3 * t * (1 << t) * mu // 2 + solve + (len(J) if t < J.M else 0), mu
+
+
+def auto_by_dict(J: SupportSet) -> tuple[int, ...]:
+    """Of the prefixes of pivots(J) whose plan decodes by matrix (none of
+    mu* > 23 does, the whole vector always does), the least charged, the
+    smaller on ties."""
+    p = pivots(J)
+    charged = {t: charged_by_dict(J, t) for t in range(len(p) + 1)}
+    passing = [t for t, (_, mu) in charged.items() if mu <= 23 and SasPlan.plan(J, p[:t]).decode == "matrix"]
+    return p[:min(passing, key=lambda t: (charged[t][0], t))]
 
 
 def test_auto_policy_is_brute_force_minimum():
     for J in SUPPORTS:
         r = select_pivots(J)
         assert r == auto_by_dict(J)
+        assert sas._prepared(J, r)[0].report.total == charged_by_dict(J, len(r))[0]
         plan = SasPlan.plan(J, r)
         classes = residue_classes(J, plan.decode_level)
         assert plan.node_weights == tuple(len(classes[res]) for res in sorted(classes))
