@@ -76,8 +76,8 @@ def _load_json(path: str) -> dict:
 def load_support(path: str) -> SupportSet:
     obj = _load_json(path)
     try:
-        return SupportSet.make(int(obj["N"]), [int(j) for j in obj["indices"]])
-    except (KeyError, TypeError) as e:
+        return SupportSet.make(obj["N"], obj["indices"])
+    except (KeyError, TypeError, ValueError) as e:
         raise InvalidInputError(f"bad support file {path}: {e}") from None
 
 
@@ -88,7 +88,7 @@ def support_to_json(J: SupportSet) -> dict:
 def load_signal(path: str) -> BandlimitedSignal:
     obj = _load_json(path)
     try:
-        J = SupportSet.make(int(obj["N"]), [int(j) for j in obj["support"]])
+        J = SupportSet.make(obj["N"], obj["support"])
         coeffs = np.asarray([complex(re, im) for re, im in obj["coeffs"]])
     except (KeyError, TypeError, ValueError) as e:
         raise InvalidInputError(f"bad signal file {path}: {e}") from None
@@ -106,26 +106,28 @@ def signal_to_json(J: SupportSet, coeffs) -> dict:
 # analyze -----------------------------------------------------------------------
 
 
-def _tree_ascii(tree) -> list[str]:
-    lines = []
+def _tree_nodes(tree):
+    """(level, residue, members) of every stored node, level by level, by
+    ascending residue (`CongruenceTree.level_arrays`)."""
     for level in range(tree.depth + 1):
-        for node in tree.nodes_at_level(level):
-            lines.append(
-                "  " * level
-                + f"L{level} res={node.residue} weight={node.weight} members={list(node.members)}"
-            )
-    return lines
+        residues, bounds, members = tree.level_arrays(level)
+        m, b = members.tolist(), bounds.tolist()
+        for i, res in enumerate(residues.tolist()):
+            yield level, res, m[b[i]:b[i + 1]]
+
+
+def _tree_ascii(tree) -> list[str]:
+    return ["  " * level + f"L{level} res={res} weight={len(m)} members={m}"
+            for level, res, m in _tree_nodes(tree)]
 
 
 def _tree_dot(tree) -> str:
     out = ["digraph congruence_tree {"]
-    for level in range(tree.depth + 1):
-        for node in tree.nodes_at_level(level):
-            nid = f"n{level}_{node.residue}"
-            out.append(f'  {nid} [label="{node.residue} mod 2^{level}\\nw={node.weight}"];')
-            if level > 0:
-                parent = tree.parent(node)
-                out.append(f"  n{level-1}_{parent.residue} -> {nid};")
+    for level, res, m in _tree_nodes(tree):
+        nid = f"n{level}_{res}"
+        out.append(f'  {nid} [label="{res} mod 2^{level}\\nw={len(m)}"];')
+        if level > 0:  # the parent is the class of the residue one level up
+            out.append(f"  n{level - 1}_{res % (1 << (level - 1))} -> {nid};")
     out.append("}")
     return "\n".join(out)
 

@@ -18,9 +18,9 @@ are exactly the distinct split levels of neighbours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -65,10 +65,12 @@ class SupportSet:
 
     @classmethod
     def make(cls, N: int, indices: Iterable[int]) -> "SupportSet":
-        ind = tuple(sorted(int(j) for j in indices))
+        """J from any iterable of integers; an integral float such as 2.0 is
+        accepted, a fractional one raises (`as_int`)."""
+        ind = tuple(sorted(map(as_int, indices)))
         if len(set(ind)) != len(ind):
             raise InvalidInputError("support indices must be distinct")
-        return cls(N, ind)
+        return cls(as_int(N), ind)
 
     @property
     def M(self) -> int:
@@ -156,25 +158,14 @@ def pivots_pairwise(J: SupportSet, size_cap: int = PAIRWISE_SIZE_CAP) -> tuple[i
     return tuple(sorted(seen))
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    level: int
-    residue: int
-    members: tuple[int, ...]
-
-    @property
-    def weight(self) -> int:
-        return len(self.members)
-
-
 class CongruenceTree:
     """The mod-2^l refinement tree of J, truncated at `depth` levels.
 
     Held as J in bit-reversed order (`order`) plus the neighbours' split
     levels (`splits`).  Level l holds one node per residue class mod 2^l that
-    meets J, listed by ascending residue with members ascending.  Empty
-    nodes are not stored; weight queries on them return 0.  The tree keeps
-    no reference to J, so J can cache its own tree (`SupportSet._memo`).
+    meets J, listed by ascending residue with members ascending
+    (`level_arrays`).  Empty nodes are not stored.  The tree keeps no
+    reference to J, so J can cache its own tree (`SupportSet._memo`).
     """
 
     def __init__(self, J: SupportSet, depth: int):
@@ -184,12 +175,10 @@ class CongruenceTree:
         self.M = J.M
         self.depth = depth
         arr = J.as_array()
-        keys = _bit_reverse(arr, J.M)
-        perm = np.argsort(keys)
-        self._keys = keys[perm]
-        self.order = arr[perm]
+        self.order = arr[np.argsort(_bit_reverse(arr, J.M))]
         d = self.order[1:] ^ self.order[:-1]
         self.splits = np.frexp((d & -d).astype(np.float64))[1] - 1  # v2(d); d & -d is exact
+        self._levels: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def run_lengths(self, level: int) -> np.ndarray:
         """Node weights at `level`, in bit-reversed order of the residues."""
@@ -199,54 +188,22 @@ class CongruenceTree:
 
     def level_arrays(self, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nodes at `level` by ascending residue: node i has residue residues[i]
-        and members members[bounds[i]:bounds[i+1]], ascending."""
+        and members members[bounds[i]:bounds[i+1]], ascending.  Each level
+        is sorted once and its read-only arrays cached on the tree, so every
+        reader of a level shares them.  Two threads that miss at once each
+        sort; both results are equal and the later store wins."""
+        if level in self._levels:
+            return self._levels[level]
         self._check_level(level)
         mask = (1 << level) - 1
         members = self.order[np.lexsort((self.order, self.order & mask))]
         res = members & mask
         first = np.flatnonzero(np.concatenate(([True], res[1:] != res[:-1])))
-        return res[first], np.append(first, len(members)), members
-
-    def nodes_at_level(self, level: int) -> list[TreeNode]:
-        residues, bounds, members = self.level_arrays(level)
-        m, b = members.tolist(), bounds.tolist()
-        return [
-            TreeNode(level, res, tuple(m[b[i]:b[i + 1]]))
-            for i, res in enumerate(residues.tolist())
-        ]
-
-    def node(self, level: int, residue: int) -> TreeNode | None:
-        self._check_level(level)
-        if not 0 <= residue < (1 << level):
-            return None
-        key = int(_bit_reverse(np.int64(residue), self.M))
-        lo, hi = np.searchsorted(self._keys, [key, key + (1 << (self.M - level))])
-        if lo == hi:
-            return None
-        return TreeNode(level, residue, tuple(sorted(self.order[lo:hi].tolist())))
-
-    def node_weight(self, level: int, residue: int) -> int:
-        n = self.node(level, residue)
-        return 0 if n is None else n.weight
-
-    def induced_weight(self, level: int, residue: int, w: Mapping[int, complex]) -> complex:
-        """Sum of w over the node's members; 0 for absent nodes."""
-        n = self.node(level, residue)
-        if n is None:
-            return 0j
-        return complex(sum(w[j] for j in n.members))
-
-    def children(self, node: TreeNode) -> tuple[TreeNode | None, TreeNode | None]:
-        """(left, right) children; left carries bit `node.level` set."""
-        if node.level >= self.depth:
-            raise InvalidInputError("node has no stored children (below tree depth)")
-        left = self.node(node.level + 1, node.residue + (1 << node.level))
-        return left, self.node(node.level + 1, node.residue)
-
-    def parent(self, node: TreeNode) -> TreeNode | None:
-        if node.level == 0:
-            return None
-        return self.node(node.level - 1, node.residue % (1 << (node.level - 1)))
+        arrays = res[first], np.append(first, len(members)), members
+        for a in arrays:
+            a.flags.writeable = False
+        self._levels[level] = arrays
+        return arrays
 
     def max_weight_at_level(self, level: int) -> int:
         return int(self.run_lengths(level).max())
@@ -337,6 +294,8 @@ def is_part_homogeneous(J: SupportSet, r: Sequence[int]) -> bool:
 def as_int(value) -> int:
     """int(value), but InvalidInputError (a ValueError) on a float that int()
     would truncate; an integral float such as 2.0 is accepted."""
+    if type(value) is int:  # the common case, once per index of a support
+        return value
     if isinstance(value, (float, np.floating)) and not float(value).is_integer():
         raise InvalidInputError(f"{value!r} is not an integer")
     return int(value)
@@ -357,9 +316,3 @@ def height_of(level: int, r: Sequence[int]) -> int:
     if not r:
         return 0
     return sum(1 for x in r if level <= x <= r[-1])
-
-
-def node_heights(J: SupportSet, r: Sequence[int]) -> dict[int, int]:
-    """level -> height map for an r-part-homogeneous J (contract-checked)."""
-    check_part_homogeneous(pivots(J), r)
-    return {level: height_of(level, r) for level in range(J.M + 1)}

@@ -62,10 +62,6 @@ class OpCounter:
         a, m = self._phases.get(name, (0, 0))
         return a, m
 
-    def phase_total(self, name: str) -> int:
-        a, m = self.phase(name)
-        return a + m
-
     @property
     def phases(self) -> dict[str, tuple[int, int]]:
         return {k: (v[0], v[1]) for k, v in self._phases.items()}

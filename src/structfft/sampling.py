@@ -131,10 +131,6 @@ class IsolationReport:
     drop: int
     pairs: tuple[PairIsolation, ...]
 
-    @property
-    def all_cross_isolated(self) -> bool:
-        return all(p.isolated for p in self.pairs if p.v2_diff in self.pivots[: len(self.pivots) - self.drop])
-
 
 def check_isolation(r: Sequence[int], J: SupportSet, drop: int = 0) -> IsolationReport:
     """Verify the aliasing pattern's action on all pairs of an r-part-homogeneous J.

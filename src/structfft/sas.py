@@ -476,8 +476,10 @@ def _inverse_stack(V: np.ndarray, W: np.ndarray, sizes: np.ndarray) -> np.ndarra
 class _Nodes:
     """The decode-level nodes of one pivot vector and how its plan decodes
     them (`_decoded_nodes`), read-only.  Nodes by ascending residue, as in
-    `NodeArrays`; x holds their Vandermonde nodes e^{-2 pi i d l / N},
-    padded to mu* columns with 0 (None when mu* = 1)."""
+    `NodeArrays`: residues, bounds and members are the tree's own arrays
+    (`CongruenceTree.level_arrays`), not copies.  x holds their Vandermonde
+    nodes e^{-2 pi i d l / N}, padded to mu* columns with 0 (None when mu*
+    = 1)."""
 
     residues: np.ndarray
     bounds: np.ndarray
@@ -516,7 +518,7 @@ def _decoded_nodes(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> 
                 exact = mu * float(amplification.max()) * 2.0 ** -52
                 if min(product_error_bound(mu, score), exact) <= RESIDUAL_FLOOR:
                     K = _inverse_stack(V, W, weights)
-        for a in (residues, bounds, members, x, amplification, K):
+        for a in (x, amplification, K):
             if a is not None:
                 a.flags.writeable = False
         return _Nodes(residues, bounds, members, stride, score, x, amplification,

@@ -18,7 +18,7 @@ from structfft import (
     v2,
 )
 from structfft import congruence
-from structfft.congruence import node_heights, validate_pivot_vector
+from structfft.congruence import check_part_homogeneous, validate_pivot_vector
 
 rng = np.random.default_rng(7)
 
@@ -29,6 +29,19 @@ def random_support(M=None, k=None):
     k = k or int(rng.integers(1, min(N, 64) + 1))
     idx = rng.choice(N, size=k, replace=False)
     return SupportSet.make(N, idx.tolist())
+
+
+def nodes(tree, level):
+    """{residue: members} of the level's nodes, read off `level_arrays`."""
+    residues, bounds, members = tree.level_arrays(level)
+    m, b = members.tolist(), bounds.tolist()
+    return {res: m[b[i]:b[i + 1]] for i, res in enumerate(residues.tolist())}
+
+
+def weights(tree, level):
+    """{residue: weight} of the level's nodes; absent classes are not keys."""
+    residues, bounds, _ = tree.level_arrays(level)
+    return dict(zip(residues.tolist(), np.diff(bounds).tolist()))
 
 
 def random_homogeneous(M=None, s=None):
@@ -51,6 +64,13 @@ class TestSupportSet:
         with pytest.raises(InvalidInputError):
             SupportSet.make(8, [1, 1])
 
+    def test_fractional_input_raises(self):
+        for N, idx in ((16, [1.5, 3.2]), (16, [1, 3, 7.9]), (16.9, [1, 3]), (16, [np.float64(2.5)])):
+            with pytest.raises(InvalidInputError, match="not an integer"):
+                SupportSet.make(N, idx)
+        # integral floats are integers, as everywhere else
+        assert SupportSet.make(16.0, [3.0, np.float64(1), 2]) == SupportSet(16, (1, 2, 3))
+
     def test_basic(self):
         J = SupportSet.make(32, [27, 3, 17, 25])
         assert J.indices == (3, 17, 25, 27)
@@ -72,22 +92,20 @@ class TestBuildTree:
         # level-2 nodes of {0,3,6,7}: residues mod 4 are 0 -> {0}, 2 -> {6}, 3 -> {3,7}
         J = SupportSet.make(8, [0, 3, 6, 7])
         tree = build_tree(J, 2)
-        nodes = {n.residue: n.members for n in tree.nodes_at_level(2)}
-        assert nodes == {0: (0,), 2: (6,), 3: (3, 7)}
+        assert nodes(tree, 2) == {0: [0], 2: [6], 3: [3, 7]}
 
     def test_full_range_is_complete_binary(self):
         J = SupportSet.make(8, range(8))
         tree = build_tree(J, 3)
         for level in range(4):
-            assert len(tree.nodes_at_level(level)) == 1 << level
-        assert all(n.weight == 1 for n in tree.nodes_at_level(3))
+            assert sorted(weights(tree, level)) == list(range(1 << level))
+        assert set(weights(tree, 3).values()) == {1}
 
     def test_singleton_no_splits(self):
         J = SupportSet.make(16, [11])
         tree = build_tree(J, 4)
         for level in range(5):
-            nodes = tree.nodes_at_level(level)
-            assert len(nodes) == 1 and nodes[0].weight == 1
+            assert nodes(tree, level) == {11 % (1 << level): [11]}
         assert tree.split_levels() == ()
 
     def test_partition_and_weight_recursion(self):
@@ -95,22 +113,35 @@ class TestBuildTree:
             J = random_support()
             tree = build_tree(J, J.M)
             for level in range(J.M + 1):
-                assert sum(n.weight for n in tree.nodes_at_level(level)) == len(J)
+                assert sum(weights(tree, level).values()) == len(J)
             for level in range(J.M):
-                for node in tree.nodes_at_level(level):
-                    left, right = tree.children(node)
-                    got = (left.weight if left else 0) + (right.weight if right else 0)
-                    assert got == node.weight
+                # the children of residue r are r + 2^level (left) and r
+                below = weights(tree, level + 1)
+                for res, w in weights(tree, level).items():
+                    assert below.get(res + (1 << level), 0) + below.get(res, 0) == w
 
     def test_leaves_singletons(self):
         J = random_support()
         tree = build_tree(J, J.M)
-        assert all(n.weight == 1 for n in tree.nodes_at_level(J.M))
+        assert set(weights(tree, J.M).values()) == {1}
 
     def test_depth_validation(self):
         J = SupportSet.make(8, [1])
         with pytest.raises(InvalidInputError):
             build_tree(J, 4)
+        with pytest.raises(InvalidInputError):
+            build_tree(J, 2).level_arrays(3)
+
+    def test_each_level_sorted_once(self):
+        J = random_support(10, 40)
+        tree = build_tree(J, J.M)
+        for level in range(J.M + 1):
+            arrays = tree.level_arrays(level)
+            assert tree.level_arrays(level) is arrays
+            for a in arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[:1] = 0
 
 
 class TestPivots:
@@ -155,7 +186,6 @@ class TestPivots:
         assert pivots(J) == first
         assert classify(J).pivots == first
         assert is_part_homogeneous(J, first)
-        assert node_heights(J, first)[0] == len(first)
         assert len(built) == 1
 
     def test_integral_pivots_only(self):
@@ -199,20 +229,34 @@ class TestClassify:
             assert is_part_homogeneous(J, tuple(range(J.M)))
 
 
+def class_sums(J, w, level):
+    """{r: sum of w over the members of J that are r mod 2^level}, by dict."""
+    sums = {}
+    for j in J.indices:
+        sums[j % (1 << level)] = sums.get(j % (1 << level), 0) + w[j]
+    return sums
+
+
+def node_sums(tree, w, level):
+    """{residue: sum of w over the node's members}, one np.add.reduceat."""
+    residues, bounds, members = tree.level_arrays(level)
+    vals = np.array([w[j] for j in members.tolist()], dtype=np.complex128)
+    return dict(zip(residues.tolist(), np.add.reduceat(vals, bounds[:-1]).tolist()))
+
+
 class TestWeights:
-    def test_induced_weight_all_ones(self):
+    def test_node_sums_all_ones(self):
         J = random_support()
         tree = build_tree(J, J.M)
         ones = {j: 1.0 for j in J.indices}
         for level in (0, J.M // 2, J.M):
-            for n in tree.nodes_at_level(level):
-                assert tree.induced_weight(level, n.residue, ones) == n.weight
+            assert node_sums(tree, ones, level) == weights(tree, level) == class_sums(J, ones, level)
 
     def test_root_weight_is_total(self):
         J = random_support()
         w = {j: complex(rng.normal(), rng.normal()) for j in J.indices}
         tree = build_tree(J, 2 if J.M >= 2 else J.M)
-        assert abs(tree.induced_weight(0, 0, w) - sum(w.values())) < 1e-12
+        assert abs(node_sums(tree, w, 0)[0] - sum(w.values())) < 1e-12
 
     def test_parent_equals_child_sum(self):
         for _ in range(25):
@@ -220,20 +264,19 @@ class TestWeights:
             w = {j: complex(rng.normal(), rng.normal()) for j in J.indices}
             tree = build_tree(J, J.M)
             for level in range(J.M):
-                for node in tree.nodes_at_level(level):
-                    left, right = tree.children(node)
-                    s = sum(
-                        tree.induced_weight(level + 1, c.residue, w)
-                        for c in (left, right)
-                        if c is not None
-                    )
-                    assert abs(tree.induced_weight(level, node.residue, w) - s) < 1e-12
+                sums, below = node_sums(tree, w, level), node_sums(tree, w, level + 1)
+                want = class_sums(J, w, level)
+                assert sums.keys() == want.keys()
+                for res, s in sums.items():
+                    assert abs(s - want[res]) < 1e-12
+                    kids = below.get(res + (1 << level), 0) + below.get(res, 0)
+                    assert abs(s - kids) < 1e-12
 
-    def test_missing_node_weight_zero(self):
+    def test_missing_nodes_not_stored(self):
         J = SupportSet.make(8, [1])
         tree = build_tree(J, 3)
-        assert tree.node_weight(1, 0) == 0
-        assert tree.induced_weight(1, 0, {1: 5.0}) == 0j
+        assert nodes(tree, 1) == {1: [1]}  # residue 0 mod 2 meets no member
+        assert 0 not in node_sums(tree, {1: 5.0}, 1)
 
 
 class TestHeights:
@@ -244,7 +287,8 @@ class TestHeights:
         for level, h in want.items():
             assert height_of(level, r) == h
         J = SupportSet.make(64, [3, 17, 25, 27, 35])
-        assert node_heights(J, r) == {**want, 6: 0}
+        check_part_homogeneous(pivots(J), r)
+        assert {level: height_of(level, r) for level in range(J.M + 1)} == {**want, 6: 0}
 
     def test_mu_star_bounds(self):
         for _ in range(20):
@@ -268,7 +312,7 @@ class TestHeights:
     def test_height_contract_violation(self):
         J = SupportSet.make(64, [3, 17, 25, 27, 35])
         with pytest.raises(ContractViolationError):
-            node_heights(J, (3,))  # pivot 1 missing below r_max
+            check_part_homogeneous(pivots(J), (3,))  # pivot 1 missing below r_max
 
 
 class TestHomogeneityEquivalences:
@@ -285,14 +329,14 @@ class TestHomogeneityEquivalences:
             # (a) equal-weight children at every split; (b) splits happen at
             # whole levels
             for level in range(J.M):
-                nodes = tree.nodes_at_level(level)
+                below = weights(tree, level + 1)
                 split_flags = []
-                for node in nodes:
-                    left, right = tree.children(node)
+                for res in weights(tree, level):
+                    left, right = below.get(res + (1 << level)), below.get(res)
                     split = left is not None and right is not None
                     split_flags.append(split)
                     if split:
-                        assert left.weight == right.weight
+                        assert left == right
                 assert len(set(split_flags)) == 1
             # (c) mu*_r = 2^{#pivots >= r}
             for level in range(J.M + 1):
@@ -315,4 +359,4 @@ class TestHomogeneityEquivalences:
             tree = build_tree(J, J.M)
             for n in range(s + 1):
                 level = p[s - n - 1] + 1 if n < s else 0
-                assert len(tree.nodes_at_level(level)) == 1 << (s - n)
+                assert len(tree.level_arrays(level)[0]) == 1 << (s - n)

@@ -171,13 +171,13 @@ class TestTreeWeightIdentity:
                 for a in (0, 3):
                     res = hidft(sig, J, r, height=n, shift=a)
                     scale = (1 << (len(r) - n)) / N
-                    tree = build_tree(J, res.level)
-                    for node in tree.nodes_at_level(res.level):
+                    residues, bounds, members = build_tree(J, res.level).level_arrays(res.level)
+                    for i, residue in enumerate(residues.tolist()):
                         want = scale * sum(
                             spec[l] * np.exp(-2j * np.pi * a * l / N)
-                            for l in node.members
+                            for l in members[bounds[i]:bounds[i + 1]].tolist()
                         )
-                        got = res.values[node.residue]
+                        got = res.values[residue]
                         assert abs(got - want) <= 1e-9 * max(abs(want), 1e-9)
 
 

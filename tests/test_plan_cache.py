@@ -233,6 +233,20 @@ def test_cached_and_returned_arrays_are_read_only():
         out.nodes.residual[0] = 0
 
 
+def test_a_cold_plan_sorts_its_decode_level_once():
+    # the tree caches each level's sort, read-only, and the plan's nodes are
+    # those arrays, not a second sort's copies
+    J = FamilySpec("uoe", {"a_n": 7, "etas": [0, 0, 0, 0, 0, 1, 1, 1], "M": 12}, 3).build().support
+    res = sas_transform(dense(J, np.ones(len(J))), J)
+    assert res.plan_reused is False and res.plan.mu_star > 1
+    tree = J._memo["tree"]
+    arrays = tree.level_arrays(res.plan.decode_level)
+    assert tree.level_arrays(res.plan.decode_level) is arrays
+    assert res.nodes.residues is arrays[0] and res.nodes.bounds is arrays[1]
+    assert res.nodes.members is arrays[2]
+    assert not any(a.flags.writeable for a in arrays)
+
+
 def test_support_pickles_as_its_two_fields():
     J = FamilySpec("random_subset", {"k": 1024, "M": 12}, 0).build().support
     plain = len(pickle.dumps(fresh(J)))

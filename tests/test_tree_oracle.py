@@ -37,14 +37,13 @@ def test_nodes_are_residue_classes():
         tree = build_tree(J, J.M)
         for level in range(J.M + 1):
             want = residue_classes(J, level)
-            nodes = tree.nodes_at_level(level)
-            assert [n.residue for n in nodes] == sorted(want)
-            assert {n.residue: list(n.members) for n in nodes} == want
+            residues, bounds, members = tree.level_arrays(level)
+            b = bounds.tolist()
+            assert residues.tolist() == sorted(want)
+            assert b[0] == 0 and b[-1] == len(J)
+            assert {res: members[b[i]:b[i + 1]].tolist() for i, res in enumerate(residues.tolist())} == want
+            assert sorted(tree.run_lengths(level).tolist()) == sorted(map(len, want.values()))
             assert tree.max_weight_at_level(level) == max(map(len, want.values()))
-            for n in nodes:
-                assert tree.node(level, n.residue) == n
-            absent = [r for r in range(min(2**level, 64)) if r not in want]
-            assert all(tree.node(level, r) is None for r in absent)
 
 
 def test_split_levels_are_pairwise_pivots():
