@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,24 +26,6 @@ from .sas import C1, C2, sas_transform
 
 # threshold constant for the aliasing-tail statistic
 C_MU_STAR = 4.0 + 3.0 * math.log(2.0)
-
-CSV_COLUMNS = (
-    "trial",
-    "family",
-    "N",
-    "k",
-    "size_r",
-    "mu_star",
-    "amplification",
-    "ops_hidft",
-    "ops_solve",
-    "ops_total",
-    "bound_total",
-    "samples",
-    "correct",
-    "max_rel_err",
-    "mismatch_nodes",
-)
 
 FIXTURES = {
     # worked shift-and-sample example: one 2x2 node system
@@ -78,6 +60,9 @@ class TrialRecord:
 
     def as_row(self) -> list:
         return [getattr(self, c) for c in CSV_COLUMNS]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 
 def _draw_int(rng, value) -> int:

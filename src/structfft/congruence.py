@@ -105,12 +105,14 @@ class SupportSet:
 
     @cached_property
     def _memo(self) -> dict:
-        """What other modules derive from J alone, under their own keys
-        (`sas_transform` keeps its tree, pivot choices, prepared plans and
-        probes here, `hidft` its butterfly plans, and a plan's
-        `BandlimitedSignal` reads their phases, at most one entry per
-        plan).  It lives exactly as long as this instance; nothing in it
-        may refer back to the instance."""
+        """What other modules derive from J alone, under their own keys:
+        "tree", J's congruence tree; per plan of pivots r, ("plan", r),
+        the prepared plan, also under ("plan", None) when the planner chose
+        r; ("butterfly", r), its butterfly plan and slots, which `hidft`
+        shares; ("phases", r), the phases a `BandlimitedSignal` grid read
+        reuses; ("probe", r), a probed plan's probe locations; and
+        `hidft`'s ("nodes", level) node orders.  It lives exactly as long
+        as this instance; nothing in it may refer back to the instance."""
         return {}
 
     def __reduce__(self):
@@ -292,11 +294,13 @@ def is_part_homogeneous(J: SupportSet, r: Sequence[int]) -> bool:
 
 
 def as_int(value) -> int:
-    """int(value), but InvalidInputError (a ValueError) on a float that int()
-    would truncate; an integral float such as 2.0 is accepted."""
+    """int(value), but InvalidInputError (a ValueError) on a bool, a string,
+    bytes or a float that int() would truncate: JSON true is no index, and
+    "3" no count.  An integral float such as 2.0 is accepted."""
     if type(value) is int:  # the common case, once per index of a support
         return value
-    if isinstance(value, (float, np.floating)) and not float(value).is_integer():
+    if isinstance(value, (bool, np.bool_, str, bytes)) or (
+            isinstance(value, (float, np.floating)) and not float(value).is_integer()):
         raise InvalidInputError(f"{value!r} is not an integer")
     return int(value)
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .congruence import MAX_M, SupportSet, classify, pivots, validate_pivot_vector
+from .congruence import MAX_M, SupportSet, as_int, classify, pivots, validate_pivot_vector
 from .errors import ContractViolationError, InvalidInputError
 
 FAMILY_KINDS = (
@@ -172,7 +172,7 @@ def gen_uoe(
     The realized union must satisfy a_n <= log2 |J| + alpha (not too much
     overlap); regenerates with fresh substreams up to max_attempts times.
     """
-    etas = [int(e) for e in etas]
+    etas = [as_int(e) for e in etas]
     if len(etas) != a_n + 1:
         raise InvalidInputError("need one eta per size exponent 0..a_n")
     if a_n > M:
@@ -213,7 +213,7 @@ def gen_uoh(
     l = cls.pivots
     if a_n > len(l):
         raise InvalidInputError("a_n exceeds the base pivot count")
-    etas = [int(e) for e in etas]
+    etas = [as_int(e) for e in etas]
     if len(etas) != a_n + 1:
         raise InvalidInputError("need one eta per size exponent 0..a_n")
     if all(e == 0 for e in etas):
@@ -282,6 +282,11 @@ class FamilyInstance:
     meta: dict
 
 
+# the scalar integer parameters; the lists are read element by element, pivot
+# vectors by `validate_pivot_vector`
+_INT_PARAMS = ("r", "M", "a", "s", "k", "N", "a_n")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Serializable description of one family draw (kind + parameters + seed)."""
@@ -300,25 +305,27 @@ class FamilySpec:
     @classmethod
     def from_json(cls, obj: dict) -> "FamilySpec":
         try:
-            return cls(obj["kind"], dict(obj.get("params", {})), int(obj.get("seed", 0)))
+            return cls(obj["kind"], dict(obj.get("params", {})), as_int(obj.get("seed", 0)))
         except KeyError as e:
             raise InvalidInputError(f"family spec missing key {e}") from None
 
     def build(self) -> FamilyInstance:
-        """The family draw; InvalidInputError if params is not a dict, has M
-        over MAX_M or N over 2^MAX_M (checked first) or lacks a key it reads."""
+        """The family draw; InvalidInputError if params is not a dict, has
+        an integer parameter that is not an integer (`as_int`), M over MAX_M
+        or N over 2^MAX_M (all checked before the draw) or lacks a key it
+        reads."""
         if not isinstance(self.params, dict):
             raise InvalidInputError(f"{self.kind} params must be a JSON object")
+        p = {key: as_int(v) if key in _INT_PARAMS else v for key, v in self.params.items()}
         for key, cap in (("M", MAX_M), ("N", 1 << MAX_M)):
-            if isinstance(self.params.get(key), int) and self.params[key] > cap:
-                raise InvalidInputError(f"{self.kind} params {key}={self.params[key]} is above the cap {cap}")
+            if p.get(key, 0) > cap:
+                raise InvalidInputError(f"{self.kind} params {key}={p[key]} is above the cap {cap}")
         try:
-            return self._build()
+            return self._build(p)
         except KeyError as e:
             raise InvalidInputError(f"{self.kind} params missing key {e}") from None
 
-    def _build(self) -> FamilyInstance:
-        p = dict(self.params)
+    def _build(self, p: dict) -> FamilyInstance:
         kind = self.kind
         if kind == "elementary":
             J = gen_elementary(p["r"], p["M"], self.seed)
@@ -333,7 +340,8 @@ class FamilySpec:
             J = gen_ap(p["a"], p["s"], p["k"], p["N"])
             return FamilyInstance(J, kind, {"policy": "auto"})
         if kind == "gap":
-            res = gen_gap(GapSpec(p["a"], tuple(p["steps"]), tuple(p["lengths"]), p["N"]))
+            res = gen_gap(GapSpec(p["a"], tuple(map(as_int, p["steps"])), tuple(map(as_int, p["lengths"])),
+                                  p["N"]))
             return FamilyInstance(
                 res.support, kind, {"policy": "auto", "proper": res.proper}
             )

@@ -498,6 +498,7 @@ def hidft(
     Raises InvalidInputError when a sample read is NaN or infinite.
     """
     rt = validate_pivot_vector(r, J.M)
+    height = as_int(height)
     if height < 0 or height > len(rt):
         raise InvalidInputError(f"height must be in [0, {len(rt)}]")
     check_part_homogeneous(pivots(J), rt)
@@ -558,7 +559,7 @@ def hidft_oracle(
     """Same contract as hidft, evaluated by the dense submatrix product."""
     rt = validate_pivot_vector(r, J.M)
     check_part_homogeneous(pivots(J), rt)
-    shift = as_int(shift)
+    height, shift = as_int(height), as_int(shift)
     used = rt[: len(rt) - height]
     level = used[-1] + 1 if used else 0
     pattern = pivoted_pattern(used, J.M)

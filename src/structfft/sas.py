@@ -11,13 +11,13 @@ stride), and solves one Vandermonde system per aliased node:
 
 The node systems depend on J alone, and a plan solves them one of two ways.
 A plan of mu* <= 23 builds every node's explicit inverse W_b and keeps it
-when either `product_error_bound` (mu* 2^(mu*-1) e^cond_bound 2^-52, from
-Gautschi's bound on ||V^-1||) or its exact form, mu* max_b ||W_b||_inf 2^-52,
-is at most RESIDUAL_FLOOR; a call then decodes all nodes with one batched
-product ("matrix").  Otherwise, as for every plan of mu* > 23, a call runs
-the Leja + Bjorck-Pereyra sweep against cached divisor factors ("sweep"),
-which stays accurate where a product with the inverse would not.  A call
-is checked by probe samples iff `product_error_bound` exceeds the floor.
+when mu* max_b ||W_b||_inf 2^-52 is at most RESIDUAL_FLOOR; a call then
+decodes all nodes with one batched product ("matrix").  Otherwise, as for
+every plan of mu* > 23, a call runs the Leja + Bjorck-Pereyra sweep
+against cached divisor factors ("sweep"), which stays accurate where a
+product with the inverse would not.  A call is checked by probe samples
+iff `product_error_bound` (mu* 2^(mu*-1) e^cond_bound 2^-52, from
+Gautschi's bound on ||V^-1||) exceeds the floor.
 Either way a call is charged the sweep's count, at most 6 m^2 per node of
 weight m, as a `numpy.fft` run is charged radix-2, and the planner
 (`select_pivots`) runs the least-charged prefix of J's split levels that
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -73,21 +74,22 @@ def predicted_cost(size_r: int, mu_star: int, node_weights: Sequence[int]) -> fl
 
 def product_error_bound(mu_star: int, cond_bound: float) -> float:
     """mu* 2^(mu*-1) e^cond_bound 2^-52: mu* ||V^-1||_inf eps over the
-    plan's nodes (Gautschi's bound, see `SasPlan`), about what a product
-    with a node's explicit inverse rounds to, relative to the largest
-    coefficient.  Some row of the heaviest node has a product of distances
-    of at most mu* (Hadamard's inequality), so the bound is at least
-    2^(mu*-53), which is over RESIDUAL_FLOOR for every mu* > 23
+    plan's nodes (Gautschi's bound, see `SasPlan`), an upper bound on what
+    a product with a node's explicit inverse rounds to, relative to the
+    largest coefficient.  Some row of the heaviest node has a product of
+    distances of at most mu* (Hadamard's inequality), so the bound is at
+    least 2^(mu*-53), which is over RESIDUAL_FLOOR for every mu* > 23
     (`_in_reach`).
 
-    The decode rule: a plan of mu* <= 23 builds its nodes' inverses W_b
-    once and decodes by one product with them ("matrix") iff this bound or
-    its exact form, mu* max_b ||W_b||_inf 2^-52 (`SasPlan.amplification`),
-    is at most RESIDUAL_FLOOR; any other plan runs the Bjorck-Pereyra
-    sweep, whose rounding does not grow with ||V^-1||.  The probe rule: a
-    call is checked by probe samples (`_probe_error`) iff this bound
-    exceeds RESIDUAL_FLOOR, so every sweep plan's call is probed, and so is
-    a matrix plan's that only the exact form admits."""
+    The decode rule reads the exact form this bounds, mu* max_b
+    ||W_b||_inf 2^-52 (`SasPlan.amplification`): a plan of mu* <= 23
+    builds its nodes' inverses W_b once and decodes by one product with
+    them ("matrix") iff the exact form is at most RESIDUAL_FLOOR; any other
+    plan runs the Bjorck-Pereyra sweep, whose rounding does not grow with
+    ||V^-1||.  The probe rule: a call is checked by probe samples
+    (`_probe_error`) iff this bound exceeds RESIDUAL_FLOOR, so every sweep
+    plan's call is probed, and so is a matrix plan's whose bound is over
+    the floor."""
     log_bound = math.log(mu_star) + (mu_star - 53) * math.log(2) + cond_bound
     return math.exp(log_bound) if log_bound < 700 else math.inf
 
@@ -214,36 +216,27 @@ def choose_stride(members: np.ndarray, bounds: np.ndarray, N: int) -> tuple[int,
 def select_pivots(J: SupportSet) -> tuple[int, ...]:
     """The pivot vector `sas_transform` runs when given no explicit r: of
     the prefixes of J's split levels (`pivots(J)`), taken in order of the
-    ops a call is charged (`_charged_ops`, the fewer pivots on ties), the
-    first whose plan decodes by matrix (the decode rule of
-    `product_error_bound`).  The whole vector leaves every node of weight
-    1, mu* = 1, which passes, so some prefix always does.  A prefix of mu*
-    > 23 cannot pass and is skipped unplanned; a candidate that fails costs
-    its stride and its nodes' inverses, cached on J for its plan
-    (`_decoded_nodes`).  A prefix of the split levels leaves J
-    part-homogeneous by construction.  Cached on J under "pivots" (see
-    `sas_transform`).
-    """
-    return memoized(J, "pivots", lambda tree: _least_cost_prefix(J, tree), build_tree)[0]
+    ops a call is charged (`_charges`, the fewer pivots on ties), the first
+    whose plan decodes by matrix (`_least_cost_plan`).  It is the pivots of
+    the plan a call without r runs, which a first call prepares and caches
+    on J (see `sas_transform`)."""
+    return _prepared(J, None)[0].plan.pivots
 
 
-def _charged_ops(size_r: int, M: int, weights: np.ndarray) -> int:
-    """The counted ops a call is charged (`CostReport.total`) for |r| =
-    size_r pivots of Z_(2^M) and decode-level node weights `weights`: the
-    butterfly over mu* rows of 2^size_r slots, the sweep's count and one
-    read-scale product per measured value, none when N / |I_r| = 1."""
-    adds, mults = butterfly_ops(size_r, int(weights.max()), 1 << size_r)
+def _charges(size_r: int, M: int, weights: np.ndarray) -> tuple[int, int, int, int, int]:
+    """The counted (hidft adds, hidft mults, solve adds, solve mults, read
+    mults) a call is charged (`CostReport`) for |r| = size_r pivots of
+    Z_(2^M) and decode-level node weights `weights`: the butterfly over mu*
+    rows of 2^size_r slots, the sweep's count and, unless N / |I_r| = 1,
+    one read-scale product per measured value, "read" for a node of weight
+    1 and "solve" for a heavier one."""
+    hidft_adds, hidft_mults = butterfly_ops(size_r, int(weights.max()), 1 << size_r)
     solve_mults, solve_adds = _solve_ops(weights)
-    read = int(weights.sum()) if size_r < M else 0
-    return adds + mults + solve_mults + solve_adds + read
-
-
-def _least_cost_prefix(J: SupportSet, tree: CongruenceTree) -> tuple[int, ...]:
-    p = tree.split_levels()
-    weights = [tree.run_lengths(p[t - 1] + 1 if t else 0) for t in range(len(p) + 1)]
-    order = sorted(range(len(p) + 1), key=lambda t: (_charged_ops(t, J.M, weights[t]), t))
-    return next(p[:t] for t in order if _in_reach(int(weights[t].max()))
-                and _decoded_nodes(J, tree, p[:t]).decode == "matrix")
+    read_mults = 0
+    if size_r < M:
+        read_mults = int(np.count_nonzero(weights == 1))
+        solve_mults += int(weights.sum()) - read_mults
+    return hidft_adds, hidft_mults, solve_adds, solve_mults, read_mults
 
 
 # Vandermonde machinery --------------------------------------------------------
@@ -472,58 +465,51 @@ def _inverse_stack(V: np.ndarray, W: np.ndarray, sizes: np.ndarray) -> np.ndarra
     return np.concatenate((W, R), axis=1)
 
 
-@dataclass(frozen=True)
-class _Nodes:
-    """The decode-level nodes of one pivot vector and how its plan decodes
-    them (`_decoded_nodes`), read-only.  Nodes by ascending residue, as in
-    `NodeArrays`: residues, bounds and members are the tree's own arrays
-    (`CongruenceTree.level_arrays`), not copies.  x holds their Vandermonde
-    nodes e^{-2 pi i d l / N}, padded to mu* columns with 0 (None when mu*
-    = 1)."""
+def _node_systems(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> tuple:
+    """The node systems of J's decode-level nodes for pivots rt: (stride,
+    cond_bound, x, amplification, K).  x holds the Vandermonde nodes e^{-2
+    pi i d l / N}, padded to mu* columns with 0.  A plan of mu* <= 23
+    (`_in_reach`) inverts its nodes (`_inverses`), reads each node's
+    ||V_b^-1||_inf off W_b as its row-sum norm, and completes K =
+    [W_b; R_b] (`_inverse_stack`) iff it decodes by matrix (the decode rule
+    of `product_error_bound`); a plan of larger mu* inverts nothing, and
+    its nodes of weight > 1 read NaN.  x and K are None when mu* = 1, which
+    reads every node directly.  Raises ContractViolationError unless J is
+    rt-part-homogeneous.  Plan-time work, not counted or cached."""
+    check_part_homogeneous(tree.split_levels(), rt)
+    _, bounds, members = tree.level_arrays(rt[-1] + 1 if rt else 0)
+    weights = np.diff(bounds)
+    mu = int(weights.max())
+    amplification = np.where(weights == 1, 1.0, math.nan)
+    stride, score, x, K = 1, 0.0, None, None
+    if mu > 1:
+        stride, score = choose_stride(members, bounds, J.N)
+        x = np.zeros((len(weights), mu), dtype=np.complex128)
+        x[np.arange(mu) < weights[:, None]] = fourier_kernel(members, [stride], J.N)[:, 0]
+        if _in_reach(mu):
+            V = _vander_stack(x)
+            W = _inverses(V, weights)
+            amplification = np.abs(W).sum(axis=2).max(axis=1)
+            if mu * float(amplification.max()) * 2.0 ** -52 <= RESIDUAL_FLOOR:
+                K = _inverse_stack(V, W, weights)
+    return stride, score, x, amplification, K
 
-    residues: np.ndarray
-    bounds: np.ndarray
-    members: np.ndarray
-    stride: int
-    cond_bound: float
-    x: np.ndarray | None
-    amplification: np.ndarray  # NodeArrays.amplification
-    decode: str
-    K: np.ndarray | None       # [W_b; R_b] (`_inverse_stack`) of a matrix plan of mu* > 1
 
-
-def _decoded_nodes(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Nodes:
-    """J's decode-level nodes for pivots rt, their stride and decode,
-    cached on J under ("decode", rt), so that `select_pivots` and
-    `_prepare` find each plan's stride and inverses once.  A plan of mu*
-    <= 23 (`_in_reach`) inverts its nodes (`_inverses`), reads each node's
-    ||V_b^-1||_inf off W_b as its row-sum norm, and completes K iff it
-    decodes by matrix (`product_error_bound`); a plan of larger mu* inverts
-    nothing, and its nodes of weight > 1 read NaN.  Plan-time work, not
-    counted."""
-    def make(tree):
-        residues, bounds, members = tree.level_arrays(rt[-1] + 1 if rt else 0)
-        weights = np.diff(bounds)
-        mu = int(weights.max())
-        amplification = np.where(weights == 1, 1.0, math.nan)
-        stride, score, x, K = 1, 0.0, None, None
-        if mu > 1:  # mu* = 1 reads every node directly: no stride, no Vandermonde nodes
-            stride, score = choose_stride(members, bounds, J.N)
-            x = np.zeros((len(weights), mu), dtype=np.complex128)
-            x[np.arange(mu) < weights[:, None]] = fourier_kernel(members, [stride], J.N)[:, 0]
-            if _in_reach(mu):
-                V = _vander_stack(x)
-                W = _inverses(V, weights)
-                amplification = np.abs(W).sum(axis=2).max(axis=1)
-                exact = mu * float(amplification.max()) * 2.0 ** -52
-                if min(product_error_bound(mu, score), exact) <= RESIDUAL_FLOOR:
-                    K = _inverse_stack(V, W, weights)
-        for a in (x, amplification, K):
-            if a is not None:
-                a.flags.writeable = False
-        return _Nodes(residues, bounds, members, stride, score, x, amplification,
-                      "matrix" if mu == 1 or K is not None else "sweep", K)
-    return memoized(J, ("decode", rt), make, lambda J, depth: tree)[0]
+def _least_cost_plan(J: SupportSet, tree: CongruenceTree) -> tuple[tuple[int, ...], tuple]:
+    """The pivots `select_pivots` picks and their `_node_systems`.  A prefix
+    of mu* > 23 cannot decode by matrix and is skipped unplanned; a
+    candidate that fails costs its stride and its nodes' inverses, and
+    nothing of it is kept.  The whole vector leaves every node of weight 1,
+    mu* = 1, which passes, so some prefix always does.  A prefix of the
+    split levels leaves J part-homogeneous by construction."""
+    p = tree.split_levels()
+    weights = [tree.run_lengths(p[t - 1] + 1 if t else 0) for t in range(len(p) + 1)]
+    for t in sorted(range(len(p) + 1), key=lambda t: (sum(_charges(t, J.M, weights[t])), t)):
+        mu = int(weights[t].max())
+        if _in_reach(mu):
+            systems = _node_systems(J, tree, p[:t])
+            if mu == 1 or systems[-1] is not None:  # K: it decodes by matrix
+                return p[:t], systems
 
 
 @dataclass(frozen=True)
@@ -553,9 +539,9 @@ class SasResult:
     node state.  plan_reused tells whether the call found its prepared plan
     cached on the support (see `sas_transform`); it is not a cost and stays
     out of `report`.  A call whose plan's `product_error_bound` exceeds
-    RESIDUAL_FLOOR (every "sweep" plan, and a "matrix" plan that only the
-    exact amplification admits) holds its `_probe_error`, and flagged
-    tells whether it exceeds tolerance / _PROBE_MARGIN."""
+    RESIDUAL_FLOOR (every "sweep" plan, and some "matrix" plans) holds its
+    `_probe_error`, and flagged tells whether it exceeds tolerance /
+    _PROBE_MARGIN."""
 
     support: SupportSet
     coeffs: np.ndarray
@@ -605,64 +591,59 @@ class _Prepared:
 
 
 def _prepared(J: SupportSet, r: Sequence[int] | None) -> tuple[_Prepared, bool]:
-    """J's prepared plan for pivots r (None: `select_pivots(J)`), and
-    whether it was cached.  The plan of r = None is also kept under
-    ("plan", None), the same object as under its pivots, so that a warm
-    call without r finds it in one lookup.  Its tree is built through this
-    module's `build_tree`, which perfbench/spans.py traces."""
+    """J's prepared plan for pivots r (None: the planner's,
+    `_least_cost_plan`), and whether it was cached.  The plan of r = None
+    is kept under its pivots and under ("plan", None), one object, so that
+    a warm call without r finds it in one lookup.  Its tree is built
+    through this module's `build_tree`, which perfbench/spans.py traces."""
+    memo = J._memo
     if r is None:
-        if ("plan", None) in J._memo:
-            return J._memo[("plan", None)], True
-        prepared, reused = _prepared(J, select_pivots(J))
-        J._memo[("plan", None)] = prepared
+        if ("plan", None) in memo:
+            return memo[("plan", None)], True
+        tree = memo["tree"] if "tree" in memo else build_tree(J, J.M)
+        rt, systems = _least_cost_plan(J, tree)
+        prepared, reused = memoized(J, ("plan", rt), lambda tree: _prepare(J, tree, rt, systems),
+                                    lambda J, depth: tree)
+        memo[("plan", None)] = prepared
         return prepared, reused
     rt = validate_pivot_vector(r, J.M)
-    return memoized(J, ("plan", rt), lambda tree: _prepare(J, tree, rt), build_tree)
+    return memoized(J, ("plan", rt), lambda tree: _prepare(J, tree, rt, _node_systems(J, tree, rt)), build_tree)
 
 
-def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> _Prepared:
-    """The plan-time half of `sas_transform`, on J's butterfly plan and
-    slots for rt, which `hidft` shares, and its decoded nodes
-    (`_decoded_nodes`), which `select_pivots` shares; counts nothing."""
-    check_part_homogeneous(tree.split_levels(), rt)
+def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...], systems: tuple) -> _Prepared:
+    """The plan-time half of `sas_transform` for pivots rt, on J's
+    butterfly plan and slots, which `hidft` shares, and the node systems
+    (`_node_systems`); counts nothing."""
     butterfly, take, offsets = _butterfly_entry(J, rt, lambda J, depth: tree)
-    nodes = _decoded_nodes(J, tree, rt)
-    weights = np.diff(nodes.bounds)
+    residues, bounds, members = tree.level_arrays(rt[-1] + 1 if rt else 0)
+    stride, score, x, amplification, K = systems
+    weights = np.diff(bounds)
     node_weights = tuple(weights.tolist())
     mu = max(node_weights)
-    N = J.N
     plan = SasPlan(rt, rt[-1] + 1 if rt else 0, mu, node_weights, predicted_cost(len(rt), mu, node_weights),
-                   nodes.stride, nodes.cond_bound, nodes.decode, float(nodes.amplification.max()))
-    shifts = mod_product(np.arange(mu), nodes.stride, N)
-    locations = _grid_locations(offsets, shifts, N)
-    scale = N / len(offsets)
+                   stride, score, "matrix" if mu == 1 or K is not None else "sweep", float(amplification.max()))
+    shifts = mod_product(np.arange(mu), stride, J.N)
+    locations = _grid_locations(offsets, shifts, J.N)
+    scale = J.N / len(offsets)
 
     factors = V = None
-    if nodes.decode == "sweep":  # mu* > 1: a mu* = 1 plan reads its nodes directly
-        factors = _bp_factors(nodes.x, weights, _leja_orders(nodes.x, weights))
+    if plan.decode == "sweep":  # mu* > 1: a mu* = 1 plan reads its nodes directly
+        factors = _bp_factors(x, weights, _leja_orders(x, weights))
         lo = int(weights.min())  # no node has a spare row below its weight
-        V = (np.ascontiguousarray(_vander_stack(nodes.x)[:, lo:]) if lo < mu
+        V = (np.ascontiguousarray(_vander_stack(x)[:, lo:]) if lo < mu
              else np.empty((len(weights), 0, mu), dtype=np.complex128))
     own = np.arange(mu) < weights[:, None]
     coeff_index = np.empty(len(J), dtype=np.intp)
-    coeff_index[np.searchsorted(J.as_array(), nodes.members)] = np.flatnonzero(own)
+    coeff_index[np.searchsorted(J.as_array(), members)] = np.flatnonzero(own)
     read_index = take[coeff_index] if mu == 1 else None
-
-    solve_mults, solve_adds = _solve_ops(weights)
-    read_mults = 0
-    if scale != 1.0:  # one product per measured value a node is solved from
-        read_mults = int(np.count_nonzero(weights == 1))
-        solve_mults += int(weights.sum()) - read_mults
-    hidft_adds, hidft_mults = butterfly_ops(len(rt), mu, butterfly.n_slots)
     report = CostReport(
-        tree_bitops(J, plan.decode_level), hidft_adds, hidft_mults, solve_adds, solve_mults, read_mults,
+        tree_bitops(J, plan.decode_level), *_charges(len(rt), J.M, weights),
         samples_touched=int(np.unique(locations).size), bound_alg1bnd=plan.predicted_cost,
         bound_hidft=C1 * len(rt) * (1 << len(rt)),
     )
     prepared = _Prepared(
-        plan, report, shifts, locations, scale, butterfly, take, nodes.residues, nodes.bounds,
-        nodes.members, nodes.amplification, coeff_index, read_index, factors, V, nodes.K,
-        product_error_bound(mu, nodes.cond_bound) > RESIDUAL_FLOOR,
+        plan, report, shifts, locations, scale, butterfly, take, residues, bounds, members, amplification,
+        coeff_index, read_index, factors, V, K, product_error_bound(mu, score) > RESIDUAL_FLOOR,
     )
     for a in vars(prepared).values():
         if isinstance(a, np.ndarray):
@@ -736,9 +717,9 @@ def sas_transform(
     with Vandermonde nodes e^{-2 pi i d l / N} that the stride keeps apart,
     by the one decode the plan chose (`SasPlan.decode`, the decode rule of
     `product_error_bound`): one batched product with the nodes' cached
-    inverses ("matrix") when mu* <= 23 and `product_error_bound` or its
-    exact form mu* max_b ||V_b^-1||_inf 2^-52 is at most RESIDUAL_FLOOR,
-    else one Leja + Bjorck-Pereyra sweep over all nodes ("sweep").  A call
+    inverses ("matrix") when mu* <= 23 and mu* max_b ||V_b^-1||_inf 2^-52
+    is at most RESIDUAL_FLOOR, else one Leja + Bjorck-Pereyra sweep over
+    all nodes ("sweep").  A call
     without r always decodes by matrix: `select_pivots` returns no other
     plan.  Both decodes are charged the sweep's count.  When mu* = 1 every
     node has weight 1 and is read directly.  There is no escalation and no
@@ -749,11 +730,11 @@ def sas_transform(
     decode forms it in the same product).  A node whose residual exceeds
     max(tolerance, RESIDUAL_FLOOR) is flagged in `NodeArrays.mismatch`, as
     when the signal has energy off J; nothing raises but a tolerance that
-    is not finite and positive or a NaN or infinite sample read
+    is not a finite positive number or a NaN or infinite sample read
     (InvalidInputError).  Nodes of weight mu*, and every node when mu* = 1,
     have no spare row.  So, by the probe rule of `product_error_bound`, a
     call whose plan's bound exceeds RESIDUAL_FLOOR (every sweep plan, and
-    a matrix plan only the exact form admits) is also checked by probe
+    a matrix plan whose bound alone exceeds it) is also checked by probe
     samples (`_probe_error`, uncounted), flagged when the statistic exceeds
     tolerance / _PROBE_MARGIN (`SasResult.flagged`); on any other plan a
     wrong answer on such a node goes unflagged.  `NodeArrays.amplification`
@@ -764,10 +745,10 @@ def sas_transform(
     prepared once and cached on the `SupportSet` instance itself: the
     congruence tree, the pivot choice, the plan and stride, the sample
     locations, the butterfly plan and slots (shared with `hidft`, fused
-    groups' matrices included), the node layout, the stride and the nodes'
-    amplification of every prefix the planner tried (`_decoded_nodes`), the
+    groups' matrices included), the node layout and amplification, the
     nodes' inverses (a matrix plan) or their Leja orders and Bjorck-Pereyra
-    divisor factors (a sweep plan), and the call's cost report.  A warm
+    divisor factors (a sweep plan), and the call's cost report; nothing of
+    a prefix the planner rejected is kept.  A warm
     call then reads the grid, runs the butterfly and decodes the node
     right-hand sides against what is stored, on few numpy kernels: the fused groups and the matrix
     decode run the same `np.matmul`, and so do the residual norms.  A
@@ -776,10 +757,10 @@ def sas_transform(
     frequencies finds the plan's phases there too, the read scale N / |I_r|
     folded in (`hidft._read_grid`, one entry per plan), and one that holds
     J's own index array is not compared with it.  The cache is keyed by
-    exactly what the plan reads: the pivot vector, which is the explicit r
-    or the one "pivots" entry of `select_pivots`; the plan of a call
-    without r is also kept under ("plan", None), the same object, so a
-    warm call without r finds it in one lookup.  `policy` and `tolerance`
+    exactly what the plan reads: the pivot vector, the explicit r or the
+    planner's; the plan of a call without r is also kept under ("plan",
+    None), the same object, so a warm call without r finds it in one
+    lookup.  `policy` and `tolerance`
     are checked on every call, and the probe rule and a counter's charge
     apply to every call, warm or cold.  An invalid request stores
     nothing; a plan made before its samples raise stays cached.  Cached
@@ -796,8 +777,7 @@ def sas_transform(
     """
     if policy not in POLICIES:
         raise InvalidInputError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    if not 0 < tolerance < math.inf:  # NaN too: it would switch the mismatch flag off
-        raise InvalidInputError(f"tolerance must be finite and positive, not {tolerance!r}")
+    _check_tolerance(tolerance)
     prepared, reused = _prepared(J, r)
     coeffs, nodes = _execute(prepared, source, J, tolerance)
     probe = _probe_error(prepared, source, J, coeffs) if prepared.probed else None
@@ -805,6 +785,15 @@ def sas_transform(
         prepared.report.charge(counter)
     return SasResult(J, coeffs, prepared.plan, prepared.report, nodes, reused, probe,
                      probe is not None and not probe <= tolerance / _PROBE_MARGIN)
+
+
+def _check_tolerance(tolerance) -> None:
+    """Raise InvalidInputError unless tolerance is a finite positive real
+    number: not NaN, which would switch the mismatch flag off, and not a
+    bool, whose True would lift the mismatch threshold to 1 (np.bool_ is
+    no `numbers.Real`)."""
+    if isinstance(tolerance, bool) or not (isinstance(tolerance, numbers.Real) and 0 < tolerance < math.inf):
+        raise InvalidInputError(f"tolerance must be a finite positive number, not {tolerance!r}")
 
 
 def _probes(J: SupportSet, read: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -875,12 +864,11 @@ def submatrix_method(
     / _PROBE_MARGIN, which catches a system out of reach in float64 and a
     signal with energy off J alike.  The check is uncounted, so the report
     and the charges are the r = () plan's.  Raises InvalidInputError when
-    tolerance is not finite and positive, k is over the cap or a sample
+    tolerance is not a finite positive number, k is over the cap or a sample
     read (probes included) is not finite.  A counter is charged as
     `sas_transform` charges it.
     """
-    if not 0 < tolerance < math.inf:
-        raise InvalidInputError(f"tolerance must be finite and positive, not {tolerance!r}")
+    _check_tolerance(tolerance)
     k = len(J)
     if k > SUBMATRIX_SIZE_CAP:
         raise InvalidInputError(f"submatrix baseline capped at k <= {SUBMATRIX_SIZE_CAP}")

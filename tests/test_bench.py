@@ -17,6 +17,14 @@ def test_fixture_row_has_mismatch_column():
     assert row["amplification"] == 1.0
 
 
+def test_csv_columns_are_the_record_fields():
+    # the CSV header, pinned: a bench replay's bytes depend on it
+    assert CSV_COLUMNS == (
+        "trial", "family", "N", "k", "size_r", "mu_star", "amplification", "ops_hidft", "ops_solve",
+        "ops_total", "bound_total", "samples", "correct", "max_rel_err", "mismatch_nodes",
+    )
+
+
 def test_summary_sums_mismatch_nodes():
     # elementary sets with r = 8 at M = 12 alias clustered nodes, which the
     # planned shift stride decodes in float64 with no node flagged

@@ -222,10 +222,13 @@ def test_trees_with_absent_nodes(tmp_path, capsys, support, ascii_lines, dot_lin
 
 
 @pytest.mark.parametrize("support, message", [
-    # int() would truncate the first two to a different support, analyzed silently
+    # int() would truncate the first two to a different support, analyzed silently,
+    # and read the last two as {1, 3} in Z_16
     ({"N": 16, "indices": [1.5, 3, 7.9]}, "not an integer"),
     ({"N": 16.9, "indices": [1, 3]}, "not an integer"),
-    ({"N": 16, "indices": ["a", 3]}, "invalid literal"),
+    ({"N": 16, "indices": ["a", 3]}, "not an integer"),
+    ({"N": "16", "indices": [True, "3"]}, "not an integer"),
+    ({"N": 16, "indices": [1, "3"]}, "not an integer"),
 ])
 def test_non_integer_input_exits_2(tmp_path, capsys, support, message):
     code, out = analyze(tmp_path, capsys, support, "--tree", "ascii")
@@ -243,6 +246,19 @@ def test_modulus_not_power_of_two_exits_2(tmp_path, capsys):
     assert code == 2
     assert out.out == ""
     assert "not a power of two" in out.err
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("uoe", {"a_n": 2, "etas": [1.5, 0, 1], "M": 8}),  # int() would read eta 1.5 as 1
+    ("elementary", {"r": 3.7, "M": 8}),                 # a TypeError inside the generator
+    ("elementary", {"r": True, "M": 8}),
+    ("gap", {"a": 0, "steps": [1, 16], "lengths": [4, 2.5], "N": 64}),
+])
+def test_non_integer_family_parameter_exits_2(tmp_path, capsys, kind, params):
+    code = cli.main(["gen", "--kind", kind, "--params", json.dumps(params), "--out", str(tmp_path / "s.json")])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "") and "not an integer" in out.err
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_oracle_reports_the_direct_dft_ops(tmp_path, capsys):

@@ -18,7 +18,7 @@ from structfft import (
     v2,
 )
 from structfft import congruence
-from structfft.congruence import check_part_homogeneous, validate_pivot_vector
+from structfft.congruence import as_int, check_part_homogeneous, validate_pivot_vector
 
 rng = np.random.default_rng(7)
 
@@ -70,6 +70,20 @@ class TestSupportSet:
                 SupportSet.make(N, idx)
         # integral floats are integers, as everywhere else
         assert SupportSet.make(16.0, [3.0, np.float64(1), 2]) == SupportSet(16, (1, 2, 3))
+
+    def test_bool_and_string_input_raises(self):
+        # int() would read True as 1 and "3" as 3: JSON true is no index
+        for N, idx in ((16, [True, 3]), (16, [np.True_, 3]), (16, [1, "3"]), (16, [b"3"]), ("16", [1, 3])):
+            with pytest.raises(InvalidInputError, match="not an integer"):
+                SupportSet.make(N, idx)
+        with pytest.raises(InvalidInputError, match="not an integer"):
+            validate_pivot_vector((True, 2), 4)
+        for value in (False, np.False_, "", "1", b"1", 1.5, np.float32(0.5), math.nan, math.inf):
+            with pytest.raises(InvalidInputError, match="not an integer"):
+                as_int(value)
+        for value, want in ((3, 3), (np.int64(3), 3), (np.uint8(3), 3), (3.0, 3), (np.float64(-2), -2)):
+            got = as_int(value)
+            assert got == want and type(got) is int
 
     def test_basic(self):
         J = SupportSet.make(32, [27, 3, 17, 25])

@@ -250,3 +250,37 @@ class TestFamilySpec:
         a = rng_from_seed(42, 1, 2).integers(0, 2**32, size=4)
         b = rng_from_seed(42, 1, 2).integers(0, 2**32, size=4)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("uoe", {"a_n": 2, "etas": [1.5, 0, 1], "M": 8}),  # int() would read eta 1.5 as 1
+        ("uoh", {"base_pivots": [0, 2, 4], "a_n": 2, "etas": [1, True, 1], "M": 9}),
+        ("elementary", {"r": 3.7, "M": 8}),
+        ("elementary", {"r": 3, "M": "8"}),
+        ("homogeneous", {"pivots": [1, 3.5], "M": 8}),
+        ("consecutive", {"a": 0, "k": 2.5, "N": 64}),
+        ("ap", {"a": 0, "s": 1.5, "k": 4, "N": 64}),
+        ("gap", {"a": 0, "steps": [1, 16.5], "lengths": [4, 2], "N": 64}),
+        ("random_subset", {"k": 64, "M": 12.5}),
+        ("jstar", {"M": True}),
+    ])
+    def test_integer_parameters_must_be_integers(self, kind, params):
+        with pytest.raises(InvalidInputError, match="not an integer"):
+            FamilySpec(kind, params, 1).build()
+
+    def test_integral_floats_build_the_same_draw(self):
+        spec = FamilySpec("uoe", {"a_n": 2, "etas": [1, 0, 1], "M": 8}, 1)
+        same = FamilySpec("uoe", {"a_n": 2.0, "etas": [1.0, 0, 1], "M": 8.0}, 1)
+        assert same.build().support == spec.build().support
+
+    def test_seed_must_be_an_integer(self):
+        obj = {"kind": "elementary", "params": {"r": 2, "M": 5}}
+        for seed in (2.9, True, "2"):
+            with pytest.raises(InvalidInputError, match="not an integer"):
+                FamilySpec.from_json({**obj, "seed": seed})
+        assert FamilySpec.from_json({**obj, "seed": 2.0}) == FamilySpec("elementary", obj["params"], 2)
+
+    def test_generators_read_etas_as_integers(self):
+        with pytest.raises(InvalidInputError, match="not an integer"):
+            gen_uoe(2, [1.5, 0, 1], 8, seed=0)
+        with pytest.raises(InvalidInputError, match="not an integer"):
+            gen_uoh(gen_homogeneous((0, 2, 5), 10, seed=8), 1, [1, 0.5], seed=0)

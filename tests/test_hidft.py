@@ -668,6 +668,20 @@ def test_shift_must_be_an_integer():
         assert res.slot_values.tobytes() == fn(sig, J, r, shift=2).slot_values.tobytes()
 
 
+def test_height_must_be_an_integer():
+    # int() would run height=True as height 1 and report height=True
+    J = gen_homogeneous((0, 2, 3), 8, 1)
+    sig, _ = random_signal(J)
+    r = pivots(J)
+    for fn in (hidft, hidft_oracle):
+        for height in (True, 1.5, "1"):
+            with pytest.raises(InvalidInputError, match="not an integer"):
+                fn(sig, J, r, height=height)
+        res = fn(sig, J, r, height=1.0)
+        assert res.height == 1 and type(res.height) is int
+        assert res.slot_values.tobytes() == fn(sig, J, r, height=1).slot_values.tobytes()
+
+
 class TestPlanCache:
     def test_second_call_builds_no_tree_and_no_plan(self, monkeypatch):
         hidft_module = importlib.import_module("structfft.hidft")

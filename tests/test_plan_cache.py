@@ -214,7 +214,6 @@ def test_cached_and_returned_arrays_are_read_only():
         prepared = J._memo[("plan", out.plan.pivots)]
         cached = [v for v in vars(prepared).values() if isinstance(v, np.ndarray)]
         assert len(cached) == 9
-        cached.append(J._memo[("decode", out.plan.pivots)].x)  # the nodes' decode entry
         cached += [t for t in prepared.butterfly.twiddles if t is not None]
         cached += [t for _, _, t in prepared.butterfly.runs if t is not None]
         if decode == "matrix":
@@ -239,6 +238,8 @@ def test_a_cold_plan_sorts_its_decode_level_once():
     J = FamilySpec("uoe", {"a_n": 7, "etas": [0, 0, 0, 0, 0, 1, 1, 1], "M": 12}, 3).build().support
     res = sas_transform(dense(J, np.ones(len(J))), J)
     assert res.plan_reused is False and res.plan.mu_star > 1
+    r = res.plan.pivots  # one entry per plan, none for a rejected prefix
+    assert set(J._memo) == {"tree", ("plan", None), ("plan", r), ("butterfly", r)}
     tree = J._memo["tree"]
     arrays = tree.level_arrays(res.plan.decode_level)
     assert tree.level_arrays(res.plan.decode_level) is arrays
@@ -514,14 +515,9 @@ class TestMatrixDecode:
         return plan.mu_star * plan.amplification * 2.0 ** -52
 
     @classmethod
-    def gate(cls, plan):
-        """What the decode rule holds a matrix plan's rounding to: the lesser form."""
-        return min(cls.bound(plan), cls.exact(plan))
-
-    @classmethod
     def admits(cls, plan):
-        """The decode rule: mu* <= 23, and either form within the floor."""
-        return plan.mu_star <= 23 and min(cls.bound(plan), cls.exact(plan)) <= RESIDUAL_FLOOR
+        """The decode rule: mu* <= 23, and the exact form within the floor."""
+        return plan.mu_star <= 23 and cls.exact(plan) <= RESIDUAL_FLOOR
 
     def test_gate_picks_the_decode(self):
         cases = [(spec, None, "matrix") for spec in STRUCT + [HOMOG] + LEAKY + LARGE]
@@ -541,6 +537,8 @@ class TestMatrixDecode:
             for t in range(len(p) + 1):
                 plan = SasPlan.plan(J, p[:t])
                 assert plan.decode == ("matrix" if self.admits(plan) else "sweep"), (J, t)
+                # Gautschi's bound is never below the exact form, which the rule reads alone
+                assert not self.exact(plan) > self.bound(plan) * (1 + 1e-12), (J, t)
         # the bound admits no plan of mu* > 23, not even the best-spread nodes, and the rule
         # tries no other: all of Z_32 as one node, the 32nd roots of unity, has ||V^-1|| = 1
         best = [product_error_bound(mu, -math.log(mu)) for mu in (23, 24)]
@@ -600,7 +598,7 @@ class TestMatrixDecode:
             W, R = p.K[:, :mu], p.K[:, mu:]
             assert not W[~block].any() and not R[own].any()
             err = np.where(block, W @ V - np.eye(mu), 0)
-            assert np.abs(err).sum(axis=2).max() <= self.gate(p.plan)  # 0.52 of it at most, measured
+            assert np.abs(err).sum(axis=2).max() <= self.exact(p.plan)  # 0.52 of it at most, measured
             checked += 1
         assert checked >= 20
 
@@ -617,7 +615,7 @@ class TestMatrixDecode:
             x = dense(J, c)
             got = sas_transform(x, J).coeffs
             want = sweep(J, p, node_rows(x, J, p)).reshape(-1).take(p.coeff_index)
-            assert np.max(np.abs(got - want)) <= 2 * self.gate(p.plan) * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 2 * self.exact(p.plan) * np.max(np.abs(want))
             checked += 1
         assert checked >= 20
 
@@ -713,8 +711,8 @@ def test_least_cost_plan_decodes_large_random_subsets(k, M, seed, kind):
 def test_a_rejected_candidate_costs_its_stride_and_inverses_once(monkeypatch):
     # k = 2048, M = 20, seed 4: the least-charged prefix, 8 pivots at mu* = 15 (106044 ops),
     # fails the decode rule, so 9 pivots run (106419 ops).  Each candidate's nodes are
-    # inverted once and only the chosen plan completes K; an explicit r of the rejected
-    # prefix reuses its stride, amplification and nodes
+    # inverted once, only the chosen plan completes K, and nothing of the rejected
+    # prefix is kept; an explicit r of it plans its own sweep
     J = fresh(LARGE[4].build().support)
     calls = []
     for name in ("_inverses", "_inverse_stack"):
@@ -727,12 +725,10 @@ def test_a_rejected_candidate_costs_its_stride_and_inverses_once(monkeypatch):
     out = sas_transform(x, J)
     p = build_tree(J, J.M).split_levels()
     assert out.plan.pivots == p[:9] and out.report.total == 106419 and out.plan.decode == "matrix"
-    rejected = J._memo[("decode", p[:8])]
-    assert rejected.decode == "sweep" and rejected.K is None and ("plan", p[:8]) not in J._memo
-    assert 15 * rejected.amplification.max() * 2.0 ** -52 > RESIDUAL_FLOOR  # the exact form fails
     assert calls == ["_inverses", "_inverses", "_inverse_stack"]
+    assert set(J._memo) == {"tree", ("plan", None), ("plan", p[:9]), ("butterfly", p[:9]), ("probe", p[:9])}
     again = sas_transform(x, J, r=p[:8])
-    assert len(calls) == 3 and again.report.total == 106044 and again.plan.decode == "sweep"
-    assert again.plan.stride == rejected.stride and again.nodes.amplification is rejected.amplification
+    assert again.report.total == 106044 and again.plan.decode == "sweep" and again.plan.mu_star == 15
+    assert 15 * again.plan.amplification * 2.0 ** -52 > RESIDUAL_FLOOR  # the decode rule fails
     assert again.probe_error is not None and not again.flagged
     assert np.max(np.abs(again.coeffs - c) / np.abs(c)) <= TOLERANCE

@@ -120,8 +120,8 @@ class TestSelectPivots:
     def test_no_passing_prefix_charges_less(self):
         # a seeded sweep over every family kind: each prefix of the split levels that may
         # decode by matrix (mu* <= 23) is planned, the chosen one does, and none that does is
-        # charged less, nor as little with fewer pivots.  `_charged_ops`, which ranks them,
-        # is each plan's report total
+        # charged less, nor as little with fewer pivots.  `_charges`, which ranks them by
+        # their sum, is each plan's report
         kinds = {"homogeneous": {"M": [4, 14]}, "elementary": {"M": [4, 14]},
                  "consecutive": {"M": [4, 14], "k": [2, 64]}, "ap": {"M": [4, 14]}, "gap": {"M": [6, 14]},
                  "uoe": {"M": [4, 14]}, "uoh": {"M": [4, 14]},
@@ -135,13 +135,17 @@ class TestSelectPivots:
                 tree = build_tree(J, J.M)
                 p = tree.split_levels()
                 weights = [tree.run_lengths(p[n - 1] + 1 if n else 0) for n in range(len(p) + 1)]
-                key = {n: (sas_module._charged_ops(n, J.M, w), n) for n, w in enumerate(weights)}
+                charges = [sas_module._charges(n, J.M, w) for n, w in enumerate(weights)]
+                key = {n: (sum(charges[n]), n) for n in range(len(weights))}
                 chosen = len(select_pivots(J))
                 passing = []
                 for n, w in enumerate(weights):
                     if w.max() <= 23:
                         q = sas_module._prepared(J, p[:n])[0]
-                        assert q.report.total == key[n][0], (kind, t, n)
+                        r = q.report
+                        assert (r.hidft_adds, r.hidft_mults, r.solve_adds, r.solve_mults,
+                                r.read_ops) == charges[n], (kind, t, n)
+                        assert r.total == key[n][0], (kind, t, n)
                         passing += [n] if q.plan.decode == "matrix" else []
                 assert select_pivots(J) == p[:chosen] and chosen in passing
                 assert key[chosen] == min(key[n] for n in passing), (kind, t)
@@ -348,6 +352,20 @@ def test_tolerance_must_be_finite_and_positive(tolerance):
         sas_transform(sig, J, tolerance=tolerance)
     with pytest.raises(InvalidInputError, match="tolerance"):
         submatrix_method(J, sig, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("tolerance", [True, np.True_, "1e-8", None, 1e-8 + 0j])
+def test_tolerance_must_be_a_real_number(tolerance):
+    # True would lift the mismatch threshold to 1 and the probe threshold to 0.5
+    J = SupportSet.make(64, [1, 5, 9, 33])
+    sig, _ = planted(J)
+    with pytest.raises(InvalidInputError, match="tolerance"):
+        sas_transform(sig, J, tolerance=tolerance)
+    with pytest.raises(InvalidInputError, match="tolerance"):
+        submatrix_method(J, sig, tolerance=tolerance)
+    # other real numbers stay accepted
+    for ok in (1, np.float32(1e-6), np.float64(1e-8)):
+        assert sas_transform(sig, J, tolerance=ok).coeffs.tobytes() == sas_transform(sig, J).coeffs.tobytes()
 
 
 def test_pivots_must_be_integers():
