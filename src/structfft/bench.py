@@ -21,8 +21,8 @@ import numpy as np
 from .congruence import SupportSet, as_int
 from .core import BandlimitedSignal, rel_error
 from .errors import InvalidInputError
-from .families import FamilySpec, draw_coefficients, rng_from_seed
-from .sas import C1, C2, sas_transform
+from .families import FamilySpec, _bernoulli_hits, draw_coefficients, rng_from_seed
+from .sas import C1, C2, _check_tolerance, sas_transform
 
 # threshold constant for the aliasing-tail statistic
 C_MU_STAR = 4.0 + 3.0 * math.log(2.0)
@@ -200,11 +200,9 @@ def run_antipodal_scenario(params: dict, base_seed: int, scenario_idx: int,
     hits = 0
     sizes = []
     for t in range(trials):
-        rng = rng_from_seed(base_seed, scenario_idx, t)
-        mask = rng.random(N) < k / N
-        sizes.append(int(mask.sum()))
-        half = N // 2
-        if bool(np.any(mask[:half] & mask[half:])):
+        kept = _bernoulli_hits(rng_from_seed(base_seed, scenario_idx, t), N, k / N)
+        sizes.append(kept.size)
+        if np.isin(kept[kept < N // 2] + N // 2, kept).any():
             hits += 1
     return {
         "kind": "antipodal",
@@ -298,9 +296,11 @@ def run_bench(config: dict, threads: int | None = None) -> tuple[list[TrialRecor
         raise InvalidInputError("scenario file needs a 'scenarios' list")
     try:
         base_seed = as_int(config.get("seed", 0))
-        tolerance = float(config.get("tolerance", 1e-8))
     except (TypeError, ValueError):
-        raise InvalidInputError("scenario file 'seed' must be an integer and 'tolerance' a number") from None
+        raise InvalidInputError("scenario file 'seed' must be an integer") from None
+    tolerance = config.get("tolerance", 1e-8)
+    _check_tolerance(tolerance)
+    tolerance = float(tolerance)
     if base_seed < 0:
         raise InvalidInputError(f"seed must be non-negative, not {base_seed}")
     if threads is None:

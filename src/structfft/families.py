@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .congruence import MAX_M, SupportSet, as_int, classify, pivots, validate_pivot_vector
+from .core import _CHUNK
 from .errors import ContractViolationError, InvalidInputError
 
 FAMILY_KINDS = (
@@ -48,14 +50,17 @@ def draw_coefficients(
     return rng.normal(size=k) + 1j * rng.normal(size=k)
 
 
+def _elementary(rng: np.random.Generator, r: int, M: int) -> np.ndarray:
+    """One element of Z_(2^M) per congruence class mod 2^r, class order."""
+    highs = rng.integers(0, 1 << (M - r), size=1 << r)
+    return (np.arange(1 << r) + (highs << r)) % (1 << M)
+
+
 def gen_elementary(r: int, M: int, seed: int) -> SupportSet:
     """One random element per congruence class mod 2^r; pivots exactly 0..r-1."""
     if r < 0 or r > M:
         raise InvalidInputError("need 0 <= r <= M")
-    rng = rng_from_seed(seed, 0)
-    highs = rng.integers(0, 1 << (M - r), size=1 << r)
-    idx = (np.arange(1 << r) + (highs << r)) % (1 << M)
-    return SupportSet.make(1 << M, idx.tolist())
+    return SupportSet.make(1 << M, _elementary(rng_from_seed(seed, 0), r, M).tolist())
 
 
 def gen_homogeneous(r: Sequence[int], M: int, seed: int) -> SupportSet:
@@ -159,6 +164,35 @@ def doubling(J: SupportSet) -> int:
     return int(np.unique(sums).size)
 
 
+def _union(M: int, a_n: int, etas: Sequence[int], seed: int, stream: int,
+           part: Callable[[np.random.Generator, int], np.ndarray], alpha: float,
+           max_attempts: int) -> SupportSet:
+    """The union in Z_(2^M) of etas[i] parts `part(rng, i)` of size 2^i for
+    i = 0..a_n, drawn in (i, eta) order on the substream (seed, stream,
+    attempt) and redrawn until a_n <= log2 |J| + alpha (not too much
+    overlap), up to max_attempts times.  InvalidInputError unless each eta
+    is an integer, there is one per exponent, a_n <= M, some eta is
+    positive and alpha is a real number other than a bool or NaN."""
+    etas = [as_int(e) for e in etas]
+    if len(etas) != a_n + 1:
+        raise InvalidInputError("need one eta per size exponent 0..a_n")
+    if a_n > M:
+        raise InvalidInputError("a_n exceeds M")
+    if all(e <= 0 for e in etas):
+        raise InvalidInputError("empty union")
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or math.isnan(alpha):
+        raise InvalidInputError(f"alpha must be a real number, not {alpha!r}")
+    for attempt in range(max_attempts):
+        rng = rng_from_seed(seed, stream, attempt)
+        parts = [part(rng, i) for i, eta in enumerate(etas) for _ in range(eta)]
+        J = SupportSet.make(1 << M, np.unique(np.concatenate(parts)).tolist())
+        if a_n <= math.log2(len(J)) + alpha:
+            return J
+    raise ContractViolationError(
+        f"could not realize a_n <= log2 k + {alpha} in {max_attempts} attempts"
+    )
+
+
 def gen_uoe(
     a_n: int,
     etas: Sequence[int],
@@ -167,31 +201,9 @@ def gen_uoe(
     alpha: float = 1.0,
     max_attempts: int = 100,
 ) -> SupportSet:
-    """Union of eta_i elementary sets of size 2^i for i = 0..a_n.
-
-    The realized union must satisfy a_n <= log2 |J| + alpha (not too much
-    overlap); regenerates with fresh substreams up to max_attempts times.
-    """
-    etas = [as_int(e) for e in etas]
-    if len(etas) != a_n + 1:
-        raise InvalidInputError("need one eta per size exponent 0..a_n")
-    if a_n > M:
-        raise InvalidInputError("a_n exceeds M")
-    if all(e == 0 for e in etas):
-        raise InvalidInputError("empty union")
-    for attempt in range(max_attempts):
-        rng = rng_from_seed(seed, 2, attempt)
-        idx: set[int] = set()
-        for i, eta in enumerate(etas):
-            for _ in range(eta):
-                highs = rng.integers(0, 1 << (M - i), size=1 << i)
-                idx.update(((np.arange(1 << i) + (highs << i)) % (1 << M)).tolist())
-        J = SupportSet.make(1 << M, idx)
-        if a_n <= math.log2(len(J)) + alpha:
-            return J
-    raise ContractViolationError(
-        f"could not realize a_n <= log2 k + {alpha} in {max_attempts} attempts"
-    )
+    """Union of eta_i elementary sets of size 2^i for i = 0..a_n, redrawn
+    until a_n <= log2 |J| + alpha (`_union`)."""
+    return _union(M, a_n, etas, seed, 2, lambda rng, i: _elementary(rng, i, M), alpha, max_attempts)
 
 
 def gen_uoh(
@@ -202,7 +214,7 @@ def gen_uoh(
     alpha: float = 1.0,
     max_attempts: int = 100,
 ) -> SupportSet:
-    """Union of homogeneous subsets of a homogeneous base K.
+    """Union of homogeneous subsets of a homogeneous base K (`_union`).
 
     The size-2^i constituents vary the first i pivot bits of K and freeze
     the rest, so each is (first i pivots)-homogeneous and contained in K.
@@ -213,59 +225,53 @@ def gen_uoh(
     l = cls.pivots
     if a_n > len(l):
         raise InvalidInputError("a_n exceeds the base pivot count")
-    etas = [as_int(e) for e in etas]
-    if len(etas) != a_n + 1:
-        raise InvalidInputError("need one eta per size exponent 0..a_n")
-    if all(e == 0 for e in etas):
-        raise InvalidInputError("empty union")
-    # index K's elements by their bits at the pivot positions
-    by_pattern: dict[int, int] = {}
-    for j in K.indices:
-        pat = 0
-        for i, li in enumerate(l):
-            pat |= ((j >> li) & 1) << i
-        by_pattern[pat] = j
+    # K ordered by its bits at the pivot positions, a bijection onto 0..2^s-1
+    arr = K.as_array()
+    by_pattern = arr[np.argsort(sum(((arr >> li) & 1) << i for i, li in enumerate(l)))]
     s = len(l)
-    for attempt in range(max_attempts):
-        rng = rng_from_seed(seed, 3, attempt)
-        idx: set[int] = set()
-        for i, eta in enumerate(etas):
-            for _ in range(eta):
-                fixed = int(rng.integers(0, 1 << (s - i))) << i if s > i else 0
-                for low in range(1 << i):
-                    idx.add(by_pattern[fixed | low])
-        J = SupportSet.make(K.N, idx)
-        if a_n <= math.log2(len(J)) + alpha:
-            return J
-    raise ContractViolationError(
-        f"could not realize a_n <= log2 k + {alpha} in {max_attempts} attempts"
-    )
+
+    def part(rng, i):
+        fixed = int(rng.integers(0, 1 << (s - i))) << i if s > i else 0
+        return by_pattern[fixed:fixed + (1 << i)]
+
+    return _union(K.M, a_n, etas, seed, 3, part, alpha, max_attempts)
+
+
+def _bernoulli_hits(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    """The indices i < n at which n uniform numbers from rng fall below p,
+    drawn _CHUNK numbers at a time: the stream and result of one draw of n,
+    in O(_CHUNK) memory.  InvalidInputError above n = 2^30, before anything
+    is drawn."""
+    if n > 1 << 30:
+        raise InvalidInputError(f"a Bernoulli draw over {n} elements is above the cap 2^30")
+    return np.concatenate([np.flatnonzero(rng.random(min(_CHUNK, n - lo)) < p) + lo
+                           for lo in range(0, n, _CHUNK)])
+
+
+def _bernoulli_subset(n: int, p: float, seed: int) -> np.ndarray:
+    """The first nonempty `_bernoulli_hits(rng, n, p)` on the substreams
+    (seed, 4, attempt)."""
+    for attempt in range(100):
+        hits = _bernoulli_hits(rng_from_seed(seed, 4, attempt), n, p)
+        if hits.size:
+            return hits
+    raise ContractViolationError("random subset repeatedly empty")  # p >= 1/n makes this ~impossible
 
 
 def gen_random_subset(K: SupportSet, k: int, seed: int) -> SupportSet:
     """Bernoulli(k/|K|) subset of K; k = |K| returns K itself."""
     if k < 1 or k > len(K):
         raise InvalidInputError("need 1 <= k <= |K|")
-    p = k / len(K)
-    for attempt in range(100):
-        rng = rng_from_seed(seed, 4, attempt)
-        mask = rng.random(len(K)) < p
-        if mask.any():
-            return SupportSet.make(K.N, K.as_array()[mask].tolist())
-    raise ContractViolationError("random subset repeatedly empty")  # p >= 1/k makes this ~impossible
+    return SupportSet.make(K.N, K.as_array()[_bernoulli_subset(len(K), k / len(K), seed)].tolist())
 
 
 def gen_random_subset_zn(M: int, k: int, seed: int) -> SupportSet:
-    """Bernoulli(k/N) subset of the full frequency range, without materializing Z_N."""
+    """Bernoulli(k/N) subset of the full frequency range, without materializing
+    Z_N: O(_CHUNK) memory, O(N) time.  InvalidInputError above M = 30."""
     N = 1 << M
     if k < 1 or k > N:
         raise InvalidInputError("need 1 <= k <= N")
-    for attempt in range(100):
-        rng = rng_from_seed(seed, 4, attempt)
-        hits = np.nonzero(rng.random(N) < k / N)[0]
-        if hits.size:
-            return SupportSet.make(N, hits.tolist())
-    raise ContractViolationError("random subset repeatedly empty")
+    return SupportSet.make(N, _bernoulli_subset(N, k / N, seed).tolist())
 
 
 def gen_jstar(M: int) -> SupportSet:
@@ -289,13 +295,21 @@ _INT_PARAMS = ("r", "M", "a", "s", "k", "N", "a_n")
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Serializable description of one family draw (kind + parameters + seed)."""
+    """Serializable description of one family draw (kind + parameters + seed).
+
+    The seed is read through `as_int` (2.0 is seed 2; 2.9, True and "2"
+    raise InvalidInputError) and must be non-negative.  A random_subset of
+    Z_N draws N numbers in O(N) time, so its M is capped at 30."""
 
     kind: str
     params: dict
     seed: int = 0
 
     def __post_init__(self) -> None:
+        seed = as_int(self.seed)
+        if seed < 0:
+            raise InvalidInputError(f"family seed must be non-negative, not {seed}")
+        object.__setattr__(self, "seed", seed)
         if self.kind not in FAMILY_KINDS:
             raise InvalidInputError(f"unknown family kind {self.kind!r}")
 
@@ -305,7 +319,7 @@ class FamilySpec:
     @classmethod
     def from_json(cls, obj: dict) -> "FamilySpec":
         try:
-            return cls(obj["kind"], dict(obj.get("params", {})), as_int(obj.get("seed", 0)))
+            return cls(obj["kind"], dict(obj.get("params", {})), obj.get("seed", 0))
         except KeyError as e:
             raise InvalidInputError(f"family spec missing key {e}") from None
 

@@ -189,3 +189,31 @@ def test_gen_bad_params_exits_2(tmp_path, capsys, params, needle):
     out = capsys.readouterr()
     assert code == 2 and out.out == "" and needle in out.err
     assert not (tmp_path / "support.json").exists()
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["--kind", "uoe", "--params", '{"a_n": 2, "etas": [1, 0, 1], "M": 8, "alpha": "x"}'], "alpha"),
+    (["--kind", "uoe", "--params", '{"a_n": 2, "etas": [1, 0, 1], "M": 8, "alpha": true}'], "alpha"),
+    (["--kind", "uoh", "--params", '{"base_pivots": [0, 2, 4], "a_n": 2, "etas": [1, 0, 1], "M": 9, "alpha": NaN}'],
+     "alpha"),
+    (["--kind", "elementary", "--params", '{"r": 2, "M": 5}', "--seed", "-1"], "non-negative"),
+    # N = 2^31 numbers would take seconds to draw: refused before the first
+    (["--kind", "random_subset", "--params", '{"k": 64, "M": 31}'], "2^30"),
+])
+def test_gen_bad_draw_exits_2(tmp_path, capsys, argv, needle):
+    code = cli.main(["gen", *argv, "--out", str(tmp_path / "support.json")])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "") and needle in out.err and "Traceback" not in out.err
+    assert not (tmp_path / "support.json").exists()
+
+
+@pytest.mark.parametrize("tolerance", [True, "1e-8", float("nan"), 0])
+def test_bench_scenario_tolerance_is_checked(tmp_path, capsys, tolerance):
+    code, err = bench_exit(tmp_path, capsys, {"tolerance": tolerance, "scenarios": [
+        {"kind": "fixture", "trials": 1, "params": {"name": "paper_sas"}}]})
+    assert code == 2 and "tolerance" in err
+
+
+def test_bench_antipodal_above_2_to_30_exits_2(tmp_path, capsys):
+    code, err = bench_exit(tmp_path, capsys, {"scenarios": [{"kind": "antipodal", "trials": 1, "params": {"M": 31}}]})
+    assert code == 2 and "2^30" in err

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from structfft import bench, families
 from structfft import (
     ContractViolationError,
     FamilySpec,
@@ -284,3 +285,61 @@ class TestFamilySpec:
             gen_uoe(2, [1.5, 0, 1], 8, seed=0)
         with pytest.raises(InvalidInputError, match="not an integer"):
             gen_uoh(gen_homogeneous((0, 2, 5), 10, seed=8), 1, [1, 0.5], seed=0)
+
+
+class _Drew(Exception):
+    pass
+
+
+class _NoDraw:
+    """A generator stand-in that fails on the first number asked of it."""
+
+    def random(self, size):
+        raise _Drew
+
+
+class TestDrawContracts:
+    @pytest.mark.parametrize("alpha", ["x", True, math.nan])
+    def test_alpha_must_be_a_real_number(self, alpha):
+        K = gen_homogeneous((0, 2, 5), 10, seed=8)
+        with pytest.raises(InvalidInputError, match="alpha"):
+            gen_uoe(2, [1, 0, 1], 8, seed=0, alpha=alpha)
+        with pytest.raises(InvalidInputError, match="alpha"):
+            gen_uoh(K, 1, [1, 1], seed=0, alpha=alpha)
+        for kind, params in (("uoe", {"a_n": 2, "etas": [1, 0, 1], "M": 8}),
+                             ("uoh", {"base_pivots": [0, 2, 4], "a_n": 2, "etas": [1, 0, 1], "M": 9})):
+            with pytest.raises(InvalidInputError, match="alpha"):
+                FamilySpec(kind, {**params, "alpha": alpha}, 3).build()
+
+    def test_negative_etas_alone_are_an_empty_union(self):
+        with pytest.raises(InvalidInputError, match="empty union"):
+            gen_uoe(1, [-1, -1], 8, seed=0)
+
+    @pytest.mark.parametrize("n", [1000, 12345, 70000])
+    def test_chunked_bernoulli_draw_is_one_draw(self, monkeypatch, n):
+        monkeypatch.setattr(families, "_CHUNK", 1024)
+        whole = np.flatnonzero(rng_from_seed(5, n).random(n) < 0.3)
+        assert families._bernoulli_hits(rng_from_seed(5, n), n, 0.3).tobytes() == whole.tobytes()
+
+    def test_bernoulli_draw_above_2_to_30_raises_before_drawing(self, monkeypatch):
+        with pytest.raises(_Drew):  # 2^30 itself is drawn
+            families._bernoulli_hits(_NoDraw(), 1 << 30, 0.5)
+        with pytest.raises(InvalidInputError, match="2\\^30"):
+            families._bernoulli_hits(_NoDraw(), (1 << 30) + 1, 0.5)
+        monkeypatch.setattr(families, "rng_from_seed", lambda *streams: _NoDraw())
+        with pytest.raises(InvalidInputError, match="2\\^30"):
+            gen_random_subset_zn(31, 64, 0)
+        monkeypatch.setattr(bench, "rng_from_seed", lambda *streams: _NoDraw())
+        with pytest.raises(InvalidInputError, match="2\\^30"):
+            bench.run_antipodal_scenario({"M": 31}, 0, 0, 1)
+
+    def test_family_spec_checks_its_seed(self):
+        params = {"r": 2, "M": 5}
+        for seed in (2.9, True, "2"):
+            with pytest.raises(InvalidInputError, match="not an integer"):
+                FamilySpec("elementary", params, seed)
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            FamilySpec("elementary", params, -1)
+        spec = FamilySpec("elementary", params, 2.0)
+        assert type(spec.seed) is int
+        assert spec.build().support == FamilySpec("elementary", params, 2).build().support
