@@ -225,6 +225,9 @@ def run_scenario(scenario: dict, base_seed: int, scenario_idx: int,
         trials = as_int(scenario["trials"])
     except (KeyError, TypeError, ValueError):
         raise InvalidInputError(f"scenario {scenario_idx} needs a 'kind' and an integer 'trials'") from None
+    least = 1 if kind == "antipodal" else 0  # an antipodal fraction over no subsets is undefined
+    if trials < least:
+        raise InvalidInputError(f"scenario {scenario_idx} needs 'trials' >= {least}")
     params = scenario.get("params", {})
     if not isinstance(params, dict):
         raise InvalidInputError(f"scenario {scenario_idx} 'params' must be an object")

@@ -172,7 +172,8 @@ def _union(M: int, a_n: int, etas: Sequence[int], seed: int, stream: int,
     attempt) and redrawn until a_n <= log2 |J| + alpha (not too much
     overlap), up to max_attempts times.  InvalidInputError unless each eta
     is an integer, there is one per exponent, a_n <= M, some eta is
-    positive and alpha is a real number other than a bool or NaN."""
+    positive, none is negative and alpha is a real number other than a
+    bool or NaN."""
     etas = [as_int(e) for e in etas]
     if len(etas) != a_n + 1:
         raise InvalidInputError("need one eta per size exponent 0..a_n")
@@ -180,6 +181,8 @@ def _union(M: int, a_n: int, etas: Sequence[int], seed: int, stream: int,
         raise InvalidInputError("a_n exceeds M")
     if all(e <= 0 for e in etas):
         raise InvalidInputError("empty union")
+    if min(etas) < 0:
+        raise InvalidInputError(f"etas must be non-negative, not {etas}")
     if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or math.isnan(alpha):
         raise InvalidInputError(f"alpha must be a real number, not {alpha!r}")
     for attempt in range(max_attempts):

@@ -11,10 +11,12 @@ the tree shape.  That count is the paper's radix-2 model, not a trace of
 the execution: a run of FFT_RUN or more consecutive pivots c..c+m-1 is
 exactly a 2^m-point DFT after a per-prefix pre-twiddle (Cooley-Tukey), and
 the pass hands it to `numpy.fft` (pocketfft, in C).  The other stages are
-radix-2 steps, and a short stretch of them (g stages from stage j, see
-`fused_groups`) is one 2^g x 2^g matrix per j-bit slot prefix, which the
-pass applies with one `np.matmul`, as FFTW's codelets merge stages (Frigo
-and Johnson, Proc. IEEE 2005); the stages past the gate run one by one.
+radix-2 steps, and a short stretch of them (g stages from stage j) is one
+2^g x 2^g matrix per j-bit slot prefix, which the pass applies with one
+`np.matmul`, as FFTW's codelets merge stages (Frigo and Johnson, Proc. IEEE
+2005); the stages past the gate run one by one.  `stage_schedule` alone
+decides which stage runs how: the plan keeps its steps in stage order, and
+the pass, its adjoint and `ButterflyPlan.layout` walk that one list.
 
 The pass holds each row in Stockham's autosort order (Cochran et al.,
 "What is the fast Fourier transform?", 1967).  Before stage k a row is
@@ -33,8 +35,9 @@ stages stand on either side of it.
 
 The slot plan is read off the output nodes alone: the ascending node
 residues of `CongruenceTree.level_arrays` give each node its slot (its
-residue's bits at the used pivots), every stage its twiddles, every long
-run its pre-twiddle table and every fused group its matrices.  A support
+residue's bits at the used pivots) and each step its arrays: a radix-2
+step its twiddles, a long run its pre-twiddle table and a fused group its
+matrices.  A support
 caches its plan per pivot vector with the pattern offsets
 (`_butterfly_entry`), which `hidft` at any height and `sas_transform` read,
 and `hidft`'s node order per level (`_node_order`).
@@ -100,27 +103,31 @@ FUSE_STAGES = 4     # most radix-2 stages one fused product takes
 FUSE_PREFIXES = 16  # most per-prefix matrices of a fused group: it starts at a stage j <= 4
 
 
-def fused_groups(used: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """(j, g) of every group of g >= 2 radix-2 stages j..j+g-1 that the
-    butterfly over pivots `used` runs as one product (`_build_plan`).  A
-    stretch of stages outside the runs of `fft_runs` is fused up to the
-    stage where a group starting at 2^j = FUSE_PREFIXES would end, in the
-    fewest groups of at most FUSE_STAGES, their sizes as even as possible
-    and the larger first (5 stages: 3 + 2); the stages past it stay
-    radix-2.  Measured like FFT_RUN, at A = 64 to 8192 on calls that follow
-    `gc.collect()` and back to back (CHANGES.md): these groups beat or tie
-    radix-2 at every A, while a further group at j = 8 loses at A = 8192
-    on one row."""
+def stage_schedule(used: Sequence[int]) -> tuple[tuple[str, int, int], ...]:
+    """(kind, j, n) of every step of the butterfly over pivots `used`, in
+    stage order: stages j..j+n-1 run as one pre-twiddled `numpy.fft`
+    ("fft_runs", the runs of `fft_runs`), as one product by per-prefix
+    matrices ("fused", n >= 2) or as one radix-2 step ("radix2", n = 1).  A
+    stretch of stages outside the runs is fused up to the stage where a
+    group starting at 2^j = FUSE_PREFIXES would end, in the fewest groups of
+    at most FUSE_STAGES, their sizes as even as possible and the larger
+    first (5 stages: 3 + 2); the stages past it stay radix-2.  Measured like
+    FFT_RUN, at A = 64 to 8192 on calls that follow `gc.collect()` and back
+    to back (CHANGES.md): these groups beat or tie radix-2 at every A, while
+    a further group at j = 8 loses at A = 8192 on one row."""
     reach = FUSE_PREFIXES.bit_length() - 1 + FUSE_STAGES  # no group ends past this stage
-    groups, k = [], 0
+    steps, k = [], 0
     for j, m in fft_runs(used) + ((len(used), 0),):
         end = min(j, reach)
         while k + 2 <= end and 1 << k <= FUSE_PREFIXES:
             g = -(-(end - k) // -(-(end - k) // FUSE_STAGES))  # ceil(n / ceil(n / FUSE_STAGES))
-            groups.append((k, g))
+            steps.append(("fused", k, g))
             k += g
+        steps += [("radix2", i, 1) for i in range(k, j)]
+        if m:
+            steps.append(("fft_runs", j, m))
         k = j + m
-    return tuple(groups)
+    return tuple(steps)
 
 
 @dataclass(frozen=True)
@@ -128,24 +135,21 @@ class ButterflyPlan:
     """Precomputed slot structure for the nodes at level used[-1] + 1, built
     from their residues alone (`_build_plan`).
 
-    `runs` lists the runs of FFT_RUN or more consecutive pivots
-    (`fft_runs`), which `_butterfly_pass` runs as one pre-twiddled
-    `numpy.fft` each.  `fused` lists the groups of `fused_groups`: stages
-    j..j+g-1 as one `np.matmul` by the per-prefix matrices F, (2^j, 2^g,
-    2^g), F[p, q, e] the factor by which those stages carry the row's
-    sample e of slot prefix p into slot prefix p + q 2^j, and their
-    conjugates Fh for `_butterfly_adjoint`.  `twiddles` describes every
-    stage outside a run as a radix-2 step (None inside a run); the stages
-    of neither a run nor a group run as radix-2 steps.  Its arrays are
-    read-only: J caches the plan (`_butterfly_entry`)."""
+    `steps` holds (kind, j, n, arrays) per step of `stage_schedule(used)`,
+    in stage order; `_butterfly_pass` walks it forwards and
+    `_butterfly_adjoint` backwards.  A run's arrays are its pre-twiddle
+    table, or None; a fused group's are its per-prefix matrices F, (2^j,
+    2^g, 2^g), F[p, q, e] the factor by which stages j..j+g-1 carry the
+    row's sample e of slot prefix p into slot prefix p + q 2^j, and their
+    conjugates Fh, as the pair (F, Fh); a radix-2 step's are its twiddles,
+    one per j-bit prefix.  The arrays are read-only: J caches the plan
+    (`_butterfly_entry`)."""
 
     used: tuple[int, ...]           # pivots merged by the butterfly, ascending
     level: int                      # output nodes live at this tree level
     slot_residues: np.ndarray       # node residue per slot; virtual slots inherit one
     slot_real: np.ndarray           # which slots hold a node
-    twiddles: tuple[np.ndarray | None, ...]  # stage k merges used[k]; size 2^k, None in a run
-    runs: tuple[tuple[int, int, np.ndarray | None], ...]  # (j, m, pre-twiddle) per fft_runs(used)
-    fused: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]  # (j, g, F, Fh) per fused_groups(used)
+    steps: tuple[tuple[str, int, int, object], ...]  # (kind, j, n, arrays) in stage order
 
     @property
     def n_slots(self) -> int:
@@ -155,10 +159,10 @@ class ButterflyPlan:
     def layout(self) -> dict[str, list]:
         """How the pass runs its stages: the (j, m) of its `numpy.fft`
         runs, the (j, g) of its fused groups and its radix-2 stages k."""
-        inside = {k for j, n, *_ in self.runs + self.fused for k in range(j, j + n)}
-        return {"fft_runs": [[j, m] for j, m, _ in self.runs],
-                "fused": [[j, g] for j, g, *_ in self.fused],
-                "radix2": [k for k in range(len(self.used)) if k not in inside]}
+        out: dict[str, list] = {"fft_runs": [], "fused": [], "radix2": []}
+        for kind, j, n, _ in self.steps:
+            out[kind].append(j if kind == "radix2" else [j, n])
+        return out
 
 
 def _build_plan(residues: np.ndarray, used: tuple[int, ...]) -> tuple[ButterflyPlan, np.ndarray]:
@@ -179,29 +183,24 @@ def _build_plan(residues: np.ndarray, used: tuple[int, ...]) -> tuple[ButterflyP
     p's shared residue mod 2^c, for p < 2^j and n < 2^m; it is None when
     every x_p is 0.
 
-    A fused group of stages j..j+g-1 (`fused_groups`) is the product of
-    their radix-2 steps, one 2^g x 2^g matrix per j-bit prefix p.  Sample e
-    (bit i of e selects pivot used[j+i]) reaches slot prefix p + q 2^j
-    along one path, whose stage j+i multiplies it by e^{-2 pi i x_i /
-    2^(used[j+i]+1)} when bit i of e is set, x_i the residue of the prefix
-    after that stage (its parent's shared residue plus bit i of q at
-    used[j+i]).  So F[p, q, e] is one exponential of the exact phase sum,
-    taken in integers mod 2^(used[j+g-1]+1), and has modulus 1.
+    A fused group of stages j..j+g-1 is the product of their radix-2
+    steps, one 2^g x 2^g matrix per j-bit prefix p.  Sample e (bit i of e
+    selects pivot used[j+i]) reaches slot prefix p + q 2^j along one path,
+    whose stage j+i multiplies it by e^{-2 pi i x_i / 2^(used[j+i]+1)} when
+    bit i of e is set, x_i the residue of the prefix after that stage (its
+    parent's shared residue plus bit i of q at used[j+i]).  So F[p, q, e]
+    is one exponential of the exact phase sum, taken in integers mod
+    2^(used[j+g-1]+1), and has modulus 1.
     """
     s = len(used)
-    long_runs = fft_runs(used)
-    in_run = {k for j, m in long_runs for k in range(j, j + m)}
     slots = np.zeros(len(residues), dtype=np.int64)
     for i, rk in enumerate(used):
         slots |= ((residues >> rk) & 1) << i
     reps = residues[:1]
-    twiddles: list[np.ndarray | None] = []
     shares = []  # stage k's shared residue per k-bit prefix
     for k, rk in enumerate(used, start=1):
         shared = reps % (1 << rk)
         shares.append(shared)
-        twiddles.append(None if k - 1 in in_run else
-                        np.exp(-2j * np.pi * (shared + (1 << rk)) / float(1 << (rk + 1))))
         branch = (np.arange(1 << k) >> (k - 1)) & 1
         reps = shared[np.arange(1 << k) & ((1 << (k - 1)) - 1)] + (branch << rk)
         reps[slots & ((1 << k) - 1)] = residues  # duplicate writes agree below used[k]
@@ -209,31 +208,34 @@ def _build_plan(residues: np.ndarray, used: tuple[int, ...]) -> tuple[ButterflyP
     slot_residues = reps % (1 << level)
     slot_real = np.zeros(1 << s, dtype=bool)
     slot_real[slots] = True
-    runs = []
-    for j, m in long_runs:
-        c = used[j]
-        x = slot_residues[:1 << j] % (1 << c)
-        table = None
-        if x.any():
-            phase = (np.arange(1 << m)[:, None] * x) % (1 << (c + m))
-            table = np.exp(-2j * np.pi * phase / float(1 << (c + m)))
-        runs.append((j, m, table))
-    fused = []
-    for j, g in fused_groups(used):
-        top = used[j + g - 1] + 1
-        p, q = np.arange(1 << j)[:, None, None], np.arange(1 << g)[:, None]
-        phase = np.zeros((1 << j, 1 << g, 1 << g), dtype=np.int64)
-        for i, rk in enumerate(used[j:j + g]):
-            x = shares[j + i][p + ((q & ((1 << i) - 1)) << j)] + (((q >> i) & 1) << rk)
-            phase = (phase + (x << (top - 1 - rk)) * ((q.T >> i) & 1)) & ((1 << top) - 1)
-        F = np.exp(-2j * np.pi * phase / float(1 << top))
-        fused.append((j, g, F, F.conj()))
-    for a in (slots, slot_residues, slot_real, *twiddles, *(t for _, _, t in runs),
-              *(f for *_, F, Fh in fused for f in (F, Fh))):
-        if a is not None:
-            a.flags.writeable = False
-    return ButterflyPlan(used, level, slot_residues, slot_real, tuple(twiddles), tuple(runs),
-                         tuple(fused)), slots
+    steps, frozen = [], [slots, slot_residues, slot_real]
+    for kind, j, n in stage_schedule(used):
+        if kind == "radix2":
+            rk = used[j]
+            arrays = np.exp(-2j * np.pi * (shares[j] + (1 << rk)) / float(1 << (rk + 1)))
+            frozen.append(arrays)
+        elif kind == "fft_runs":
+            c = used[j]
+            x = slot_residues[:1 << j] % (1 << c)
+            arrays = None
+            if x.any():
+                phase = (np.arange(1 << n)[:, None] * x) % (1 << (c + n))
+                arrays = np.exp(-2j * np.pi * phase / float(1 << (c + n)))
+                frozen.append(arrays)
+        else:
+            top = used[j + n - 1] + 1
+            p, q = np.arange(1 << j)[:, None, None], np.arange(1 << n)[:, None]
+            phase = np.zeros((1 << j, 1 << n, 1 << n), dtype=np.int64)
+            for i, rk in enumerate(used[j:j + n]):
+                x = shares[j + i][p + ((q & ((1 << i) - 1)) << j)] + (((q >> i) & 1) << rk)
+                phase = (phase + (x << (top - 1 - rk)) * ((q.T >> i) & 1)) & ((1 << top) - 1)
+            F = np.exp(-2j * np.pi * phase / float(1 << top))
+            arrays = (F, F.conj())
+            frozen += arrays
+        steps.append((kind, j, n, arrays))
+    for a in frozen:
+        a.flags.writeable = False
+    return ButterflyPlan(used, level, slot_residues, slot_real, tuple(steps)), slots
 
 
 def _butterfly_entry(
@@ -367,28 +369,28 @@ def _butterfly_pass(plan: ButterflyPlan, v: np.ndarray) -> np.ndarray:
     cost is `butterfly_ops(len(plan.used), rows, A)`, the paper's radix-2
     count, however the stages run.
 
-    Between stages the rows are in Stockham order (module docstring):
-    before stage k, row b viewed as (2^k, A / 2^k) holds slot prefix p in
-    row p and its unread samples along the line, b_k lowest.  A radix-2
-    stage k views the row as (2^k, A / 2^(k+1), 2) and takes the twiddle
-    product t = twiddles[k][p] * a[p, h, 1]; it writes a[p, h, 0] - t and
-    a[p, h, 0] + t into the first and the second half of the next row.  A
-    run of `plan.runs` (stages j..j+m-1) views the row as (2^j, A / 2^(j+m),
-    2^m), multiplies it by its pre-twiddle table (transposed to [p, n]),
-    and takes one `numpy.fft.fft` along each contiguous line of 2^m
-    samples, in natural order there (`pattern_offsets`); the FFT writes
-    frequency n of prefix p to slot prefix p + n 2^j, the row order after
-    the run, so the output is transposed whenever radix-2 stages stand on
-    either side.  A fused group of `plan.fused` (stages j..j+g-1) views the
-    row as (2^j, L, 2^g), L = A / 2^(j+g), and takes one `np.matmul` of its
-    matrix F[p] by the transposed line a[p]^T, per row and prefix (never
-    one product over all rows, so a row's bytes do not depend on how many
-    there are); the product is written straight through a strided view
-    into the layout after the group, slot prefix p + q 2^j at [q, p, h].
-    Complex products in numpy can round differently on different layouts;
-    tests/test_hidft.py keeps the natural-order pass of earlier versions and
-    checks that this one returns its bytes on plans with no fused group,
-    and its values within 1e-12 on plans with one.
+    The pass runs `plan.steps` in stage order.  Between steps the rows are
+    in Stockham order (module docstring): before stage k, row b viewed as
+    (2^k, A / 2^k) holds slot prefix p in row p and its unread samples
+    along the line, b_k lowest.  A radix-2 step at stage k views the row as
+    (2^k, A / 2^(k+1), 2) and takes the twiddle product t = w[p] * a[p, h,
+    1], w its twiddles; it writes a[p, h, 0] - t and a[p, h, 0] + t into
+    the first and the second half of the next row.  A run (stages
+    j..j+m-1) views the row as (2^j, A / 2^(j+m), 2^m), multiplies it by
+    its pre-twiddle table (transposed to [p, n]), and takes one
+    `numpy.fft.fft` along each contiguous line of 2^m samples, in natural
+    order there (`pattern_offsets`); the FFT writes frequency n of prefix p
+    to slot prefix p + n 2^j, the row order after the run, so the output is
+    transposed whenever radix-2 stages stand on either side.  A fused group
+    (stages j..j+g-1) views the row as (2^j, L, 2^g), L = A / 2^(j+g), and
+    takes one `np.matmul` of its matrix F[p] by the transposed line a[p]^T,
+    per row and prefix (never one product over all rows, so a row's bytes
+    do not depend on how many there are); the product is written straight
+    through a strided view into the layout after the group, slot prefix p +
+    q 2^j at [q, p, h].  Complex products in numpy can round differently on
+    different layouts; tests/test_hidft.py keeps the natural-order pass of
+    earlier versions and checks that this one returns its bytes on plans
+    with no fused group, and its values within 1e-12 on plans with one.
 
     A radix-2 step, a fused group or a pre-twiddle writes into one of at
     most two buffers, each allocated the first time a stage writes one
@@ -396,76 +398,60 @@ def _butterfly_pass(plan: ButterflyPlan, v: np.ndarray) -> np.ndarray:
     the grid v is only read and the result is always a fresh array.
     """
     rows, A = v.shape
-    stages = len(plan.used)
     spare = _spare_buffers(rows, A)
-    runs = {j: (m, table) for j, m, table in plan.runs}
-    fused = {j: (g, F) for j, g, F, _ in plan.fused}
-    k = 0
-    while k < stages:
-        if k in runs:
-            m, table = runs[k]
-            a = v.reshape(rows, 1 << k, -1, 1 << m)
-            if table is not None:
+    for kind, k, n, arrays in plan.steps:
+        if kind == "fft_runs":
+            a = v.reshape(rows, 1 << k, -1, 1 << n)
+            if arrays is not None:
                 v = spare(v)
-                a = np.multiply(a, table.T[:, None, :], out=v.reshape(a.shape))
+                a = np.multiply(a, arrays.T[:, None, :], out=v.reshape(a.shape))
             v = np.fft.fft(a.transpose(0, 3, 1, 2), axis=1).reshape(rows, A)
-            k += m
-        elif k in fused:
-            g, F = fused[k]
-            a = v.reshape(rows, 1 << k, -1, 1 << g)
+        elif kind == "fused":
+            a = v.reshape(rows, 1 << k, -1, 1 << n)
             v = spare(v)
-            out = v.reshape(rows, 1 << g, 1 << k, -1).transpose(0, 2, 1, 3)  # [p, q, h] of layout [q, p, h]
-            np.matmul(F, a.transpose(0, 1, 3, 2), out=out)
-            k += g
+            out = v.reshape(rows, 1 << n, 1 << k, -1).transpose(0, 2, 1, 3)  # [p, q, h] of layout [q, p, h]
+            np.matmul(arrays[0], a.transpose(0, 1, 3, 2), out=out)
         else:
             a = v.reshape(rows, 1 << k, -1, 2)
-            t = plan.twiddles[k][:, None] * a[..., 1]
+            t = arrays[:, None] * a[..., 1]
             v = spare(v)
             b = v.reshape(rows, 2, 1 << k, -1)
             np.subtract(a[..., 0], t, out=b[:, 0])
             np.add(a[..., 0], t, out=b[:, 1])
-            k += 1
-    return v if stages else v.copy()
+    return v if plan.steps else v.copy()
 
 
 def _butterfly_adjoint(plan: ButterflyPlan, v: np.ndarray) -> np.ndarray:
-    """T^H v for the pass T of `_butterfly_pass`, on every row: its stages
-    in reverse order, each conjugated and transposed.  A radix-2 stage k
-    maps the halves b0, b1 of a row to b0 + b1 and conj(twiddles[k]) (b1 -
-    b0) at u = 2h, 2h + 1; a fused group is one `np.matmul` of the strided
-    view [p, h, q] of its output layout by its conjugate matrices Fh[p]
-    (sum over q of conj(F[p, q, e]) b[q, p, h]), per row and prefix, into
-    the layout before it; a run is an unscaled inverse `numpy.fft` back to
-    the layout before it, times its conjugate table.  v is only read."""
+    """T^H v for the pass T of `_butterfly_pass`, on every row: `plan.steps`
+    in reverse order, each conjugated and transposed.  A radix-2 step at
+    stage k maps the halves b0, b1 of a row to b0 + b1 and conj(w) (b1 -
+    b0) at u = 2h, 2h + 1, w its twiddles; a fused group is one `np.matmul`
+    of the strided view [p, h, q] of its output layout by its conjugate
+    matrices Fh[p] (sum over q of conj(F[p, q, e]) b[q, p, h]), per row and
+    prefix, into the layout before it; a run is an unscaled inverse
+    `numpy.fft` back to the layout before it, times its conjugate table.  v
+    is only read."""
     rows, A = v.shape
     spare = _spare_buffers(rows, A)
-    runs = {j + m: (j, m, table) for j, m, table in plan.runs}  # by the stage after the run
-    fused = {j + g: (j, g, Fh) for j, g, _, Fh in plan.fused}
-    k = len(plan.used)
-    while k:
-        if k in fused:
-            j, g, Fh = fused[k]
-            b = v.reshape(rows, 1 << g, 1 << j, -1).transpose(0, 2, 3, 1)  # [p, h, q]
+    for kind, j, n, arrays in reversed(plan.steps):
+        if kind == "fused":
+            b = v.reshape(rows, 1 << n, 1 << j, -1).transpose(0, 2, 3, 1)  # [p, h, q]
             v = spare(v)
-            np.matmul(b, Fh, out=v.reshape(rows, 1 << j, -1, 1 << g))
-            k = j
-        elif k in runs:
-            j, m, table = runs[k]
-            y = np.fft.ifft(v.reshape(rows, 1 << m, 1 << j, -1), axis=1, norm="forward")
+            np.matmul(b, arrays[1], out=v.reshape(rows, 1 << j, -1, 1 << n))
+        elif kind == "fft_runs":
+            y = np.fft.ifft(v.reshape(rows, 1 << n, 1 << j, -1), axis=1, norm="forward")
             a = y.transpose(0, 2, 3, 1)  # [p, h, n]
-            if table is None:
+            if arrays is None:
                 v = a.reshape(rows, A)
             else:
                 v = spare(v)
-                np.multiply(a, table.T.conj()[:, None, :], out=v.reshape(a.shape))
-            k = j
+                np.multiply(a, arrays.T.conj()[:, None, :], out=v.reshape(a.shape))
         else:
-            k -= 1
-            b = v.reshape(rows, 2, 1 << k, -1)
+            b = v.reshape(rows, 2, 1 << j, -1)
             v = spare(v)
-            a = v.reshape(rows, 1 << k, -1, 2)
+            a = v.reshape(rows, 1 << j, -1, 2)
             np.add(b[:, 0], b[:, 1], out=a[..., 0])
-            np.multiply(b[:, 1] - b[:, 0], plan.twiddles[k].conj()[:, None], out=a[..., 1])
+            np.multiply(b[:, 1] - b[:, 0], arrays.conj()[:, None], out=a[..., 1])
     return v
 
 
@@ -480,6 +466,19 @@ def _spare_buffers(rows: int, A: int):
         buffers.append(np.empty((rows, A), dtype=np.complex128))
         return buffers[-1]
     return spare
+
+
+def _request(J: SupportSet, r: Sequence[int], height, shift) -> tuple[tuple[int, ...], int, int, tuple]:
+    """The checked request of `hidft` and `hidft_oracle`: the pivot vector,
+    the height (an integer in [0, len(r)]), the shift (any integer; the
+    samples are read at shift mod N) and the pivots the butterfly merges.
+    ContractViolationError unless J is r-part-homogeneous."""
+    rt = validate_pivot_vector(r, J.M)
+    height = as_int(height)
+    if height < 0 or height > len(rt):
+        raise InvalidInputError(f"height must be in [0, {len(rt)}]")
+    check_part_homogeneous(pivots(J), rt)
+    return rt, height, as_int(shift), rt[: len(rt) - height]
 
 
 def hidft(
@@ -497,16 +496,10 @@ def hidft(
     1.5 * A * log2(A) complex operations are counted, A = 2^(size(r)-height).
     Raises InvalidInputError when a sample read is NaN or infinite.
     """
-    rt = validate_pivot_vector(r, J.M)
-    height = as_int(height)
-    if height < 0 or height > len(rt):
-        raise InvalidInputError(f"height must be in [0, {len(rt)}]")
-    check_part_homogeneous(pivots(J), rt)
-    shift = as_int(shift)
-    used = rt[: len(rt) - height]
+    rt, height, shift, used = _request(J, r, height, shift)
     plan, slots, offsets = _butterfly_entry(J, used)
     node_residues, node_index = _node_order(J, plan.level)
-    shifts = np.asarray([shift], dtype=np.int64)
+    shifts = np.asarray([shift % J.N], dtype=np.int64)
     locations = _grid_locations(offsets, shifts, J.N)
     v = _butterfly_pass(plan, _read_grid(source, J, plan, slots, shifts, locations))[0]
     if not cmath.isfinite(v[0]):  # a non-finite sample makes every slot so
@@ -557,14 +550,10 @@ def hidft_oracle(
     source, J: SupportSet, r: Sequence[int], height: int = 0, shift: int = 0
 ) -> HiDftResult:
     """Same contract as hidft, evaluated by the dense submatrix product."""
-    rt = validate_pivot_vector(r, J.M)
-    check_part_homogeneous(pivots(J), rt)
-    height, shift = as_int(height), as_int(shift)
-    used = rt[: len(rt) - height]
+    rt, height, shift, used = _request(J, r, height, shift)
     level = used[-1] + 1 if used else 0
-    pattern = pivoted_pattern(used, J.M)
-    cols = pattern.as_array()
-    samples = _fetch(source, (cols - shift) % J.N, J.N)
+    cols = pivoted_pattern(used, J.M).as_array()
+    samples = _fetch(source, (cols - shift % J.N) % J.N, J.N)
     residues = sorted({j % (1 << level) for j in J.indices})
     reps = np.asarray(residues, dtype=np.int64)
     vals = submatrix_apply(reps, cols, samples, J.N)
@@ -614,24 +603,15 @@ def block_factorization_check(
     check_part_homogeneous(tree.split_levels(), rt)
     # height-0 nodes by ascending residue at level r_max+1, each with its least member
     residues, bounds, members = tree.level_arrays(level)
-    rep_of = dict(zip(residues.tolist(), members[bounds[:-1]].tolist()))
-    pairs = []
-    skipped = []
-    seen = set()
-    for res in rep_of:
-        if res in seen:
-            continue
-        sib = res ^ (1 << r_max)
-        seen.update({res, sib})
-        if sib in rep_of:
-            left, right = (res, sib) if (res >> r_max) & 1 else (sib, res)
-            pairs.append((rep_of[left], rep_of[right]))
-        else:
-            skipped.append(res)
-    if not pairs:
-        return BlockFactorizationReport(True, 0.0, 0, tuple(skipped))
-    j1 = np.asarray([p[0] for p in pairs], dtype=np.int64)
-    j2 = np.asarray([p[1] for p in pairs], dtype=np.int64)
+    sibling = residues ^ (1 << r_max)
+    at = np.minimum(np.searchsorted(residues, sibling), len(residues) - 1)
+    paired = residues[at] == sibling
+    low = paired & ((residues >> r_max) & 1 == 0)  # each pair once, by its lower residue
+    skipped = tuple(residues[~paired].tolist())
+    if not low.any():
+        return BlockFactorizationReport(True, 0.0, 0, skipped)
+    reps = members[bounds[:-1]]
+    j1, j2 = reps[at[low]], reps[low]  # rows: the residue with bit r_max set, then its sibling
     a = 1 << (J.M - 1 - r_max)
     sub = pivoted_pattern(rt[:-1], J.M).as_array()
     cols = np.concatenate([sub, sub + a])
@@ -640,14 +620,14 @@ def block_factorization_check(
     full = fourier_kernel(rows, cols, N)
     B = fourier_kernel(j1, sub, N)
     D = np.exp(-2j * np.pi * j1 / float(1 << (r_max + 1)))
-    m = len(pairs)
+    m = len(j1)
     recon = np.empty_like(full)
     recon[:m, :len(sub)] = B
     recon[:m, len(sub):] = D[:, None] * B
     recon[m:, :len(sub)] = B
     recon[m:, len(sub):] = -D[:, None] * B
     err = float(np.max(np.abs(full - recon)))
-    return BlockFactorizationReport(err <= tol, err, m, tuple(skipped))
+    return BlockFactorizationReport(err <= tol, err, m, skipped)
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,11 @@ ELEMENTARY = {"kind": "elementary", "trials": 2}
     ({"seed": 1.5, "scenarios": [{**ELEMENTARY, "params": {"M": 6}}]}, "'seed'"),
     ({"scenarios": [{**ELEMENTARY, "trials": 2.7, "params": {"M": 6}}]}, "'trials'"),
     ({"scenarios": [{**ELEMENTARY, "params": {"M": [6.9, 8]}}]}, "6.9 is not an integer"),
+    # an antipodal fraction and mean size over no subsets are undefined, and
+    # no kind runs a negative number of trials
+    ({"scenarios": [{"kind": "antipodal", "trials": 0, "params": {"M": 8}}]}, "'trials' >= 1"),
+    ({"scenarios": [{"kind": "antipodal", "trials": -2, "params": {"M": 8}}]}, "'trials' >= 1"),
+    ({"scenarios": [{**ELEMENTARY, "trials": -3, "params": {"M": 6}}]}, "'trials' >= 0"),
 ])
 def test_bench_malformed_scenario_exits_2(tmp_path, capsys, scenario, needle):
     code, err = bench_exit(tmp_path, capsys, scenario)
@@ -199,6 +204,8 @@ def test_gen_bad_params_exits_2(tmp_path, capsys, params, needle):
     (["--kind", "elementary", "--params", '{"r": 2, "M": 5}', "--seed", "-1"], "non-negative"),
     # N = 2^31 numbers would take seconds to draw: refused before the first
     (["--kind", "random_subset", "--params", '{"k": 64, "M": 31}'], "2^30"),
+    # a negative eta is not read as 0
+    (["--kind", "uoe", "--params", '{"a_n": 1, "etas": [-3, 1], "M": 6}'], "etas must be non-negative"),
 ])
 def test_gen_bad_draw_exits_2(tmp_path, capsys, argv, needle):
     code = cli.main(["gen", *argv, "--out", str(tmp_path / "support.json")])

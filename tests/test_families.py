@@ -315,6 +315,14 @@ class TestDrawContracts:
         with pytest.raises(InvalidInputError, match="empty union"):
             gen_uoe(1, [-1, -1], 8, seed=0)
 
+    def test_a_negative_eta_raises(self):
+        # it would draw as many parts as an eta of 0
+        K = gen_homogeneous((0, 2, 5), 10, seed=8)
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            gen_uoe(1, [-3, 1], 6, seed=0)
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            gen_uoh(K, 1, [1, -1], seed=0)
+
     @pytest.mark.parametrize("n", [1000, 12345, 70000])
     def test_chunked_bernoulli_draw_is_one_draw(self, monkeypatch, n):
         monkeypatch.setattr(families, "_CHUNK", 1024)

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structfft import (
     BandlimitedSignal,
@@ -29,11 +31,14 @@ from structfft import (
     submatrix_unitarity,
 )
 from structfft import congruence
+from structfft.congruence import check_part_homogeneous
+from structfft.core import fourier_kernel
 from structfft.hidft import (
+    BlockFactorizationReport,
     FUSE_PREFIXES, FUSE_STAGES, _build_plan, _butterfly_adjoint, _butterfly_entry, _butterfly_pass,
-    butterfly_ops, fused_groups,
+    butterfly_ops, stage_schedule,
 )
-from structfft.sampling import FFT_RUN, fft_runs
+from structfft.sampling import FFT_RUN, fft_runs, pivoted_pattern
 
 rng = np.random.default_rng(99)
 
@@ -41,6 +46,16 @@ rng = np.random.default_rng(99)
 def random_signal(J):
     c = rng.normal(size=len(J)) + 1j * rng.normal(size=len(J))
     return BandlimitedSignal(J, c), c
+
+
+def steps_of(plan, kind):
+    """(j, n, arrays) of the plan's steps of one kind, in stage order."""
+    return [(j, n, arrays) for k, j, n, arrays in plan.steps if k == kind]
+
+
+def fused_groups(used):
+    """(j, g) of every fused group of `stage_schedule(used)`."""
+    return tuple((j, n) for kind, j, n in stage_schedule(used) if kind == "fused")
 
 
 def random_homogeneous(M_hi=12, s_hi=8):
@@ -289,19 +304,86 @@ class TestSlotPlanOracle:
                 want_res, want_real, want_tw = raw_bit_plan(J, used)
                 assert plan.slot_residues.tobytes() == want_res.tobytes()
                 assert plan.slot_real.tobytes() == want_real.tobytes()
-                assert len(plan.twiddles) == len(want_tw)
-                in_run = {k for j, m in fft_runs(used) for k in range(j, j + m)}
-                for k, (got, want) in enumerate(zip(plan.twiddles, want_tw)):
-                    if k in in_run:  # the run's pre-twiddled numpy.fft needs none
-                        assert got is None
-                    else:
-                        assert got.tobytes() == want.tobytes()
+                assert len(want_tw) == len(used)
+                for k, _, got in steps_of(plan, "radix2"):  # runs and fused groups keep no twiddles
+                    assert got.tobytes() == want_tw[k].tobytes()
                 assert plan.slot_residues[slots].tolist() == residues.tolist()
                 virtual += int((~want_real).sum())
         assert virtual > 0
 
 
+def dict_loop_block_factorization_check(J, r, tol=1e-12):
+    """`block_factorization_check` as earlier versions wrote it: the
+    siblings paired by a dict, a `seen` set and a loop.  Its oracle."""
+    rt = tuple(r)
+    r_max = rt[-1]
+    level = r_max + 1
+    tree = build_tree(J, level)
+    residues, bounds, members = tree.level_arrays(level)
+    rep_of = dict(zip(residues.tolist(), members[bounds[:-1]].tolist()))
+    pairs, skipped, seen = [], [], set()
+    for res in rep_of:
+        if res in seen:
+            continue
+        sib = res ^ (1 << r_max)
+        seen.update({res, sib})
+        if sib in rep_of:
+            left, right = (res, sib) if (res >> r_max) & 1 else (sib, res)
+            pairs.append((rep_of[left], rep_of[right]))
+        else:
+            skipped.append(res)
+    if not pairs:
+        return BlockFactorizationReport(True, 0.0, 0, tuple(skipped))
+    j1 = np.asarray([p[0] for p in pairs], dtype=np.int64)
+    j2 = np.asarray([p[1] for p in pairs], dtype=np.int64)
+    sub = pivoted_pattern(rt[:-1], J.M).as_array()
+    cols = np.concatenate([sub, sub + (1 << (J.M - 1 - r_max))])
+    full = fourier_kernel(np.concatenate([j1, j2]), cols, J.N)
+    B = fourier_kernel(j1, sub, J.N)
+    D = np.exp(-2j * np.pi * j1 / float(1 << (r_max + 1)))
+    m = len(pairs)
+    recon = np.empty_like(full)
+    recon[:m, :len(sub)] = B
+    recon[:m, len(sub):] = D[:, None] * B
+    recon[m:, :len(sub)] = B
+    recon[m:, len(sub):] = -D[:, None] * B
+    err = float(np.max(np.abs(full - recon)))
+    return BlockFactorizationReport(err <= tol, err, m, tuple(skipped))
+
+
 class TestBlockFactorization:
+    def test_reports_equal_the_dict_loop(self):
+        # homogeneous, thinned and random supports at every prefix of their
+        # pivots (random ones are part-homogeneous there, or both raise)
+        gen = np.random.default_rng(41)
+        seen = {"pairs": 0, "skipped": 0, "raised": 0}
+        for t in range(90):
+            M = int(gen.integers(1, 12))
+            if t % 3 == 2:
+                k = int(gen.integers(1, min(1 << M, 60) + 1))
+                J = SupportSet.make(1 << M, gen.choice(1 << M, size=k, replace=False).tolist())
+            else:
+                piv = sorted(gen.choice(M, size=int(gen.integers(1, M + 1)), replace=False).tolist())
+                J = gen_homogeneous(piv, M, int(gen.integers(0, 2**62)))
+                if t % 3 == 1:
+                    keep = gen.random(len(J)) < 0.6
+                    keep[0] = True
+                    J = SupportSet.make(J.N, np.asarray(J.indices)[keep].tolist())
+            p = pivots(J)
+            for n in range(1, len(p) + 1):
+                for r in (p[:n], p[len(p) - n:]):
+                    try:
+                        got = block_factorization_check(J, r)
+                    except ContractViolationError:
+                        with pytest.raises(ContractViolationError):
+                            check_part_homogeneous(pivots(J), r)
+                        seen["raised"] += 1
+                        continue
+                    assert got == dict_loop_block_factorization_check(J, r), (J, r)
+                    seen["pairs"] += got.n_pairs > 0
+                    seen["skipped"] += bool(got.skipped)
+        assert min(seen.values()) >= 10, seen
+
     def test_paper_fixture(self):
         rep = block_factorization_check(SupportSet.make(32, [3, 17, 25, 27]), (1, 3))
         assert rep.passed and rep.max_err <= 1e-12 and rep.n_pairs == 2
@@ -386,7 +468,7 @@ class TestFftRuns:
                 J = SupportSet.make(J.N, np.asarray(J.indices)[keep].tolist())
             x = gen.standard_normal(J.N) + 1j * gen.standard_normal(J.N)
             plan, _ = _butterfly_entry(J, r)[:2]
-            twiddled += sum(j > 0 and table is not None for j, _, table in plan.runs)
+            twiddled += sum(j > 0 and table is not None for j, _, table in steps_of(plan, "fft_runs"))
             for height in (0, int(gen.integers(0, len(r) + 1))):
                 shift = int(gen.integers(0, J.N))
                 got = hidft(x, J, r, height=height, shift=shift)
@@ -402,14 +484,15 @@ class TestFftRuns:
         r = (0, 2, 3, 4, 5, 6, 7, 8, 10)
         J = gen_homogeneous(r, 12, 3)
         plan, _ = _butterfly_entry(J, r)[:2]
-        [(j, m, table)] = plan.runs
+        [(j, m, table)] = steps_of(plan, "fft_runs")
         assert (j, m) == (1, 7) and table.shape == (1 << 7, 2)
         x = plan.slot_residues[:2] % 4
         n = np.arange(1 << 7)[:, None]
         assert np.max(np.abs(table - np.exp(-2j * np.pi * n * x / (1 << 9)))) <= 1e-15
         assert not table.flags.writeable
-        assert plan.twiddles[0] is not None and plan.twiddles[8] is not None
-        assert all(t is None for t in plan.twiddles[1:8])
+        # radix-2 steps, with twiddles, at stages 0 and 8 only
+        assert [step[:3] for step in plan.steps] == [("radix2", 0, 1), ("fft_runs", 1, 7), ("radix2", 8, 1)]
+        assert all(w.shape == (1 << j,) for j, _, w in steps_of(plan, "radix2"))
 
     def test_runs_on_the_numpy_1_fft_signature(self, monkeypatch):
         # numpy.fft.fft took no `out` before NumPy 2.0; the pass must not need it
@@ -423,10 +506,12 @@ class TestFftRuns:
         assert np.max(np.abs(got.node_values - want.node_values)) <= 1e-12 * scale
 
 
-def natural_order_pass(plan, v):
+def natural_order_pass(plan, v, twiddles):
     """The butterfly as earlier versions ran it, in natural order: before
     stage k, row b is indexed u 2^k + p, p the merged k-bit slot prefix and
-    u the unread sample bits.  `TestStockhamLayout`'s oracle."""
+    u the unread sample bits.  Its runs read the plan's pre-twiddle tables,
+    and every other stage k runs as a radix-2 step by twiddles[k], from
+    `raw_bit_plan`.  `TestStockhamLayout`'s oracle."""
     rows, A = v.shape
     stages = len(plan.used)
     buffers = [np.empty((rows, A), dtype=np.complex128) for _ in range(min(stages, 2))]
@@ -434,7 +519,7 @@ def natural_order_pass(plan, v):
     def spare(w):
         return buffers[1] if w is buffers[0] else buffers[0]
 
-    runs = {j: (m, table) for j, m, table in plan.runs}
+    runs = {j: (m, table) for j, m, table in steps_of(plan, "fft_runs")}
     k = 0
     while k < stages:
         if k in runs:
@@ -448,7 +533,7 @@ def natural_order_pass(plan, v):
         else:
             half = 1 << k
             a = v.reshape(rows, -1, 2, half)
-            t = plan.twiddles[k] * a[:, :, 1, :]
+            t = twiddles[k] * a[:, :, 1, :]
             v = spare(v)
             b = v.reshape(rows, -1, 2, half)
             np.subtract(a[:, :, 0, :], t, out=b[:, :, 0, :])
@@ -527,22 +612,24 @@ class TestStockhamLayout:
             for height in range(len(r) + 1):
                 used = r[:len(r) - height]
                 plan, _ = _build_plan(tree.level_arrays(used[-1] + 1 if used else 0)[0], used)
-                for j, m, table in plan.runs:
+                twiddles = raw_bit_plan(J, used)[2]
+                fused = bool(steps_of(plan, "fused"))
+                for j, m, table in steps_of(plan, "fft_runs"):
                     inside = 0 < j and j + m < len(used)  # radix-2 stages on both sides
                     seen["run inside" if inside else "run at 0" if j == 0 else "run after 0"] += 1
                     seen["table inside"] += inside and table is not None
-                seen["fused" if plan.fused else "unfused"] += 1
-                seen["radix-2 past the gate"] += bool(plan.fused) and bool(plan.layout["radix2"])
-                if plan.fused:
+                seen["fused" if fused else "unfused"] += 1
+                seen["radix-2 past the gate"] += fused and bool(plan.layout["radix2"])
+                if fused:
                     assert_hidft_matches_oracle(J, r, height, t)
                 for rows in (1, 9):
                     shape = (rows, 1 << len(used))
                     grid = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-                    got, want = _butterfly_pass(plan, grid), natural_order_pass(plan, grid)
+                    got, want = _butterfly_pass(plan, grid), natural_order_pass(plan, grid, twiddles)
                     if got.tobytes() == want.tobytes():
                         continue
                     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (J, used, rows)
-                    if not plan.fused:
+                    if not fused:
                         misses.append((J.N, len(J), used, rows))
                         assert_hidft_matches_oracle(J, r, height, len(misses))
         assert min(seen.values()) >= 10, seen
@@ -584,9 +671,10 @@ class TestButterflyAdjoint:
                 plan, _ = _build_plan(tree.level_arrays(used[-1] + 1 if used else 0)[0], used)
                 seen["zero stages"] += not used
                 seen["virtual slots"] += not plan.slot_real.all()
-                seen["fused"] += bool(plan.fused)
-                seen["radix-2 past the gate"] += bool(plan.fused) and bool(plan.layout["radix2"])
-                for _, _, table in plan.runs:
+                fused = bool(steps_of(plan, "fused"))
+                seen["fused"] += fused
+                seen["radix-2 past the gate"] += fused and bool(plan.layout["radix2"])
+                for _, _, table in steps_of(plan, "fft_runs"):
                     seen["run, no table" if table is None else "run, table"] += 1
                 rows = int(gen.integers(1, 6))
                 g, v = (gen.standard_normal((2, rows, plan.n_slots))
@@ -601,7 +689,7 @@ class TestButterflyAdjoint:
 
 class TestFusedGroups:
     """Stretches of radix-2 stages run as one product by per-prefix
-    matrices (`fused_groups`).  `TestStockhamLayout` and
+    matrices (the "fused" steps of `stage_schedule`).  `TestStockhamLayout` and
     `TestButterflyAdjoint` check the pass and its adjoint on fused plans,
     and tests/test_batched.py that a row's bytes do not depend on the
     other rows."""
@@ -624,6 +712,21 @@ class TestFusedGroups:
             for j, g in fused_groups(r):
                 assert 2 <= g <= FUSE_STAGES and 1 << j <= FUSE_PREFIXES
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(start=st.integers(0, 3), gaps=st.lists(st.integers(1, 3), max_size=23))
+    def test_schedule_tiles_the_stages(self, start, gaps):
+        # gaps of 1 make runs of consecutive pivots, longer gaps radix-2 or fused stages
+        used = tuple(np.cumsum([start, *gaps]).tolist())
+        schedule = stage_schedule(used)
+        assert [k for _, j, n in schedule for k in range(j, j + n)] == list(range(len(used)))
+        assert tuple((j, n) for kind, j, n in schedule if kind == "fft_runs") == fft_runs(used)
+        for kind, j, n in schedule:
+            assert kind in ("fft_runs", "fused", "radix2")
+            if kind == "fused":
+                assert j <= 4 and 2 <= n <= FUSE_STAGES
+            if kind == "radix2":
+                assert n == 1
+
     def test_matrices_are_read_only_in_the_frozen_plan(self):
         gen = np.random.default_rng(37)
         for t in range(30):
@@ -632,8 +735,8 @@ class TestFusedGroups:
                                 int(gen.integers(0, 2**62)))
             r = pivots(J)
             plan = _butterfly_entry(J, r)[0]
-            assert plan.fused and _butterfly_entry(J, r)[0] is plan  # cached on J
-            for j, g, F, Fh in plan.fused:
+            assert steps_of(plan, "fused") and _butterfly_entry(J, r)[0] is plan  # cached on J
+            for j, g, (F, Fh) in steps_of(plan, "fused"):
                 assert F.shape == Fh.shape == (1 << j, 1 << g, 1 << g)
                 assert not F.flags.writeable and not Fh.flags.writeable
                 with pytest.raises(ValueError):
@@ -641,7 +744,7 @@ class TestFusedGroups:
                 assert Fh.tobytes() == F.conj().tobytes()
                 assert np.max(np.abs(np.abs(F) - 1)) <= 1e-15
             with pytest.raises(AttributeError):
-                plan.fused = ()
+                plan.steps = ()
 
     def test_layout_names_every_stage_once(self):
         for r, layout in (
@@ -666,6 +769,31 @@ def test_shift_must_be_an_integer():
         res = fn(sig, J, r, shift=2.0)
         assert res.shift == 2 and type(res.shift) is int
         assert res.slot_values.tobytes() == fn(sig, J, r, shift=2).slot_values.tobytes()
+
+
+def test_oracle_keeps_the_height_range():
+    # three pivots: height 5 and -1 name no level of the tree
+    J = gen_homogeneous((0, 2, 3), 8, 1)
+    sig, _ = random_signal(J)
+    for fn in (hidft, hidft_oracle):
+        for height in (5, -1, 4):
+            with pytest.raises(InvalidInputError, match="height"):
+                fn(sig, J, (0, 2, 3), height=height)
+
+
+def test_any_integer_shift_reads_at_shift_mod_N():
+    # int64 would overflow on these; the result keeps the shift as given
+    J = gen_homogeneous((0, 2, 3, 5), 9, 4)
+    sig, _ = random_signal(J)
+    x = rng.standard_normal(J.N) + 1j * rng.standard_normal(J.N)
+    r = pivots(J)
+    for fn in (hidft, hidft_oracle):
+        for source in (x, sig):
+            for shift in (2**63, 2**70, -2**70, 2**70 + 3):
+                res = fn(source, J, r, height=1, shift=shift)
+                assert res.shift == shift
+                want = fn(source, J, r, height=1, shift=shift % J.N)
+                assert res.slot_values.tobytes() == want.slot_values.tobytes()
 
 
 def test_height_must_be_an_integer():

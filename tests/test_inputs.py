@@ -83,8 +83,8 @@ def test_butterfly_pass_reads_its_grid_only(stages):
 def test_butterfly_pass_allocates_a_fresh_result(r, table, radix2):
     J = gen_homogeneous(r, 14, 1)
     plan, _ = _butterfly_entry(J, r)[:2]
-    assert [t is not None for _, _, t in plan.runs] == [table]
-    assert any(t is not None for t in plan.twiddles) == radix2
+    assert [t is not None for kind, *_, t in plan.steps if kind == "fft_runs"] == [table]
+    assert any(kind == "radix2" for kind, *_ in plan.steps) == radix2
     grid = rng.standard_normal((3, 1 << len(r))) + 1j * rng.standard_normal((3, 1 << len(r)))
     before = grid.copy()
     first = _butterfly_pass(plan, grid)  # numpy.fft caches its plan for this length

@@ -201,6 +201,12 @@ def test_warm_call_without_r_finds_its_plan_in_one_lookup(monkeypatch):
 # read-only, pickling, reuse -------------------------------------------------------------
 
 
+def step_arrays(steps):
+    """Every array of a butterfly plan's steps: twiddles, run tables, F and Fh."""
+    return [a for kind, *_, arrays in steps if arrays is not None
+            for a in (arrays if kind == "fused" else (arrays,))]
+
+
 def test_cached_and_returned_arrays_are_read_only():
     fam = STRUCT[5].build()
     J = fam.support
@@ -214,8 +220,7 @@ def test_cached_and_returned_arrays_are_read_only():
         prepared = J._memo[("plan", out.plan.pivots)]
         cached = [v for v in vars(prepared).values() if isinstance(v, np.ndarray)]
         assert len(cached) == 9
-        cached += [t for t in prepared.butterfly.twiddles if t is not None]
-        cached += [t for _, _, t in prepared.butterfly.runs if t is not None]
+        cached += step_arrays(prepared.butterfly.steps)
         if decode == "matrix":
             assert prepared.factors is None and prepared.V is None and prepared.K.ndim == 3
         else:
@@ -230,6 +235,19 @@ def test_cached_and_returned_arrays_are_read_only():
         # per-call state stays the caller's
         out.coeffs[0] = 0
         out.nodes.residual[0] = 0
+    # a plan with a fused group, a pre-twiddled run and radix-2 steps
+    piv = [0, 2, 4, 6, 7, 8, 9, 10, 11, 13, 15]
+    J = FamilySpec("homogeneous", {"pivots": piv, "M": 16}, 1).build().support
+    out = sas_transform(dense(J, np.ones(len(J))), J)
+    steps = J._memo[("plan", out.plan.pivots)].butterfly.steps
+    assert [step[:3] for step in steps] == [("fused", 0, 3), ("fft_runs", 3, 6), ("radix2", 9, 1),
+                                            ("radix2", 10, 1)]
+    arrays = step_arrays(steps)
+    assert len(arrays) == 5  # F, Fh, the run's table and two twiddles
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.reshape(-1)[:1] = 0
 
 
 def test_a_cold_plan_sorts_its_decode_level_once():
