@@ -39,6 +39,17 @@ def v2(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
+def unique_sorted(*arrays) -> np.ndarray:
+    """The distinct values of the arrays, flattened, in ascending order: the
+    array np.unique(a) or np.union1d(a, b) returns, by one sort.  numpy
+    2.4's np.unique imports numpy.ma on its first call, tens of ms."""
+    a = np.sort(arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=None), axis=None)
+    keep = np.empty(a.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
@@ -156,7 +167,7 @@ def pivots_pairwise(J: SupportSet, size_cap: int = PAIRWISE_SIZE_CAP) -> tuple[i
         d = d[d != 0]
         if d.size:
             low = d & -d
-            seen.update(int(b).bit_length() - 1 for b in np.unique(low))
+            seen.update(int(b).bit_length() - 1 for b in unique_sorted(low))
     return tuple(sorted(seen))
 
 
@@ -212,7 +223,7 @@ class CongruenceTree:
 
     def split_levels(self) -> tuple[int, ...]:
         """Levels (below depth) at which some stored node has two children."""
-        return tuple(int(l) for l in np.unique(self.splits[self.splits < self.depth]))
+        return tuple(int(l) for l in unique_sorted(self.splits[self.splits < self.depth]))
 
     def _check_level(self, level: int) -> None:
         if level < 0 or level > self.depth:

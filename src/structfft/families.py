@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .congruence import MAX_M, SupportSet, as_int, classify, pivots, validate_pivot_vector
+from .congruence import MAX_M, SupportSet, as_int, classify, pivots, unique_sorted, validate_pivot_vector
 from .core import _CHUNK
 from .errors import ContractViolationError, InvalidInputError
 
@@ -139,7 +139,7 @@ def gen_gap(spec: GapSpec) -> GapResult:
     total = np.full(grids[0].shape, spec.base, dtype=np.int64)
     for g, s in zip(grids, spec.steps):
         total = total + g * s
-    vals = np.unique(total.ravel() % spec.N)
+    vals = unique_sorted(total % spec.N)
     return GapResult(SupportSet.make(spec.N, vals.tolist()), len(vals) == spec.volume)
 
 
@@ -161,7 +161,7 @@ def doubling(J: SupportSet) -> int:
         raise InvalidInputError("doubling enumeration capped at |J| <= 2^12")
     arr = J.as_array()
     sums = (arr[:, None] + arr[None, :]) % J.N
-    return int(np.unique(sums).size)
+    return len(unique_sorted(sums))
 
 
 def _union(M: int, a_n: int, etas: Sequence[int], seed: int, stream: int,
@@ -188,7 +188,7 @@ def _union(M: int, a_n: int, etas: Sequence[int], seed: int, stream: int,
     for attempt in range(max_attempts):
         rng = rng_from_seed(seed, stream, attempt)
         parts = [part(rng, i) for i, eta in enumerate(etas) for _ in range(eta)]
-        J = SupportSet.make(1 << M, np.unique(np.concatenate(parts)).tolist())
+        J = SupportSet.make(1 << M, unique_sorted(*parts).tolist())
         if a_n <= math.log2(len(J)) + alpha:
             return J
     raise ContractViolationError(

@@ -10,13 +10,14 @@ that are empty in the tree, so the count (`butterfly_ops`) never depends on
 the tree shape.  That count is the paper's radix-2 model, not a trace of
 the execution: a run of FFT_RUN or more consecutive pivots c..c+m-1 is
 exactly a 2^m-point DFT after a per-prefix pre-twiddle (Cooley-Tukey), and
-the pass hands it to `numpy.fft` (pocketfft, in C).  The other stages are
-radix-2 steps, and a short stretch of them (g stages from stage j) is one
-2^g x 2^g matrix per j-bit slot prefix, which the pass applies with one
-`np.matmul`, as FFTW's codelets merge stages (Frigo and Johnson, Proc. IEEE
-2005); the stages past the gate run one by one.  `stage_schedule` alone
-decides which stage runs how: the plan keeps its steps in stage order, and
-the pass, its adjoint and `ButterflyPlan.layout` walk that one list.
+the pass hands it to numpy's pocketfft gufunc (in C), called directly.  The
+other stages are radix-2 steps, and a short stretch of them (g stages from
+stage j) is one 2^g x 2^g matrix per j-bit slot prefix, which the pass
+applies with one `np.matmul`, as FFTW's codelets merge stages (Frigo and
+Johnson, Proc. IEEE 2005); the stages past the gate run one by one.
+`stage_schedule` alone decides which stage runs how: the plan keeps its
+steps in stage order, and the pass, its adjoint and `ButterflyPlan.layout`
+walk that one list.
 
 The pass holds each row in Stockham's autosort order (Cochran et al.,
 "What is the fast Fourier transform?", 1967).  Before stage k a row is
@@ -60,6 +61,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 
 from .congruence import (
     SupportSet,
@@ -74,6 +76,12 @@ from .core import BandlimitedSignal, fourier_kernel, submatrix_apply
 from .counting import OpCounter
 from .errors import ContractViolationError, InvalidInputError
 from .sampling import fft_runs, pattern_offsets, pivoted_pattern
+
+# numpy.fft.fft and ifft without their Python wrapper: (line, factor) -> line,
+# the factor applied to every output
+_fft, _ifft = _pocketfft_umath.fft, _pocketfft_umath.ifft
+_LINE_TO_AXIS_1 = [(3,), (), (1,)]  # (rows, 2^j, L, 2^m) in, (rows, 2^m, 2^j, L) out
+_AXIS_1_TO_LINE = [(1,), (), (3,)]  # and back
 
 
 def _fetch(source, locations: np.ndarray, N: int) -> np.ndarray:
@@ -96,7 +104,7 @@ def _fetch(source, locations: np.ndarray, N: int) -> np.ndarray:
     arr = np.asarray(source)
     if arr.ndim != 1 or arr.size != N:
         raise InvalidInputError("dense signal must be a length-N vector")
-    return arr[locations].astype(np.complex128, copy=False)
+    return arr.take(locations).astype(np.complex128, copy=False)
 
 
 FUSE_STAGES = 4     # most radix-2 stages one fused product takes
@@ -137,13 +145,15 @@ class ButterflyPlan:
 
     `steps` holds (kind, j, n, arrays) per step of `stage_schedule(used)`,
     in stage order; `_butterfly_pass` walks it forwards and
-    `_butterfly_adjoint` backwards.  A run's arrays are its pre-twiddle
-    table, or None; a fused group's are its per-prefix matrices F, (2^j,
-    2^g, 2^g), F[p, q, e] the factor by which stages j..j+g-1 carry the
-    row's sample e of slot prefix p into slot prefix p + q 2^j, and their
-    conjugates Fh, as the pair (F, Fh); a radix-2 step's are its twiddles,
-    one per j-bit prefix.  The arrays are read-only: J caches the plan
-    (`_butterfly_entry`)."""
+    `_butterfly_adjoint` backwards.  Each step's arrays are a pair, what
+    the pass reads and its conjugate, which the adjoint reads in the shape
+    it broadcasts.  A run's are its pre-twiddle table T, (2^m, 2^j), and
+    conj(T) transposed to (2^j, 1, 2^m), or None; a fused group's are its
+    per-prefix matrices F, (2^j, 2^g, 2^g), F[p, q, e] the factor by which
+    stages j..j+g-1 carry the row's sample e of slot prefix p into slot
+    prefix p + q 2^j, and their conjugates Fh; a radix-2 step's are its
+    twiddles w, one per j-bit prefix, and conj(w) as (2^j, 1).  The arrays
+    are read-only: J caches the plan (`_butterfly_entry`)."""
 
     used: tuple[int, ...]           # pivots merged by the butterfly, ascending
     level: int                      # output nodes live at this tree level
@@ -180,8 +190,8 @@ def _build_plan(residues: np.ndarray, used: tuple[int, ...]) -> tuple[ButterflyP
     A run of m consecutive pivots c..c+m-1 at stages j..j+m-1 (`fft_runs`)
     is one 2^m-point DFT after a pre-twiddle (Cooley-Tukey): its table
     holds e^{-2 pi i x_p n / 2^(c+m)} at [n, p], where x_p is slot prefix
-    p's shared residue mod 2^c, for p < 2^j and n < 2^m; it is None when
-    every x_p is 0.
+    p's shared residue mod 2^c, for p < 2^j and n < 2^m; the run has no
+    arrays when every x_p is 0.  Every conjugate is taken here, once.
 
     A fused group of stages j..j+g-1 is the product of their radix-2
     steps, one 2^g x 2^g matrix per j-bit prefix p.  Sample e (bit i of e
@@ -212,16 +222,16 @@ def _build_plan(residues: np.ndarray, used: tuple[int, ...]) -> tuple[ButterflyP
     for kind, j, n in stage_schedule(used):
         if kind == "radix2":
             rk = used[j]
-            arrays = np.exp(-2j * np.pi * (shares[j] + (1 << rk)) / float(1 << (rk + 1)))
-            frozen.append(arrays)
+            w = np.exp(-2j * np.pi * (shares[j] + (1 << rk)) / float(1 << (rk + 1)))
+            arrays = (w, w[:, None].conj())
         elif kind == "fft_runs":
             c = used[j]
             x = slot_residues[:1 << j] % (1 << c)
             arrays = None
             if x.any():
                 phase = (np.arange(1 << n)[:, None] * x) % (1 << (c + n))
-                arrays = np.exp(-2j * np.pi * phase / float(1 << (c + n)))
-                frozen.append(arrays)
+                table = np.exp(-2j * np.pi * phase / float(1 << (c + n)))
+                arrays = (table, np.conjugate(table.T[:, None, :], order="C"))
         else:
             top = used[j + n - 1] + 1
             p, q = np.arange(1 << j)[:, None, None], np.arange(1 << n)[:, None]
@@ -231,7 +241,7 @@ def _build_plan(residues: np.ndarray, used: tuple[int, ...]) -> tuple[ButterflyP
                 phase = (phase + (x << (top - 1 - rk)) * ((q.T >> i) & 1)) & ((1 << top) - 1)
             F = np.exp(-2j * np.pi * phase / float(1 << top))
             arrays = (F, F.conj())
-            frozen += arrays
+        frozen += arrays or ()
         steps.append((kind, j, n, arrays))
     for a in frozen:
         a.flags.writeable = False
@@ -310,25 +320,22 @@ def _grid_locations(offsets: np.ndarray, shifts: np.ndarray, N: int) -> np.ndarr
 
 
 def _read_grid(source, J: SupportSet, plan: ButterflyPlan, slots: np.ndarray, shifts: np.ndarray,
-               locations: np.ndarray, cache_key=None, scale: float = 1.0) -> np.ndarray:
-    """Samples f(o - j) times `scale` for every shift j (rows) and offset o
-    of `plan`'s pattern (columns); a dense vector or a callback is read at
-    the `_grid_locations` and scaled on its float64 view, so the grid stays
-    complex128 and an infinite sample warns of nothing.  A
-    `BandlimitedSignal` runs the butterfly backwards (transposition
-    principle; Bostan, Lecerf and Schost, ISSAC 2003): the pass's column at
-    a node's slot is e^{-2 pi i l o / N} for every l in the node, so the
-    grid is `_butterfly_adjoint`(S) with the node sums S[j, slot] = (scale /
-    N) sum_{l in node} c_l e^{-2 pi i j l / N}, 0 in virtual slots; the
-    factor scale / N rides in the phases.  With a power-of-two scale, as
-    every caller's is (1 for `hidft`, N / |I_r| for `sas_transform`),
-    scaling the read instead of the pass's output changes no byte.  Given
-    a `cache_key`, J keeps the phases and slots of its frequencies under
-    it, read-only, with the bytes a per-call read forms; a key holds the
-    phases of one scale, so every read under it passes the same one.  A
-    signal that holds J's own index array skips the comparison with it.  A
-    plan with no pivots (one node, whose sums are the samples) and a signal
-    with energy in no node are read by `sample_block`."""
+               locations: np.ndarray, cache_key=None) -> np.ndarray:
+    """Samples f(o - j) for every shift j (rows) and offset o of `plan`'s
+    pattern (columns), unscaled: a caller with a read scale applies it to
+    what it decodes (`sas._execute`).  A dense vector is read with one
+    `take` at the `_grid_locations` (`_fetch`), a callback is called with
+    them.  A `BandlimitedSignal` runs the butterfly backwards
+    (transposition principle; Bostan, Lecerf and Schost, ISSAC 2003): the
+    pass's column at a node's slot is e^{-2 pi i l o / N} for every l in
+    the node, so the grid is `_butterfly_adjoint`(S) with the node sums
+    S[j, slot] = (1 / N) sum_{l in node} c_l e^{-2 pi i j l / N}, 0 in
+    virtual slots; the factor 1 / N rides in the phases.  Given a
+    `cache_key`, J keeps the phases and slots of its frequencies under it,
+    read-only, with the bytes a per-call read forms.  A signal that holds
+    J's own index array skips the comparison with it.  A plan with no
+    pivots (one node, whose sums are the samples) and a signal with energy
+    in no node are read by `sample_block`."""
     if isinstance(source, BandlimitedSignal) and plan.used and source.N == J.N:
         l, A = source._l, plan.n_slots
 
@@ -339,7 +346,7 @@ def _read_grid(source, J: SupportSet, plan: ButterflyPlan, slots: np.ndarray, sh
                 return None
             flat = slots[node] + A * np.arange(len(shifts))[:, None]  # S.flat position
             index = (2 * flat[:, :, None] + np.arange(2)).reshape(-1)  # its real and imaginary part
-            phases = fourier_kernel(shifts, l, J.N) * (scale / J.N)
+            phases = fourier_kernel(shifts, l, J.N) * (1.0 / J.N)
             index.flags.writeable = phases.flags.writeable = False
             return index, phases
 
@@ -349,11 +356,7 @@ def _read_grid(source, J: SupportSet, plan: ButterflyPlan, slots: np.ndarray, sh
             w = (entry[1] * source.coeffs).view(np.float64).reshape(-1)
             S = np.bincount(entry[0], w, 2 * len(shifts) * A).view(np.complex128)
             return _butterfly_adjoint(plan, S.reshape(len(shifts), A))
-    grid = _fetch(source, locations, J.N).reshape(len(shifts), -1)
-    if scale == 1.0:
-        return grid
-    # on the float64 view: an infinite sample times scale + 0j would make a NaN and warn
-    return (np.ascontiguousarray(grid).view(np.float64) * scale).view(np.complex128)
+    return _fetch(source, locations, J.N).reshape(len(shifts), -1)
 
 
 def butterfly_ops(stages: int, rows: int, A: int) -> tuple[int, int]:
@@ -362,12 +365,15 @@ def butterfly_ops(stages: int, rows: int, A: int) -> tuple[int, int]:
     return stages * rows * A, stages * rows * (A // 2)
 
 
-@np.errstate(invalid="ignore")  # a non-finite sample: the callers raise on the output
-def _butterfly_pass(plan: ButterflyPlan, v: np.ndarray) -> np.ndarray:
+def _butterfly_pass(plan: ButterflyPlan, v: np.ndarray, fct: float = 1.0) -> np.ndarray:
     """The butterfly over every row of a sample grid at once: row b of the
-    result holds the slot values of row b's samples.  Counts nothing; its
-    cost is `butterfly_ops(len(plan.used), rows, A)`, the paper's radix-2
-    count, however the stages run.
+    result holds the slot values of row b's samples, times `fct` when the
+    plan has a run (`sas._execute` passes its read scale there, a power of
+    two).  Counts nothing; its cost is `butterfly_ops(len(plan.used), rows,
+    A)`, the paper's radix-2 count, however the stages run.  A NaN or
+    infinite sample makes its whole row so, and raises the "invalid"
+    floating-point flag on the way; a caller that checks the output keeps
+    that flag quiet (`np.errstate`).
 
     The pass runs `plan.steps` in stage order.  Between steps the rows are
     in Stockham order (module docstring): before stage k, row b viewed as
@@ -377,25 +383,27 @@ def _butterfly_pass(plan: ButterflyPlan, v: np.ndarray) -> np.ndarray:
     1], w its twiddles; it writes a[p, h, 0] - t and a[p, h, 0] + t into
     the first and the second half of the next row.  A run (stages
     j..j+m-1) views the row as (2^j, A / 2^(j+m), 2^m), multiplies it by
-    its pre-twiddle table (transposed to [p, n]), and takes one
-    `numpy.fft.fft` along each contiguous line of 2^m samples, in natural
-    order there (`pattern_offsets`); the FFT writes frequency n of prefix p
-    to slot prefix p + n 2^j, the row order after the run, so the output is
-    transposed whenever radix-2 stages stand on either side.  A fused group
-    (stages j..j+g-1) views the row as (2^j, L, 2^g), L = A / 2^(j+g), and
-    takes one `np.matmul` of its matrix F[p] by the transposed line a[p]^T,
-    per row and prefix (never one product over all rows, so a row's bytes
-    do not depend on how many there are); the product is written straight
+    its pre-twiddle table (transposed to [p, n]), and takes one FFT along
+    each contiguous line of 2^m samples, in natural order there
+    (`pattern_offsets`): one call of numpy's pocketfft gufunc
+    (`numpy.fft._pocketfft_umath.fft`, which `numpy.fft.fft` wraps), with
+    the factor `fct` on the first run and 1 on any other.  It writes
+    frequency n of prefix p to slot prefix p + n 2^j, the row order after
+    the run, straight into a C-order buffer of shape (rows, 2^m, 2^j, L),
+    so no wrapper runs and no copy follows.  A fused group (stages
+    j..j+g-1) views the row as (2^j, L, 2^g), L = A / 2^(j+g), and takes
+    one `np.matmul` of its matrix F[p] by the transposed line a[p]^T, per
+    row and prefix (never one product over all rows, so a row's bytes do
+    not depend on how many there are); the product is written straight
     through a strided view into the layout after the group, slot prefix p +
     q 2^j at [q, p, h].  Complex products in numpy can round differently on
     different layouts; tests/test_hidft.py keeps the natural-order pass of
     earlier versions and checks that this one returns its bytes on plans
     with no fused group, and its values within 1e-12 on plans with one.
 
-    A radix-2 step, a fused group or a pre-twiddle writes into one of at
-    most two buffers, each allocated the first time a stage writes one
-    (none for a run with no table), and `numpy.fft` returns a new array, so
-    the grid v is only read and the result is always a fresh array.
+    Each step writes into one of at most two buffers, each allocated the
+    first time a step writes one, so the grid v is only read and the
+    result is always a fresh array.
     """
     rows, A = v.shape
     spare = _spare_buffers(rows, A)
@@ -404,8 +412,10 @@ def _butterfly_pass(plan: ButterflyPlan, v: np.ndarray) -> np.ndarray:
             a = v.reshape(rows, 1 << k, -1, 1 << n)
             if arrays is not None:
                 v = spare(v)
-                a = np.multiply(a, arrays.T[:, None, :], out=v.reshape(a.shape))
-            v = np.fft.fft(a.transpose(0, 3, 1, 2), axis=1).reshape(rows, A)
+                a = np.multiply(a, arrays[0].T[:, None, :], out=v.reshape(a.shape))
+            v = spare(v)
+            _fft(a, fct, axes=_LINE_TO_AXIS_1, out=v.reshape(rows, 1 << n, 1 << k, -1))
+            fct = 1.0
         elif kind == "fused":
             a = v.reshape(rows, 1 << k, -1, 1 << n)
             v = spare(v)
@@ -413,7 +423,7 @@ def _butterfly_pass(plan: ButterflyPlan, v: np.ndarray) -> np.ndarray:
             np.matmul(arrays[0], a.transpose(0, 1, 3, 2), out=out)
         else:
             a = v.reshape(rows, 1 << k, -1, 2)
-            t = arrays[:, None] * a[..., 1]
+            t = arrays[0][:, None] * a[..., 1]
             v = spare(v)
             b = v.reshape(rows, 2, 1 << k, -1)
             np.subtract(a[..., 0], t, out=b[:, 0])
@@ -423,14 +433,15 @@ def _butterfly_pass(plan: ButterflyPlan, v: np.ndarray) -> np.ndarray:
 
 def _butterfly_adjoint(plan: ButterflyPlan, v: np.ndarray) -> np.ndarray:
     """T^H v for the pass T of `_butterfly_pass`, on every row: `plan.steps`
-    in reverse order, each conjugated and transposed.  A radix-2 step at
-    stage k maps the halves b0, b1 of a row to b0 + b1 and conj(w) (b1 -
-    b0) at u = 2h, 2h + 1, w its twiddles; a fused group is one `np.matmul`
-    of the strided view [p, h, q] of its output layout by its conjugate
-    matrices Fh[p] (sum over q of conj(F[p, q, e]) b[q, p, h]), per row and
-    prefix, into the layout before it; a run is an unscaled inverse
-    `numpy.fft` back to the layout before it, times its conjugate table.  v
-    is only read."""
+    in reverse order, each conjugated and transposed, with the conjugates
+    the plan holds.  A radix-2 step at stage k maps the halves b0, b1 of a
+    row to b0 + b1 and (b1 - b0) conj(w) at u = 2h, 2h + 1, w its twiddles;
+    a fused group is one `np.matmul` of the strided view [p, h, q] of its
+    output layout by its conjugate matrices Fh[p] (sum over q of conj(F[p,
+    q, e]) b[q, p, h]), per row and prefix, into the layout before it; a
+    run is one unscaled inverse FFT (`numpy.fft._pocketfft_umath.ifft`,
+    factor 1) straight into the layout before it, then times its conjugate
+    table there.  v is only read."""
     rows, A = v.shape
     spare = _spare_buffers(rows, A)
     for kind, j, n, arrays in reversed(plan.steps):
@@ -439,19 +450,19 @@ def _butterfly_adjoint(plan: ButterflyPlan, v: np.ndarray) -> np.ndarray:
             v = spare(v)
             np.matmul(b, arrays[1], out=v.reshape(rows, 1 << j, -1, 1 << n))
         elif kind == "fft_runs":
-            y = np.fft.ifft(v.reshape(rows, 1 << n, 1 << j, -1), axis=1, norm="forward")
-            a = y.transpose(0, 2, 3, 1)  # [p, h, n]
-            if arrays is None:
-                v = a.reshape(rows, A)
-            else:
-                v = spare(v)
-                np.multiply(a, arrays.T.conj()[:, None, :], out=v.reshape(a.shape))
+            y = v.reshape(rows, 1 << n, 1 << j, -1)
+            v = spare(v)
+            a = v.reshape(rows, 1 << j, -1, 1 << n)  # [p, h, n]
+            _ifft(y, 1.0, axes=_AXIS_1_TO_LINE, out=a)
+            if arrays is not None:
+                np.multiply(a, arrays[1], out=a)
         else:
             b = v.reshape(rows, 2, 1 << j, -1)
             v = spare(v)
             a = v.reshape(rows, 1 << j, -1, 2)
             np.add(b[:, 0], b[:, 1], out=a[..., 0])
-            np.multiply(b[:, 1] - b[:, 0], arrays.conj()[:, None], out=a[..., 1])
+            np.subtract(b[:, 1], b[:, 0], out=a[..., 1])
+            np.multiply(a[..., 1], arrays[1], out=a[..., 1])
     return v
 
 
@@ -481,6 +492,7 @@ def _request(J: SupportSet, r: Sequence[int], height, shift) -> tuple[tuple[int,
     return rt, height, as_int(shift), rt[: len(rt) - height]
 
 
+@np.errstate(invalid="ignore")  # a non-finite sample: the check below raises on the output
 def hidft(
     source,
     J: SupportSet,

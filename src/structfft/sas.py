@@ -43,6 +43,7 @@ from .congruence import (
     memoized,
     pivots as support_pivots,  # unused here; perfbench/spans.py traces it
     tree_bitops,
+    unique_sorted,
     validate_pivot_vector,
 )
 from .core import _CHUNK, fourier_kernel, mod_product
@@ -141,7 +142,7 @@ _STRIDE_PIECE = 512  # pair terms per piece of rows
 def stride_candidates(N: int) -> np.ndarray:
     """The strides `choose_stride` tries, ascending: the odd d < 256 and the
     powers of two below N."""
-    return np.union1d(np.arange(1, min(N, 256), 2), 1 << np.arange(1, N.bit_length() - 1))
+    return unique_sorted(np.arange(1, min(N, 256), 2), 1 << np.arange(1, N.bit_length() - 1))
 
 
 def _log_gaps(x: np.ndarray, n: int) -> np.ndarray:
@@ -178,7 +179,7 @@ def choose_stride(members: np.ndarray, bounds: np.ndarray, N: int) -> tuple[int,
     n = N // g
     word = np.uint32 if n <= 1 << 32 else np.uint64  # products wrap modulo 2^32 or 2^64
     pieces = []  # e = differences / g, (rows, m - 1), heaviest nodes first
-    for m in np.unique(sizes[sizes > 1])[::-1].tolist():
+    for m in unique_sorted(sizes[sizes > 1])[::-1].tolist():
         ls = members[bounds[:-1][sizes == m][:, None] + np.arange(m)]
         partner = (np.arange(m)[:, None] + np.arange(1, m)) % m
         e = ((ls[:, partner] - ls[:, :, None]) % N // g).astype(word).reshape(-1, m - 1)
@@ -208,7 +209,7 @@ def choose_stride(members: np.ndarray, bounds: np.ndarray, N: int) -> tuple[int,
         todo = np.flatnonzero(pending)
         score[todo] = np.maximum(score[todo], worst_row(e, d[todo]))
         pending[todo] = score[todo] <= bound
-    done = np.union1d(top, np.flatnonzero(pending))
+    done = unique_sorted(top, np.flatnonzero(pending))
     best = int(done[np.lexsort((d[done], score[done]))[0]])
     return int(d[best]), float(score[best])
 
@@ -454,15 +455,19 @@ def _inverses(V: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return W
 
 
-def _inverse_stack(V: np.ndarray, W: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """K_b = [W_b; R_b], (B, 2n, n), from the blocks V_b and their
-    `_inverses` W_b, with R_b = V_b W_b - I and its rows 0..m-1 zeroed.  K_b
-    y_b is then the coefficients followed by the spare-row residual of
-    `_spare_rows`."""
+def _inverse_stack(V: np.ndarray, W: np.ndarray, sizes: np.ndarray, scale: float) -> np.ndarray:
+    """K_b = [s W_b; R_b], (B, 2n, n), from the blocks V_b, their
+    `_inverses` W_b and the read scale s, a power of two, with R_b = V_b W_b
+    - I and its rows 0..m-1 zeroed.  K_b y_b is then the coefficients, read
+    scale included, followed by the spare-row residual of `_spare_rows`.  s
+    scales the float64 view, so no sign of a zero changes."""
     n = V.shape[1]
     R = V @ W - np.eye(n)
     R[np.arange(n) < sizes[:, None]] = 0
-    return np.concatenate((W, R), axis=1)
+    K = np.concatenate((W, R), axis=1)
+    sW = K[:, :n].view(np.float64)
+    sW *= scale
+    return K
 
 
 def _node_systems(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> tuple:
@@ -470,12 +475,13 @@ def _node_systems(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> t
     cond_bound, x, amplification, K).  x holds the Vandermonde nodes e^{-2
     pi i d l / N}, padded to mu* columns with 0.  A plan of mu* <= 23
     (`_in_reach`) inverts its nodes (`_inverses`), reads each node's
-    ||V_b^-1||_inf off W_b as its row-sum norm, and completes K =
-    [W_b; R_b] (`_inverse_stack`) iff it decodes by matrix (the decode rule
-    of `product_error_bound`); a plan of larger mu* inverts nothing, and
-    its nodes of weight > 1 read NaN.  x and K are None when mu* = 1, which
-    reads every node directly.  Raises ContractViolationError unless J is
-    rt-part-homogeneous.  Plan-time work, not counted or cached."""
+    ||V_b^-1||_inf off W_b as its row-sum norm, and completes K = [s W_b;
+    R_b] (`_inverse_stack`, s = N / |I_r| the read scale) iff it decodes by
+    matrix (the decode rule of `product_error_bound`); a plan of larger mu*
+    inverts nothing, and its nodes of weight > 1 read NaN.  x and K are
+    None when mu* = 1, which reads every node directly.  Raises
+    ContractViolationError unless J is rt-part-homogeneous.  Plan-time
+    work, not counted or cached."""
     check_part_homogeneous(tree.split_levels(), rt)
     _, bounds, members = tree.level_arrays(rt[-1] + 1 if rt else 0)
     weights = np.diff(bounds)
@@ -491,7 +497,7 @@ def _node_systems(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...]) -> t
             W = _inverses(V, weights)
             amplification = np.abs(W).sum(axis=2).max(axis=1)
             if mu * float(amplification.max()) * 2.0 ** -52 <= RESIDUAL_FLOOR:
-                K = _inverse_stack(V, W, weights)
+                K = _inverse_stack(V, W, weights, J.N / (1 << len(rt)))
     return stride, score, x, amplification, K
 
 
@@ -567,15 +573,26 @@ class _Prepared:
     the "solve" phase (the read scale of the heavier nodes, the
     Bjorck-Pereyra sweep and its Leja term), whichever decode the plan
     runs.  When mu* = 1, read_index takes J's coefficients straight from
-    the pass output, one gather.  Otherwise a "matrix" plan holds K
-    (`_inverse_stack`) and a "sweep" plan the factors and V, not both.
-    probed is the probe rule of `product_error_bound`."""
+    the pass output, one gather.  Otherwise a "matrix" plan holds K = [s
+    W_b; R_b] (`_inverse_stack`) and a "sweep" plan the factors and V, not
+    both.  probed is the probe rule of `product_error_bound`.
+
+    The read scale s = N / |I_r| is a power of two, so scaling commutes
+    bit for bit with every linear step of the read, the pass and the
+    decode, barring overflow and underflow.  The grid is never scaled; s
+    is applied at exactly one point: in K's W rows on a matrix plan of
+    mu* > 1, as the factor of the pass's first FFT run on a mu* = 1 plan
+    that has a run (run_scale = s), else on the decoded coefficients
+    (coeff_scale = s).  Each of run_scale and coeff_scale is 1 where s
+    falls elsewhere."""
 
     plan: SasPlan
     report: CostReport
     shifts: np.ndarray      # j d mod N for j < mu*
     locations: np.ndarray   # (I_r - shifts) mod N, row by row, flat
-    scale: float            # N / |I_r|, a power of two: the read scales the grid by it
+    scale: float            # N / |I_r|, a power of two, applied at one point (see above)
+    run_scale: float        # the factor of the pass's first FFT run: s or 1
+    coeff_scale: float      # the factor of the decoded coefficients: s or 1
     butterfly: ButterflyPlan
     take: np.ndarray        # the nodes' butterfly slots
     residues: np.ndarray    # NodeArrays.residues, .bounds, .members, .amplification
@@ -586,7 +603,7 @@ class _Prepared:
     read_index: np.ndarray | None  # take[coeff_index]: each coefficient's slot if mu* = 1, else None
     factors: _Factors | None  # of the Vandermonde nodes e^{-2 pi i d l / N}, padded
     V: np.ndarray | None    # x[b, m]^j at [b, j - lo, m] for lo <= j < mu*, lo the least weight
-    K: np.ndarray | None    # [W_b; R_b] of the same nodes; all three None if mu* = 1
+    K: np.ndarray | None    # [s W_b; R_b] of the same nodes; all three None if mu* = 1
     probed: bool
 
 
@@ -625,6 +642,8 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...], systems: 
     shifts = mod_product(np.arange(mu), stride, J.N)
     locations = _grid_locations(offsets, shifts, J.N)
     scale = J.N / len(offsets)
+    run_scale = scale if mu == 1 and butterfly.layout["fft_runs"] else 1.0
+    coeff_scale = 1.0 if K is not None or run_scale != 1.0 else scale
 
     factors = V = None
     if plan.decode == "sweep":  # mu* > 1: a mu* = 1 plan reads its nodes directly
@@ -638,11 +657,12 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...], systems: 
     read_index = take[coeff_index] if mu == 1 else None
     report = CostReport(
         tree_bitops(J, plan.decode_level), *_charges(len(rt), J.M, weights),
-        samples_touched=int(np.unique(locations).size), bound_alg1bnd=plan.predicted_cost,
+        samples_touched=len(unique_sorted(locations)), bound_alg1bnd=plan.predicted_cost,
         bound_hidft=C1 * len(rt) * (1 << len(rt)),
     )
     prepared = _Prepared(
-        plan, report, shifts, locations, scale, butterfly, take, residues, bounds, members, amplification,
+        plan, report, shifts, locations, scale, run_scale, coeff_scale, butterfly, take, residues, bounds,
+        members, amplification,
         coeff_index, read_index, factors, V, K, product_error_bound(mu, score) > RESIDUAL_FLOOR,
     )
     for a in vars(prepared).values():
@@ -651,24 +671,38 @@ def _prepare(J: SupportSet, tree: CongruenceTree, rt: tuple[int, ...], systems: 
     return prepared
 
 
+@np.errstate(invalid="ignore")  # a non-finite sample: the check below raises on what the decode read
 def _execute(p: _Prepared, source, J: SupportSet, tolerance: float):
     """The sample-dependent half of `sas_transform` and `submatrix_method`:
-    the coefficients (support order) and the node state of one call.  The
-    read scale N / |I_r| is applied to the grid (`_read_grid`), and the
-    non-finite check reads one slot per row as Python complex numbers.
+    the coefficients (support order) and the node state of one call.
     Counts nothing; the call's cost is p.report (its "read" and "solve"
-    scaling products included)."""
-    # row j: every slot's value under shift j d, read scale N / |I_r| included;
-    # p.take picks the decode-level nodes from it by ascending residue
-    grid = _read_grid(source, J, p.butterfly, p.take, p.shifts, p.locations, ("phases", p.plan.pivots),
-                      p.scale)
-    slots = _butterfly_pass(p.butterfly, grid)
-    # a non-finite sample makes its whole row so: every stage's factors have modulus 1
-    if not all(map(cmath.isfinite, slots[:, 0].tolist())):
-        raise InvalidInputError("signal samples at the read locations are not finite")
+    scaling products included).
 
+    A warm call on a dense source makes these numpy calls: one `take` for
+    the grid (`_read_grid`); per step of the pass, one pocketfft gufunc
+    call for a run (a `multiply` before it if the run has a pre-twiddle
+    table), one `matmul` for a fused group, one product and two sums for a
+    radix-2 step (`_butterfly_pass`); then, when mu* = 1, one `take` of the
+    coefficients, and otherwise one gather of the node rows y, the decode
+    (one `matmul` with K, or the sweep and its spare rows), two row-norm
+    `matmul`s and the residual quotient, and one `take` of the
+    coefficients; one `multiply` on their float64 view when the read scale
+    falls there (`_Prepared`).
+
+    A NaN or infinite sample makes its whole pass row non-finite (every
+    stage's factors have modulus 1), so the call checks one value it
+    computed anyway: coefficient 0 when mu* = 1, node 0's ||y|| (all mu*
+    rows) otherwise.  Only when that value is not finite, which finite
+    samples of magnitude near 1e154 or more can make by overflow, does it
+    read slot 0 of every row, and it raises InvalidInputError if one of
+    them is not finite."""
+    grid = _read_grid(source, J, p.butterfly, p.take, p.shifts, p.locations, ("phases", p.plan.pivots))
+    # row j: every slot's value under shift j d; p.take picks the
+    # decode-level nodes from it by ascending residue
+    slots = _butterfly_pass(p.butterfly, grid, p.run_scale)
     if p.read_index is not None:  # mu* = 1: every node has weight 1 and no spare row
         coeffs = slots.reshape(-1).take(p.read_index)
+        seen = coeffs[0]
         residual = np.zeros(len(p.residues))
     else:
         # all mu* rows: a node of weight m is solved from rows 0..m-1, and
@@ -680,8 +714,15 @@ def _execute(p: _Prepared, source, J: SupportSet, tolerance: float):
         else:
             c = _bp_apply(p.factors, y)
             spare = _spare_rows(p.V, y, c, p.factors.sizes)
-        residual = _row_norms(spare) / np.maximum(_row_norms(y), 1e-300)
+        norms = _row_norms(y)
+        seen = norms[0]
+        residual = _row_norms(spare) / np.maximum(norms, 1e-300)
         coeffs = c.reshape(-1).take(p.coeff_index)
+    if p.coeff_scale != 1.0:
+        scaled = coeffs.view(np.float64)
+        scaled *= p.coeff_scale
+    if not cmath.isfinite(seen) and not all(map(cmath.isfinite, slots[:, 0].tolist())):
+        raise InvalidInputError("signal samples at the read locations are not finite")
     mismatch = residual > max(tolerance, RESIDUAL_FLOOR)
     return coeffs, NodeArrays(p.residues, p.bounds, p.members, mismatch, residual, p.amplification)
 
@@ -712,7 +753,13 @@ def sas_transform(
     see `hidft._read_grid`) and one butterfly pass
     transforms every row; it is charged the paper's radix-2 count,
     1.5 A log2 A per row with A = |I_r|, though runs of FFT_RUN or more
-    consecutive pivots execute in `numpy.fft` (see `hidft`).  The nodes are
+    consecutive pivots execute in numpy's pocketfft (see `hidft`).  The
+    read scale N / |I_r| (a power of two, charged as "read" and "solve"
+    products) is never a pass over the grid: the plan applies it at one
+    point, in the inverses of a matrix plan, as the factor of the first FFT
+    run of a mu* = 1 plan that has one, else on the k decoded coefficients
+    (`_Prepared`), and every output has the bytes of scaling the grid
+    first.  The nodes are
     then decoded together, as rows of zero-padded arrays, in float64 only,
     with Vandermonde nodes e^{-2 pi i d l / N} that the stride keeps apart,
     by the one decode the plan chose (`SasPlan.decode`, the decode rule of
@@ -750,13 +797,15 @@ def sas_transform(
     divisor factors (a sweep plan), and the call's cost report; nothing of
     a prefix the planner rejected is kept.  A warm
     call then reads the grid, runs the butterfly and decodes the node
-    right-hand sides against what is stored, on few numpy kernels: the fused groups and the matrix
-    decode run the same `np.matmul`, and so do the residual norms.  A
-    sample callback receives the cached, read-only locations (a probed
+    right-hand sides against what is stored, on the fewest numpy calls it
+    can (`_execute` lists them): one `take` reads a dense grid, each FFT
+    run is one call of the pocketfft gufunc, the fused groups and the
+    matrix decode run the same `np.matmul`, and so do the residual norms.
+    A sample callback receives the cached, read-only locations (a probed
     call's probes in a second call); a `BandlimitedSignal` on J's
-    frequencies finds the plan's phases there too, the read scale N / |I_r|
-    folded in (`hidft._read_grid`, one entry per plan), and one that holds
-    J's own index array is not compared with it.  The cache is keyed by
+    frequencies finds the plan's phases there too (`hidft._read_grid`, one
+    entry per plan), and one that holds J's own index array is not
+    compared with it.  The cache is keyed by
     exactly what the plan reads: the pivot vector, the explicit r or the
     planner's; the plan of a call without r is also kept under ("plan",
     None), the same object, so a warm call without r finds it in one
@@ -792,6 +841,8 @@ def _check_tolerance(tolerance) -> None:
     number: not NaN, which would switch the mismatch flag off, and not a
     bool, whose True would lift the mismatch threshold to 1 (np.bool_ is
     no `numbers.Real`)."""
+    if type(tolerance) is float and 0 < tolerance < math.inf:
+        return
     if isinstance(tolerance, bool) or not (isinstance(tolerance, numbers.Real) and 0 < tolerance < math.inf):
         raise InvalidInputError(f"tolerance must be a finite positive number, not {tolerance!r}")
 

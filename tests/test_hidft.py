@@ -4,6 +4,7 @@ import importlib
 import warnings
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -305,8 +306,9 @@ class TestSlotPlanOracle:
                 assert plan.slot_residues.tobytes() == want_res.tobytes()
                 assert plan.slot_real.tobytes() == want_real.tobytes()
                 assert len(want_tw) == len(used)
-                for k, _, got in steps_of(plan, "radix2"):  # runs and fused groups keep no twiddles
+                for k, _, (got, conj) in steps_of(plan, "radix2"):  # runs and fused groups keep no twiddles
                     assert got.tobytes() == want_tw[k].tobytes()
+                    assert conj.shape == (1 << k, 1) and conj.tobytes() == got.conj().tobytes()
                 assert plan.slot_residues[slots].tolist() == residues.tolist()
                 virtual += int((~want_real).sum())
         assert virtual > 0
@@ -484,26 +486,39 @@ class TestFftRuns:
         r = (0, 2, 3, 4, 5, 6, 7, 8, 10)
         J = gen_homogeneous(r, 12, 3)
         plan, _ = _butterfly_entry(J, r)[:2]
-        [(j, m, table)] = steps_of(plan, "fft_runs")
+        [(j, m, (table, conj))] = steps_of(plan, "fft_runs")
         assert (j, m) == (1, 7) and table.shape == (1 << 7, 2)
         x = plan.slot_residues[:2] % 4
         n = np.arange(1 << 7)[:, None]
         assert np.max(np.abs(table - np.exp(-2j * np.pi * n * x / (1 << 9)))) <= 1e-15
-        assert not table.flags.writeable
+        assert not table.flags.writeable and not conj.flags.writeable
+        # the adjoint's table: the conjugate, transposed to [p, 1, n], taken once
+        assert conj.shape == (2, 1, 1 << 7) and conj.flags.c_contiguous
+        assert conj.tobytes() == np.ascontiguousarray(table.T.conj()).tobytes()
         # radix-2 steps, with twiddles, at stages 0 and 8 only
         assert [step[:3] for step in plan.steps] == [("radix2", 0, 1), ("fft_runs", 1, 7), ("radix2", 8, 1)]
-        assert all(w.shape == (1 << j,) for j, _, w in steps_of(plan, "radix2"))
+        assert all(w.shape == (1 << j,) for j, _, (w, _) in steps_of(plan, "radix2"))
 
-    def test_runs_on_the_numpy_1_fft_signature(self, monkeypatch):
-        # numpy.fft.fft took no `out` before NumPy 2.0; the pass must not need it
-        real = np.fft.fft
-        monkeypatch.setattr(np.fft, "fft", lambda a, n=None, axis=-1, norm=None: real(a, n, axis, norm))
-        r = (0, 2, 3, 4, 5, 6, 7, 8, 10)
-        J = gen_homogeneous(r, 12, 3)
-        x = np.random.default_rng(3).standard_normal(J.N).astype(np.complex128)
-        got, want = hidft(x, J, r), hidft_oracle(x, J, r)
-        scale = np.max(np.abs(want.node_values))
-        assert np.max(np.abs(got.node_values - want.node_values)) <= 1e-12 * scale
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -3, 2.0 ** 9])
+    def test_pocketfft_gufuncs_on_the_pass_views(self, scale):
+        # the pass calls numpy's pocketfft gufuncs (numpy >= 2.0) directly on
+        # transposed views, its read scale as the factor, and writes into
+        # C-order buffers: byte for byte what numpy.fft.fft returns, times the
+        # factor, and numpy.fft.ifft(norm="forward") for the adjoint's
+        gen = np.random.default_rng(3)
+        for rows, j, L, m in ((1, 0, 1, 8), (9, 0, 1, 8), (3, 1, 2, 6), (2, 3, 4, 7)):
+            shape = (rows, 1 << j, L, 1 << m)
+            a = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+            out = np.empty((rows, 1 << m, 1 << j, L), dtype=np.complex128)
+            _pocketfft_umath.fft(a, scale, axes=[(3,), (), (1,)], out=out)
+            want = np.fft.fft(a.transpose(0, 3, 1, 2), axis=1)
+            want = (np.ascontiguousarray(want).view(np.float64) * scale).view(np.complex128)
+            assert out.tobytes() == want.tobytes()
+            b = gen.standard_normal(out.shape) + 1j * gen.standard_normal(out.shape)
+            back = np.empty(shape, dtype=np.complex128)
+            _pocketfft_umath.ifft(b, 1.0, axes=[(1,), (), (3,)], out=back)
+            want = np.fft.ifft(b, axis=1, norm="forward").transpose(0, 2, 3, 1)
+            assert back.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def natural_order_pass(plan, v, twiddles):
@@ -519,7 +534,7 @@ def natural_order_pass(plan, v, twiddles):
     def spare(w):
         return buffers[1] if w is buffers[0] else buffers[0]
 
-    runs = {j: (m, table) for j, m, table in steps_of(plan, "fft_runs")}
+    runs = {j: (m, arrays and arrays[0]) for j, m, arrays in steps_of(plan, "fft_runs")}
     k = 0
     while k < stages:
         if k in runs:

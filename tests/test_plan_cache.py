@@ -202,9 +202,9 @@ def test_warm_call_without_r_finds_its_plan_in_one_lookup(monkeypatch):
 
 
 def step_arrays(steps):
-    """Every array of a butterfly plan's steps: twiddles, run tables, F and Fh."""
-    return [a for kind, *_, arrays in steps if arrays is not None
-            for a in (arrays if kind == "fused" else (arrays,))]
+    """Every array of a butterfly plan's steps: twiddles, run tables, F and
+    their conjugates."""
+    return [a for *_, arrays in steps if arrays is not None for a in arrays]
 
 
 def test_cached_and_returned_arrays_are_read_only():
@@ -243,7 +243,7 @@ def test_cached_and_returned_arrays_are_read_only():
     assert [step[:3] for step in steps] == [("fused", 0, 3), ("fft_runs", 3, 6), ("radix2", 9, 1),
                                             ("radix2", 10, 1)]
     arrays = step_arrays(steps)
-    assert len(arrays) == 5  # F, Fh, the run's table and two twiddles
+    assert len(arrays) == 8  # F, the run's table, two twiddles and the conjugate of each
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -347,19 +347,16 @@ def grid_request(spec):
 
 
 def read(sig, J, r, cache=True):
-    """The grid one sas_transform call on J with pivots r reads from sig,
-    its read scale N / |I_r| included (with cache=False, as a read that
-    keeps nothing on J forms it)."""
+    """The grid one sas_transform call on J with pivots r reads from sig
+    (with cache=False, as a read that keeps nothing on J forms it)."""
     p = sas._prepared(J, r)[0]
-    return _read_grid(sig, J, p.butterfly, p.take, p.shifts, p.locations, ("phases", r) if cache else None,
-                      p.scale)
+    return _read_grid(sig, J, p.butterfly, p.take, p.shifts, p.locations, ("phases", r) if cache else None)
 
 
 def synthesis(sig, J, r):
-    """sample_block at the locations of `read`, times the read scale: the oracle."""
+    """sample_block at the locations of `read`: the oracle."""
     p = sas._prepared(J, r)[0]
-    samples = sig.sample_block(p.locations).reshape(len(p.shifts), -1)
-    return (samples.view(np.float64) * p.scale).view(np.complex128)
+    return sig.sample_block(p.locations).reshape(len(p.shifts), -1)
 
 
 def phase_entries(J):
@@ -510,10 +507,13 @@ def node_system(J, p):
 
 
 def node_rows(source, J, p):
-    """The (B, mu*) right-hand sides one call decodes."""
-    grid = _read_grid(source, J, p.butterfly, p.take, p.shifts, p.locations, ("phases", p.plan.pivots),
-                      p.scale)
-    return _butterfly_pass(p.butterfly, grid).T[p.take]
+    """The (B, mu*) right-hand sides one call decodes, times the read scale
+    N / |I_r| (on the float64 view), which the call applies after the
+    decode: a power of two, it changes no byte of the coefficients or the
+    residuals."""
+    grid = _read_grid(source, J, p.butterfly, p.take, p.shifts, p.locations, ("phases", p.plan.pivots))
+    y = _butterfly_pass(p.butterfly, grid).T[p.take]
+    return (y.view(np.float64) * p.scale).view(np.complex128)
 
 
 def sweep(J, p, y):
@@ -613,7 +613,7 @@ class TestMatrixDecode:
             own = np.arange(mu) < sizes[:, None]
             block = own[:, :, None] & own[:, None, :]
             V = x[:, None, :] ** np.arange(mu)[None, :, None]  # V[b, j, l] = x_l^j
-            W, R = p.K[:, :mu], p.K[:, mu:]
+            W, R = p.K[:, :mu] / p.scale, p.K[:, mu:]  # K holds the read scale in its W rows
             assert not W[~block].any() and not R[own].any()
             err = np.where(block, W @ V - np.eye(mu), 0)
             assert np.abs(err).sum(axis=2).max() <= self.exact(p.plan)  # 0.52 of it at most, measured
